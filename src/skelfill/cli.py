@@ -18,6 +18,7 @@ import sys
 from .errors import ConfigError, MissingArtifact, SkelfillError
 from .pipeline import (
     PipelineConfig,
+    _validate,
     load_config,
     run_cluster,
     run_embed,
@@ -140,6 +141,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
                 except ValueError:
                     raise ConfigError(f"--joints expects comma-separated integers, got {value!r}")
             setattr(config, name, value)
+    _validate(config)
     return config
 
 

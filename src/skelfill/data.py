@@ -89,6 +89,14 @@ class SkeletonSequence:
         if self.body_present is None:
             self.body_present = np.ones(self.data.shape[3], dtype=bool)
 
+    def with_data(self, data: np.ndarray) -> "SkeletonSequence":
+        """A copy holding ``data``, with the same id and label and its own
+        copy of ``body_present``."""
+        return SkeletonSequence(
+            data=data, sample_id=self.sample_id, label=self.label,
+            body_present=self.body_present.copy(),
+        )
+
     @property
     def num_frames(self) -> int:
         return self.data.shape[1]
@@ -314,12 +322,7 @@ def preprocess_relative(seq: SkeletonSequence, center_joint: int = DEFAULT_CENTE
             "sample %s: center joint missing in %d (frame, body) slots; left untranslated",
             seq.sample_id, skipped,
         )
-    return SkeletonSequence(
-        data=out,
-        sample_id=seq.sample_id,
-        label=seq.label,
-        body_present=None if seq.body_present is None else seq.body_present.copy(),
-    )
+    return seq.with_data(out)
 
 
 def compute_missing_mask(seq: SkeletonSequence) -> MissingMask:

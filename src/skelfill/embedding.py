@@ -17,6 +17,7 @@ interface without touching any downstream stage::
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,6 +130,13 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         n, width = struct.unpack("<II", read_exact(handle, 8, "header"))
         if width == 0:
             raise FormatError(f"{path}: zero-width embedding matrix")
+        # each record holds at least a 4-byte id length and the row itself
+        left = os.fstat(handle.fileno()).st_size - handle.tell()
+        if n * (4 + 4 * width) > left:
+            raise FormatError(
+                f"{path}: truncated: header claims {n} rows of width {width}, "
+                f"but only {left} bytes follow"
+            )
         ids: list[str] = []
         rows = np.empty((n, width), dtype=np.float64)
         for i in range(n):

@@ -108,14 +108,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
             count = int(holes.sum())
             if count:
                 data[c][holes] = rng.uniform(lo[c], hi[c], size=count).astype(np.float32)
-        out.append(
-            SkeletonSequence(
-                data=data,
-                sample_id=seq.sample_id,
-                label=seq.label,
-                body_present=None if seq.body_present is None else seq.body_present.copy(),
-            )
-        )
+        out.append(seq.with_data(data))
     return Dataset.from_sequences(out, split_tag=dataset.split_tag)
 
 

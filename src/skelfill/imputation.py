@@ -21,6 +21,12 @@ stay NaN and are tallied as unimputable.
 
 Training samples draw donors from their own cluster; test samples draw
 donors exclusively from the training members of their predicted cluster.
+Both splits run through one fill path.
+
+The scalar functions (``masked_distance``, ``find_donors``,
+``impute_value``) and the engine share one distance-and-ordering kernel
+(``_distances_to_members`` and ``_ordered_donors``) and one fill rule, so a
+donor set or value computed with the scalar API is the one the engine uses.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset, SkeletonSequence
+from .data import Dataset
 from .errors import EmptyDonorSet, LabelMismatch, NoOverlap
 
 
@@ -49,11 +55,6 @@ class FlatSample:
     vector: np.ndarray
     present: np.ndarray
     sample_ref: int
-
-    @classmethod
-    def from_sequence(cls, seq: SkeletonSequence, sample_ref: int) -> "FlatSample":
-        vector = seq.data.astype(np.float64).ravel()
-        return cls(vector=vector, present=np.isfinite(vector), sample_ref=sample_ref)
 
 
 @dataclass
@@ -118,15 +119,10 @@ def masked_distance(a: FlatSample, b: FlatSample) -> float:
     """Overlap-scaled Euclidean distance between two flat samples."""
     if a.vector.shape != b.vector.shape:
         raise ValueError("samples differ in length")
-    both = a.present & b.present
-    overlap = int(both.sum())
-    if overlap == 0:
-        raise NoOverlap(
-            f"samples {a.sample_ref} and {b.sample_ref} share no present coordinate"
-        )
-    diff = a.vector[both] - b.vector[both]
-    weight = a.vector.size / overlap
-    return float(np.sqrt(weight * (diff * diff).sum()))
+    dist = _distances_to_members(b.vector[None, :], b.present[None, :], a.vector, a.present)[0]
+    if dist == np.inf:
+        raise NoOverlap(f"samples {a.sample_ref} and {b.sample_ref} share no present coordinate")
+    return float(dist)
 
 
 def find_donors(
@@ -141,19 +137,18 @@ def find_donors(
         raise ValueError("k must be >= 1")
     if not 0 <= position < target.vector.size:
         raise ValueError(f"position {position} outside the flat vector")
-    scored: list[tuple[float, int]] = []
-    for member in cluster:
-        if member.sample_ref == target.sample_ref:
-            continue
-        if not member.present[position]:
-            continue
-        try:
-            dist = masked_distance(target, member)
-        except NoOverlap:
-            continue
-        scored.append((dist, member.sample_ref))
-    scored.sort()
-    return DonorSet(neighbors=[(ref, dist) for dist, ref in scored[:k]])
+    if any(member.vector.shape != target.vector.shape for member in cluster):
+        raise ValueError("samples differ in length")
+    if not cluster:
+        return DonorSet()
+    present = np.stack([member.present for member in cluster])
+    refs = np.array([member.sample_ref for member in cluster])
+    order, dist = _ordered_donors(
+        np.stack([member.vector for member in cluster]), present, refs,
+        target.vector, target.present, target.sample_ref,
+    )
+    hits = np.flatnonzero(present[order, position])[:k]
+    return DonorSet(neighbors=[(int(refs[order[i]]), float(dist[i])) for i in hits])
 
 
 def _weighted_fill(distances: np.ndarray, values: np.ndarray) -> float:
@@ -182,16 +177,13 @@ def _check_alignment(dataset: Dataset, labels: PseudoLabels, side: str) -> None:
         raise LabelMismatch(f"{side} labels are not aligned with the {side} dataset")
 
 
-def _flat_matrix(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.stack([seq.data.astype(np.float64).ravel() for seq in dataset.samples])
-    return rows, np.isfinite(rows)
-
-
 def _distances_to_members(
     member_rows: np.ndarray, member_present: np.ndarray, vector: np.ndarray, present: np.ndarray
 ) -> np.ndarray:
     """Masked distance from one target to every member row; positions with
-    no overlap come back as +inf."""
+    no overlap come back as +inf.  The arithmetic runs in float64 whatever
+    the dtype of the member rows."""
+    vector = np.asarray(vector, dtype=np.float64)
     both = member_present & present[None, :]
     counts = both.sum(axis=1)
     diff = np.where(both, member_rows - vector[None, :], 0.0)
@@ -203,55 +195,114 @@ def _distances_to_members(
     return out
 
 
-def _fill_one_target(
-    out_data: np.ndarray,
-    seq: SkeletonSequence,
-    frame_mask: np.ndarray,
-    vector: np.ndarray,
+def _ordered_donors(
+    rows: np.ndarray,
     present: np.ndarray,
-    member_rows: np.ndarray,
-    member_present: np.ndarray,
-    member_refs: np.ndarray,
-    k: int,
+    refs: np.ndarray,
+    vector: np.ndarray,
+    target_present: np.ndarray,
     self_ref: int | None,
-    trace: dict | None,
-    trace_key: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate rows in neighbour order: ascending distance, then ascending
+    ref.  The target's own row and rows with no overlap are dropped.
+    Returns (row indices, their distances)."""
+    dist = _distances_to_members(rows, present, vector, target_present)
+    if self_ref is not None:
+        dist[refs == self_ref] = np.inf
+    order = np.lexsort((refs, dist))
+    order = order[np.isfinite(dist[order])]
+    return order, dist[order]
+
+
+# A donor pool: member rows [n, L] float32, their present mask [n, L] and
+# their sample indices [n] in the training set.
+Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
+    if members.size == 0:
+        return np.empty((0, 0), np.float32), np.empty((0, 0), bool), members
+    rows = np.stack([dataset.samples[i].data.ravel() for i in members])
+    return rows, np.isfinite(rows), members
+
+
+def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
+    return {int(label): np.flatnonzero(labels == label) for label in np.unique(labels)}
+
+
+def _fill_one_target(
+    data: np.ndarray, pool: Pool, k: int, self_ref: int | None, trace: dict | None, trace_key: str
 ) -> SampleCounts:
-    """Impute every missing joint instance of one sample in place."""
+    """Impute every missing joint instance of one float32 sample in place."""
+    flat = data.reshape(-1)
+    present = np.isfinite(flat)
     counts = SampleCounts(missing=int((~present).sum()))
-    instances = np.argwhere(frame_mask)  # [(t, v, m)] in C order
+    instances = np.argwhere(np.isnan(data).all(axis=0))  # [(t, v, m)] in C order
     if instances.size == 0:
         return counts
-    if member_rows.shape[0] == 0:
+    rows, member_present, refs = pool
+    if rows.shape[0] == 0:
         counts.unimputable = counts.missing
         return counts
 
-    dist = _distances_to_members(member_rows, member_present, vector, present)
-    if self_ref is not None:
-        dist[member_refs == self_ref] = np.inf
-    order = np.lexsort((member_refs, dist))
-    order = order[np.isfinite(dist[order])]
-    ordered_present = member_present[order]
-    ordered_dist = dist[order]
-    ordered_rows = member_rows[order]
-    ordered_refs = member_refs[order]
-
-    _, t_n, v_n, m_n = seq.data.shape
-    flat_view = out_data.reshape(-1)
-    for t, v, m in instances:
-        pos0 = ((0 * t_n + t) * v_n + v) * m_n + m
-        hits = np.flatnonzero(ordered_present[:, pos0])[:k]
+    order, dist = _ordered_donors(rows, member_present, refs, flat, present, self_ref)
+    pos0 = np.ravel_multi_index(tuple(instances.T), data.shape[1:])  # channel 0
+    channels = np.arange(3) * (flat.size // 3)
+    usable = member_present[order[None, :], pos0[:, None]]  # [instance, candidate]
+    for j, (t, v, m) in enumerate(instances):
+        hits = np.flatnonzero(usable[j])[:k]
         if hits.size == 0:
             counts.unimputable += 3
             continue
-        donor_dist = ordered_dist[hits]
+        donors = order[hits]
+        donor_dist = dist[hits]
+        pos = pos0[j] + channels
+        values = rows[donors[None, :], pos[:, None]].astype(np.float64)  # [channel, donor]
         for c in range(3):
-            pos = ((c * t_n + t) * v_n + v) * m_n + m
-            flat_view[pos] = _weighted_fill(donor_dist, ordered_rows[hits, pos])
+            flat[pos[c]] = _weighted_fill(donor_dist, values[c])
         counts.imputed += 3
         if trace is not None:
-            trace[(trace_key, int(t), int(v), int(m))] = tuple(int(r) for r in ordered_refs[hits])
+            trace[(trace_key, int(t), int(v), int(m))] = tuple(int(r) for r in refs[donors])
     return counts
+
+
+def _fill_split(
+    dataset: Dataset,
+    groups: dict[int, np.ndarray],
+    pools: dict[int, Pool],
+    same_pool: bool,
+    k: int,
+    threads: int,
+    trace: dict | None,
+) -> tuple[Dataset, dict[str, SampleCounts]]:
+    """Fill every sample of ``dataset``: the targets ``groups[label]`` draw
+    donors from ``pools[label]``.  With ``same_pool`` the targets are pool
+    members themselves and must skip their own row."""
+
+    def run_group(label: int) -> list[tuple[int, np.ndarray, SampleCounts]]:
+        done = []
+        for gi in groups[label]:
+            seq = dataset.samples[gi]
+            data = seq.data.astype(np.float32)
+            counts = _fill_one_target(
+                data, pools[label], k, int(gi) if same_pool else None, trace, seq.sample_id
+            )
+            done.append((int(gi), data, counts))
+        return done
+
+    labels = sorted(groups)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            results = list(executor.map(run_group, labels))
+    else:
+        results = [run_group(label) for label in labels]
+
+    filled = {gi: (data, counts) for done in results for gi, data, counts in done}
+    out = Dataset.from_sequences(
+        [seq.with_data(filled[gi][0]) for gi, seq in enumerate(dataset.samples)],
+        split_tag=dataset.split_tag,
+    )
+    return out, {seq.sample_id: filled[gi][1] for gi, seq in enumerate(dataset.samples)}
 
 
 def impute_dataset(
@@ -274,103 +325,22 @@ def impute_dataset(
     if test is not None:
         _check_alignment(test, test_labels, "test")
 
-    train_rows, train_present = _flat_matrix(train)
-    clusters: dict[int, np.ndarray] = {}
-    for label in np.unique(train_labels.labels):
-        clusters[int(label)] = np.flatnonzero(train_labels.labels == label)
-
-    out_train = [seq.data.astype(np.float64) for seq in train.samples]
-    train_counts: dict[str, SampleCounts] = {}
-
-    def run_train_cluster(label: int) -> dict[str, SampleCounts]:
-        members = clusters[label]
-        member_rows = train_rows[members]
-        member_present = train_present[members]
-        local: dict[str, SampleCounts] = {}
-        for gi in members:
-            seq = train.samples[gi]
-            local[seq.sample_id] = _fill_one_target(
-                out_train[gi], seq, train.masks[gi].frame_mask,
-                train_rows[gi], train_present[gi],
-                member_rows, member_present, members, k,
-                self_ref=int(gi), trace=trace, trace_key=seq.sample_id,
-            )
-        return local
-
-    labels_sorted = sorted(clusters)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for partial in pool.map(run_train_cluster, labels_sorted):
-                train_counts.update(partial)
-    else:
-        for label in labels_sorted:
-            train_counts.update(run_train_cluster(label))
-
-    imputed_train = Dataset.from_sequences(
-        [
-            SkeletonSequence(
-                data=data.astype(np.float32),
-                sample_id=seq.sample_id,
-                label=seq.label,
-                body_present=None if seq.body_present is None else seq.body_present.copy(),
-            )
-            for data, seq in zip(out_train, train.samples)
-        ],
-        split_tag=train.split_tag,
-    )
+    clusters = _groups(train_labels.labels)
+    pools = {label: _pool(train, members) for label, members in clusters.items()}
+    imputed_train, train_counts = _fill_split(train, clusters, pools, True, k, threads, trace)
 
     imputed_test: Dataset | None = None
     test_counts: dict[str, SampleCounts] = {}
     if test is not None:
-        test_rows, test_present = _flat_matrix(test)
-        out_test = [seq.data.astype(np.float64) for seq in test.samples]
-        by_label: dict[int, list[int]] = {}
-        for gi, label in enumerate(test_labels.labels):
-            by_label.setdefault(int(label), []).append(gi)
-
-        def run_test_group(label: int) -> dict[str, SampleCounts]:
-            members = clusters.get(label, np.empty(0, dtype=np.int64))
-            member_rows = train_rows[members]
-            member_present = train_present[members]
-            local: dict[str, SampleCounts] = {}
-            for gi in by_label[label]:
-                seq = test.samples[gi]
-                local[seq.sample_id] = _fill_one_target(
-                    out_test[gi], seq, test.masks[gi].frame_mask,
-                    test_rows[gi], test_present[gi],
-                    member_rows, member_present, members, k,
-                    self_ref=None, trace=trace, trace_key=seq.sample_id,
-                )
-            return local
-
-        group_labels = sorted(by_label)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for partial in pool.map(run_test_group, group_labels):
-                    test_counts.update(partial)
-        else:
-            for label in group_labels:
-                test_counts.update(run_test_group(label))
-
-        imputed_test = Dataset.from_sequences(
-            [
-                SkeletonSequence(
-                    data=data.astype(np.float32),
-                    sample_id=seq.sample_id,
-                    label=seq.label,
-                    body_present=None if seq.body_present is None else seq.body_present.copy(),
-                )
-                for data, seq in zip(out_test, test.samples)
-            ],
-            split_tag=test.split_tag,
-        )
+        groups = _groups(test_labels.labels)
+        empty = _pool(train, np.empty(0, dtype=np.int64))
+        test_pools = {label: pools.get(label, empty) for label in groups}
+        imputed_test, test_counts = _fill_split(test, groups, test_pools, False, k, threads, trace)
 
     report = ImputationReport(
-        train={seq.sample_id: train_counts[seq.sample_id] for seq in train.samples},
-        test=(
-            {} if test is None else {seq.sample_id: test_counts[seq.sample_id] for seq in test.samples}
-        ),
-        cluster_sizes={label: int(len(clusters[label])) for label in labels_sorted},
+        train=train_counts,
+        test=test_counts,
+        cluster_sizes={label: int(members.size) for label, members in clusters.items()},
         k=k,
     )
     return imputed_train, imputed_test, report

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, SkeletonSequence
+from .data import Dataset
 from .errors import (
     AlreadyOccluded,
     FormatError,
@@ -78,14 +78,7 @@ class OcclusionRecord:
             if seq.sample_id in self.entries:
                 idx, values = self.entries[seq.sample_id]
                 data[:, idx[:, 0], idx[:, 1], idx[:, 2]] = values.T
-            out.append(
-                SkeletonSequence(
-                    data=data,
-                    sample_id=seq.sample_id,
-                    label=seq.label,
-                    body_present=None if seq.body_present is None else seq.body_present.copy(),
-                )
-            )
+            out.append(seq.with_data(data))
         for sid in self.entries:
             if sid not in by_id:
                 raise RecordMismatch(f"record refers to unknown sample {sid!r}")
@@ -135,15 +128,6 @@ def _reject_preexisting_nan(dataset: Dataset) -> None:
             raise AlreadyOccluded(f"sample {seq.sample_id!r} already has missing joints")
 
 
-def _copy_with(seq: SkeletonSequence, data: np.ndarray) -> SkeletonSequence:
-    return SkeletonSequence(
-        data=data,
-        sample_id=seq.sample_id,
-        label=seq.label,
-        body_present=None if seq.body_present is None else seq.body_present.copy(),
-    )
-
-
 def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, OcclusionRecord]:
     """Hide exactly ``floor(rate * T * V * bodies_present)`` joint instances
     per sample, chosen uniformly without replacement among present bodies."""
@@ -173,7 +157,7 @@ def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, O
             record.add(seq.sample_id, np.stack([ts, vs, ms], axis=1), values)
         else:
             record.add(seq.sample_id, np.empty((0, 3)), np.empty((0, 3), dtype=np.float32))
-        out.append(_copy_with(seq, data))
+        out.append(seq.with_data(data))
     return Dataset.from_sequences(out, split_tag=dataset.split_tag), record
 
 
@@ -222,7 +206,7 @@ def occlude_joints(
             record.add(seq.sample_id, np.array(indices), np.stack(values))
         else:
             record.add(seq.sample_id, np.empty((0, 3)), np.empty((0, 3), dtype=np.float32))
-        out.append(_copy_with(seq, data))
+        out.append(seq.with_data(data))
     return Dataset.from_sequences(out, split_tag=dataset.split_tag), record
 
 

@@ -158,8 +158,24 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(f"embedding_source must be builtin or external")
     if config.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if config.neighbors < 1:
+        raise ConfigError("neighbors must be >= 1")
+    if config.clusters < 1:
+        raise ConfigError("clusters must be >= 1")
+    if config.target_frames < 1:
+        raise ConfigError("target_frames must be >= 1")
+    if not 0.0 <= config.occlusion_rate <= 1.0:
+        raise ConfigError(f"occlusion_rate must be in [0, 1], got {config.occlusion_rate}")
+    if not 0.0 < config.occlusion_frame_fraction <= 1.0:
+        raise ConfigError(
+            f"occlusion_frame_fraction must be in (0, 1], got {config.occlusion_frame_fraction}"
+        )
     if config.seed < 0:
         raise ConfigError("seed must be non-negative")
+    for stage in _SEED_OFFSETS:
+        explicit = getattr(config, f"seed_{stage}")
+        if explicit is not None and explicit < 0:
+            raise ConfigError(f"seed_{stage} must be non-negative")
 
 
 # ---- artifact naming ---------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import capture_text
 from skelfill import formats
@@ -92,6 +93,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "bogus_knob" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--threads", "0"], ["--neighbors", "0"], ["--seed", "-40"], ["--rate", "1.5"]],
+)
+def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
+    rc = main(["pipeline", "--workdir", str(tmp_path / "work")] + SMALL + flags)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
 
 
 def test_bad_joint_list_exits_2(tmp_path, capsys):

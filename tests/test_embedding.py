@@ -146,6 +146,15 @@ def test_load_rejects_bad_files(tmp_path):
         load_embeddings(trailing)
 
 
+@pytest.mark.parametrize("n, width", [(0xFFFFFFFF, 0xFFFFFFFF), (200_000_000, 64)])
+def test_load_rejects_header_larger_than_file(tmp_path, n, width):
+    # rejected from the file size, before any array sized by the header
+    path = tmp_path / "huge.skemb"
+    path.write_bytes(SKEMB_MAGIC + struct.pack("<II", n, width) + b"\x00" * 64)
+    with pytest.raises(FormatError, match="truncated"):
+        load_embeddings(path)
+
+
 def test_load_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "dup.skemb"
     with open(path, "wb") as handle:

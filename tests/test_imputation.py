@@ -103,6 +103,8 @@ def test_find_donors_shortage_and_emptiness():
         find_donors([], target, 0, k=0)
     with pytest.raises(ValueError):
         find_donors([], target, 5, k=1)
+    with pytest.raises(ValueError):
+        find_donors([flat([1.0, 2.0], 1)], target, 0, k=1)
 
 
 # ---- weighted fill ---------------------------------------------------------------
@@ -323,3 +325,64 @@ def test_impute_dataset_rejects_misaligned_labels():
         impute_dataset(dataset, None)
     with pytest.raises(ValueError):
         impute_dataset(dataset, labels_for(dataset, [0, 0, 0]), k=0)
+
+
+def test_scalar_api_agrees_with_engine():
+    # every hole of a clustered corpus with a test split: find_donors picks
+    # the engine's donors in the engine's order, and impute_value gives the
+    # engine's coordinate bit for bit
+    rng = np.random.default_rng(139)
+
+    def corpus(n, prefix, split):
+        seqs = []
+        for i in range(n):
+            if i % 4 == 3:  # exact copy of the previous sample: distance ties
+                data = seqs[-1].data.copy()
+            else:
+                data = rng.uniform(-2, 2, size=(3, 4, 5, 2)).astype(np.float32)
+                data[:, rng.random((4, 5, 2)) < 0.25] = np.nan
+            seqs.append(seq_of(data, f"{prefix}{i}"))
+        return dataset_of(*seqs, split=split)
+
+    train = corpus(24, "tr", "train")
+    test = corpus(8, "te", "test")
+    train_labels = labels_for(train, [(i // 4) % 3 for i in range(24)])
+    test_labels = labels_for(test, [i % 4 for i in range(8)])  # label 3: no train members
+    k = 3
+    trace: dict = {}
+    out_train, out_test, _ = impute_dataset(
+        train, train_labels, test, test_labels, k=k, trace=trace
+    )
+
+    def flat_of(seq, ref):
+        return flat(seq.data.astype(np.float64).ravel(), ref)
+
+    members = [flat_of(seq, i) for i, seq in enumerate(train.samples)]
+    filled = ties = unfilled = 0
+    for dataset, labels, out, own in (
+        (train, train_labels, out_train, True),
+        (test, test_labels, out_test, False),
+    ):
+        for gi, seq in enumerate(dataset.samples):
+            target = flat_of(seq, gi if own else -1)
+            cluster = [
+                member for member, label in zip(members, train_labels.labels)
+                if label == labels.labels[gi]
+            ]
+            for t, v, m in np.argwhere(holes_of(seq)).tolist():
+                pos = [int(np.ravel_multi_index((c, t, v, m), seq.data.shape)) for c in range(3)]
+                donors = find_donors(cluster, target, pos[0], k)
+                refs = tuple(ref for ref, _ in donors.neighbors)
+                assert trace.get((seq.sample_id, t, v, m), ()) == refs
+                got = out.samples[gi].data[:, t, v, m]
+                if not refs:
+                    assert np.isnan(got).all()
+                    unfilled += 1
+                    continue
+                dists = [dist for _, dist in donors.neighbors]
+                ties += len(set(dists)) < len(dists)
+                for c in range(3):
+                    values = np.array([members[r].vector[pos[c]] for r in refs])
+                    assert bits_equal(np.float32(impute_value(donors, values)), got[c])
+                filled += 1
+    assert filled > 50 and ties > 0 and unfilled > 0
