@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO
@@ -39,9 +40,14 @@ SKL1_MAGIC = b"SKL1"
 
 
 def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
-    buf = handle.read(count)
+    """Read ``count`` bytes of a file.  A count beyond the bytes left, as a
+    corrupt header field gives, is refused before anything is allocated."""
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    buf = handle.read(count) if count <= left else b""
     if len(buf) != count:
-        raise FormatError(f"truncated stream while reading {what}")
+        raise FormatError(
+            f"truncated stream while reading {what}: {count} bytes wanted, {left} left"
+        )
     return buf
 
 

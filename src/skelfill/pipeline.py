@@ -8,8 +8,12 @@ identical inputs and config produce byte-identical outputs.
 
 Config files are plain ``key = value`` text: blank lines and ``#`` comments
 are skipped, keys may be written dotted (``occlusion.rate``) or with
-underscores (``occlusion_rate``), lists are comma-separated.  See
-:class:`PipelineConfig` for the keys and defaults.
+underscores (``occlusion_rate``), lists are comma-separated.
+
+The field metadata of :class:`PipelineConfig` is the single source for the
+config keys, the command-line flags and the range checks: each field holds
+its text parser, its range or choices, its flag and the subcommands that
+offer the flag.  Config files and flags share one parse path.
 """
 
 from __future__ import annotations
@@ -39,53 +43,8 @@ _ACTION_ID = re.compile(r"A(\d{3})")
 # fixed offsets for stage seeds derived from the base seed
 _SEED_OFFSETS = {"ingest": 11, "occlude": 23, "cluster": 37, "eval": 53}
 
-
-@dataclass
-class PipelineConfig:
-    # data shaping
-    input: str | None = None
-    workdir: str = "work"
-    target_frames: int = 50
-    max_bodies: int = 2
-    center_joint: int = DEFAULT_CENTER_JOINT
-    test_frac: float = 0.2
-    # occlusion synthesis
-    occlusion_mode: str = "random_rate"
-    occlusion_rate: float = 0.2
-    occlusion_joints: tuple[int, ...] = ()
-    occlusion_frame_fraction: float = 1.0
-    # embedding
-    embedding_source: str = "builtin"  # "builtin" | "external"
-    embeddings_train: str | None = None
-    embeddings_test: str | None = None
-    edge_list: str | None = None
-    # clustering
-    clusters: int = 60
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-4
-    normalize_embeddings: bool = False
-    # imputation
-    neighbors: int = 5
-    # synthetic corpus (used when no input is given)
-    synth_classes: int = 10
-    synth_per_class: int = 100
-    synth_test_per_class: int = 20
-    synth_joints: int = 25
-    # run control
-    seed: int = 0
-    seed_ingest: int | None = None
-    seed_occlude: int | None = None
-    seed_cluster: int | None = None
-    seed_eval: int | None = None
-    threads: int = 1
-    dataset_format: str = "skl1"  # "skl1" | "csv"
-
-    def stage_seed(self, stage: str) -> int:
-        explicit = getattr(self, f"seed_{stage}")
-        return int(explicit) if explicit is not None else self.seed + _SEED_OFFSETS[stage]
-
-    def workpath(self) -> Path:
-        return Path(self.workdir)
+# every subcommand; a setting offered on all of them names this as its ``on``
+COMMANDS = "ingest synth occlude embed cluster impute eval pipeline"
 
 
 def _parse_bool(raw: str) -> bool:
@@ -101,26 +60,98 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     text = raw.strip()
     if not text:
         return ()
-    return tuple(int(part.strip()) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-_FIELD_PARSERS = {
-    "input": str, "workdir": str,
-    "target_frames": int, "max_bodies": int, "center_joint": int,
-    "test_frac": float,
-    "occlusion_mode": str, "occlusion_rate": float,
-    "occlusion_joints": _parse_int_tuple, "occlusion_frame_fraction": float,
-    "embedding_source": str, "embeddings_train": str, "embeddings_test": str,
-    "edge_list": str,
-    "clusters": int, "kmeans_max_iter": int, "kmeans_tol": float,
-    "normalize_embeddings": _parse_bool,
-    "neighbors": int,
-    "synth_classes": int, "synth_per_class": int, "synth_test_per_class": int,
-    "synth_joints": int,
-    "seed": int, "seed_ingest": int, "seed_occlude": int, "seed_cluster": int,
-    "seed_eval": int,
-    "threads": int, "dataset_format": str,
-}
+# range checks: a predicate and the range it accepts, in words
+_POSITIVE = (lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+
+
+def _setting(default, parse=str, *, flag=None, on="", check=None, choices=None, help=None):
+    """One config key: ``parse`` reads its text (config file or flag), ``check``
+    or ``choices`` bound its value, and its flag (by default the key with
+    dashes) is offered on the space-separated subcommands in ``on``."""
+    return dataclasses.field(default=default, metadata=dict(
+        parse=parse, check=check, choices=choices, flag=flag, on=on.split(), help=help))
+
+
+@dataclass
+class PipelineConfig:
+    # data shaping
+    input: str | None = _setting(None, on="ingest pipeline",
+                                 help="capture file or directory (pipeline: synthetic if omitted)")
+    workdir: str = _setting("work", on=COMMANDS, help="artifact directory (default: work)")
+    target_frames: int = _setting(50, int, on="ingest synth pipeline", check=_POSITIVE)
+    max_bodies: int = _setting(2, int, on="ingest pipeline", check=_POSITIVE)
+    center_joint: int = _setting(
+        DEFAULT_CENTER_JOINT, int, on="ingest pipeline", check=_NON_NEGATIVE)
+    test_frac: float = _setting(
+        0.2, float, on="ingest pipeline", check=(lambda v: 0 <= v < 1, "in [0, 1)"))
+    # occlusion synthesis
+    occlusion_mode: str = _setting("random_rate", flag="--mode", on="occlude pipeline",
+                                   choices=("random_rate", "joint_targeted"))
+    occlusion_rate: float = _setting(0.2, float, flag="--rate", on="occlude pipeline",
+                                     check=(lambda v: 0 <= v <= 1, "in [0, 1]"))
+    occlusion_joints: tuple[int, ...] = _setting(
+        (), _parse_int_tuple, flag="--joints", on="occlude",
+        help="comma-separated joint indices for joint_targeted mode")
+    occlusion_frame_fraction: float = _setting(1.0, float, flag="--frame-fraction", on="occlude",
+                                               check=(lambda v: 0 < v <= 1, "in (0, 1]"))
+    # embedding
+    embedding_source: str = _setting(
+        "builtin", flag="--source", on="embed", choices=("builtin", "external"))
+    embeddings_train: str | None = _setting(None, on="embed")
+    embeddings_test: str | None = _setting(None, on="embed")
+    edge_list: str | None = _setting(None, on="embed", help="bone list file, one 'i j' per line")
+    # clustering
+    clusters: int = _setting(60, int, on="cluster pipeline", check=_POSITIVE)
+    kmeans_max_iter: int = _setting(300, int, flag="--max-iter", on="cluster", check=_POSITIVE)
+    kmeans_tol: float = _setting(1e-4, float, flag="--tol", on="cluster", check=_NON_NEGATIVE)
+    normalize_embeddings: bool = _setting(False, _parse_bool, on="cluster")
+    # imputation
+    neighbors: int = _setting(5, int, on="impute pipeline", check=_POSITIVE)
+    # synthetic corpus (used when no input is given)
+    synth_classes: int = _setting(10, int, flag="--classes", on="synth pipeline", check=_POSITIVE)
+    synth_per_class: int = _setting(
+        100, int, flag="--per-class", on="synth pipeline", check=_POSITIVE)
+    synth_test_per_class: int = _setting(
+        20, int, flag="--test-per-class", on="synth pipeline", check=_NON_NEGATIVE)
+    synth_joints: int = _setting(
+        25, int, flag="--joints", on="synth", check=(lambda v: v >= 2, ">= 2"))
+    # run control
+    seed: int = _setting(
+        0, int, on=COMMANDS, check=_NON_NEGATIVE, help="base seed for all stage seeds")
+    seed_ingest: int | None = _setting(None, int, check=_NON_NEGATIVE)
+    seed_occlude: int | None = _setting(None, int, check=_NON_NEGATIVE)
+    seed_cluster: int | None = _setting(None, int, check=_NON_NEGATIVE)
+    seed_eval: int | None = _setting(None, int, check=_NON_NEGATIVE)
+    threads: int = _setting(
+        1, int, on=COMMANDS, check=_POSITIVE, help="worker threads (default: 1)")
+    dataset_format: str = _setting("skl1", flag="--format", on=COMMANDS, choices=("skl1", "csv"),
+                                   help="dataset artifact format (default: skl1)")
+
+    def stage_seed(self, stage: str) -> int:
+        explicit = getattr(self, f"seed_{stage}")
+        return int(explicit) if explicit is not None else self.seed + _SEED_OFFSETS[stage]
+
+    def workpath(self) -> Path:
+        return Path(self.workdir)
+
+
+SETTINGS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+
+
+def parse_setting(name: str, raw: str, where: str):
+    """Parse ``raw`` for the config key ``name``; ``where`` (a file line or a
+    flag) prefixes the error."""
+    try:
+        return SETTINGS[name].metadata["parse"](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {name!r}: {exc}") from None
 
 
 def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
@@ -137,56 +168,31 @@ def load_config(path: str | Path, base: PipelineConfig | None = None) -> Pipelin
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        field_name = key.strip().replace(".", "_")
-        parser = _FIELD_PARSERS.get(field_name)
-        if parser is None:
+        name = key.strip().replace(".", "_")
+        if name not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        try:
-            setattr(config, field_name, parser(value.strip()))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key.strip()!r}: {exc}") from None
+        setattr(config, name, parse_setting(name, value.strip(), f"{path}:{lineno}"))
     _validate(config)
     return config
 
 
 def _validate(config: PipelineConfig) -> None:
-    if config.dataset_format not in ("skl1", "csv"):
-        raise ConfigError(f"dataset_format must be skl1 or csv, got {config.dataset_format!r}")
-    if config.occlusion_mode not in ("random_rate", "joint_targeted"):
-        raise ConfigError(f"unknown occlusion_mode {config.occlusion_mode!r}")
-    if config.embedding_source not in ("builtin", "external"):
-        raise ConfigError(f"embedding_source must be builtin or external")
-    if config.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if config.neighbors < 1:
-        raise ConfigError("neighbors must be >= 1")
-    if config.clusters < 1:
-        raise ConfigError("clusters must be >= 1")
-    if config.target_frames < 1:
-        raise ConfigError("target_frames must be >= 1")
-    if not 0.0 <= config.occlusion_rate <= 1.0:
-        raise ConfigError(f"occlusion_rate must be in [0, 1], got {config.occlusion_rate}")
-    if not 0.0 < config.occlusion_frame_fraction <= 1.0:
-        raise ConfigError(
-            f"occlusion_frame_fraction must be in (0, 1], got {config.occlusion_frame_fraction}"
-        )
-    if config.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    for stage in _SEED_OFFSETS:
-        explicit = getattr(config, f"seed_{stage}")
-        if explicit is not None and explicit < 0:
-            raise ConfigError(f"seed_{stage} must be non-negative")
+    """Raise :class:`ConfigError` for the first value outside its field's
+    choices or range."""
+    for name, f in SETTINGS.items():
+        value = getattr(config, name)
+        choices, check = f.metadata["choices"], f.metadata["check"]
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        if check is not None and value is not None and not check[0](value):
+            raise ConfigError(f"{name} must be {check[1]}, got {value!r}")
 
 
 # ---- artifact naming ---------------------------------------------------
 
-def _ext(config: PipelineConfig) -> str:
-    return "skl1" if config.dataset_format == "skl1" else "csv"
-
-
 def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
     work = config.workpath()
-    ext = _ext(config)
+    ext = config.dataset_format  # validated: skl1 or csv
     return {
         "train": work / f"train.{ext}",
         "test": work / f"test.{ext}",
@@ -249,9 +255,13 @@ def _summary(stage: str, outputs: list[Path], **extra) -> dict:
 
 # ---- stages ------------------------------------------------------------
 
+def _check_center_joint(config: PipelineConfig, num_joints: int) -> None:
+    if config.center_joint >= num_joints:
+        raise ConfigError(f"center_joint {config.center_joint} is not below {num_joints} joints")
+
+
 def run_ingest(config: PipelineConfig) -> dict:
-    """Parse capture text files, canonicalise, preprocess to relative
-    coordinates, and split into train/test datasets."""
+    """Parse captures, canonicalise, make them relative, split train and test."""
     if config.input is None:
         raise ConfigError("ingest needs an input file or directory")
     source = Path(config.input)
@@ -269,6 +279,7 @@ def run_ingest(config: PipelineConfig) -> dict:
         seq = to_canonical(
             raw, config.target_frames, config.max_bodies, sample_id=file.stem, label=label
         )
+        _check_center_joint(config, seq.num_joints)
         samples.append(preprocess_relative(seq, config.center_joint))
 
     rng = np.random.default_rng(config.stage_seed("ingest"))
@@ -283,9 +294,10 @@ def run_ingest(config: PipelineConfig) -> dict:
     config.workpath().mkdir(parents=True, exist_ok=True)
     paths = artifact_paths(config)
     outputs = [paths["train"]]
-    formats.write_dataset(Dataset.from_sequences(train, "train"), paths["train"], _ext(config))
+    ext = config.dataset_format
+    formats.write_dataset(Dataset.from_sequences(train, "train"), paths["train"], ext)
     if test:
-        formats.write_dataset(Dataset.from_sequences(test, "test"), paths["test"], _ext(config))
+        formats.write_dataset(Dataset.from_sequences(test, "test"), paths["test"], ext)
         outputs.append(paths["test"])
     params = {
         "input": str(source), "target_frames": config.target_frames,
@@ -299,6 +311,9 @@ def run_ingest(config: PipelineConfig) -> dict:
 
 def run_synth(config: PipelineConfig) -> dict:
     """Generate the bundled synthetic corpus in place of ingest."""
+    _check_center_joint(config, config.synth_joints)
+    if config.target_frames < 2:
+        raise ConfigError(f"synth needs target_frames >= 2, got {config.target_frames}")
     config.workpath().mkdir(parents=True, exist_ok=True)
     paths = artifact_paths(config)
     train = synth.make_corpus(
@@ -308,7 +323,7 @@ def run_synth(config: PipelineConfig) -> dict:
     train = Dataset.from_sequences(
         [preprocess_relative(s, config.center_joint) for s in train.samples], "train"
     )
-    formats.write_dataset(train, paths["train"], _ext(config))
+    formats.write_dataset(train, paths["train"], config.dataset_format)
     outputs = [paths["train"]]
     n_test = 0
     if config.synth_test_per_class > 0:
@@ -319,7 +334,7 @@ def run_synth(config: PipelineConfig) -> dict:
         test = Dataset.from_sequences(
             [preprocess_relative(s, config.center_joint) for s in test.samples], "test"
         )
-        formats.write_dataset(test, paths["test"], _ext(config))
+        formats.write_dataset(test, paths["test"], config.dataset_format)
         outputs.append(paths["test"])
         n_test = len(test)
     params = {
@@ -333,6 +348,7 @@ def run_synth(config: PipelineConfig) -> dict:
 
 
 def run_occlude(config: PipelineConfig) -> dict:
+    """Hide joints and record their ground truth."""
     paths = artifact_paths(config)
     train_path = _require(paths["train"], "occlude", "ingest")
     spec = occlusion.OcclusionSpec(
@@ -354,7 +370,7 @@ def run_occlude(config: PipelineConfig) -> dict:
             inputs.append(src)
         dataset = formats.read_dataset(src, split_tag=split)
         occluded, record = occlusion.apply_spec(dataset, spec)
-        formats.write_dataset(occluded, paths[dst_key], _ext(config))
+        formats.write_dataset(occluded, paths[dst_key], config.dataset_format)
         record.save_csv(paths[rec_key])
         outputs += [paths[dst_key], paths[rec_key]]
         hidden += record.total_instances()
@@ -374,6 +390,7 @@ def _embedding_graph(config: PipelineConfig, num_joints: int):
 
 
 def run_embed(config: PipelineConfig) -> dict:
+    """Compute or import per-sample embeddings."""
     paths = artifact_paths(config)
     train_path = _require(paths["train_occluded"], "embed", "occlude")
     inputs = [train_path]
@@ -416,6 +433,7 @@ def _l2_rows(matrix: embedding.EmbeddingMatrix) -> embedding.EmbeddingMatrix:
 
 
 def run_cluster(config: PipelineConfig) -> dict:
+    """Fit k-means on the train embeddings and label both splits."""
     paths = artifact_paths(config)
     emb_path = _require(paths["emb_train"], "cluster", "embed")
     matrix = embedding.load_embeddings(emb_path)
@@ -451,6 +469,7 @@ def run_cluster(config: PipelineConfig) -> dict:
 
 
 def run_impute(config: PipelineConfig) -> dict:
+    """Fill missing joints from neighbours within each cluster."""
     paths = artifact_paths(config)
     train_path = _require(paths["train_occluded"], "impute", "occlude")
     labels_path = _require(paths["labels_train"], "impute", "cluster")
@@ -471,10 +490,10 @@ def run_impute(config: PipelineConfig) -> dict:
     imputed_train, imputed_test, report = imputation.impute_dataset(
         train, train_labels, test, test_labels, k=config.neighbors, threads=config.threads
     )
-    formats.write_dataset(imputed_train, paths["train_imputed"], _ext(config))
+    formats.write_dataset(imputed_train, paths["train_imputed"], config.dataset_format)
     outputs = [paths["train_imputed"]]
     if imputed_test is not None:
-        formats.write_dataset(imputed_test, paths["test_imputed"], _ext(config))
+        formats.write_dataset(imputed_test, paths["test_imputed"], config.dataset_format)
         outputs.append(paths["test_imputed"])
     paths["imputation_report"].write_text(report.to_json() + "\n")
     outputs.append(paths["imputation_report"])
@@ -488,6 +507,7 @@ def run_impute(config: PipelineConfig) -> dict:
 
 
 def run_eval(config: PipelineConfig) -> dict:
+    """Score recovery against the recorded ground truth."""
     paths = artifact_paths(config)
     train_imputed_path = _require(paths["train_imputed"], "eval", "impute")
     record_train_path = _require(paths["occlusion_train"], "eval", "occlude")
@@ -563,8 +583,7 @@ def run_eval(config: PipelineConfig) -> dict:
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every stage in order; uses the synthetic corpus when no input
-    directory is configured."""
+    """Run every stage in order, on the synthetic corpus when no input is set."""
     stages = []
     stages.append(run_ingest(config) if config.input is not None else run_synth(config))
     stages.append(run_occlude(config))

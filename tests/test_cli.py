@@ -1,5 +1,6 @@
 """End-to-end command line behaviour and exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import capture_text
 from skelfill import formats
-from skelfill.cli import main
+from skelfill.cli import build_parser, main
 from skelfill.pipeline import PipelineConfig, artifact_paths
 
 SMALL = [
@@ -97,19 +98,162 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--threads", "0"], ["--neighbors", "0"], ["--seed", "-40"], ["--rate", "1.5"]],
+    [
+        ["--threads", "0"], ["--neighbors", "0"], ["--seed", "-40"], ["--rate", "1.5"],
+        ["--max-bodies", "0"], ["--center-joint", "-1"], ["--classes", "0"],
+        ["--per-class", "0"], ["--test-per-class", "-1"],
+        # beyond the 25 joints of the synthetic skeleton
+        ["--center-joint", "99"],
+        # flags of one stage lead with its subcommand
+        ["ingest", "--input", "no-such-captures", "--test-frac", "-0.5"],
+        ["ingest", "--input", "no-such-captures", "--test-frac", "1"],
+        # the synthetic generator needs two joints and two frames
+        ["synth", "--joints", "1"], ["synth", "--target-frames", "1"],
+        ["cluster", "--max-iter", "0"], ["cluster", "--tol", "-1"],
+        ["occlude", "--frame-fraction", "0"],
+    ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
-    rc = main(["pipeline", "--workdir", str(tmp_path / "work")] + SMALL + flags)
+    if flags[0].startswith("--"):
+        flags = ["pipeline"] + SMALL + flags
+    rc = main(flags[:1] + ["--workdir", str(tmp_path / "work")] + flags[1:])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "work").exists()
 
 
 def test_bad_joint_list_exits_2(tmp_path, capsys):
-    rc = main(["occlude", "--workdir", str(tmp_path / "work"), "--joints", "1,two"])
-    assert rc == 2
-    assert "comma-separated integers" in capsys.readouterr().err
+    for joints in ("1,two", "1,,2"):
+        rc = main(["occlude", "--workdir", str(tmp_path / "work"), "--joints", joints])
+        assert rc == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+
+
+# (flag, dest, choices) on each subcommand.  The parser is generated from the
+# PipelineConfig fields, so this literal is the reviewable copy of its surface.
+CLI_SURFACE = {
+    "ingest": [
+        ("--center-joint", "center_joint", None),
+        ("--config", "config", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--input", "input", None),
+        ("--json", "json", None),
+        ("--max-bodies", "max_bodies", None),
+        ("--seed", "seed", None),
+        ("--target-frames", "target_frames", None),
+        ("--test-frac", "test_frac", None),
+        ("--threads", "threads", None),
+        ("--workdir", "workdir", None),
+    ],
+    "synth": [
+        ("--classes", "synth_classes", None),
+        ("--config", "config", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--joints", "synth_joints", None),
+        ("--json", "json", None),
+        ("--per-class", "synth_per_class", None),
+        ("--seed", "seed", None),
+        ("--target-frames", "target_frames", None),
+        ("--test-per-class", "synth_test_per_class", None),
+        ("--threads", "threads", None),
+        ("--workdir", "workdir", None),
+    ],
+    "occlude": [
+        ("--config", "config", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--frame-fraction", "occlusion_frame_fraction", None),
+        ("--joints", "occlusion_joints", None),
+        ("--json", "json", None),
+        ("--mode", "occlusion_mode", ("random_rate", "joint_targeted")),
+        ("--rate", "occlusion_rate", None),
+        ("--seed", "seed", None),
+        ("--threads", "threads", None),
+        ("--workdir", "workdir", None),
+    ],
+    "embed": [
+        ("--config", "config", None),
+        ("--edge-list", "edge_list", None),
+        ("--embeddings-test", "embeddings_test", None),
+        ("--embeddings-train", "embeddings_train", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--json", "json", None),
+        ("--seed", "seed", None),
+        ("--source", "embedding_source", ("builtin", "external")),
+        ("--threads", "threads", None),
+        ("--workdir", "workdir", None),
+    ],
+    "cluster": [
+        ("--clusters", "clusters", None),
+        ("--config", "config", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--json", "json", None),
+        ("--max-iter", "kmeans_max_iter", None),
+        ("--normalize-embeddings", "normalize_embeddings", None),
+        ("--seed", "seed", None),
+        ("--threads", "threads", None),
+        ("--tol", "kmeans_tol", None),
+        ("--workdir", "workdir", None),
+    ],
+    "impute": [
+        ("--config", "config", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--json", "json", None),
+        ("--neighbors", "neighbors", None),
+        ("--seed", "seed", None),
+        ("--threads", "threads", None),
+        ("--workdir", "workdir", None),
+    ],
+    "eval": [
+        ("--config", "config", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--json", "json", None),
+        ("--seed", "seed", None),
+        ("--threads", "threads", None),
+        ("--workdir", "workdir", None),
+    ],
+    "pipeline": [
+        ("--center-joint", "center_joint", None),
+        ("--classes", "synth_classes", None),
+        ("--clusters", "clusters", None),
+        ("--config", "config", None),
+        ("--format", "dataset_format", ("skl1", "csv")),
+        ("--input", "input", None),
+        ("--json", "json", None),
+        ("--max-bodies", "max_bodies", None),
+        ("--mode", "occlusion_mode", ("random_rate", "joint_targeted")),
+        ("--neighbors", "neighbors", None),
+        ("--per-class", "synth_per_class", None),
+        ("--rate", "occlusion_rate", None),
+        ("--seed", "seed", None),
+        ("--target-frames", "target_frames", None),
+        ("--test-frac", "test_frac", None),
+        ("--test-per-class", "synth_test_per_class", None),
+        ("--threads", "threads", None),
+        ("--workdir", "workdir", None),
+    ],
+}
+
+
+def _surface(parser: argparse.ArgumentParser) -> dict[str, list[tuple]]:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: sorted(
+            (flag, action.dest, action.choices)
+            for action in stage._actions for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        for command, stage in sub.choices.items()
+    }
+
+
+def test_cli_surface_is_pinned(capsys):
+    assert _surface(build_parser()) == CLI_SURFACE
+    assert sum(len(flags) for flags in CLI_SURFACE.values()) == 83
+    for command in CLI_SURFACE:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--workdir" in capsys.readouterr().out
 
 
 def test_too_many_clusters_exits_4(tmp_path, capsys):

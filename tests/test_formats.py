@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, dataset_of, random_dataset, seq_of
+from skelfill.clustering import ClusterModel, load_model, save_model
+from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from skelfill.errors import FormatError
 from skelfill.formats import (
     SKL1_MAGIC,
@@ -224,3 +226,44 @@ def test_labels_csv_rejects_bad_rows(tmp_path):
     path.write_text("sample_id,label\na,notanumber\n")
     with pytest.raises(FormatError, match="label"):
         read_labels_csv(path)
+
+
+# ---- corrupt headers of the binary containers -------------------------------
+
+def _write_skl1(path):
+    write_skl1(random_dataset(np.random.default_rng(5), 2), path)
+
+
+def _write_skemb(path):
+    save_embeddings(EmbeddingMatrix(np.ones((2, 3)), ["a", "b"], "builtin"), path)
+
+
+def _write_skkm(path):
+    save_model(ClusterModel(np.ones((2, 3)), k=2, inertia=0.0, iterations_run=0, seed=0), path)
+
+
+# container -> (writer of a valid file, reader, fixed header bytes, offsets of its u32 sizes)
+CONTAINERS = {
+    "skl1": (_write_skl1, read_skl1, 24, (4, 8, 12, 16, 20)),
+    "skemb": (_write_skemb, load_embeddings, 14, (6, 10)),
+    "skkm": (_write_skkm, load_model, 29, (5, 9)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_corrupt_header_raises_format_error(tmp_path, kind):
+    write, read, header_bytes, size_fields = CONTAINERS[kind]
+    valid = tmp_path / f"valid.{kind}"
+    write(valid)
+    read(valid)
+    raw = valid.read_bytes()
+    bad = tmp_path / f"bad.{kind}"
+    for cut in range(header_bytes):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(FormatError):
+            read(bad)
+    # a size of 2**32 - 1 must be refused before a read or an array is sized by it
+    for offset in size_fields:
+        bad.write_bytes(raw[:offset] + b"\xff\xff\xff\xff" + raw[offset + 4:])
+        with pytest.raises(FormatError):
+            read(bad)

@@ -1,6 +1,9 @@
 """Stage orchestration: config parsing, seeds, artifact naming, manifests."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +103,17 @@ def test_load_config_missing_file():
         "embedding_source = magic",
         "threads = 0",
         "seed = -1",
+        "test_frac = -0.5",
+        "max_bodies = 0",
+        "center_joint = -1",
+        "synth.classes = 0",
+        "synth.per_class = 0",
+        "synth.test_per_class = -1",
+        "synth.joints = 1",
+        "kmeans.max_iter = 0",
+        "kmeans.tol = -1",
+        "occlusion.joints = 1,,2",
+        "seed_eval = -3",
     ],
 )
 def test_load_config_validates_values(tmp_path, line):
@@ -161,6 +175,28 @@ def test_run_synth_manifest_identical_across_workdirs(tmp_path):
         run_synth(config)
         manifests.append((config.workpath() / "manifest_synth.json").read_bytes())
     assert manifests[0] == manifests[1]
+
+
+def test_center_joint_beyond_the_skeleton_is_a_config_error(tmp_path):
+    config = _small_synth_config(tmp_path / "synth", center_joint=5)  # 5 joints
+    with pytest.raises(ConfigError, match="center_joint"):
+        run_synth(config)
+    assert not config.workpath().exists()
+
+    source = tmp_path / "captures"
+    _write_captures(source, ["S001C001P001R001A003"])  # 3 joints
+    config = PipelineConfig(input=str(source), workdir=str(tmp_path / "ingest"), center_joint=3)
+    with pytest.raises(ConfigError, match="center_joint"):
+        run_ingest(config)
+    assert not config.workpath().exists()
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 def test_run_synth_skips_test_split_when_empty(tmp_path):
