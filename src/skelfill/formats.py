@@ -46,7 +46,8 @@ def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
     buf = handle.read(count) if count <= left else b""
     if len(buf) != count:
         raise FormatError(
-            f"truncated stream while reading {what}: {count} bytes wanted, {left} left"
+            f"{handle.name}: truncated stream while reading {what}: "
+            f"{count} bytes wanted, {left} left"
         )
     return buf
 
@@ -169,11 +170,11 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
             if len(row) != 8:
                 raise FormatError(f"{path}:{lineno}: expected 8 columns, got {len(row)}")
             sid = row[0]
-            if sid not in rows:
-                rows[sid] = []
-                order.append(sid)
-                labels[sid] = int(row[1]) if row[1] not in ("", "-1") else None
             try:
+                if sid not in rows:
+                    labels[sid] = int(row[1]) if row[1] not in ("", "-1") else None
+                    rows[sid] = []
+                    order.append(sid)
                 t, v, m = int(row[2]), int(row[3]), int(row[4])
                 x, y, z = float(row[5]), float(row[6]), float(row[7])
             except ValueError:

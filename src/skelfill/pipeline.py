@@ -14,6 +14,10 @@ The field metadata of :class:`PipelineConfig` is the single source for the
 config keys, the command-line flags and the range checks: each field holds
 its text parser, its range or choices, its flag and the subcommands that
 offer the flag.  Config files and flags share one parse path.
+
+Every stage works on the splits in ``SPLITS``: :func:`_splits` requires the
+train input of a stage and adds test when the stage before wrote it, and
+:func:`_write_datasets` writes one dataset per split.
 """
 
 from __future__ import annotations
@@ -190,6 +194,10 @@ def _validate(config: PipelineConfig) -> None:
 
 # ---- artifact naming ---------------------------------------------------
 
+# every stage works on train and, when the stage before wrote it, on test
+SPLITS = ("train", "test")
+
+
 def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
     work = config.workpath()
     ext = config.dataset_format  # validated: skl1 or csv
@@ -219,6 +227,25 @@ def _require(path: Path, stage: str, hint: str) -> Path:
     return path
 
 
+def _splits(config: PipelineConfig, key: str, stage: str, hint: str) -> list[str]:
+    """The splits ``stage`` works on.  ``key`` names a split's input in
+    :func:`artifact_paths` with ``{split}`` in place of the split: train's
+    input is required, and test is added when its input exists."""
+    paths = artifact_paths(config)
+    _require(paths[key.format(split="train")], stage, hint)
+    return [split for split in SPLITS
+            if split == "train" or paths[key.format(split=split)].exists()]
+
+
+def _write_datasets(config: PipelineConfig, datasets: dict[str, Dataset], key: str) -> list[Path]:
+    """Write each split's dataset to ``key`` (as in :func:`_splits`) in the
+    configured format; return the paths written."""
+    paths = [artifact_paths(config)[key.format(split=split)] for split in datasets]
+    for path, dataset in zip(paths, datasets.values()):
+        formats.write_dataset(dataset, path, config.dataset_format)
+    return paths
+
+
 def _config_hash(params: dict) -> str:
     return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
 
@@ -233,7 +260,7 @@ def _relative_name(path: Path, work: Path) -> str:
 
 def _write_manifest(
     config: PipelineConfig, stage: str, params: dict, inputs: list[Path], outputs: list[Path]
-) -> Path:
+) -> None:
     work = config.workpath()
     manifest = {
         "stage": stage,
@@ -242,15 +269,16 @@ def _write_manifest(
         "inputs": {_relative_name(p, work): formats.sha256_file(p) for p in sorted(inputs)},
         "outputs": {_relative_name(p, work): formats.sha256_file(p) for p in sorted(outputs)},
     }
-    path = config.workpath() / f"manifest_{stage}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    (work / f"manifest_{stage}.json").write_text(text)
 
 
 def _summary(stage: str, outputs: list[Path], **extra) -> dict:
-    out = {"stage": stage, "outputs": [str(p) for p in outputs]}
-    out.update(extra)
-    return out
+    return {"stage": stage, "outputs": [str(p) for p in outputs], **extra}
+
+
+def _sample_counts(datasets: dict[str, Dataset]) -> dict[str, int]:
+    return {f"{split}_samples": len(datasets.get(split, ())) for split in SPLITS}
 
 
 # ---- stages ------------------------------------------------------------
@@ -284,21 +312,16 @@ def run_ingest(config: PipelineConfig) -> dict:
 
     rng = np.random.default_rng(config.stage_seed("ingest"))
     order = rng.permutation(len(samples))
-    n_test = int(config.test_frac * len(samples))
-    test_idx = set(int(i) for i in order[:n_test])
-    train = [samples[i] for i in range(len(samples)) if i not in test_idx]
-    test = [samples[i] for i in range(len(samples)) if i in test_idx]
-    if not train:
+    test_idx = set(int(i) for i in order[:int(config.test_frac * len(samples))])
+    chosen = {split: [] for split in SPLITS}
+    for i, seq in enumerate(samples):
+        chosen["test" if i in test_idx else "train"].append(seq)
+    if not chosen["train"]:
         raise ConfigError("ingest: split left no training samples")
+    datasets = {split: Dataset.from_sequences(seqs, split) for split, seqs in chosen.items() if seqs}
 
     config.workpath().mkdir(parents=True, exist_ok=True)
-    paths = artifact_paths(config)
-    outputs = [paths["train"]]
-    ext = config.dataset_format
-    formats.write_dataset(Dataset.from_sequences(train, "train"), paths["train"], ext)
-    if test:
-        formats.write_dataset(Dataset.from_sequences(test, "test"), paths["test"], ext)
-        outputs.append(paths["test"])
+    outputs = _write_datasets(config, datasets, "{split}")
     params = {
         "input": str(source), "target_frames": config.target_frames,
         "max_bodies": config.max_bodies, "center_joint": config.center_joint,
@@ -306,7 +329,7 @@ def run_ingest(config: PipelineConfig) -> dict:
         "dataset_format": config.dataset_format,
     }
     _write_manifest(config, "ingest", params, files, outputs)
-    return _summary("ingest", outputs, train_samples=len(train), test_samples=len(test))
+    return _summary("ingest", outputs, **_sample_counts(datasets))
 
 
 def run_synth(config: PipelineConfig) -> dict:
@@ -314,29 +337,20 @@ def run_synth(config: PipelineConfig) -> dict:
     _check_center_joint(config, config.synth_joints)
     if config.target_frames < 2:
         raise ConfigError(f"synth needs target_frames >= 2, got {config.target_frames}")
+    per_class = {"train": config.synth_per_class, "test": config.synth_test_per_class}
+    datasets = {}
+    for offset, split in enumerate(SPLITS):
+        if per_class[split]:
+            corpus = synth.make_corpus(
+                config.synth_classes, per_class[split], frames=config.target_frames,
+                joints=config.synth_joints, seed=config.seed + offset, id_prefix=split,
+                split_tag=split,
+            )
+            datasets[split] = Dataset.from_sequences(
+                [preprocess_relative(s, config.center_joint) for s in corpus.samples], split
+            )
     config.workpath().mkdir(parents=True, exist_ok=True)
-    paths = artifact_paths(config)
-    train = synth.make_corpus(
-        config.synth_classes, config.synth_per_class, frames=config.target_frames,
-        joints=config.synth_joints, seed=config.seed, id_prefix="train", split_tag="train",
-    )
-    train = Dataset.from_sequences(
-        [preprocess_relative(s, config.center_joint) for s in train.samples], "train"
-    )
-    formats.write_dataset(train, paths["train"], config.dataset_format)
-    outputs = [paths["train"]]
-    n_test = 0
-    if config.synth_test_per_class > 0:
-        test = synth.make_corpus(
-            config.synth_classes, config.synth_test_per_class, frames=config.target_frames,
-            joints=config.synth_joints, seed=config.seed + 1, id_prefix="test", split_tag="test",
-        )
-        test = Dataset.from_sequences(
-            [preprocess_relative(s, config.center_joint) for s in test.samples], "test"
-        )
-        formats.write_dataset(test, paths["test"], config.dataset_format)
-        outputs.append(paths["test"])
-        n_test = len(test)
+    outputs = _write_datasets(config, datasets, "{split}")
     params = {
         "classes": config.synth_classes, "per_class": config.synth_per_class,
         "test_per_class": config.synth_test_per_class, "frames": config.target_frames,
@@ -344,35 +358,36 @@ def run_synth(config: PipelineConfig) -> dict:
         "center_joint": config.center_joint, "dataset_format": config.dataset_format,
     }
     _write_manifest(config, "synth", params, [], outputs)
-    return _summary("synth", outputs, train_samples=len(train), test_samples=n_test)
+    return _summary("synth", outputs, **_sample_counts(datasets))
 
 
-def run_occlude(config: PipelineConfig) -> dict:
-    """Hide joints and record their ground truth."""
-    paths = artifact_paths(config)
-    train_path = _require(paths["train"], "occlude", "ingest")
-    spec = occlusion.OcclusionSpec(
+def _occlusion_spec(config: PipelineConfig) -> occlusion.OcclusionSpec:
+    if config.occlusion_mode == "joint_targeted" and not config.occlusion_joints:
+        raise ConfigError("occlusion_mode joint_targeted needs occlusion_joints")
+    return occlusion.OcclusionSpec(
         mode=config.occlusion_mode, rate=config.occlusion_rate,
         joints=config.occlusion_joints, frame_fraction=config.occlusion_frame_fraction,
         seed=config.stage_seed("occlude"),
     )
-    inputs = [train_path]
-    outputs = []
-    hidden = 0
-    for split, src_key, dst_key, rec_key in (
-        ("train", "train", "train_occluded", "occlusion_train"),
-        ("test", "test", "test_occluded", "occlusion_test"),
-    ):
-        src = paths[src_key]
-        if split == "test" and not src.exists():
-            continue
-        if split == "test":
-            inputs.append(src)
-        dataset = formats.read_dataset(src, split_tag=split)
+
+
+def run_occlude(config: PipelineConfig) -> dict:
+    """Hide joints and record their ground truth."""
+    spec = _occlusion_spec(config)
+    paths = artifact_paths(config)
+    inputs, outputs, hidden = [], [], 0
+    for split in _splits(config, "{split}", "occlude", "ingest"):
+        inputs.append(paths[split])
+        dataset = formats.read_dataset(paths[split], split_tag=split)
+        num_joints = dataset.samples[0].num_joints
+        bad = [j for j in spec.joints if not 0 <= j < num_joints]
+        if spec.mode == "joint_targeted" and bad:
+            raise ConfigError(f"occlusion_joints {bad} outside the {num_joints} joints "
+                              f"of {paths[split]}")
         occluded, record = occlusion.apply_spec(dataset, spec)
-        formats.write_dataset(occluded, paths[dst_key], config.dataset_format)
-        record.save_csv(paths[rec_key])
-        outputs += [paths[dst_key], paths[rec_key]]
+        formats.write_dataset(occluded, paths[f"{split}_occluded"], config.dataset_format)
+        record.save_csv(paths[f"occlusion_{split}"])
+        outputs += [paths[f"{split}_occluded"], paths[f"occlusion_{split}"]]
         hidden += record.total_instances()
     params = {
         "mode": spec.mode, "rate": spec.rate, "joints": list(spec.joints),
@@ -392,20 +407,12 @@ def _embedding_graph(config: PipelineConfig, num_joints: int):
 def run_embed(config: PipelineConfig) -> dict:
     """Compute or import per-sample embeddings."""
     paths = artifact_paths(config)
-    train_path = _require(paths["train_occluded"], "embed", "occlude")
-    inputs = [train_path]
-    outputs = []
-    for split, src_key, dst_key, external in (
-        ("train", "train_occluded", "emb_train", config.embeddings_train),
-        ("test", "test_occluded", "emb_test", config.embeddings_test),
-    ):
-        src = paths[src_key]
-        if split == "test" and not src.exists():
-            continue
-        if split == "test":
-            inputs.append(src)
-        dataset = formats.read_dataset(src, split_tag=split)
+    inputs, outputs = [], []
+    for split in _splits(config, "{split}_occluded", "embed", "occlude"):
+        inputs.append(paths[f"{split}_occluded"])
+        dataset = formats.read_dataset(paths[f"{split}_occluded"], split_tag=split)
         if config.embedding_source == "external":
+            external = getattr(config, f"embeddings_{split}")
             if external is None:
                 raise ConfigError(f"embedding_source=external but no embeddings_{split} path")
             ext_path = _require(Path(external), "embed", "provide external embeddings")
@@ -414,8 +421,8 @@ def run_embed(config: PipelineConfig) -> dict:
         else:
             graph = _embedding_graph(config, dataset.samples[0].num_joints)
             matrix = embedding.embed_baseline(dataset, graph=graph)
-        embedding.save_embeddings(matrix, paths[dst_key])
-        outputs.append(paths[dst_key])
+        embedding.save_embeddings(matrix, paths[f"emb_{split}"])
+        outputs.append(paths[f"emb_{split}"])
     params = {
         "source": config.embedding_source, "edge_list": config.edge_list,
         "external_train": config.embeddings_train, "external_test": config.embeddings_test,
@@ -435,27 +442,22 @@ def _l2_rows(matrix: embedding.EmbeddingMatrix) -> embedding.EmbeddingMatrix:
 def run_cluster(config: PipelineConfig) -> dict:
     """Fit k-means on the train embeddings and label both splits."""
     paths = artifact_paths(config)
-    emb_path = _require(paths["emb_train"], "cluster", "embed")
-    matrix = embedding.load_embeddings(emb_path)
-    if config.normalize_embeddings:
-        matrix = _l2_rows(matrix)
-    inertia_log: list[float] = []
-    model, labels = clustering.kmeans_fit(
-        matrix, config.clusters, config.stage_seed("cluster"),
-        max_iter=config.kmeans_max_iter, tol=config.kmeans_tol, inertia_log=inertia_log,
-    )
-    clustering.save_model(model, paths["model"])
-    formats.write_labels_csv(labels.sample_ids, labels.labels, paths["labels_train"])
-    inputs = [emb_path]
-    outputs = [paths["model"], paths["labels_train"]]
-    if paths["emb_test"].exists():
-        inputs.append(paths["emb_test"])
-        test_matrix = embedding.load_embeddings(paths["emb_test"])
+    inputs, outputs = [], [paths["model"]]
+    for split in _splits(config, "emb_{split}", "cluster", "embed"):
+        inputs.append(paths[f"emb_{split}"])
+        matrix = embedding.load_embeddings(paths[f"emb_{split}"])
         if config.normalize_embeddings:
-            test_matrix = _l2_rows(test_matrix)
-        test_labels = clustering.kmeans_predict(model, test_matrix)
-        formats.write_labels_csv(test_labels.sample_ids, test_labels.labels, paths["labels_test"])
-        outputs.append(paths["labels_test"])
+            matrix = _l2_rows(matrix)
+        if split == "train":
+            model, labels = clustering.kmeans_fit(
+                matrix, config.clusters, config.stage_seed("cluster"),
+                max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
+            )
+            clustering.save_model(model, paths["model"])
+        else:
+            labels = clustering.kmeans_predict(model, matrix)
+        formats.write_labels_csv(labels.sample_ids, labels.labels, paths[f"labels_{split}"])
+        outputs.append(paths[f"labels_{split}"])
     params = {
         "clusters": config.clusters, "max_iter": config.kmeans_max_iter,
         "tol": config.kmeans_tol, "seed": config.stage_seed("cluster"),
@@ -471,30 +473,17 @@ def run_cluster(config: PipelineConfig) -> dict:
 def run_impute(config: PipelineConfig) -> dict:
     """Fill missing joints from neighbours within each cluster."""
     paths = artifact_paths(config)
-    train_path = _require(paths["train_occluded"], "impute", "occlude")
-    labels_path = _require(paths["labels_train"], "impute", "cluster")
-    train = formats.read_dataset(train_path, split_tag="train")
-    ids, label_values = formats.read_labels_csv(labels_path)
-    train_labels = clustering.PseudoLabels(labels=label_values, sample_ids=ids)
-    inputs = [train_path, labels_path]
+    splits = _splits(config, "{split}_occluded", "impute", "occlude")
+    inputs, args = [], {}  # impute_dataset's arguments: train, train_labels, test, test_labels
+    for split in splits:
+        labels_path = _require(paths[f"labels_{split}"], "impute", "cluster")
+        inputs += [paths[f"{split}_occluded"], labels_path]
+        args[split] = formats.read_dataset(paths[f"{split}_occluded"], split_tag=split)
+        ids, values = formats.read_labels_csv(labels_path)
+        args[f"{split}_labels"] = clustering.PseudoLabels(labels=values, sample_ids=ids)
 
-    test = None
-    test_labels = None
-    if paths["test_occluded"].exists():
-        test_labels_path = _require(paths["labels_test"], "impute", "cluster")
-        test = formats.read_dataset(paths["test_occluded"], split_tag="test")
-        t_ids, t_values = formats.read_labels_csv(test_labels_path)
-        test_labels = clustering.PseudoLabels(labels=t_values, sample_ids=t_ids)
-        inputs += [paths["test_occluded"], test_labels_path]
-
-    imputed_train, imputed_test, report = imputation.impute_dataset(
-        train, train_labels, test, test_labels, k=config.neighbors, threads=config.threads
-    )
-    formats.write_dataset(imputed_train, paths["train_imputed"], config.dataset_format)
-    outputs = [paths["train_imputed"]]
-    if imputed_test is not None:
-        formats.write_dataset(imputed_test, paths["test_imputed"], config.dataset_format)
-        outputs.append(paths["test_imputed"])
+    *imputed, report = imputation.impute_dataset(**args, k=config.neighbors, threads=config.threads)
+    outputs = _write_datasets(config, dict(zip(splits, imputed)), "{split}_imputed")
     paths["imputation_report"].write_text(report.to_json() + "\n")
     outputs.append(paths["imputation_report"])
     params = {"neighbors": config.neighbors, "dataset_format": config.dataset_format}
@@ -509,52 +498,35 @@ def run_impute(config: PipelineConfig) -> dict:
 def run_eval(config: PipelineConfig) -> dict:
     """Score recovery against the recorded ground truth."""
     paths = artifact_paths(config)
-    train_imputed_path = _require(paths["train_imputed"], "eval", "impute")
-    record_train_path = _require(paths["occlusion_train"], "eval", "occlude")
-    occluded_train_path = _require(paths["train_occluded"], "eval", "occlude")
-    inputs = [train_imputed_path, record_train_path, occluded_train_path]
-
-    pairs: list[tuple[Dataset, occlusion.OcclusionRecord, Dataset]] = []
-    train_imputed = formats.read_dataset(train_imputed_path, split_tag="train")
-    record_train = occlusion.OcclusionRecord.load_csv(record_train_path)
-    occluded_train = formats.read_dataset(occluded_train_path, split_tag="train")
-    pairs.append((train_imputed, record_train, occluded_train))
-    if paths["test_imputed"].exists():
-        record_test_path = _require(paths["occlusion_test"], "eval", "occlude")
-        occluded_test_path = _require(paths["test_occluded"], "eval", "occlude")
-        inputs += [paths["test_imputed"], record_test_path, occluded_test_path]
-        pairs.append(
-            (
-                formats.read_dataset(paths["test_imputed"], split_tag="test"),
-                occlusion.OcclusionRecord.load_csv(record_test_path),
-                formats.read_dataset(occluded_test_path, split_tag="test"),
-            )
+    seed_eval = config.stage_seed("eval")
+    inputs, imputed, records, knn_parts, random_parts = [], {}, {}, [], []
+    for split in _splits(config, "{split}_imputed", "eval", "impute"):
+        record_path = _require(paths[f"occlusion_{split}"], "eval", "occlude")
+        occluded_path = _require(paths[f"{split}_occluded"], "eval", "occlude")
+        inputs += [paths[f"{split}_imputed"], record_path, occluded_path]
+        imputed[split] = formats.read_dataset(paths[f"{split}_imputed"], split_tag=split)
+        record = records[split] = occlusion.OcclusionRecord.load_csv(record_path)
+        occluded = formats.read_dataset(occluded_path, split_tag=split)
+        knn_parts.append(evaluation.mpjpe(imputed[split], record))
+        random_parts.append(
+            evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
         )
 
-    seed_eval = config.stage_seed("eval")
-    knn_stats = evaluation.combine_mpjpe(
-        [evaluation.mpjpe(imputed, record) for imputed, record, _ in pairs]
-    )
-    random_stats = evaluation.combine_mpjpe(
-        [
-            evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
-            for _, record, occluded in pairs
-        ]
-    )
+    knn_stats = evaluation.combine_mpjpe(knn_parts)
+    random_stats = evaluation.combine_mpjpe(random_parts)
     denom = knn_stats.evaluated + knn_stats.excluded
     coverage = knn_stats.evaluated / denom if denom else 1.0
-
-    per_class: dict[int, float] = {}
-    for imputed, record, _ in pairs:
-        part = evaluation.per_class_error(imputed, record)
-        if part:
-            per_class.update(part)
+    per_class = evaluation.per_class_error(
+        Dataset.from_sequences([seq for d in imputed.values() for seq in d.samples], "all"),
+        occlusion.OcclusionRecord(
+            entries={sid: e for r in records.values() for sid, e in r.entries.items()}),
+    )
 
     purity = nmi = None
-    truth = [seq.label for seq in train_imputed.samples]
+    truth = [seq.label for seq in imputed["train"].samples]
     if all(lab is not None for lab in truth) and paths["labels_train"].exists():
         ids, pseudo = formats.read_labels_csv(paths["labels_train"])
-        if ids == train_imputed.sample_ids:
+        if ids == imputed["train"].sample_ids:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
             inputs.append(paths["labels_train"])
 
@@ -564,7 +536,7 @@ def run_eval(config: PipelineConfig) -> dict:
         coverage=coverage,
         imputed_instances=knn_stats.evaluated,
         unimputable_instances=knn_stats.excluded,
-        per_class=per_class or None,
+        per_class=per_class,
         purity=purity,
         nmi=nmi,
     )
@@ -584,18 +556,12 @@ def run_eval(config: PipelineConfig) -> dict:
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage in order, on the synthetic corpus when no input is set."""
-    stages = []
-    stages.append(run_ingest(config) if config.input is not None else run_synth(config))
-    stages.append(run_occlude(config))
-    stages.append(run_embed(config))
-    stages.append(run_cluster(config))
-    stages.append(run_impute(config))
-    eval_summary = run_eval(config)
-    stages.append(eval_summary)
+    _occlusion_spec(config)  # a bad occlusion setting fails before any stage writes
+    first = run_ingest if config.input is not None else run_synth
+    stages = [stage(config) for stage in
+              (first, run_occlude, run_embed, run_cluster, run_impute, run_eval)]
     return {
         "stage": "pipeline",
         "stages": stages,
-        "mpjpe_imputed": eval_summary["mpjpe_imputed"],
-        "mpjpe_random": eval_summary["mpjpe_random"],
-        "coverage": eval_summary["coverage"],
+        **{key: stages[-1][key] for key in ("mpjpe_imputed", "mpjpe_random", "coverage")},
     }

@@ -111,6 +111,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ["synth", "--joints", "1"], ["synth", "--target-frames", "1"],
         ["cluster", "--max-iter", "0"], ["cluster", "--tol", "-1"],
         ["occlude", "--frame-fraction", "0"],
+        # joint-targeted occlusion needs joints to target
+        ["--mode", "joint_targeted"],
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
@@ -120,6 +122,15 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "work").exists()
+
+
+def test_targeted_joint_beyond_the_skeleton_exits_2(tmp_path, capsys):
+    work = str(tmp_path / "work")
+    assert main(["synth", "--workdir", work] + SMALL) == 0  # 25 joints
+    rc = main(["occlude", "--workdir", work, "--mode", "joint_targeted", "--joints", "3,99"])
+    assert rc == 2
+    assert "[99] outside the 25 joints" in capsys.readouterr().err
+    assert not list((tmp_path / "work").glob("*occlu*"))
 
 
 def test_bad_joint_list_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -174,9 +175,10 @@ def test_csv_rejects_short_row(tmp_path):
 
 def test_csv_rejects_malformed_numbers(tmp_path):
     path = tmp_path / "n.csv"
-    path.write_text("sample_id,label,t,v,m,x,y,z\ns0,0,0,0,zero,1,1,1\n")
-    with pytest.raises(FormatError, match="malformed"):
-        read_dataset_csv(path)
+    for row in ("s0,0,0,0,zero,1,1,1", "s0,x,0,0,0,1,1,1"):
+        path.write_text(f"sample_id,label,t,v,m,x,y,z\n{row}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: malformed")):
+            read_dataset_csv(path)
 
 
 def test_csv_rejects_empty_body(tmp_path):
@@ -258,12 +260,13 @@ def test_corrupt_header_raises_format_error(tmp_path, kind):
     read(valid)
     raw = valid.read_bytes()
     bad = tmp_path / f"bad.{kind}"
+    # every error names the corrupt file
     for cut in range(header_bytes):
         bad.write_bytes(raw[:cut])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=bad.name):
             read(bad)
     # a size of 2**32 - 1 must be refused before a read or an array is sized by it
     for offset in size_fields:
         bad.write_bytes(raw[:offset] + b"\xff\xff\xff\xff" + raw[offset + 4:])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=bad.name):
             read(bad)

@@ -9,15 +9,18 @@ import numpy as np
 import pytest
 
 from conftest import capture_text
-from skelfill import formats
+from skelfill import Dataset, evaluation, formats
 from skelfill.errors import ConfigError, MissingArtifact
+from skelfill.occlusion import OcclusionRecord
 from skelfill.pipeline import (
+    SPLITS,
     PipelineConfig,
     artifact_paths,
     load_config,
     run_eval,
     run_ingest,
     run_occlude,
+    run_pipeline,
     run_synth,
 )
 
@@ -282,3 +285,59 @@ def test_missing_artifact_hints_name_the_stage_to_run(tmp_path):
         run_occlude(config)
     with pytest.raises(MissingArtifact, match="run 'impute' first"):
         run_eval(config)
+
+
+# stage -> (input names, output names) of its manifest on a two-split synth run
+STAGE_FILES = {
+    "synth": ([], ["test.skl1", "train.skl1"]),
+    "occlude": (
+        ["test.skl1", "train.skl1"],
+        ["occlusion_test.csv", "occlusion_train.csv", "test_occluded.skl1", "train_occluded.skl1"],
+    ),
+    "embed": (["test_occluded.skl1", "train_occluded.skl1"], ["test.skemb", "train.skemb"]),
+    "cluster": (
+        ["test.skemb", "train.skemb"], ["kmeans.skkm", "labels_test.csv", "labels_train.csv"],
+    ),
+    "impute": (
+        ["labels_test.csv", "labels_train.csv", "test_occluded.skl1", "train_occluded.skl1"],
+        ["imputation_report.json", "test_imputed.skl1", "train_imputed.skl1"],
+    ),
+    "eval": (
+        ["labels_train.csv", "occlusion_test.csv", "occlusion_train.csv",
+         "test_imputed.skl1", "test_occluded.skl1", "train_imputed.skl1", "train_occluded.skl1"],
+        ["eval_report.csv", "eval_report.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("test_per_class", [1, 0])
+def test_stage_manifests_name_the_files_of_each_split(tmp_path, test_per_class):
+    config = _small_synth_config(
+        tmp_path / "work", synth_test_per_class=test_per_class, clusters=2, neighbors=2
+    )
+    run_pipeline(config)
+    # a train-only run names the same files less every test artifact
+    keep = (lambda name: True) if test_per_class else (lambda name: "test" not in name)
+    for stage, (inputs, outputs) in STAGE_FILES.items():
+        manifest = json.loads((config.workpath() / f"manifest_{stage}.json").read_text())
+        assert list(manifest["inputs"]) == [name for name in inputs if keep(name)], stage
+        assert list(manifest["outputs"]) == [name for name in outputs if keep(name)], stage
+
+
+def test_per_class_error_pools_every_split(tmp_path):
+    config = _small_synth_config(tmp_path / "work", clusters=2, neighbors=2)
+    run_pipeline(config)
+    paths = artifact_paths(config)
+    parts = [
+        (formats.read_dataset(paths[f"{split}_imputed"], split_tag=split),
+         OcclusionRecord.load_csv(paths[f"occlusion_{split}"]))
+        for split in SPLITS
+    ]
+    pooled = evaluation.per_class_error(
+        Dataset.from_sequences([seq for imputed, _ in parts for seq in imputed.samples]),
+        OcclusionRecord(entries={sid: e for _, rec in parts for sid, e in rec.entries.items()}),
+    )
+    test_only = evaluation.per_class_error(*parts[1])
+    reported = json.loads(paths["eval_json"].read_text())["per_class"]
+    assert reported == {str(label): err for label, err in pooled.items()}
+    assert reported != {str(label): err for label, err in test_only.items()}
