@@ -200,6 +200,8 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
                     x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
                 except ValueError:
                     raise MalformedCapture("non-numeric coordinate in joint line", line=pos) from None
+                if not all(map(math.isfinite, (x, y, z))):
+                    raise MalformedCapture("non-finite coordinate in joint line", line=pos)
                 tracking = 2
                 if len(fields) >= 12:
                     try:
@@ -323,6 +325,14 @@ def preprocess_relative(seq: SkeletonSequence, center_joint: int = DEFAULT_CENTE
             seq.sample_id, skipped,
         )
     return seq.with_data(out)
+
+
+def first_invalid_instance(data: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (t, v, m), in C order, of a ``[3, T, V, M]`` tensor whose
+    joint instance is only partly NaN or has an infinite coordinate; None
+    when every instance is either finite or NaN in all three channels."""
+    bad = ~(np.isfinite(data).all(axis=0) | np.isnan(data).all(axis=0))
+    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
 
 
 def compute_missing_mask(seq: SkeletonSequence) -> MissingMask:

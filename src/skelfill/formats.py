@@ -13,6 +13,10 @@ SKL1 (binary dataset container)::
 Float payloads round-trip bit-exactly: values are copied to and from the
 file without any arithmetic, so NaN payload bits survive.
 
+Both dataset readers refuse a joint instance that is NaN in only some of
+its channels, or that has an infinite coordinate (see the data model in
+:mod:`skelfill.data`).
+
 CSV (interchange dataset, lossy for NaN payload bits)::
 
     sample_id,label,t,v,m,x,y,z    one row per joint instance
@@ -33,10 +37,11 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .data import NUM_CHANNELS, Dataset, SkeletonSequence
+from .data import NUM_CHANNELS, Dataset, SkeletonSequence, first_invalid_instance
 from .errors import FormatError
 
 SKL1_MAGIC = b"SKL1"
+_INVALID = "joint instance partly NaN or not finite"
 
 
 def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
@@ -119,6 +124,9 @@ def read_skl1(path: str | Path, split_tag: str = "train") -> Dataset:
             (label,) = struct.unpack("<i", read_exact(handle, 4, "label"))
             raw = read_exact(handle, slab_bytes, f"data of {sample_id}")
             data = np.frombuffer(raw, dtype="<f4").reshape(c, t, v, m).copy()
+            bad = first_invalid_instance(data)
+            if bad is not None:
+                raise FormatError(f"{path}: sample {sample_id!r}: {_INVALID} at (t, v, m) = {bad}")
             samples.append(
                 SkeletonSequence(
                     data=data,
@@ -192,6 +200,10 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
         data = np.full((NUM_CHANNELS, t_n, v_n, m_n), np.nan, dtype=np.float32)
         for t, v, m, x, y, z in entries:
             data[:, t, v, m] = (x, y, z)
+        bad = first_invalid_instance(data)
+        if bad is not None:
+            line = _last_csv_line(path, sid, bad)
+            raise FormatError(f"{path}:{line}: sample {sid!r}: {_INVALID} at (t, v, m) = {bad}")
         samples.append(
             SkeletonSequence(
                 data=data,
@@ -201,6 +213,15 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
             )
         )
     return Dataset.from_sequences(samples, split_tag=split_tag)
+
+
+def _last_csv_line(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> int:
+    """The line of the row that set ``tvm`` of sample ``sid``: found again
+    only on error, so a read keeps no line number per row."""
+    with open(path, newline="") as handle:
+        rows = enumerate(csv.reader(handle), start=1)
+        next(rows)  # header
+        return [n for n, row in rows if row[:1] == [sid] and tuple(map(int, row[2:5])) == tvm][-1]
 
 
 def write_dataset(dataset: Dataset, path: str | Path, fmt: str = "skl1") -> None:

@@ -23,10 +23,13 @@ Training samples draw donors from their own cluster; test samples draw
 donors exclusively from the training members of their predicted cluster.
 Both splits run through one fill path.
 
-The scalar functions (``masked_distance``, ``find_donors``,
-``impute_value``) and the engine share one distance-and-ordering kernel
-(``_distances_to_members`` and ``_ordered_donors``) and one fill rule, so a
-donor set or value computed with the scalar API is the one the engine uses.
+Each rule is stated once.  ``_ordered_donors`` (over
+``_distances_to_members``) puts a target's candidates in neighbour order,
+``_first_k`` selects the donors of each hole of a [candidate, hole] matrix,
+and ``_weighted_fill`` fills each column of a [candidate, column] matrix.
+The engine calls each once per target for all of its holes; ``find_donors``
+and ``impute_value`` call them on one column, so the scalar API computes
+exactly what the engine does.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset
+from .data import Dataset, SkeletonSequence
 from .errors import EmptyDonorSet, LabelMismatch, NoOverlap
 
 
@@ -139,24 +142,15 @@ def find_donors(
         raise ValueError(f"position {position} outside the flat vector")
     if any(member.vector.shape != target.vector.shape for member in cluster):
         raise ValueError("samples differ in length")
-    if not cluster:
-        return DonorSet()
-    present = np.stack([member.present for member in cluster])
-    refs = np.array([member.sample_ref for member in cluster])
+    shape = (len(cluster), target.vector.size)
+    present = np.array([member.present for member in cluster], dtype=bool).reshape(shape)
+    refs = np.array([member.sample_ref for member in cluster], dtype=np.int64)
     order, dist = _ordered_donors(
-        np.stack([member.vector for member in cluster]), present, refs,
-        target.vector, target.present, target.sample_ref,
+        np.array([member.vector for member in cluster], dtype=np.float64).reshape(shape),
+        present, refs, target.vector, target.present, target.sample_ref,
     )
-    hits = np.flatnonzero(present[order, position])[:k]
+    hits = np.flatnonzero(_first_k(present[order, position][:, None], k)[:, 0])
     return DonorSet(neighbors=[(int(refs[order[i]]), float(dist[i])) for i in hits])
-
-
-def _weighted_fill(distances: np.ndarray, values: np.ndarray) -> float:
-    zero = distances == 0.0
-    if zero.any():
-        return float(values[zero].mean())
-    recip = 1.0 / distances
-    return float((recip * values).sum() / recip.sum())
 
 
 def impute_value(donors: DonorSet, donor_values: np.ndarray) -> float:
@@ -167,7 +161,32 @@ def impute_value(donors: DonorSet, donor_values: np.ndarray) -> float:
     if donor_values.shape != (len(donors),):
         raise ValueError("donor values do not align with the donor set")
     distances = np.array([dist for _, dist in donors.neighbors], dtype=np.float64)
-    return _weighted_fill(distances, donor_values)
+    take = np.ones((len(donors), 1), dtype=bool)
+    return float(_weighted_fill(distances, donor_values[:, None], take)[0])
+
+
+def _first_k(usable: np.ndarray, k: int) -> np.ndarray:
+    """The donors of each column of a [candidate, hole] matrix whose rows
+    are in neighbour order: its first k usable candidates."""
+    return usable & (np.cumsum(usable, axis=0) <= k)
+
+
+def _weighted_fill(dist: np.ndarray, values: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """The fill of each column of [candidate, column] float64 ``values``
+    from the candidates ``take`` marks, each column taking at least one: the
+    mean of the taken donors at ``dist`` 0 where there are any, otherwise
+    their inverse-distance weighted mean."""
+    zero = take & (dist == 0.0)[:, None]
+    recip = 1.0 / np.where(dist == 0.0, 1.0, dist)
+    weight = np.where(zero.any(axis=0), zero, take * recip[:, None])
+    terms = np.where(weight > 0.0, weight * values, -0.0)
+    # cumsum adds the rows in candidate order for any number of columns (sum()
+    # adds one column pairwise), and from -0.0, the exact identity of float
+    # addition, so the candidates a column does not take change nothing.
+    start = np.full((1, values.shape[1]), -0.0)
+    num = np.cumsum(np.concatenate([start, terms]), axis=0)[-1]
+    den = np.cumsum(np.concatenate([start, weight]), axis=0)[-1]
+    return num / den
 
 
 def _check_alignment(dataset: Dataset, labels: PseudoLabels, side: str) -> None:
@@ -220,9 +239,8 @@ Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
-    if members.size == 0:
-        return np.empty((0, 0), np.float32), np.empty((0, 0), bool), members
-    rows = np.stack([dataset.samples[i].data.ravel() for i in members])
+    rows = np.array([dataset.samples[i].data.ravel() for i in members], np.float32)
+    rows = rows.reshape(members.size, dataset.samples[0].data.size)
     return rows, np.isfinite(rows), members
 
 
@@ -231,39 +249,27 @@ def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def _fill_one_target(
-    data: np.ndarray, pool: Pool, k: int, self_ref: int | None, trace: dict | None, trace_key: str
-) -> SampleCounts:
-    """Impute every missing joint instance of one float32 sample in place."""
+    seq: SkeletonSequence, pool: Pool, k: int, self_ref: int | None, trace: dict | None
+) -> tuple[np.ndarray, SampleCounts]:
+    """A float32 copy of one sample's data with every missing joint instance
+    imputed, and the sample's counts."""
+    data = seq.data.astype(np.float32)
     flat = data.reshape(-1)
     present = np.isfinite(flat)
-    counts = SampleCounts(missing=int((~present).sum()))
-    instances = np.argwhere(np.isnan(data).all(axis=0))  # [(t, v, m)] in C order
-    if instances.size == 0:
-        return counts
+    holes = np.flatnonzero(np.isnan(data).all(axis=0))  # channel-0 positions, C order
     rows, member_present, refs = pool
-    if rows.shape[0] == 0:
-        counts.unimputable = counts.missing
-        return counts
-
     order, dist = _ordered_donors(rows, member_present, refs, flat, present, self_ref)
-    pos0 = np.ravel_multi_index(tuple(instances.T), data.shape[1:])  # channel 0
-    channels = np.arange(3) * (flat.size // 3)
-    usable = member_present[order[None, :], pos0[:, None]]  # [instance, candidate]
-    for j, (t, v, m) in enumerate(instances):
-        hits = np.flatnonzero(usable[j])[:k]
-        if hits.size == 0:
-            counts.unimputable += 3
-            continue
-        donors = order[hits]
-        donor_dist = dist[hits]
-        pos = pos0[j] + channels
-        values = rows[donors[None, :], pos[:, None]].astype(np.float64)  # [channel, donor]
-        for c in range(3):
-            flat[pos[c]] = _weighted_fill(donor_dist, values[c])
-        counts.imputed += 3
-        if trace is not None:
-            trace[(trace_key, int(t), int(v), int(m))] = tuple(int(r) for r in refs[donors])
-    return counts
+    take = _first_k(member_present[order[:, None], holes], k)  # [candidate, hole]
+    found = take.any(axis=0)
+    pos = (holes[found] + np.arange(3)[:, None] * (flat.size // 3)).ravel()  # [channel * hole]
+    values = rows[order[:, None], pos].astype(np.float64)
+    flat[pos] = _weighted_fill(dist, values, np.tile(take[:, found], 3))
+    if trace is not None:
+        for hole, donors in zip(holes[found], take[:, found].T):
+            t, v, m = (int(i) for i in np.unravel_index(hole, data.shape[1:]))
+            trace[(seq.sample_id, t, v, m)] = tuple(refs[order[donors]].tolist())
+    imputed = 3 * int(found.sum())
+    return data, SampleCounts(int((~present).sum()), imputed, 3 * holes.size - imputed)
 
 
 def _fill_split(
@@ -279,16 +285,10 @@ def _fill_split(
     donors from ``pools[label]``.  With ``same_pool`` the targets are pool
     members themselves and must skip their own row."""
 
-    def run_group(label: int) -> list[tuple[int, np.ndarray, SampleCounts]]:
-        done = []
-        for gi in groups[label]:
-            seq = dataset.samples[gi]
-            data = seq.data.astype(np.float32)
-            counts = _fill_one_target(
-                data, pools[label], k, int(gi) if same_pool else None, trace, seq.sample_id
-            )
-            done.append((int(gi), data, counts))
-        return done
+    def run_group(label: int) -> list[tuple[int, tuple[np.ndarray, SampleCounts]]]:
+        pool = pools[label]
+        return [(i, _fill_one_target(dataset.samples[i], pool, k, i if same_pool else None, trace))
+                for i in groups[label].tolist()]
 
     labels = sorted(groups)
     if threads > 1:
@@ -297,7 +297,7 @@ def _fill_split(
     else:
         results = [run_group(label) for label in labels]
 
-    filled = {gi: (data, counts) for done in results for gi, data, counts in done}
+    filled = dict(pair for done in results for pair in done)
     out = Dataset.from_sequences(
         [seq.with_data(filled[gi][0]) for gi, seq in enumerate(dataset.samples)],
         split_tag=dataset.split_tag,
@@ -329,13 +329,12 @@ def impute_dataset(
     pools = {label: _pool(train, members) for label, members in clusters.items()}
     imputed_train, train_counts = _fill_split(train, clusters, pools, True, k, threads, trace)
 
-    imputed_test: Dataset | None = None
-    test_counts: dict[str, SampleCounts] = {}
+    imputed_test, test_counts = None, {}
     if test is not None:
         groups = _groups(test_labels.labels)
-        empty = _pool(train, np.empty(0, dtype=np.int64))
-        test_pools = {label: pools.get(label, empty) for label in groups}
-        imputed_test, test_counts = _fill_split(test, groups, test_pools, False, k, threads, trace)
+        # a label no train cluster has gets an empty pool, [0, L] as the test rows
+        pools |= {label: _pool(test, groups[label][:0]) for label in groups if label not in pools}
+        imputed_test, test_counts = _fill_split(test, groups, pools, False, k, threads, trace)
 
     report = ImputationReport(
         train=train_counts,

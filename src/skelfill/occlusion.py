@@ -114,6 +114,8 @@ class OcclusionRecord:
                     x, y, z = float(row[4]), float(row[5]), float(row[6])
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
+                if not all(map(math.isfinite, (x, y, z))):
+                    raise FormatError(f"{path}:{lineno}: recorded value is not finite")
                 grouped_idx.setdefault(row[0], []).append((t, v, m))
                 grouped_val.setdefault(row[0], []).append((x, y, z))
         record = cls()

@@ -454,8 +454,8 @@ def run_cluster(config: PipelineConfig) -> dict:
                 max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
             )
             clustering.save_model(model, paths["model"])
-        else:
-            labels = clustering.kmeans_predict(model, matrix)
+        else:  # from the model as stored, so a later predict from its file agrees
+            labels = clustering.kmeans_predict(clustering.load_model(paths["model"]), matrix)
         formats.write_labels_csv(labels.sample_ids, labels.labels, paths[f"labels_{split}"])
         outputs.append(paths[f"labels_{split}"])
     params = {

@@ -277,6 +277,27 @@ def test_too_many_clusters_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_impute_rejects_a_partly_nan_instance_exits_4(tmp_path, capsys):
+    work = str(tmp_path / "work")
+    fmt = ["--workdir", work, "--format", "csv"]
+    assert main(["synth", "--seed", "1"] + fmt + SMALL) == 0
+    assert main(["occlude", "--seed", "1", "--rate", "0.2"] + fmt) == 0
+    assert main(["embed"] + fmt) == 0
+    assert main(["cluster", "--seed", "1", "--clusters", "3"] + fmt) == 0
+    path = artifact_paths(PipelineConfig(workdir=work, dataset_format="csv"))["train_occluded"]
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if i and "nan" not in line)
+    fields = lines[row].split(",")
+    lines[row] = ",".join(fields[:5] + ["nan"] + fields[6:])  # x alone is missing
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    assert main(["impute"] + fmt) == 4
+    err = capsys.readouterr().err
+    assert f"{path}:{row + 1}: sample {fields[0]!r}" in err
+    assert not artifact_paths(PipelineConfig(workdir=work))["imputation_report"].exists()
+
+
 def test_config_file_applies_and_cli_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -96,6 +96,13 @@ def test_parse_non_numeric_coordinate():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_parse_non_finite_coordinate(coord):
+    with pytest.raises(MalformedCapture, match="non-finite") as err:
+        parse_ntu_skeleton(f"1\n1\nbody 0\n2\n0.5 0.5 0.5\n0.5 {coord} 0.5\n")
+    assert err.value.line == 6
+
+
 def test_parse_trailing_content_rejected_but_blank_lines_allowed():
     good = capture_text([[("b", [(1, 1, 1)])]]) + "\n\n"
     parse_ntu_skeleton(good)  # trailing blanks are fine

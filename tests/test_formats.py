@@ -127,6 +127,18 @@ def test_skl1_rejects_degenerate_dimensions(tmp_path):
         read_skl1(path)
 
 
+@pytest.mark.parametrize("bad", [(0, np.nan), (1, np.inf), (2, -np.inf)])
+def test_skl1_rejects_partly_nan_and_infinite_instances(tmp_path, bad):
+    channel, value = bad
+    data = np.ones((3, 2, 3, 1), dtype=np.float32)
+    data[:, 0, 0, 0] = np.nan  # a whole missing instance is fine
+    data[channel, 1, 2, 0] = value
+    path = tmp_path / "p.skl1"
+    write_skl1(dataset_of(seq_of(np.ones_like(data), "good"), seq_of(data, "bad")), path)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: sample 'bad'") + r".*\(1, 2, 0\)"):
+        read_skl1(path)
+
+
 def test_skl1_rejects_empty_dataset(tmp_path):
     from skelfill.data import Dataset
 
@@ -179,6 +191,17 @@ def test_csv_rejects_malformed_numbers(tmp_path):
         path.write_text(f"sample_id,label,t,v,m,x,y,z\n{row}\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: malformed")):
             read_dataset_csv(path)
+
+
+def test_csv_rejects_partly_nan_and_infinite_instances(tmp_path):
+    path = tmp_path / "p.csv"
+    good = "a,0,0,0,0,nan,nan,nan\na,0,1,0,0,1,1,1\n"
+    for row in ("a,0,0,0,0,nan,1,2", "a,0,0,0,0,1,inf,2", "a,0,0,0,0,1,2,-inf"):
+        path.write_text(f"sample_id,label,t,v,m,x,y,z\n{good}{row}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:4: sample 'a'")):
+            read_dataset_csv(path)
+    path.write_text(f"sample_id,label,t,v,m,x,y,z\n{good}")
+    assert np.isnan(read_dataset_csv(path).samples[0].data[:, 0, 0, 0]).all()
 
 
 def test_csv_rejects_empty_body(tmp_path):

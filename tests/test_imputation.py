@@ -20,6 +20,7 @@ from skelfill import (
     masked_distance,
 )
 from skelfill.errors import EmptyDonorSet, LabelMismatch, NoOverlap
+from skelfill.imputation import _first_k, _weighted_fill
 
 
 def flat(values, ref=0) -> FlatSample:
@@ -132,6 +133,21 @@ def test_impute_value_validation():
         impute_value(DonorSet(), np.array([]))
     with pytest.raises(ValueError):
         impute_value(donor_set([1.0]), np.array([1.0, 2.0]))
+
+
+def test_fill_adds_each_column_in_candidate_order():
+    # the engine fills many columns in one call and impute_value one; past 8
+    # donors numpy's sum would add those two shapes in different orders
+    rng = np.random.default_rng(149)
+    dist = np.sort(rng.uniform(0.5, 3.0, size=16))
+    values = rng.uniform(-2, 2, size=(16, 300))
+    take = _first_k(rng.random((16, 300)) < 0.8, 10)
+    assert take.any(axis=0).all() and (take.sum(axis=0) == 10).sum() > 200
+    fill = _weighted_fill(dist, values, take)
+    for j in range(values.shape[1]):
+        rows = np.flatnonzero(take[:, j])
+        donors = DonorSet(neighbors=[(int(i), float(dist[i])) for i in rows])
+        assert impute_value(donors, values[rows, j]) == fill[j]
 
 
 # ---- full engine ------------------------------------------------------------------
@@ -327,10 +343,12 @@ def test_impute_dataset_rejects_misaligned_labels():
         impute_dataset(dataset, labels_for(dataset, [0, 0, 0]), k=0)
 
 
-def test_scalar_api_agrees_with_engine():
+@pytest.mark.parametrize("k, threads", [(3, 1), (3, 2), (10, 1), (10, 2)])
+def test_scalar_api_agrees_with_engine(k, threads):
     # every hole of a clustered corpus with a test split: find_donors picks
     # the engine's donors in the engine's order, and impute_value gives the
-    # engine's coordinate bit for bit
+    # engine's coordinate bit for bit.  k = 10 gives donor sets past 8, where
+    # numpy's sum of a single column goes pairwise; threads = 2 runs the pool.
     rng = np.random.default_rng(139)
 
     def corpus(n, prefix, split):
@@ -344,21 +362,20 @@ def test_scalar_api_agrees_with_engine():
             seqs.append(seq_of(data, f"{prefix}{i}"))
         return dataset_of(*seqs, split=split)
 
-    train = corpus(24, "tr", "train")
+    train = corpus(48, "tr", "train")
     test = corpus(8, "te", "test")
-    train_labels = labels_for(train, [(i // 4) % 3 for i in range(24)])
+    train_labels = labels_for(train, [(i // 4) % 3 for i in range(48)])
     test_labels = labels_for(test, [i % 4 for i in range(8)])  # label 3: no train members
-    k = 3
     trace: dict = {}
     out_train, out_test, _ = impute_dataset(
-        train, train_labels, test, test_labels, k=k, trace=trace
+        train, train_labels, test, test_labels, k=k, threads=threads, trace=trace
     )
 
     def flat_of(seq, ref):
         return flat(seq.data.astype(np.float64).ravel(), ref)
 
     members = [flat_of(seq, i) for i, seq in enumerate(train.samples)]
-    filled = ties = unfilled = 0
+    filled = ties = unfilled = full = 0
     for dataset, labels, out, own in (
         (train, train_labels, out_train, True),
         (test, test_labels, out_test, False),
@@ -381,8 +398,9 @@ def test_scalar_api_agrees_with_engine():
                     continue
                 dists = [dist for _, dist in donors.neighbors]
                 ties += len(set(dists)) < len(dists)
+                full += len(refs) == k
                 for c in range(3):
                     values = np.array([members[r].vector[pos[c]] for r in refs])
                     assert bits_equal(np.float32(impute_value(donors, values)), got[c])
                 filled += 1
-    assert filled > 50 and ties > 0 and unfilled > 0
+    assert filled > 50 and ties > 0 and unfilled > 0 and full > 50

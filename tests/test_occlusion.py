@@ -9,6 +9,7 @@ from conftest import bits_equal, dataset_of, random_dataset, seq_of
 from skelfill import OcclusionRecord, OcclusionSpec, occlude_joints, occlude_random
 from skelfill.errors import (
     AlreadyOccluded,
+    FormatError,
     JointIndexOutOfRange,
     RateOutOfRange,
     RecordMismatch,
@@ -183,6 +184,15 @@ def test_record_csv_round_trip(tmp_path):
         assert bits_equal(idx, record.entries[sid][0])
         assert bits_equal(values, record.entries[sid][1])
     assert loaded.total_instances() == record.total_instances()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_record_csv_rejects_non_finite_value(tmp_path, value):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"sample_id,t,v,m,x,y,z\ns0,0,0,0,1.0,2.0,3.0\ns0,0,1,0,1.0,{value},3.0\n")
+    with pytest.raises(FormatError) as err:
+        OcclusionRecord.load_csv(path)
+    assert f"{path}:3: recorded value is not finite" in str(err.value)
 
 
 def test_spec_validation_and_dispatch():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import capture_text
-from skelfill import Dataset, evaluation, formats
+from skelfill import Dataset, clustering, evaluation, formats
+from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from skelfill.errors import ConfigError, MissingArtifact
 from skelfill.occlusion import OcclusionRecord
 from skelfill.pipeline import (
@@ -17,6 +18,7 @@ from skelfill.pipeline import (
     PipelineConfig,
     artifact_paths,
     load_config,
+    run_cluster,
     run_eval,
     run_ingest,
     run_occlude,
@@ -124,6 +126,29 @@ def test_load_config_validates_values(tmp_path, line):
     cfg.write_text(line + "\n")
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def test_test_labels_come_from_the_model_as_stored(tmp_path):
+    # Train rows -1 | 1, 1 + 2**-23 give the float64 centroids -1 and
+    # 1 + 2**-24; stored as float32 the second rounds to 1.  The test row
+    # 2**-26 lies between the two bisectors, 2**-25 and 0.
+    config = PipelineConfig(workdir=str(tmp_path), clusters=2)
+    paths = artifact_paths(config)
+    for split, values in (("train", [-1.0, 1.0, 1.0 + 2**-23]), ("test", [2**-26])):
+        ids = [f"{split}{i}" for i in range(len(values))]
+        matrix = EmbeddingMatrix(np.array(values)[:, None], ids, source="external")
+        save_embeddings(matrix, paths[f"emb_{split}"])
+    run_cluster(config)
+
+    test = load_embeddings(paths["emb_test"])
+    stored = clustering.load_model(paths["model"])
+    _, labels = formats.read_labels_csv(paths["labels_test"])
+    assert labels.tolist() == clustering.kmeans_predict(stored, test).labels.tolist()
+    fitted, _ = clustering.kmeans_fit(
+        load_embeddings(paths["emb_train"]), 2, config.stage_seed("cluster")
+    )
+    assert sorted(fitted.centroids[:, 0]) == [-1.0, 1.0 + 2**-24]
+    assert clustering.kmeans_predict(fitted, test).labels.tolist() != labels.tolist()
 
 
 def test_artifact_paths_follow_dataset_format(tmp_path):
