@@ -1,9 +1,9 @@
 """Occlusion-aware imputation for motion-capture skeleton sequences.
 
 Pipeline: parse captures into ``[3, T, V, M]`` tensors with NaN-coded
-missing joints, synthesise occlusion with recorded ground truth, embed each
-sample, group samples by k-means pseudo-label, fill each missing joint from
-its nearest within-cluster neighbours, and score recovery error.
+missing joints, synthesise occlusion, embed each sample, group samples by
+k-means pseudo-label, fill each missing joint from its nearest
+within-cluster neighbours, and score recovery error against the clean data.
 """
 
 from .clustering import ClusterModel, PseudoLabels, kmeans_fit, kmeans_predict

@@ -1,11 +1,14 @@
-"""Evaluation: error against recorded ground truth and clustering quality.
+"""Evaluation: error against the clean split and clustering quality.
 
-The headline metric is the mean per-joint position error (in the data's
-units) between recovered and recorded original joint positions, taken over
-the joint instances that were actually imputed; instances left NaN are
-excluded from the mean and reported as a separate count.  A seeded random
-baseline fills every hole uniformly inside the per-channel value range of
-the dataset, giving the scale against which recovery quality is judged.
+The ground truth is an :class:`OcclusionRecord`: the joint instances the
+occluded split hides, with their values in the clean split
+(:meth:`OcclusionRecord.between`).  The headline metric is the mean
+per-joint position error (in the data's units) between recovered and clean
+joint positions, taken over the hidden instances that were actually
+imputed; instances left NaN are excluded from the mean and reported as a
+separate count.  A seeded random baseline fills every hole uniformly inside
+the per-channel value range of the dataset, giving the scale against which
+recovery quality is judged.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ class MpjpeStats:
 
 @dataclass
 class EvalReport:
-    mpjpe_imputed: float
-    mpjpe_random: float
-    coverage: float
+    """Errors and coverage are None when nothing was evaluated or hidden."""
+
+    mpjpe_imputed: float | None
+    mpjpe_random: float | None
+    coverage: float | None
     imputed_instances: int
     unimputable_instances: int
     per_class: dict[int, float] | None = None

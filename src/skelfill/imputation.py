@@ -257,7 +257,8 @@ def _fill_one_target(
     flat = data.reshape(-1)
     present = np.isfinite(flat)
     holes = np.flatnonzero(np.isnan(data).all(axis=0))  # channel-0 positions, C order
-    rows, member_present, refs = pool
+    # a target with no hole takes no donor, so it gets an empty pool, [0, L]
+    rows, member_present, refs = (part if holes.size else part[:0] for part in pool)
     order, dist = _ordered_donors(rows, member_present, refs, flat, present, self_ref)
     take = _first_k(member_present[order[:, None], holes], k)  # [candidate, hole]
     found = take.any(axis=0)

@@ -1,4 +1,4 @@
-"""Synthetic occlusion with recorded ground truth.
+"""Synthetic occlusion and its ground truth.
 
 Two modes:
 
@@ -7,8 +7,11 @@ Two modes:
 * ``occlude_joints`` hides chosen joints in a seeded fraction of frames,
   mimicking a fixed physical occluder.
 
-Both return the occluded dataset together with an :class:`OcclusionRecord`
-holding the original values, which later serves as evaluation ground truth.
+The ground truth of an occluded copy is the clean copy.  One rule,
+:meth:`OcclusionRecord.between`, reads it off the two: a joint instance was
+hidden when it is missing in the occluded copy and present in the clean
+one.  Both modes return the occluded dataset with that record, and
+evaluation rebuilds it the same way from the clean and occluded files.
 Per-sample randomness derives from ``seed XOR sample_index`` so results do
 not depend on iteration order.
 """
@@ -54,8 +57,8 @@ class OcclusionSpec:
 
 @dataclass
 class OcclusionRecord:
-    """Hidden ground truth: per sample, the (t, v, m) indices and the
-    original finite values, in the order they were hidden."""
+    """Hidden ground truth: per sample, the (t, v, m) indices of the hidden
+    joint instances and their original finite values, in (t, v, m) order."""
 
     entries: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     # sample_id -> (indices [n, 3] int32, values [n, 3] float32)
@@ -83,6 +86,25 @@ class OcclusionRecord:
             if sid not in by_id:
                 raise RecordMismatch(f"record refers to unknown sample {sid!r}")
         return Dataset.from_sequences(out, split_tag=dataset.split_tag)
+
+    @classmethod
+    def between(cls, clean: Dataset, occluded: Dataset) -> "OcclusionRecord":
+        """The record of what ``occluded`` hides of ``clean``; the inverse of
+        :meth:`restore`.  Per occluded sample: every joint instance missing
+        there (all channels NaN) and present in ``clean`` (no channel NaN),
+        with its clean values."""
+        by_id = {seq.sample_id: seq for seq in clean.samples}
+        record = cls()
+        for seq in occluded.samples:
+            source = by_id.get(seq.sample_id)
+            if source is None or source.data.shape != seq.data.shape:
+                raise RecordMismatch(
+                    f"occluded sample {seq.sample_id!r} has no clean sample of shape "
+                    f"{seq.data.shape}")
+            hidden = np.isnan(seq.data).all(axis=0) & ~np.isnan(source.data).any(axis=0)
+            idx = np.argwhere(hidden)
+            record.add(seq.sample_id, idx, source.data[:, idx[:, 0], idx[:, 1], idx[:, 2]].T)
+        return record
 
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as handle:
@@ -137,7 +159,6 @@ def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, O
         raise RateOutOfRange(f"rate {rate} outside [0, 1]")
     _reject_preexisting_nan(dataset)
 
-    record = OcclusionRecord()
     out = []
     for index, seq in enumerate(dataset.samples):
         rng = np.random.default_rng(seed ^ index)
@@ -146,21 +167,13 @@ def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, O
         pool = t_n * v_n * len(slots)
         count = math.floor(rate * pool)
         data = seq.data.copy()
-        if count and pool:
-            grid_t, grid_v, grid_m = np.meshgrid(
-                np.arange(t_n), np.arange(v_n), slots, indexing="ij"
-            )
-            chosen = np.sort(rng.choice(pool, size=count, replace=False))
-            ts = grid_t.ravel()[chosen]
-            vs = grid_v.ravel()[chosen]
-            ms = grid_m.ravel()[chosen]
-            values = data[:, ts, vs, ms].T.copy()  # [count, 3]
-            data[:, ts, vs, ms] = np.nan
-            record.add(seq.sample_id, np.stack([ts, vs, ms], axis=1), values)
-        else:
-            record.add(seq.sample_id, np.empty((0, 3)), np.empty((0, 3), dtype=np.float32))
+        if count:
+            chosen = rng.choice(pool, size=count, replace=False)
+            ts, vs, ks = np.unravel_index(chosen, (t_n, v_n, len(slots)))
+            data[:, ts, vs, slots[ks]] = np.nan
         out.append(seq.with_data(data))
-    return Dataset.from_sequences(out, split_tag=dataset.split_tag), record
+    occluded = Dataset.from_sequences(out, split_tag=dataset.split_tag)
+    return occluded, OcclusionRecord.between(dataset, occluded)
 
 
 def occlude_joints(
@@ -170,18 +183,14 @@ def occlude_joints(
     seed: int,
 ) -> tuple[Dataset, OcclusionRecord]:
     """Hide each targeted joint in ``floor(frame_fraction * T)`` seeded
-    frames; the same frame choice applies to every present body.
-
-    Entries that are already missing are skipped rather than re-recorded, so
-    recorded originals are always finite.
-    """
+    frames; the same frame choice applies to every present body.  An entry
+    that is already missing stays out of the record."""
     targets = sorted(set(int(j) for j in joints))
     if not targets:
         raise JointIndexOutOfRange("no joints given to occlude")
     if not 0.0 <= frame_fraction <= 1.0:
         raise RateOutOfRange(f"frame fraction {frame_fraction} outside [0, 1]")
 
-    record = OcclusionRecord()
     out = []
     for index, seq in enumerate(dataset.samples):
         _, t_n, v_n, _ = seq.data.shape
@@ -192,24 +201,12 @@ def occlude_joints(
         n_frames = math.floor(frame_fraction * t_n)
         slots = np.flatnonzero(seq.body_present)
         data = seq.data.copy()
-        indices: list[tuple[int, int, int]] = []
-        values: list[np.ndarray] = []
         for joint in targets:
-            frames = np.sort(rng.choice(t_n, size=n_frames, replace=False))
-            for t in frames:
-                for m in slots:
-                    triple = data[:, t, joint, m]
-                    if np.isnan(triple).all():
-                        continue  # already missing, nothing to record
-                    indices.append((t, joint, m))
-                    values.append(triple.copy())
-                    data[:, t, joint, m] = np.nan
-        if indices:
-            record.add(seq.sample_id, np.array(indices), np.stack(values))
-        else:
-            record.add(seq.sample_id, np.empty((0, 3)), np.empty((0, 3), dtype=np.float32))
+            frames = rng.choice(t_n, size=n_frames, replace=False)
+            data[:, frames[:, None], joint, slots[None, :]] = np.nan
         out.append(seq.with_data(data))
-    return Dataset.from_sequences(out, split_tag=dataset.split_tag), record
+    occluded = Dataset.from_sequences(out, split_tag=dataset.split_tag)
+    return occluded, OcclusionRecord.between(dataset, occluded)
 
 
 def apply_spec(dataset: Dataset, spec: OcclusionSpec) -> tuple[Dataset, OcclusionRecord]:

@@ -39,7 +39,7 @@ from .data import (
     preprocess_relative,
     to_canonical,
 )
-from .errors import ConfigError, MissingArtifact
+from .errors import ConfigError, EmptyCapture, MalformedCapture, MissingArtifact
 from .graph import load_edge_list
 
 _ACTION_ID = re.compile(r"A(\d{3})")
@@ -206,8 +206,6 @@ def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
         "test": work / f"test.{ext}",
         "train_occluded": work / f"train_occluded.{ext}",
         "test_occluded": work / f"test_occluded.{ext}",
-        "occlusion_train": work / "occlusion_train.csv",
-        "occlusion_test": work / "occlusion_test.csv",
         "emb_train": work / "train.skemb",
         "emb_test": work / "test.skemb",
         "model": work / "kmeans.skkm",
@@ -301,12 +299,14 @@ def run_ingest(config: PipelineConfig) -> dict:
 
     samples = []
     for file in files:
-        raw = parse_ntu_skeleton(file.read_text())
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
-        seq = to_canonical(
-            raw, config.target_frames, config.max_bodies, sample_id=file.stem, label=label
-        )
+        try:
+            seq = to_canonical(parse_ntu_skeleton(file.read_text()), config.target_frames,
+                               config.max_bodies, sample_id=file.stem, label=label)
+        except (MalformedCapture, EmptyCapture) as exc:
+            exc.args = (f"{file}: {exc}",)  # name the file; the type and its line stay
+            raise
         _check_center_joint(config, seq.num_joints)
         samples.append(preprocess_relative(seq, config.center_joint))
 
@@ -372,7 +372,7 @@ def _occlusion_spec(config: PipelineConfig) -> occlusion.OcclusionSpec:
 
 
 def run_occlude(config: PipelineConfig) -> dict:
-    """Hide joints and record their ground truth."""
+    """Hide joints; the clean split stays their ground truth."""
     spec = _occlusion_spec(config)
     paths = artifact_paths(config)
     inputs, outputs, hidden = [], [], 0
@@ -386,8 +386,7 @@ def run_occlude(config: PipelineConfig) -> dict:
                               f"of {paths[split]}")
         occluded, record = occlusion.apply_spec(dataset, spec)
         formats.write_dataset(occluded, paths[f"{split}_occluded"], config.dataset_format)
-        record.save_csv(paths[f"occlusion_{split}"])
-        outputs += [paths[f"{split}_occluded"], paths[f"occlusion_{split}"]]
+        outputs.append(paths[f"{split}_occluded"])
         hidden += record.total_instances()
     params = {
         "mode": spec.mode, "rate": spec.rate, "joints": list(spec.joints),
@@ -496,17 +495,18 @@ def run_impute(config: PipelineConfig) -> dict:
 
 
 def run_eval(config: PipelineConfig) -> dict:
-    """Score recovery against the recorded ground truth."""
+    """Score recovery against the clean split where the occluded one is missing."""
     paths = artifact_paths(config)
     seed_eval = config.stage_seed("eval")
     inputs, imputed, records, knn_parts, random_parts = [], {}, {}, [], []
     for split in _splits(config, "{split}_imputed", "eval", "impute"):
-        record_path = _require(paths[f"occlusion_{split}"], "eval", "occlude")
+        clean_path = _require(paths[split], "eval", "ingest")
         occluded_path = _require(paths[f"{split}_occluded"], "eval", "occlude")
-        inputs += [paths[f"{split}_imputed"], record_path, occluded_path]
+        inputs += [paths[f"{split}_imputed"], clean_path, occluded_path]
         imputed[split] = formats.read_dataset(paths[f"{split}_imputed"], split_tag=split)
-        record = records[split] = occlusion.OcclusionRecord.load_csv(record_path)
         occluded = formats.read_dataset(occluded_path, split_tag=split)
+        record = records[split] = occlusion.OcclusionRecord.between(
+            formats.read_dataset(clean_path, split_tag=split), occluded)
         knn_parts.append(evaluation.mpjpe(imputed[split], record))
         random_parts.append(
             evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
@@ -514,8 +514,7 @@ def run_eval(config: PipelineConfig) -> dict:
 
     knn_stats = evaluation.combine_mpjpe(knn_parts)
     random_stats = evaluation.combine_mpjpe(random_parts)
-    denom = knn_stats.evaluated + knn_stats.excluded
-    coverage = knn_stats.evaluated / denom if denom else 1.0
+    hidden = knn_stats.evaluated + knn_stats.excluded
     per_class = evaluation.per_class_error(
         Dataset.from_sequences([seq for d in imputed.values() for seq in d.samples], "all"),
         occlusion.OcclusionRecord(
@@ -530,10 +529,11 @@ def run_eval(config: PipelineConfig) -> dict:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
             inputs.append(paths["labels_train"])
 
+    # with nothing evaluated there is no mean and no coverage: null, not NaN
     report = evaluation.EvalReport(
-        mpjpe_imputed=knn_stats.mean_error,
-        mpjpe_random=random_stats.mean_error,
-        coverage=coverage,
+        mpjpe_imputed=knn_stats.mean_error if knn_stats.evaluated else None,
+        mpjpe_random=random_stats.mean_error if random_stats.evaluated else None,
+        coverage=knn_stats.evaluated / hidden if hidden else None,
         imputed_instances=knn_stats.evaluated,
         unimputable_instances=knn_stats.excluded,
         per_class=per_class,

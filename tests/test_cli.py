@@ -1,13 +1,15 @@
 """End-to-end command line behaviour and exit codes."""
 
 import argparse
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import capture_text
-from skelfill import formats
+from skelfill import Dataset, formats
 from skelfill.cli import build_parser, main
 from skelfill.pipeline import PipelineConfig, artifact_paths
 
@@ -84,6 +86,47 @@ def test_eval_before_impute_exits_3(tmp_path, capsys):
     rc = main(["eval", "--workdir", str(work)])
     assert rc == 3
     assert "impute" in capsys.readouterr().err
+
+
+def _rename_samples(path):
+    clean = formats.read_dataset(path)
+    renamed = [dataclasses.replace(seq, sample_id=f"other-{seq.sample_id}")
+               for seq in clean.samples]
+    formats.write_dataset(Dataset.from_sequences(renamed), path, "skl1")
+
+
+@pytest.mark.parametrize("damage, code, message", [
+    (Path.unlink, 3, "eval: required input {path} is missing; run 'ingest' first"),
+    (_rename_samples, 4, "has no clean sample"),
+], ids=["deleted", "other-ids"])
+def test_eval_takes_ground_truth_from_the_clean_split(tmp_path, capsys, damage, code, message):
+    work = str(tmp_path / "work")
+    assert main(["synth", "--workdir", work, "--seed", "1"] + SMALL) == 0
+    for stage in (["occlude", "--rate", "0.2"], ["embed"], ["cluster", "--clusters", "3"],
+                  ["impute", "--neighbors", "3"]):
+        assert main(stage + ["--workdir", work, "--seed", "1"]) == 0, stage[0]
+    path = artifact_paths(PipelineConfig(workdir=work))["train"]
+    damage(path)
+    capsys.readouterr()
+    assert main(["eval", "--workdir", work, "--seed", "1"]) == code
+    assert message.format(path=path) in capsys.readouterr().err
+
+
+def test_nothing_hidden_gives_strict_json(tmp_path, capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    work = tmp_path / "work"
+    rc = main(["pipeline", "--workdir", str(work), "--seed", "1", "--clusters", "3",
+               "--neighbors", "3", "--rate", "0", "--json"] + SMALL)
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    report = json.loads((work / "eval_report.json").read_text(), parse_constant=refuse)
+    for key in ("mpjpe_imputed", "mpjpe_random", "coverage"):
+        assert summary[key] is None and report[key] is None, key
+    assert report["imputed_instances"] == report["unimputable_instances"] == 0
+    header, row = (work / "eval_report.csv").read_text().splitlines()
+    assert row.split(",")[:3] == ["", "", ""]
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -349,6 +392,21 @@ def test_ingest_command_splits_and_labels(tmp_path, capsys):
     test = formats.read_dataset(artifact_paths(config)["test"], split_tag="test")
     labels = {seq.sample_id: seq.label for seq in train.samples + test.samples}
     assert labels == {stem: int(stem[-3:]) - 1 for stem in stems}
+
+
+@pytest.mark.parametrize("frames, message", [
+    ([[(8, [(0.1, 0.2, 0.3), (0.5, float("nan"), 0.1)])]],
+     "line 6: non-finite coordinate in joint line"),
+    ([[]], "capture contains no bodies"),
+], ids=["nan", "no-body"])
+def test_ingest_error_names_the_capture_file(tmp_path, capsys, frames, message):
+    source = tmp_path / "captures"
+    _write_captures(source, [f"S001C001P00{i}R001A002" for i in (1, 3)])
+    bad = source / "S001C001P002R001A002.skeleton"
+    bad.write_text(capture_text(frames))
+    rc = main(["ingest", "--input", str(source), "--workdir", str(tmp_path / "work")])
+    assert rc == 4
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
 def test_pipeline_with_csv_artifacts(tmp_path):

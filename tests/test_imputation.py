@@ -20,6 +20,7 @@ from skelfill import (
     masked_distance,
 )
 from skelfill.errors import EmptyDonorSet, LabelMismatch, NoOverlap
+from skelfill import imputation
 from skelfill.imputation import _first_k, _weighted_fill
 
 
@@ -328,6 +329,27 @@ def test_impute_dataset_test_split_draws_from_train_only():
     assert np.isnan(imputed_test.samples[1].data[:, 1, 1, 0]).all()
     counts = report.test["te1"]
     assert counts.unimputable == counts.missing == 3
+
+
+def test_a_target_with_no_hole_computes_no_distance(monkeypatch):
+    rng = np.random.default_rng(139)
+    train = dataset_of(*[seq_of(rng.uniform(size=(3, 2, 3, 1)), f"tr{i}") for i in range(4)])
+    test = dataset_of(
+        seq_of(rng.uniform(size=(3, 2, 3, 1)), "te0"),
+        seq_of(holed_copy(rng.uniform(size=(3, 2, 3, 1)), [(0, 1, 0)]), "te1"),
+        split="test",
+    )
+    rows = []
+    kernel = imputation._distances_to_members
+    monkeypatch.setattr(imputation, "_distances_to_members",
+                        lambda members, *rest: rows.append(len(members)) or kernel(members, *rest))
+    out, out_test, report = impute_dataset(
+        train, labels_for(train, [0, 0, 1, 1]), test, labels_for(test, [0, 0]), k=2)
+    assert sum(rows[:-1]) == 0  # the unoccluded samples compared no member row
+    assert rows[-1] == 2  # te1, the one target with a hole, compared train cluster 0
+    for before, after in zip(train.samples + test.samples[:1], out.samples + out_test.samples[:1]):
+        assert bits_equal(before.data, after.data)
+    assert report.test["te1"].imputed == 3
 
 
 def test_impute_dataset_rejects_misaligned_labels():

@@ -172,6 +172,50 @@ def test_joint_targeted_validates_joints():
 
 # ---- records and the OcclusionSpec dispatcher --------------------------------
 
+def test_between_restores_the_clean_split_bit_exactly():
+    rng = np.random.default_rng(16)
+    clean = random_dataset(rng, 3, frames=5, joints=6)
+    occluded, _ = occlude_random(clean, 0.4, seed=4)
+    restored = OcclusionRecord.between(clean, occluded).restore(occluded)
+    for original, back in zip(clean.samples, restored.samples):
+        assert bits_equal(original.data, back.data)
+
+    # two bodies and one absent slot, joint-targeted
+    seqs = []
+    for i in range(3):
+        data = rng.uniform(-1, 1, size=(3, 6, 5, 3)).astype(np.float32)
+        data[:, :, :, 2] = 0.0
+        seqs.append(seq_of(data, f"b{i}", body_present=[True, True, False]))
+    clean = dataset_of(*seqs)
+    occluded, record = occlude_joints(clean, joints=[3, 1], frame_fraction=0.5, seed=6)
+    rebuilt = OcclusionRecord.between(clean, occluded)
+    assert rebuilt.total_instances() == record.total_instances() == 3 * 2 * 3 * 2
+    assert all(not (idx[:, 2] == 2).any() for idx, _ in rebuilt.entries.values())
+    restored = rebuilt.restore(occluded)
+    for original, back in zip(clean.samples, restored.samples):
+        assert bits_equal(original.data, back.data)
+
+
+def test_between_records_in_t_v_m_order():
+    rng = np.random.default_rng(17)
+    clean = random_dataset(rng, 2, frames=6, joints=5, bodies=2)
+    _, record = occlude_joints(clean, joints=[4, 0], frame_fraction=0.5, seed=3)
+    for idx, _ in record.entries.values():
+        keys = [tuple(row) for row in idx.tolist()]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_between_needs_a_clean_sample_of_the_same_id_and_shape():
+    rng = np.random.default_rng(18)
+    clean = random_dataset(rng, 2, frames=4, joints=5)
+    occluded, _ = occlude_random(clean, 0.3, seed=1)
+    with pytest.raises(RecordMismatch, match="r0001"):
+        OcclusionRecord.between(dataset_of(clean.samples[0]), occluded)
+    shorter = seq_of(clean.samples[1].data[:, :3], "r0001")
+    with pytest.raises(RecordMismatch, match="r0001"):
+        OcclusionRecord.between(dataset_of(clean.samples[0], shorter), occluded)
+
+
 def test_record_csv_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     dataset = random_dataset(rng, 3, frames=4, joints=5)

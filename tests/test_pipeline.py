@@ -315,10 +315,7 @@ def test_missing_artifact_hints_name_the_stage_to_run(tmp_path):
 # stage -> (input names, output names) of its manifest on a two-split synth run
 STAGE_FILES = {
     "synth": ([], ["test.skl1", "train.skl1"]),
-    "occlude": (
-        ["test.skl1", "train.skl1"],
-        ["occlusion_test.csv", "occlusion_train.csv", "test_occluded.skl1", "train_occluded.skl1"],
-    ),
+    "occlude": (["test.skl1", "train.skl1"], ["test_occluded.skl1", "train_occluded.skl1"]),
     "embed": (["test_occluded.skl1", "train_occluded.skl1"], ["test.skemb", "train.skemb"]),
     "cluster": (
         ["test.skemb", "train.skemb"], ["kmeans.skkm", "labels_test.csv", "labels_train.csv"],
@@ -328,8 +325,8 @@ STAGE_FILES = {
         ["imputation_report.json", "test_imputed.skl1", "train_imputed.skl1"],
     ),
     "eval": (
-        ["labels_train.csv", "occlusion_test.csv", "occlusion_train.csv",
-         "test_imputed.skl1", "test_occluded.skl1", "train_imputed.skl1", "train_occluded.skl1"],
+        ["labels_train.csv", "test.skl1", "test_imputed.skl1", "test_occluded.skl1",
+         "train.skl1", "train_imputed.skl1", "train_occluded.skl1"],
         ["eval_report.csv", "eval_report.json"],
     ),
 }
@@ -343,19 +340,24 @@ def test_stage_manifests_name_the_files_of_each_split(tmp_path, test_per_class):
     run_pipeline(config)
     # a train-only run names the same files less every test artifact
     keep = (lambda name: True) if test_per_class else (lambda name: "test" not in name)
+    written = {f"manifest_{stage}.json" for stage in STAGE_FILES}
     for stage, (inputs, outputs) in STAGE_FILES.items():
         manifest = json.loads((config.workpath() / f"manifest_{stage}.json").read_text())
         assert list(manifest["inputs"]) == [name for name in inputs if keep(name)], stage
         assert list(manifest["outputs"]) == [name for name in outputs if keep(name)], stage
+        written |= set(manifest["outputs"])
+    # every file in the workdir is a manifest or some stage's declared output
+    assert {p.name for p in config.workpath().iterdir()} == written
 
 
 def test_per_class_error_pools_every_split(tmp_path):
     config = _small_synth_config(tmp_path / "work", clusters=2, neighbors=2)
     run_pipeline(config)
     paths = artifact_paths(config)
+    read = formats.read_dataset
     parts = [
-        (formats.read_dataset(paths[f"{split}_imputed"], split_tag=split),
-         OcclusionRecord.load_csv(paths[f"occlusion_{split}"]))
+        (read(paths[f"{split}_imputed"], split_tag=split),
+         OcclusionRecord.between(read(paths[split]), read(paths[f"{split}_occluded"])))
         for split in SPLITS
     ]
     pooled = evaluation.per_class_error(
