@@ -234,17 +234,14 @@ def resample_indices(source_frames: int, target_frames: int) -> list[int]:
     return [int(math.floor(i * span / (target_frames - 1) + 0.5)) for i in range(target_frames)]
 
 
-def _body_motion_energy(coords_by_frame: list[np.ndarray | None]) -> float:
-    """Total squared frame-to-frame displacement over frames where the body
-    is present in both of a consecutive pair."""
-    energy = 0.0
-    prev: np.ndarray | None = None
-    for cur in coords_by_frame:
-        if cur is not None and prev is not None:
-            diff = cur - prev
-            energy += float(np.nansum(diff * diff))
-        prev = cur
-    return energy
+def squared_motion(data: np.ndarray) -> np.ndarray:
+    """Squared displacement of each coordinate between consecutive frames of
+    a ``[3, T, ...]`` array, shaped ``[3, T - 1, ...]``; 0 where the joint
+    instance is not finite in both frames of the pair."""
+    prev, cur = data[:, :-1], data[:, 1:]
+    valid = np.isfinite(prev).all(axis=0) & np.isfinite(cur).all(axis=0)
+    diff = np.where(valid[None], cur - prev, 0.0)
+    return diff * diff
 
 
 def to_canonical(
@@ -258,10 +255,11 @@ def to_canonical(
     """Turn a parsed capture into a fixed-shape ``[3, T, V, M]`` tensor.
 
     Frames are resampled by nearest index (see :func:`resample_indices`).
-    Bodies are ranked by total motion energy, descending, ties broken by
-    first appearance; the top ``max_bodies`` fill the body slots in rank
-    order and the rest are dropped.  Slots without a body, and frames where
-    a kept body is absent, are zero-filled; those slots are flagged in
+    Bodies are ranked by total motion energy (:func:`squared_motion` over
+    the frames where the body is present), descending, ties broken by first
+    appearance; the top ``max_bodies`` fill the body slots in rank order and
+    the rest are dropped.  Slots without a body, and frames where a kept
+    body is absent, are zero-filled; those slots are flagged in
     ``body_present``.
     """
     if target_frames < 1:
@@ -269,34 +267,27 @@ def to_canonical(
     if max_bodies < 1:
         raise ValueError("max_bodies must be >= 1")
 
-    first_seen: dict[str, int] = {}
-    per_frame: list[dict[str, np.ndarray]] = []
+    column: dict[str, int] = {}  # body id -> column, in order of first appearance
+    joints: dict[tuple[int, int], list[JointRecord]] = {}  # (frame, column) -> joints
     for f_idx, frame in enumerate(raw.frames):
-        coords: dict[str, np.ndarray] = {}
         for body in frame.bodies:
-            arr = np.array([[j.x, j.y, j.z] for j in body.joints], dtype=np.float64)  # [V, 3]
-            coords[body.body_id] = arr
-            first_seen.setdefault(body.body_id, f_idx)
-        per_frame.append(coords)
-
-    if not first_seen:
+            joints[f_idx, column.setdefault(body.body_id, len(column))] = body.joints
+    if not column:
         raise EmptyCapture("capture contains no bodies")
     num_joints = raw.joint_count
 
-    energy = {
-        bid: _body_motion_energy([coords.get(bid) for coords in per_frame])
-        for bid in first_seen
-    }
-    ranked = sorted(first_seen, key=lambda bid: (-energy[bid], first_seen[bid]))
-    kept = ranked[:max_bodies]
+    # every body stacked once: [3, F, V, bodies] float64, NaN where a body is absent
+    stacked = np.full((NUM_CHANNELS, len(raw.frames), num_joints, len(column)), np.nan)
+    frames, bodies = np.array(list(joints)).T
+    coords = np.array([(j.x, j.y, j.z) for js in joints.values() for j in js], dtype=np.float64)
+    stacked[:, frames, :, bodies] = coords.reshape(len(joints), num_joints, 3).transpose(0, 2, 1)
 
-    src = resample_indices(len(raw.frames), target_frames)
+    energy = squared_motion(stacked).sum(axis=(0, 1, 2))
+    kept = np.argsort(-energy, kind="stable")[:max_bodies]
+
+    chosen = stacked[:, resample_indices(len(raw.frames), target_frames)][:, :, :, kept]
     data = np.zeros((NUM_CHANNELS, target_frames, num_joints, max_bodies), dtype=np.float32)
-    for slot, bid in enumerate(kept):
-        for t_idx, f_idx in enumerate(src):
-            arr = per_frame[f_idx].get(bid)
-            if arr is not None:
-                data[:, t_idx, :, slot] = arr.T.astype(np.float32)
+    data[:, :, :, : len(kept)] = np.where(np.isnan(chosen), 0.0, chosen)
 
     body_present = np.zeros(max_bodies, dtype=bool)
     body_present[: len(kept)] = True

@@ -19,7 +19,13 @@ its channels, or that has an infinite coordinate (see the data model in
 
 CSV (interchange dataset, lossy for NaN payload bits)::
 
-    sample_id,label,t,v,m,x,y,z    one row per joint instance
+    sample_id,label,t,v,m,x,y,z    header
+    one row per joint instance, in (sample, t, v, m) order
+
+Each coordinate is the ``repr`` of the float64 its float32 widens to, the
+shortest text that reads back to the same float32, and ``nan`` when it is
+missing.  Lines end in CRLF, an unlabelled sample has an empty label, and
+the sample id is quoted as RFC 4180 requires (by :mod:`csv`).
 
 Labels CSV::
 
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 import struct
 from pathlib import Path
@@ -140,27 +147,27 @@ def read_skl1(path: str | Path, split_tag: str = "train") -> Dataset:
     return Dataset.from_sequences(samples, split_tag=split_tag)
 
 
-def _format_value(value: float) -> str:
-    # repr of the exact float64 the f32 widens to; shortest round-trip text
-    return "nan" if np.isnan(value) else repr(float(value))
+def _csv_prefix(seq: SkeletonSequence) -> str:
+    """The ``sample_id,label,`` text of every row of ``seq``, quoted by
+    :mod:`csv` as its rows would be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([seq.sample_id, "" if seq.label is None else seq.label])
+    return buf.getvalue()[:-2] + ","  # drop the "\r\n" line end
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write ``dataset`` as CSV (see the module docstring), each sample as one
+    joined string; :mod:`csv` quotes only the id and label."""
     if not dataset.samples:
         raise FormatError("refusing to write an empty dataset")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sample_id", "label", "t", "v", "m", "x", "y", "z"])
+        handle.write("sample_id,label,t,v,m,x,y,z\r\n")
         for seq in dataset.samples:
-            label = "" if seq.label is None else str(seq.label)
-            _, t_n, v_n, m_n = seq.data.shape
-            for t in range(t_n):
-                for v in range(v_n):
-                    for m in range(m_n):
-                        writer.writerow(
-                            [seq.sample_id, label, t, v, m]
-                            + [_format_value(seq.data[c, t, v, m]) for c in range(3)]
-                        )
+            prefix = _csv_prefix(seq)
+            tvm = np.indices(seq.data.shape[1:]).reshape(3, -1).T.tolist()
+            xyz = seq.data.reshape(3, -1).T.astype(np.float64).tolist()
+            handle.write("".join(f"{prefix}{t},{v},{m},{x!r},{y!r},{z!r}\r\n"
+                                 for (t, v, m), (x, y, z) in zip(tvm, xyz)))
 
 
 def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:

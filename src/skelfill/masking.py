@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SkeletonSequence
+from .data import SkeletonSequence, squared_motion
 from .errors import DegenerateGraph, FrameCountOutOfRange, MaskCountOutOfRange
 from .graph import SkeletonGraph, chain_graph, default_skeleton_graph, load_edge_list
 
@@ -149,15 +149,8 @@ def asm_plan(batch: np.ndarray, graph: SkeletonGraph, m: int, seed: int) -> Mask
 def motion_energy(seq: SkeletonSequence) -> np.ndarray:
     """Per-frame motion energy: summed squared displacement of every joint
     instance present in both frames of a consecutive pair.  Frame 0 gets 0."""
-    data = seq.data.astype(np.float64)
-    t_n = data.shape[1]
-    energy = np.zeros(t_n, dtype=np.float64)
-    if t_n < 2:
-        return energy
-    prev, cur = data[:, :-1], data[:, 1:]
-    valid = np.isfinite(prev).all(axis=0) & np.isfinite(cur).all(axis=0)  # [T-1, V, M]
-    diff = np.where(valid[None], cur - prev, 0.0)
-    energy[1:] = (diff * diff).sum(axis=(0, 2, 3))
+    energy = np.zeros(seq.num_frames, dtype=np.float64)
+    energy[1:] = squared_motion(seq.data.astype(np.float64)).sum(axis=(0, 2, 3))
     return energy
 
 

@@ -4,7 +4,9 @@ Every stage reads its inputs from files, writes its outputs to files, and
 drops a ``manifest_<stage>.json`` recording the config hash, the seeds used
 and the SHA-256 of every input and output.  Stages hold no hidden state, so
 any stage can be rerun from the on-disk artifacts alone, and reruns with
-identical inputs and config produce byte-identical outputs.
+identical inputs and config produce byte-identical outputs.  What varies
+between runs, each stage's wall time and peak RSS, goes only into the
+summary it returns (see :func:`_timed`).
 
 Config files are plain ``key = value`` text: blank lines and ``#`` comments
 are skipped, keys may be written dotted (``occlusion.rate``) or with
@@ -23,9 +25,11 @@ train input of a stage and adds test when the stage before wrote it, and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -275,6 +279,34 @@ def _summary(stage: str, outputs: list[Path], **extra) -> dict:
     return {"stage": stage, "outputs": [str(p) for p in outputs], **extra}
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size (``VmHWM``) in MiB; None where
+    ``/proc/self/status`` does not exist.  ``ru_maxrss`` would not do: after
+    ``exec`` it carries the peak of the process that started this one."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except FileNotFoundError:
+        pass
+    return None
+
+
+def _timed(stage):
+    """Give ``stage``'s summary its wall time in ``seconds`` and the process's
+    ``peak_rss_mb`` so far.  They are added after the stage has written its
+    manifest, so they never reach a manifest or a report."""
+    @functools.wraps(stage)
+    def run(config: PipelineConfig) -> dict:
+        start = time.perf_counter()
+        summary = stage(config)
+        summary["seconds"] = time.perf_counter() - start
+        summary["peak_rss_mb"] = _peak_rss_mb()
+        return summary
+    return run
+
+
 def _sample_counts(datasets: dict[str, Dataset]) -> dict[str, int]:
     return {f"{split}_samples": len(datasets.get(split, ())) for split in SPLITS}
 
@@ -286,6 +318,7 @@ def _check_center_joint(config: PipelineConfig, num_joints: int) -> None:
         raise ConfigError(f"center_joint {config.center_joint} is not below {num_joints} joints")
 
 
+@_timed
 def run_ingest(config: PipelineConfig) -> dict:
     """Parse captures, canonicalise, make them relative, split train and test."""
     if config.input is None:
@@ -332,6 +365,7 @@ def run_ingest(config: PipelineConfig) -> dict:
     return _summary("ingest", outputs, **_sample_counts(datasets))
 
 
+@_timed
 def run_synth(config: PipelineConfig) -> dict:
     """Generate the bundled synthetic corpus in place of ingest."""
     _check_center_joint(config, config.synth_joints)
@@ -371,6 +405,7 @@ def _occlusion_spec(config: PipelineConfig) -> occlusion.OcclusionSpec:
     )
 
 
+@_timed
 def run_occlude(config: PipelineConfig) -> dict:
     """Hide joints; the clean split stays their ground truth."""
     spec = _occlusion_spec(config)
@@ -403,6 +438,7 @@ def _embedding_graph(config: PipelineConfig, num_joints: int):
     return None  # embed_baseline picks its default
 
 
+@_timed
 def run_embed(config: PipelineConfig) -> dict:
     """Compute or import per-sample embeddings."""
     paths = artifact_paths(config)
@@ -438,6 +474,7 @@ def _l2_rows(matrix: embedding.EmbeddingMatrix) -> embedding.EmbeddingMatrix:
     )
 
 
+@_timed
 def run_cluster(config: PipelineConfig) -> dict:
     """Fit k-means on the train embeddings and label both splits."""
     paths = artifact_paths(config)
@@ -469,6 +506,7 @@ def run_cluster(config: PipelineConfig) -> dict:
     )
 
 
+@_timed
 def run_impute(config: PipelineConfig) -> dict:
     """Fill missing joints from neighbours within each cluster."""
     paths = artifact_paths(config)
@@ -494,6 +532,7 @@ def run_impute(config: PipelineConfig) -> dict:
     )
 
 
+@_timed
 def run_eval(config: PipelineConfig) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
     paths = artifact_paths(config)
@@ -554,6 +593,7 @@ def run_eval(config: PipelineConfig) -> dict:
     )
 
 
+@_timed
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage in order, on the synthetic corpus when no input is set."""
     _occlusion_spec(config)  # a bad occlusion setting fails before any stage writes

@@ -421,3 +421,36 @@ def test_pipeline_with_csv_artifacts(tmp_path):
     assert not (work / "train_imputed.skl1").exists()
     report = json.loads((work / "eval_report.json").read_text())
     assert np.isfinite(report["mpjpe_imputed"])
+
+
+def test_skl1_and_csv_datasets_give_the_same_results(tmp_path):
+    results = {}
+    for fmt in ("skl1", "csv"):
+        work = tmp_path / fmt
+        assert main(["pipeline", "--workdir", str(work), "--format", fmt, "--seed", "2",
+                     "--classes", "3", "--per-class", "6", "--test-per-class", "2",
+                     "--target-frames", "8", "--clusters", "3", "--neighbors", "3"]) == 0
+        names = ["eval_report.json", "eval_report.csv", "imputation_report.json",
+                 "labels_train.csv", "labels_test.csv", "kmeans.skkm", "train.skemb", "test.skemb"]
+        results[fmt] = {name: (work / name).read_bytes() for name in names}
+    assert results["skl1"] == results["csv"]
+
+
+def test_json_summary_times_every_stage_outside_the_workdir(tmp_path, capsys):
+    summaries = []
+    for name in ("one", "two"):
+        assert main(["pipeline", "--workdir", str(tmp_path / name), "--seed", "4", "--json",
+                     "--clusters", "2", "--neighbors", "2"] + SMALL) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    for summary in summaries:
+        assert [s["stage"] for s in summary["stages"]] == [
+            "synth", "occlude", "embed", "cluster", "impute", "eval"]
+        for stage in summary["stages"] + [summary]:
+            assert stage["seconds"] > 0
+            assert stage["peak_rss_mb"] is None or stage["peak_rss_mb"] > 0
+    files = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "two").iterdir())
+    for name in files:
+        data = (tmp_path / "one" / name).read_bytes()
+        assert data == (tmp_path / "two" / name).read_bytes(), name
+        assert b"seconds" not in data and b"peak_rss_mb" not in data, name

@@ -181,6 +181,19 @@ def test_to_canonical_motion_tie_broken_by_first_appearance():
     assert seq.data[0, 0, 0, 0] == 5.0
 
 
+def test_to_canonical_equal_motion_keeps_first_appearance_order():
+    frames = [
+        [("early", [(0, 0, 0)])],
+        [("late", [(5, 0, 0)]), ("early", [(1, 0, 0)])],
+        [("late", [(6, 0, 0)]), ("early", [(1, 0, 0)])],
+    ]
+    # both bodies move 1 along x once; "late" leads its frames but appears later
+    raw = parse_ntu_skeleton(capture_text(frames))
+    seq = to_canonical(raw, target_frames=3, max_bodies=2)
+    assert seq.data[0, :, 0, 0].tolist() == [0.0, 1.0, 1.0]
+    assert seq.data[0, :, 0, 1].tolist() == [0.0, 5.0, 6.0]  # absent in frame 0: zeros
+
+
 def test_to_canonical_zero_fills_absent_slots():
     frames = [
         [("a", [(1, 1, 1)]), ("b", [(2, 2, 2)])],

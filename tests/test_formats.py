@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import re
 import struct
 
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import bits_equal, dataset_of, random_dataset, seq_of
 from skelfill.clustering import ClusterModel, load_model, save_model
+from skelfill.data import SkeletonSequence
 from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from skelfill.errors import FormatError
 from skelfill.formats import (
@@ -169,6 +171,38 @@ def test_csv_round_trip_preserves_values(tmp_path):
         # repr round-trips every finite float32 exactly; NaN payloads are
         # canonicalised (documented as lossy), so compare value-wise
         assert np.array_equal(original.data, roundtripped.data, equal_nan=True)
+
+
+def _row_writer_csv(dataset, path):
+    """Reference: one ``csv.writer`` row per joint instance, each value the
+    repr of the float64 it widens to."""
+    def text(value):
+        return "nan" if np.isnan(value) else repr(float(value))
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["sample_id", "label", "t", "v", "m", "x", "y", "z"])
+        for seq in dataset.samples:
+            label = "" if seq.label is None else str(seq.label)
+            _, t_n, v_n, m_n = seq.data.shape
+            for t in range(t_n):
+                for v in range(v_n):
+                    for m in range(m_n):
+                        writer.writerow([seq.sample_id, label, t, v, m]
+                                        + [text(seq.data[c, t, v, m]) for c in range(3)])
+
+
+def test_csv_writer_bytes_match_the_row_writer(tmp_path):
+    rng = np.random.default_rng(13)
+    a = rng.uniform(-5, 5, size=(3, 3, 2, 2)).astype(np.float32)  # two bodies
+    a[:, 1, 1, 0] = np.nan
+    a[:, 0, 0, 0] = (-0.0, 1e-45, np.finfo(np.float32).max)  # 1e-45: subnormal
+    a[:, :, :, 1] *= 1e-3
+    b = SkeletonSequence(data=rng.normal(size=(3, 2, 2, 2)), sample_id=" sp ", label=3)  # float64
+    dataset = dataset_of(seq_of(a, 'a,"b"\nc', label=None), b, seq_of(a[:, :2], "plain", label=0))
+    write_dataset_csv(dataset, tmp_path / "new.csv")
+    _row_writer_csv(dataset, tmp_path / "reference.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_csv_rejects_bad_header(tmp_path):
