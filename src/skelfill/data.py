@@ -8,12 +8,12 @@ origin" (padding for absent bodies), never "missing".
 All container types are treated as immutable after construction: operations
 return new objects and never write into arrays they received.
 
-Text capture layout (one capture per file)::
+Text capture layout (one capture per file, parsed into a :class:`RawCapture`)::
 
     <frame count>
     per frame:   <body count>
     per body:    <metadata line, first token = body id>
-                 <joint count>
+                 <joint count, at least 1 and the same for every body>
                  one line per joint: x y z [extra fields ignored]
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -38,36 +38,19 @@ DEFAULT_CENTER_JOINT = 1
 
 
 @dataclass
-class JointRecord:
-    x: float
-    y: float
-    z: float
-    tracking_state: int = 2
-
-
-@dataclass
-class BodyRecord:
-    body_id: str
-    joints: list[JointRecord]
-
-
-@dataclass
-class FrameRecord:
-    bodies: list[BodyRecord]
-
-
-@dataclass
 class RawCapture:
-    """Parsed capture text, frame structure preserved as-is."""
+    """A parsed capture, one entry per body record in file order.
 
-    frames: list[FrameRecord]
+    frame_index  [B] int, the frame of each record
+    body_ids     [B] str, the first token of each record's metadata line
+    coords       [B, V, 3] float64, the x, y, z of each joint of each record
+    frame_count  frames declared, counting those that hold no body
+    """
 
-    @property
-    def joint_count(self) -> int:
-        for frame in self.frames:
-            if frame.bodies:
-                return len(frame.bodies[0].joints)
-        return 0
+    frame_index: np.ndarray
+    body_ids: list[str]
+    coords: np.ndarray
+    frame_count: int
 
 
 @dataclass
@@ -145,9 +128,8 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
 
     Counts are trusted and verified against the stream; any violation raises
     :class:`MalformedCapture` carrying the offending 1-based line number.
-    Only the first three fields of a joint line are interpreted as
-    coordinates; a trailing integer field, when present, is kept as the
-    tracking state.
+    Only the first three fields of a joint line are read, as coordinates;
+    tracking state and any other field are ignored.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -176,48 +158,44 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
     if frame_count == 0:
         raise MalformedCapture("capture declares zero frames", line=1)
 
-    joint_count: int | None = None
-    frames: list[FrameRecord] = []
-    for _ in range(frame_count):
-        body_count = take_count("body count")
-        bodies: list[BodyRecord] = []
-        for _ in range(body_count):
+    num_joints = 0
+    frame_index: list[int] = []
+    body_ids: list[str] = []
+    coords: list[tuple[float, float, float]] = []
+    for f_idx in range(frame_count):
+        for _ in range(take_count("body count")):
             meta = take("body metadata").split()
-            body_id = meta[0] if meta else ""
+            frame_index.append(f_idx)
+            body_ids.append(meta[0] if meta else "")
             declared = take_count("joint count")
-            if joint_count is None:
-                joint_count = declared
-            elif declared != joint_count:
+            if declared == 0:
+                raise MalformedCapture("body declares zero joints", line=pos)
+            if not num_joints:
+                num_joints = declared
+            elif declared != num_joints:
                 raise MalformedCapture(
-                    f"joint count {declared} differs from earlier count {joint_count}", line=pos
+                    f"joint count {declared} differs from earlier count {num_joints}", line=pos
                 )
-            joints: list[JointRecord] = []
             for _ in range(declared):
                 fields = take("joint line").split()
                 if len(fields) < 3:
                     raise MalformedCapture("joint line has fewer than 3 fields", line=pos)
                 try:
-                    x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
+                    xyz = (float(fields[0]), float(fields[1]), float(fields[2]))
                 except ValueError:
                     raise MalformedCapture("non-numeric coordinate in joint line", line=pos) from None
-                if not all(map(math.isfinite, (x, y, z))):
+                if not all(map(math.isfinite, xyz)):
                     raise MalformedCapture("non-finite coordinate in joint line", line=pos)
-                tracking = 2
-                if len(fields) >= 12:
-                    try:
-                        tracking = int(float(fields[11]))
-                    except ValueError:
-                        pass  # optional trailing field, ignored when unreadable
-                joints.append(JointRecord(x, y, z, tracking))
-            bodies.append(BodyRecord(body_id=body_id, joints=joints))
-        frames.append(FrameRecord(bodies=bodies))
+                coords.append(xyz)
 
     while pos < len(lines):
         if lines[pos].strip():
             raise MalformedCapture("trailing content after declared frames", line=pos + 1)
         pos += 1
 
-    return RawCapture(frames=frames)
+    return RawCapture(frame_index=np.array(frame_index, dtype=np.intp), body_ids=body_ids,
+                      coords=np.array(coords, dtype=np.float64).reshape(len(body_ids), num_joints, 3),
+                      frame_count=frame_count)
 
 
 def resample_indices(source_frames: int, target_frames: int) -> list[int]:
@@ -268,25 +246,22 @@ def to_canonical(
         raise ValueError("max_bodies must be >= 1")
 
     column: dict[str, int] = {}  # body id -> column, in order of first appearance
-    joints: dict[tuple[int, int], list[JointRecord]] = {}  # (frame, column) -> joints
-    for f_idx, frame in enumerate(raw.frames):
-        for body in frame.bodies:
-            joints[f_idx, column.setdefault(body.body_id, len(column))] = body.joints
+    record: dict[tuple[int, int], int] = {}  # (frame, column) -> its last record
+    for i, (f_idx, body_id) in enumerate(zip(raw.frame_index.tolist(), raw.body_ids)):
+        record[f_idx, column.setdefault(body_id, len(column))] = i
     if not column:
         raise EmptyCapture("capture contains no bodies")
-    num_joints = raw.joint_count
 
     # every body stacked once: [3, F, V, bodies] float64, NaN where a body is absent
-    stacked = np.full((NUM_CHANNELS, len(raw.frames), num_joints, len(column)), np.nan)
-    frames, bodies = np.array(list(joints)).T
-    coords = np.array([(j.x, j.y, j.z) for js in joints.values() for j in js], dtype=np.float64)
-    stacked[:, frames, :, bodies] = coords.reshape(len(joints), num_joints, 3).transpose(0, 2, 1)
+    stacked = np.full((NUM_CHANNELS, raw.frame_count, raw.coords.shape[1], len(column)), np.nan)
+    frames, bodies = np.array(list(record)).T
+    stacked[:, frames, :, bodies] = raw.coords[list(record.values())].transpose(0, 2, 1)
 
     energy = squared_motion(stacked).sum(axis=(0, 1, 2))
     kept = np.argsort(-energy, kind="stable")[:max_bodies]
 
-    chosen = stacked[:, resample_indices(len(raw.frames), target_frames)][:, :, :, kept]
-    data = np.zeros((NUM_CHANNELS, target_frames, num_joints, max_bodies), dtype=np.float32)
+    chosen = stacked[:, resample_indices(raw.frame_count, target_frames)][:, :, :, kept]
+    data = np.zeros((NUM_CHANNELS, target_frames, stacked.shape[2], max_bodies), dtype=np.float32)
     data[:, :, :, : len(kept)] = np.where(np.isnan(chosen), 0.0, chosen)
 
     body_present = np.zeros(max_bodies, dtype=bool)

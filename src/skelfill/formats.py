@@ -93,17 +93,23 @@ def _infer_body_present(data: np.ndarray) -> np.ndarray:
     return present
 
 
-def write_skl1(dataset: Dataset, path: str | Path) -> None:
-    samples = dataset.samples
-    if not samples:
-        raise FormatError("refusing to write an empty dataset")
+def _check_one_shape(samples: list[SkeletonSequence], where: str = "") -> None:
+    """Refuse samples that disagree in shape, naming the first that differs
+    from the first sample."""
     shape = samples[0].data.shape
     for seq in samples:
         if seq.data.shape != shape:
             raise FormatError(
-                f"samples disagree in shape: {seq.sample_id} has {seq.data.shape}, expected {shape}"
+                f"{where}samples disagree in shape: {seq.sample_id} has {seq.data.shape}, expected {shape}"
             )
-    c, t, v, m = shape
+
+
+def write_skl1(dataset: Dataset, path: str | Path) -> None:
+    samples = dataset.samples
+    if not samples:
+        raise FormatError("refusing to write an empty dataset")
+    _check_one_shape(samples)
+    c, t, v, m = samples[0].data.shape
     with open(path, "wb") as handle:
         handle.write(SKL1_MAGIC)
         handle.write(struct.pack("<IIIII", len(samples), c, t, v, m))
@@ -160,6 +166,7 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     joined string; :mod:`csv` quotes only the id and label."""
     if not dataset.samples:
         raise FormatError("refusing to write an empty dataset")
+    _check_one_shape(dataset.samples)
     with open(path, "w", newline="") as handle:
         handle.write("sample_id,label,t,v,m,x,y,z\r\n")
         for seq in dataset.samples:
@@ -219,6 +226,7 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
                 body_present=_infer_body_present(data),
             )
         )
+    _check_one_shape(samples, f"{path}: ")
     return Dataset.from_sequences(samples, split_tag=split_tag)
 
 

@@ -337,6 +337,9 @@ def run_ingest(config: PipelineConfig) -> dict:
         try:
             seq = to_canonical(parse_ntu_skeleton(file.read_text()), config.target_frames,
                                config.max_bodies, sample_id=file.stem, label=label)
+            if samples and seq.num_joints != samples[0].num_joints:
+                raise MalformedCapture(f"{seq.num_joints} joints, but {files[0].name} "
+                                       f"has {samples[0].num_joints}")
         except (MalformedCapture, EmptyCapture) as exc:
             exc.args = (f"{file}: {exc}",)  # name the file; the type and its line stay
             raise

@@ -398,7 +398,8 @@ def test_ingest_command_splits_and_labels(tmp_path, capsys):
     ([[(8, [(0.1, 0.2, 0.3), (0.5, float("nan"), 0.1)])]],
      "line 6: non-finite coordinate in joint line"),
     ([[]], "capture contains no bodies"),
-], ids=["nan", "no-body"])
+    ([[(8, [])]], "line 4: body declares zero joints"),
+], ids=["nan", "no-body", "zero-joints"])
 def test_ingest_error_names_the_capture_file(tmp_path, capsys, frames, message):
     source = tmp_path / "captures"
     _write_captures(source, [f"S001C001P00{i}R001A002" for i in (1, 3)])
@@ -407,6 +408,37 @@ def test_ingest_error_names_the_capture_file(tmp_path, capsys, frames, message):
     rc = main(["ingest", "--input", str(source), "--workdir", str(tmp_path / "work")])
     assert rc == 4
     assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_ingest_refuses_captures_that_differ_in_joints(tmp_path, capsys, fmt):
+    source = tmp_path / "captures"
+    source.mkdir()
+    first, second = (source / f"S001C001P00{i}R001A002.skeleton" for i in (1, 2))
+    first.write_text(capture_text([[(8, [(0, 0, 0), (1, 1, 1)])]]))
+    second.write_text(capture_text([[(8, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])]]))
+    work = tmp_path / "work"
+    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt])
+    assert rc == 4
+    assert f"error: {second}: 3 joints, but {first.name} has 2" in capsys.readouterr().err
+    assert not work.exists() or not any(work.iterdir())
+
+
+def test_occlude_refuses_a_csv_dataset_of_mixed_shapes(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--format", "csv", "--seed", "1"] + SMALL) == 0
+    path = work / "train.csv"
+    lines = path.read_text().splitlines()
+    last = lines[-1].split(",")[0]
+    # the last sample loses its last frame: (3, 8, V, M) becomes (3, 7, V, M)
+    kept = [line for line in lines if (line.split(",")[0], line.split(",")[2]) != (last, "7")]
+    assert len(kept) < len(lines)
+    path.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    assert main(["occlude", "--workdir", str(work), "--format", "csv", "--seed", "1"]) == 4
+    err = capsys.readouterr().err
+    assert f"error: {path}: samples disagree in shape: {last} has (3, 7," in err
+    assert ", expected (3, 8," in err
 
 
 def test_pipeline_with_csv_artifacts(tmp_path):

@@ -29,27 +29,40 @@ def test_parse_two_frame_capture():
         [("body7", [(0.5, 0, 0), (1, 2, 4)])],
     ])
     raw = parse_ntu_skeleton(text)
-    assert len(raw.frames) == 2
-    assert raw.joint_count == 2
-    body = raw.frames[1].bodies[0]
-    assert body.body_id == "body7"
-    assert (body.joints[1].x, body.joints[1].y, body.joints[1].z) == (1.0, 2.0, 4.0)
-    assert body.joints[0].tracking_state == 2  # default for short joint lines
+    assert raw.frame_count == 2
+    assert raw.frame_index.tolist() == [0, 1]
+    assert raw.body_ids == ["body7", "body7"]
+    assert raw.coords.shape == (2, 2, 3)
+    assert raw.coords.dtype == np.float64
+    assert raw.coords[1, 1].tolist() == [1.0, 2.0, 4.0]
 
 
 def test_parse_accepts_file_object():
     text = capture_text([[("b", [(1, 1, 1)])]])
     raw = parse_ntu_skeleton(io.StringIO(text))
-    assert raw.frames[0].bodies[0].joints[0].x == 1.0
+    assert raw.coords[0, 0].tolist() == [1.0, 1.0, 1.0]
 
 
-def test_parse_reads_tracking_state_from_long_joint_lines():
+def test_parse_reads_only_the_first_three_fields_of_long_joint_lines():
     # 12-field joint line: x y z, 8 filler fields, tracking state
     text = "1\n1\nbody1 0 0 0 0 0 0 0 0 2\n1\n0.1 0.2 0.3 0 0 0 0 0 0 0 0 1\n"
     raw = parse_ntu_skeleton(text)
-    joint = raw.frames[0].bodies[0].joints[0]
-    assert (joint.x, joint.y, joint.z) == (0.1, 0.2, 0.3)
-    assert joint.tracking_state == 1
+    assert raw.coords.shape == (1, 1, 3)
+    assert raw.coords[0, 0].tolist() == [0.1, 0.2, 0.3]
+
+
+def test_parse_keeps_frames_without_bodies():
+    text = capture_text([[], [("a", [(1, 1, 1)]), ("b", [(2, 2, 2)])], []])
+    raw = parse_ntu_skeleton(text)
+    assert raw.frame_count == 3
+    assert raw.frame_index.tolist() == [1, 1]
+    assert raw.body_ids == ["a", "b"]
+
+
+def test_parse_rejects_a_body_with_zero_joints():
+    with pytest.raises(MalformedCapture, match="zero joints") as err:
+        parse_ntu_skeleton("1\n1\nbody 0\n0\n")
+    assert err.value.line == 4
 
 
 def test_parse_zero_frames_rejected_at_line_one():
@@ -192,6 +205,16 @@ def test_to_canonical_equal_motion_keeps_first_appearance_order():
     seq = to_canonical(raw, target_frames=3, max_bodies=2)
     assert seq.data[0, :, 0, 0].tolist() == [0.0, 1.0, 1.0]
     assert seq.data[0, :, 0, 1].tolist() == [0.0, 5.0, 6.0]  # absent in frame 0: zeros
+
+
+def test_to_canonical_keeps_the_last_record_of_a_body_repeated_in_a_frame():
+    frames = [
+        [("a", [(1, 0, 0)]), ("a", [(2, 0, 0)]), ("b", [(0, 0, 0)])],
+        [("b", [(0, 0, 0)]), ("a", [(3, 0, 0)]), ("a", [(4, 0, 0)])],
+    ]
+    seq = to_canonical(parse_ntu_skeleton(capture_text(frames)), target_frames=2, max_bodies=2)
+    assert seq.data[0, :, 0, 0].tolist() == [2.0, 4.0]  # "a" moves, so it ranks first
+    assert seq.data[0, :, 0, 1].tolist() == [0.0, 0.0]
 
 
 def test_to_canonical_zero_fills_absent_slots():

@@ -157,6 +157,25 @@ def test_skl1_rejects_mixed_shapes(tmp_path):
 
 # ---- CSV -------------------------------------------------------------------
 
+def test_csv_writer_rejects_mixed_shapes(tmp_path):
+    a = seq_of(np.zeros((3, 2, 2, 1), dtype=np.float32), "a")
+    b = seq_of(np.zeros((3, 2, 3, 1), dtype=np.float32), "b")
+    with pytest.raises(FormatError, match="shape"):
+        write_dataset_csv(dataset_of(a, b), tmp_path / "m.csv")
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_csv_reader_rejects_mixed_shapes(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("sample_id,label,t,v,m,x,y,z\n"
+                    "a,0,0,0,0,1,1,1\na,0,0,1,0,1,1,1\n"
+                    "b,0,0,0,0,1,1,1\n")
+    with pytest.raises(FormatError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == (f"{path}: samples disagree in shape: "
+                              "b has (3, 1, 1, 1), expected (3, 1, 2, 1)")
+
+
 def test_csv_round_trip_preserves_values(tmp_path):
     rng = np.random.default_rng(5)
     dataset = random_dataset(rng, 3, frames=2, joints=3, bodies=2)
@@ -198,8 +217,9 @@ def test_csv_writer_bytes_match_the_row_writer(tmp_path):
     a[:, 1, 1, 0] = np.nan
     a[:, 0, 0, 0] = (-0.0, 1e-45, np.finfo(np.float32).max)  # 1e-45: subnormal
     a[:, :, :, 1] *= 1e-3
-    b = SkeletonSequence(data=rng.normal(size=(3, 2, 2, 2)), sample_id=" sp ", label=3)  # float64
-    dataset = dataset_of(seq_of(a, 'a,"b"\nc', label=None), b, seq_of(a[:, :2], "plain", label=0))
+    b = SkeletonSequence(data=rng.normal(size=(3, 3, 2, 2)), sample_id=" sp ", label=3)  # float64
+    plain = seq_of(a[:, ::-1], "plain", label=0)  # non-contiguous
+    dataset = dataset_of(seq_of(a, 'a,"b"\nc', label=None), b, plain)
     write_dataset_csv(dataset, tmp_path / "new.csv")
     _row_writer_csv(dataset, tmp_path / "reference.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
