@@ -15,68 +15,59 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset, SkeletonSequence
+from .data import Dataset
 from .errors import LengthMismatch, RecordMismatch
 from .occlusion import OcclusionRecord
 
 
 @dataclass
 class MpjpeStats:
-    """mean_error is NaN when nothing was evaluated."""
+    """The summed error over ``evaluated`` recovered joint instances, and
+    the ``excluded`` count left missing.  Stats of disjoint parts add with
+    ``+``."""
 
-    mean_error: float
-    evaluated: int
-    excluded: int
+    total: float = 0.0
+    evaluated: int = 0
+    excluded: int = 0
+
+    @property
+    def mean_error(self) -> float | None:
+        """None when nothing was evaluated."""
+        return self.total / self.evaluated if self.evaluated else None
+
+    def __add__(self, other: MpjpeStats) -> MpjpeStats:
+        return MpjpeStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass
 class EvalReport:
-    """Errors and coverage are None when nothing was evaluated or hidden."""
+    """Errors and coverage are None when nothing was evaluated or hidden.
+    ``per_class`` is keyed by the label as text, as JSON writes it, and is
+    left out of the CSV."""
 
     mpjpe_imputed: float | None
     mpjpe_random: float | None
     coverage: float | None
     imputed_instances: int
     unimputable_instances: int
-    per_class: dict[int, float] | None = None
+    per_class: dict[str, float] | None = None
     purity: float | None = None
     nmi: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "mpjpe_imputed": self.mpjpe_imputed,
-            "mpjpe_random": self.mpjpe_random,
-            "coverage": self.coverage,
-            "imputed_instances": self.imputed_instances,
-            "unimputable_instances": self.unimputable_instances,
-            "per_class": None
-            if self.per_class is None
-            else {str(label): err for label, err in sorted(self.per_class.items())},
-            "purity": self.purity,
-            "nmi": self.nmi,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def csv_header(self) -> list[str]:
-        return [
-            "mpjpe_imputed", "mpjpe_random", "coverage",
-            "imputed_instances", "unimputable_instances", "purity", "nmi",
-        ]
+        return [f.name for f in fields(self) if f.name != "per_class"]
 
     def csv_row(self) -> list[str]:
-        def fmt(value: float | None) -> str:
-            return "" if value is None else repr(float(value))
-
-        return [
-            fmt(self.mpjpe_imputed), fmt(self.mpjpe_random), fmt(self.coverage),
-            str(self.imputed_instances), str(self.unimputable_instances),
-            fmt(self.purity), fmt(self.nmi),
-        ]
+        values = (getattr(self, name) for name in self.csv_header())
+        return ["" if value is None else repr(value) for value in values]
 
 
 def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
@@ -120,9 +111,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
 def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
     """Mean Euclidean error over recovered joint instances vs the record."""
     by_id = {seq.sample_id: seq for seq in imputed.samples}
-    total = 0.0
-    evaluated = 0
-    excluded = 0
+    stats = MpjpeStats()
     for sid, (idx, values) in record.entries.items():
         seq = by_id.get(sid)
         if seq is None:
@@ -135,11 +124,9 @@ def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
         got = seq.data[:, idx[:, 0], idx[:, 1], idx[:, 2]].T.astype(np.float64)  # [n, 3]
         finite = np.isfinite(got).all(axis=1)
         diff = got[finite] - values[finite].astype(np.float64)
-        total += float(np.sqrt((diff * diff).sum(axis=1)).sum())
-        evaluated += int(finite.sum())
-        excluded += int((~finite).sum())
-    mean = total / evaluated if evaluated else math.nan
-    return MpjpeStats(mean_error=mean, evaluated=evaluated, excluded=excluded)
+        stats += MpjpeStats(float(np.sqrt((diff * diff).sum(axis=1)).sum()),
+                            int(finite.sum()), int((~finite).sum()))
+    return stats
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -183,32 +170,12 @@ def clustering_quality(pseudo, truth) -> tuple[float, float]:
     return purity, nmi
 
 
-def combine_mpjpe(parts: list[MpjpeStats]) -> MpjpeStats:
-    evaluated = sum(p.evaluated for p in parts)
-    excluded = sum(p.excluded for p in parts)
-    if evaluated == 0:
-        return MpjpeStats(mean_error=math.nan, evaluated=0, excluded=excluded)
-    total = sum(p.mean_error * p.evaluated for p in parts if p.evaluated)
-    return MpjpeStats(mean_error=total / evaluated, evaluated=evaluated, excluded=excluded)
-
-
-def per_class_error(imputed: Dataset, record: OcclusionRecord) -> dict[int, float] | None:
-    """Mean recovery error per true class label, when labels exist."""
-    by_label: dict[int, list[SkeletonSequence]] = {}
-    for seq in imputed.samples:
-        if seq.label is not None:
-            by_label.setdefault(int(seq.label), []).append(seq)
-    if not by_label:
-        return None
-    out: dict[int, float] = {}
-    for label, seqs in sorted(by_label.items()):
-        ids = {s.sample_id for s in seqs}
-        sub = OcclusionRecord(
-            entries={sid: entry for sid, entry in record.entries.items() if sid in ids}
-        )
-        stats = mpjpe(
-            Dataset.from_sequences(list(seqs), split_tag=imputed.split_tag), sub
-        )
-        if stats.evaluated:
-            out[label] = stats.mean_error
-    return out or None
+def per_class_error(imputed: Dataset, record: OcclusionRecord) -> dict[int, MpjpeStats]:
+    """Recovery error per true class label of the recorded samples; empty
+    when no sample has a label."""
+    label_of = {seq.sample_id: seq.label for seq in imputed.samples}
+    by_label: dict[int, OcclusionRecord] = {}
+    for sid, entry in record.entries.items():
+        if label_of.get(sid) is not None:
+            by_label.setdefault(int(label_of[sid]), OcclusionRecord()).entries[sid] = entry
+    return {label: mpjpe(imputed, sub) for label, sub in sorted(by_label.items())}

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -77,44 +77,26 @@ class SampleCounts:
     imputed: int = 0
     unimputable: int = 0
 
+    def __add__(self, other: SampleCounts) -> SampleCounts:
+        return SampleCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
 
 @dataclass
 class ImputationReport:
     """Scalar-coordinate accounting (3 per joint instance) plus the donor
-    pool each cluster offered."""
+    pool each cluster offered, keyed by the cluster label as text, as JSON
+    writes it."""
 
     train: dict[str, SampleCounts]
     test: dict[str, SampleCounts]
-    cluster_sizes: dict[int, int]
+    cluster_sizes: dict[str, int]
     k: int
 
     def totals(self) -> SampleCounts:
-        out = SampleCounts()
-        for counts in list(self.train.values()) + list(self.test.values()):
-            out.missing += counts.missing
-            out.imputed += counts.imputed
-            out.unimputable += counts.unimputable
-        return out
+        return sum([*self.train.values(), *self.test.values()], SampleCounts())
 
     def to_json(self) -> str:
-        def block(side: dict[str, SampleCounts]) -> dict:
-            return {
-                sid: {"missing": c.missing, "imputed": c.imputed, "unimputable": c.unimputable}
-                for sid, c in side.items()
-            }
-
-        totals = self.totals()
-        payload = {
-            "k": self.k,
-            "cluster_sizes": {str(label): size for label, size in sorted(self.cluster_sizes.items())},
-            "train": block(self.train),
-            "test": block(self.test),
-            "totals": {
-                "missing": totals.missing,
-                "imputed": totals.imputed,
-                "unimputable": totals.unimputable,
-            },
-        }
+        payload = asdict(self) | {"totals": asdict(self.totals())}
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -340,7 +322,7 @@ def impute_dataset(
     report = ImputationReport(
         train=train_counts,
         test=test_counts,
-        cluster_sizes={label: int(members.size) for label, members in clusters.items()},
+        cluster_sizes={str(label): int(members.size) for label, members in clusters.items()},
         k=k,
     )
     return imputed_train, imputed_test, report

@@ -528,11 +528,7 @@ def run_impute(config: PipelineConfig) -> dict:
     outputs.append(paths["imputation_report"])
     params = {"neighbors": config.neighbors, "dataset_format": config.dataset_format}
     _write_manifest(config, "impute", params, inputs, outputs)
-    totals = report.totals()
-    return _summary(
-        "impute", outputs,
-        missing=totals.missing, imputed=totals.imputed, unimputable=totals.unimputable,
-    )
+    return _summary("impute", outputs, **dataclasses.asdict(report.totals()))
 
 
 @_timed
@@ -540,7 +536,8 @@ def run_eval(config: PipelineConfig) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
     paths = artifact_paths(config)
     seed_eval = config.stage_seed("eval")
-    inputs, imputed, records, knn_parts, random_parts = [], {}, {}, [], []
+    inputs, imputed, records = [], {}, {}
+    knn, baseline = evaluation.MpjpeStats(), evaluation.MpjpeStats()
     for split in _splits(config, "{split}_imputed", "eval", "impute"):
         clean_path = _require(paths[split], "eval", "ingest")
         occluded_path = _require(paths[f"{split}_occluded"], "eval", "occlude")
@@ -549,14 +546,9 @@ def run_eval(config: PipelineConfig) -> dict:
         occluded = formats.read_dataset(occluded_path, split_tag=split)
         record = records[split] = occlusion.OcclusionRecord.between(
             formats.read_dataset(clean_path, split_tag=split), occluded)
-        knn_parts.append(evaluation.mpjpe(imputed[split], record))
-        random_parts.append(
-            evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
-        )
+        knn += evaluation.mpjpe(imputed[split], record)
+        baseline += evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
 
-    knn_stats = evaluation.combine_mpjpe(knn_parts)
-    random_stats = evaluation.combine_mpjpe(random_parts)
-    hidden = knn_stats.evaluated + knn_stats.excluded
     per_class = evaluation.per_class_error(
         Dataset.from_sequences([seq for d in imputed.values() for seq in d.samples], "all"),
         occlusion.OcclusionRecord(
@@ -571,14 +563,15 @@ def run_eval(config: PipelineConfig) -> dict:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
             inputs.append(paths["labels_train"])
 
-    # with nothing evaluated there is no mean and no coverage: null, not NaN
+    hidden = knn.evaluated + knn.excluded
     report = evaluation.EvalReport(
-        mpjpe_imputed=knn_stats.mean_error if knn_stats.evaluated else None,
-        mpjpe_random=random_stats.mean_error if random_stats.evaluated else None,
-        coverage=knn_stats.evaluated / hidden if hidden else None,
-        imputed_instances=knn_stats.evaluated,
-        unimputable_instances=knn_stats.excluded,
-        per_class=per_class,
+        mpjpe_imputed=knn.mean_error,
+        mpjpe_random=baseline.mean_error,
+        coverage=knn.evaluated / hidden if hidden else None,
+        imputed_instances=knn.evaluated,
+        unimputable_instances=knn.excluded,
+        per_class={str(label): stats.mean_error
+                   for label, stats in per_class.items() if stats.evaluated} or None,
         purity=purity,
         nmi=nmi,
     )

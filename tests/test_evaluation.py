@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from conftest import bits_equal, dataset_of, random_dataset, seq_of
 from skelfill import OcclusionRecord, clustering_quality, impute_random_baseline, mpjpe
 from skelfill.errors import LengthMismatch, RecordMismatch
-from skelfill.evaluation import EvalReport, MpjpeStats, combine_mpjpe, per_class_error
+from skelfill.evaluation import EvalReport, MpjpeStats, per_class_error
 from skelfill.occlusion import occlude_random
 
 
@@ -101,10 +99,10 @@ def test_mpjpe_excludes_instances_left_missing():
     assert (stats.evaluated, stats.excluded) == (1, 1)
 
 
-def test_mpjpe_empty_record_is_nan():
+def test_mpjpe_empty_record_has_no_mean():
     stats = mpjpe(dataset_of(seq_of(np.zeros((3, 1, 1, 1), dtype=np.float32), "s0")), OcclusionRecord())
-    assert math.isnan(stats.mean_error)
-    assert stats.evaluated == 0
+    assert stats.mean_error is None
+    assert (stats.total, stats.evaluated, stats.excluded) == (0.0, 0, 0)
 
 
 def test_mpjpe_record_mismatches():
@@ -115,14 +113,12 @@ def test_mpjpe_record_mismatches():
         mpjpe(dataset, record_of("s0", [((5, 0, 0), (0, 0, 0))]))
 
 
-def test_combine_mpjpe_weights_by_count():
-    merged = combine_mpjpe(
-        [MpjpeStats(2.0, 3, 1), MpjpeStats(4.0, 1, 0)]
-    )
-    assert merged.mean_error == pytest.approx((2.0 * 3 + 4.0) / 4)
-    assert (merged.evaluated, merged.excluded) == (4, 1)
-    empty = combine_mpjpe([MpjpeStats(math.nan, 0, 2)])
-    assert math.isnan(empty.mean_error)
+def test_mpjpe_stats_add_totals_and_counts():
+    merged = MpjpeStats(6.0, 3, 1) + MpjpeStats(4.0, 1, 0)
+    assert (merged.total, merged.evaluated, merged.excluded) == (10.0, 4, 1)
+    assert merged.mean_error == 2.5
+    empty = MpjpeStats() + MpjpeStats(0.0, 0, 2)
+    assert empty.mean_error is None
     assert empty.excluded == 2
 
 
@@ -136,9 +132,12 @@ def test_per_class_error_groups_by_label():
     record.add("b", np.array([[0, 0, 0]]), np.zeros((1, 3), dtype=np.float32))
     dataset = dataset_of(seq_of(near, "a", label=0), seq_of(far, "b", label=1))
     errors = per_class_error(dataset, record)
-    assert errors == {0: pytest.approx(1.0), 1: pytest.approx(2.0)}
+    assert list(errors) == [0, 1]
+    assert errors[0].mean_error == pytest.approx(1.0)
+    assert errors[1].mean_error == pytest.approx(2.0)
+    assert (errors[1].evaluated, errors[1].excluded) == (1, 0)
     unlabeled = dataset_of(seq_of(near, "a"), seq_of(far, "b"))
-    assert per_class_error(unlabeled, record) is None
+    assert per_class_error(unlabeled, record) == {}
 
 
 # ---- clustering quality -----------------------------------------------------------
@@ -192,14 +191,18 @@ def test_eval_report_serialises():
     report = EvalReport(
         mpjpe_imputed=0.1, mpjpe_random=0.9, coverage=0.98,
         imputed_instances=100, unimputable_instances=2,
-        per_class={1: 0.2, 0: 0.05}, purity=0.9, nmi=0.85,
+        per_class={"2": 0.2, "10": 0.05}, purity=0.9, nmi=0.85,
     )
-    payload = json.loads(report.to_json())
+    text = report.to_json()
+    payload = json.loads(text)
     assert payload["mpjpe_imputed"] == 0.1
-    assert payload["per_class"] == {"0": 0.05, "1": 0.2}
-    row = report.csv_row()
-    assert len(row) == len(report.csv_header())
-    assert row[0] == repr(0.1)
+    assert payload["per_class"] == {"10": 0.05, "2": 0.2}
+    assert text.index('"10"') < text.index('"2"')  # label keys sort as text
+    assert report.csv_header() == [
+        "mpjpe_imputed", "mpjpe_random", "coverage",
+        "imputed_instances", "unimputable_instances", "purity", "nmi",
+    ]
+    assert report.csv_row() == [repr(0.1), repr(0.9), repr(0.98), "100", "2", repr(0.9), repr(0.85)]
     bare = EvalReport(
         mpjpe_imputed=0.1, mpjpe_random=0.9, coverage=1.0,
         imputed_instances=3, unimputable_instances=0,

@@ -366,5 +366,5 @@ def test_per_class_error_pools_every_split(tmp_path):
     )
     test_only = evaluation.per_class_error(*parts[1])
     reported = json.loads(paths["eval_json"].read_text())["per_class"]
-    assert reported == {str(label): err for label, err in pooled.items()}
-    assert reported != {str(label): err for label, err in test_only.items()}
+    assert reported == {str(label): stats.mean_error for label, stats in pooled.items()}
+    assert reported != {str(label): stats.mean_error for label, stats in test_only.items()}
