@@ -147,6 +147,9 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             raise FormatError(f"{path}: trailing bytes after {n} records")
     if len(set(ids)) != len(ids):
         raise FormatError(f"{path}: duplicate sample ids")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: non-finite value in the row of {ids[np.argmin(finite)]!r}")
     return EmbeddingMatrix(values=rows, sample_ids=ids, source="external")
 
 

@@ -109,7 +109,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
 
 
 def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
-    """Mean Euclidean error over recovered joint instances vs the record."""
+    """Summed Euclidean error over recovered joint instances vs the record."""
     by_id = {seq.sample_id: seq for seq in imputed.samples}
     stats = MpjpeStats()
     for sid, (idx, values) in record.entries.items():

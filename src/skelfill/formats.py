@@ -25,7 +25,8 @@ CSV (interchange dataset, lossy for NaN payload bits)::
 Each coordinate is the ``repr`` of the float64 its float32 widens to, the
 shortest text that reads back to the same float32, and ``nan`` when it is
 missing.  Lines end in CRLF, an unlabelled sample has an empty label, and
-the sample id is quoted as RFC 4180 requires (by :mod:`csv`).
+the sample id is quoted as RFC 4180 requires (by :mod:`csv`).  The reader
+refuses a sample that lacks the row of some (t, v, m) or repeats one.
 
 Labels CSV::
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 import struct
 from pathlib import Path
@@ -207,13 +209,25 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
 
     samples = []
     for sid in order:
-        entries = rows[sid]
-        t_n = max(e[0] for e in entries) + 1
-        v_n = max(e[1] for e in entries) + 1
-        m_n = max(e[2] for e in entries) + 1
-        data = np.full((NUM_CHANNELS, t_n, v_n, m_n), np.nan, dtype=np.float32)
-        for t, v, m, x, y, z in entries:
-            data[:, t, v, m] = (x, y, z)
+        table = np.array(rows[sid], dtype=np.float64)  # [row, (t, v, m, x, y, z)]
+        tvm = table[:, :3].astype(np.int64)
+        if (tvm < 0).any():
+            first = tuple(tvm[(tvm < 0).any(axis=1)][0].tolist())
+            raise FormatError(f"{path}: sample {sid!r}: negative index (t, v, m) = {first}")
+        shape = tuple((tvm.max(axis=0) + 1).tolist())
+        flat = np.ravel_multi_index(tvm.T, shape)
+        # a complete sample holds each position of its shape once, so its
+        # sorted positions are 0..n-1; at the first index i where they differ,
+        # position i is missing or position ranks[i] repeated, whichever is first
+        ranks = np.sort(flat)
+        off = np.flatnonzero(ranks != np.arange(ranks.size))
+        if off.size or ranks.size != math.prod(shape):
+            pos = min(off[0], ranks[off[0]]) if off.size else ranks.size
+            first = tuple(int(i) for i in np.unravel_index(pos, shape))
+            raise FormatError(f"{path}: sample {sid!r}: {np.count_nonzero(flat == pos)} rows "
+                              f"for (t, v, m) = {first}, expected exactly 1")
+        data = np.empty((NUM_CHANNELS, *shape), dtype=np.float32)
+        data.reshape(NUM_CHANNELS, -1)[:, flat] = table[:, 3:].T
         bad = first_invalid_instance(data)
         if bad is not None:
             line = _last_csv_line(path, sid, bad)
@@ -231,8 +245,8 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
 
 
 def _last_csv_line(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> int:
-    """The line of the row that set ``tvm`` of sample ``sid``: found again
-    only on error, so a read keeps no line number per row."""
+    """The line of the row of ``tvm`` of sample ``sid``: found again only on
+    error, so a read keeps no line number per row."""
     with open(path, newline="") as handle:
         rows = enumerate(csv.reader(handle), start=1)
         next(rows)  # header

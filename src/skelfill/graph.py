@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateGraph
+from .errors import DegenerateGraph, FormatError
 
 # Bones of the standard 25-joint skeleton, 0-based joint indices.
 _DEFAULT_EDGES_25 = (
@@ -92,7 +92,8 @@ def load_edge_list(path: str | Path, num_joints: int) -> SkeletonGraph:
     """Read a graph from a text file with one ``i j`` pair per line.
 
     Blank lines and lines starting with ``#`` are skipped.  The resulting
-    graph must be connected.
+    graph must be connected.  A malformed line, a self-loop or a joint
+    outside ``0..num_joints-1`` raises :class:`FormatError`.
     """
     edges = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -101,13 +102,16 @@ def load_edge_list(path: str | Path, num_joints: int) -> SkeletonGraph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two joint indices, got {line!r}")
+            raise FormatError(f"{path}:{lineno}: expected two joint indices, got {line!r}")
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer joint index in {line!r}") from None
+            raise FormatError(f"{path}:{lineno}: non-integer joint index in {line!r}") from None
         edges.append((a, b))
-    graph = SkeletonGraph(num_joints=num_joints, edges=tuple(edges))
+    try:
+        graph = SkeletonGraph(num_joints=num_joints, edges=tuple(edges))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if not graph.is_connected():
         raise DegenerateGraph(f"edge list in {path} does not connect all {num_joints} joints")
     return graph

@@ -124,12 +124,13 @@ def find_donors(
         raise ValueError(f"position {position} outside the flat vector")
     if any(member.vector.shape != target.vector.shape for member in cluster):
         raise ValueError("samples differ in length")
-    shape = (len(cluster), target.vector.size)
-    present = np.array([member.present for member in cluster], dtype=bool).reshape(shape)
-    refs = np.array([member.sample_ref for member in cluster], dtype=np.int64)
+    others = [member for member in cluster if member.sample_ref != target.sample_ref]
+    shape = (len(others), target.vector.size)
+    present = np.array([member.present for member in others], dtype=bool).reshape(shape)
+    refs = np.array([member.sample_ref for member in others], dtype=np.int64)
     order, dist = _ordered_donors(
-        np.array([member.vector for member in cluster], dtype=np.float64).reshape(shape),
-        present, refs, target.vector, target.present, target.sample_ref,
+        np.array([member.vector for member in others], dtype=np.float64).reshape(shape),
+        present, refs, target.vector, target.present,
     )
     hits = np.flatnonzero(_first_k(present[order, position][:, None], k)[:, 0])
     return DonorSet(neighbors=[(int(refs[order[i]]), float(dist[i])) for i in hits])
@@ -202,14 +203,11 @@ def _ordered_donors(
     refs: np.ndarray,
     vector: np.ndarray,
     target_present: np.ndarray,
-    self_ref: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate rows in neighbour order: ascending distance, then ascending
-    ref.  The target's own row and rows with no overlap are dropped.
-    Returns (row indices, their distances)."""
+    ref.  Rows with no overlap are dropped.  Returns (row indices, their
+    distances)."""
     dist = _distances_to_members(rows, present, vector, target_present)
-    if self_ref is not None:
-        dist[refs == self_ref] = np.inf
     order = np.lexsort((refs, dist))
     order = order[np.isfinite(dist[order])]
     return order, dist[order]
@@ -231,17 +229,19 @@ def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def _fill_one_target(
-    seq: SkeletonSequence, pool: Pool, k: int, self_ref: int | None, trace: dict | None
+    seq: SkeletonSequence, pool: Pool, k: int, trace: dict | None
 ) -> tuple[np.ndarray, SampleCounts]:
     """A float32 copy of one sample's data with every missing joint instance
-    imputed, and the sample's counts."""
+    imputed, and the sample's counts.  A train target is a member of its
+    own pool, but its own row lacks every one of its holes, so it is never
+    taken as a donor."""
     data = seq.data.astype(np.float32)
     flat = data.reshape(-1)
     present = np.isfinite(flat)
     holes = np.flatnonzero(np.isnan(data).all(axis=0))  # channel-0 positions, C order
     # a target with no hole takes no donor, so it gets an empty pool, [0, L]
     rows, member_present, refs = (part if holes.size else part[:0] for part in pool)
-    order, dist = _ordered_donors(rows, member_present, refs, flat, present, self_ref)
+    order, dist = _ordered_donors(rows, member_present, refs, flat, present)
     take = _first_k(member_present[order[:, None], holes], k)  # [candidate, hole]
     found = take.any(axis=0)
     pos = (holes[found] + np.arange(3)[:, None] * (flat.size // 3)).ravel()  # [channel * hole]
@@ -259,18 +259,16 @@ def _fill_split(
     dataset: Dataset,
     groups: dict[int, np.ndarray],
     pools: dict[int, Pool],
-    same_pool: bool,
     k: int,
     threads: int,
     trace: dict | None,
 ) -> tuple[Dataset, dict[str, SampleCounts]]:
     """Fill every sample of ``dataset``: the targets ``groups[label]`` draw
-    donors from ``pools[label]``.  With ``same_pool`` the targets are pool
-    members themselves and must skip their own row."""
+    donors from ``pools[label]``."""
 
     def run_group(label: int) -> list[tuple[int, tuple[np.ndarray, SampleCounts]]]:
         pool = pools[label]
-        return [(i, _fill_one_target(dataset.samples[i], pool, k, i if same_pool else None, trace))
+        return [(i, _fill_one_target(dataset.samples[i], pool, k, trace))
                 for i in groups[label].tolist()]
 
     labels = sorted(groups)
@@ -310,14 +308,14 @@ def impute_dataset(
 
     clusters = _groups(train_labels.labels)
     pools = {label: _pool(train, members) for label, members in clusters.items()}
-    imputed_train, train_counts = _fill_split(train, clusters, pools, True, k, threads, trace)
+    imputed_train, train_counts = _fill_split(train, clusters, pools, k, threads, trace)
 
     imputed_test, test_counts = None, {}
     if test is not None:
         groups = _groups(test_labels.labels)
         # a label no train cluster has gets an empty pool, [0, L] as the test rows
         pools |= {label: _pool(test, groups[label][:0]) for label in groups if label not in pools}
-        imputed_test, test_counts = _fill_split(test, groups, pools, False, k, threads, trace)
+        imputed_test, test_counts = _fill_split(test, groups, pools, k, threads, trace)
 
     report = ImputationReport(
         train=train_counts,

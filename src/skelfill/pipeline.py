@@ -376,12 +376,11 @@ def run_synth(config: PipelineConfig) -> dict:
         raise ConfigError(f"synth needs target_frames >= 2, got {config.target_frames}")
     per_class = {"train": config.synth_per_class, "test": config.synth_test_per_class}
     datasets = {}
-    for offset, split in enumerate(SPLITS):
+    for split in SPLITS:
         if per_class[split]:
             corpus = synth.make_corpus(
                 config.synth_classes, per_class[split], frames=config.target_frames,
-                joints=config.synth_joints, seed=config.seed + offset, id_prefix=split,
-                split_tag=split,
+                joints=config.synth_joints, seed=config.seed, id_prefix=split, split_tag=split,
             )
             datasets[split] = Dataset.from_sequences(
                 [preprocess_relative(s, config.center_joint) for s in corpus.samples], split
@@ -437,7 +436,8 @@ def run_occlude(config: PipelineConfig) -> dict:
 
 def _embedding_graph(config: PipelineConfig, num_joints: int):
     if config.edge_list is not None:
-        return load_edge_list(config.edge_list, num_joints)
+        return load_edge_list(_require(Path(config.edge_list), "embed", "provide the edge list"),
+                              num_joints)
     return None  # embed_baseline picks its default
 
 

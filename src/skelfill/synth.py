@@ -6,6 +6,11 @@ phases, and every sample adds small seeded phase/amplitude jitter plus a
 little coordinate noise.  Samples within a class are therefore near
 neighbours of each other while classes stay well separated — a controlled
 setting where recovery quality is measurable against known ground truth.
+
+The class parameters come from the seed alone, so every split of one seed
+shares its class motions.  Train items draw from the stream
+``[seed, 202, cls, item]`` and the items of any other split from
+``[seed, 303, cls, item]``: new draws of the same motions.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ def make_corpus(
         raise ValueError("need at least 2 frames and 2 joints")
 
     base = _base_pose(joints)
+    item_stream = 202 if split_tag == "train" else 303
     t_axis = np.arange(frames, dtype=np.float64) / frames
 
     samples = []
@@ -61,7 +67,7 @@ def make_corpus(
         amplitude = cls_rng.uniform(0.03, 0.25, size=(joints, 3))
         phase = cls_rng.uniform(0.0, 2.0 * np.pi, size=(joints, 3))
         for item in range(per_class):
-            rng = np.random.default_rng([seed, 202, cls, item])
+            rng = np.random.default_rng([seed, item_stream, cls, item])
             jitter = rng.normal(0.0, 0.05)
             scale = rng.uniform(0.9, 1.1)
             wave = np.sin(

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,28 @@ def test_too_many_clusters_exits_4(tmp_path, capsys):
     rc = main(["cluster", "--workdir", work, "--seed", "1", "--clusters", "50"])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code", [
+    ("non-integer", 4), ("joint-99", 4), ("missing", 3), ("nan-embedding", 4),
+])
+def test_bad_embed_input_names_its_file(tmp_path, capsys, case, code):
+    work = str(tmp_path / "work")
+    assert main(["synth", "--workdir", work, "--seed", "1"] + SMALL) == 0
+    assert main(["occlude", "--workdir", work, "--seed", "1", "--rate", "0.2"]) == 0
+    bad = tmp_path / "bad"
+    if case == "nan-embedding":
+        assert main(["embed", "--workdir", work]) == 0
+        good = (tmp_path / "work" / "train.skemb").read_bytes()
+        bad.write_bytes(good[:-4] + struct.pack("<f", float("nan")))
+        flags = ["--source", "external", "--embeddings-train", str(bad)]
+    else:
+        if case != "missing":
+            bad.write_text({"non-integer": "0 1\n1 x\n", "joint-99": "0 1\n1 99\n"}[case])
+        flags = ["--edge-list", str(bad)]
+    capsys.readouterr()
+    assert main(["embed", "--workdir", work] + flags) == code
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_impute_rejects_a_partly_nan_instance_exits_4(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -144,6 +145,11 @@ def test_load_rejects_bad_files(tmp_path):
     trailing.write_bytes(good.read_bytes() + b"!")
     with pytest.raises(FormatError, match="trailing"):
         load_embeddings(trailing)
+
+    nan = tmp_path / "nan.skemb"
+    nan.write_bytes(good.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+    with pytest.raises(FormatError, match=re.escape(f"{nan}: non-finite value in the row of 'b'")):
+        load_embeddings(nan)
 
 
 @pytest.mark.parametrize("n, width", [(0xFFFFFFFF, 0xFFFFFFFF), (200_000_000, 64)])

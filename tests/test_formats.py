@@ -247,10 +247,34 @@ def test_csv_rejects_malformed_numbers(tmp_path):
             read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("edit", ["delete", "repeat"])
+def test_csv_rejects_a_missing_or_repeated_row(tmp_path, edit):
+    rng = np.random.default_rng(13)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(random_dataset(rng, 2, frames=2, joints=3), path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = 1 + 6 + 4  # past the header and sample 0, the row of (t, v, m) = (1, 1, 0)
+    sid = lines[row].split(",")[0]
+    lines[row:row + 1] = [] if edit == "delete" else [lines[row]] * 2
+    path.write_text("".join(lines))
+    count = 0 if edit == "delete" else 2
+    message = f"{path}: sample {sid!r}: {count} rows for (t, v, m) = (1, 1, 0)"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_dataset_csv(path)
+
+
+def test_csv_rejects_a_negative_index(tmp_path):
+    path = tmp_path / "n.csv"
+    path.write_text("sample_id,label,t,v,m,x,y,z\na,0,0,0,0,1,1,1\na,0,-1,0,0,1,1,1\n")
+    message = f"{path}: sample 'a': negative index (t, v, m) = (-1, 0, 0)"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_dataset_csv(path)
+
+
 def test_csv_rejects_partly_nan_and_infinite_instances(tmp_path):
     path = tmp_path / "p.csv"
     good = "a,0,0,0,0,nan,nan,nan\na,0,1,0,0,1,1,1\n"
-    for row in ("a,0,0,0,0,nan,1,2", "a,0,0,0,0,1,inf,2", "a,0,0,0,0,1,2,-inf"):
+    for row in ("a,0,2,0,0,nan,1,2", "a,0,2,0,0,1,inf,2", "a,0,2,0,0,1,2,-inf"):
         path.write_text(f"sample_id,label,t,v,m,x,y,z\n{good}{row}\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}:4: sample 'a'")):
             read_dataset_csv(path)

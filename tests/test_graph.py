@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from skelfill.errors import DegenerateGraph
+from skelfill.errors import DegenerateGraph, FormatError
 from skelfill.graph import SkeletonGraph, chain_graph, default_skeleton_graph, load_edge_list
 
 
@@ -54,13 +56,18 @@ def test_load_edge_list(tmp_path):
 
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2\n")
-    with pytest.raises(ValueError, match="two joint indices"):
+    with pytest.raises(FormatError, match="two joint indices"):
         load_edge_list(bad, num_joints=3)
 
     nonint = tmp_path / "nonint.txt"
     nonint.write_text("0 x\n")
-    with pytest.raises(ValueError, match="non-integer"):
+    with pytest.raises(FormatError, match="non-integer"):
         load_edge_list(nonint, num_joints=3)
+
+    outside = tmp_path / "outside.txt"
+    outside.write_text("0 1\n1 99\n")
+    with pytest.raises(FormatError, match=re.escape(f"{outside}: edge (1, 99) outside 0..2")):
+        load_edge_list(outside, num_joints=3)
 
     disconnected = tmp_path / "disc.txt"
     disconnected.write_text("0 1\n")

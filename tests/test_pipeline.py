@@ -196,6 +196,17 @@ def test_run_synth_writes_datasets_and_manifest(tmp_path):
     assert manifest["outputs"]["train.skl1"] == formats.sha256_file(paths["train"])
 
 
+def test_run_synth_draws_test_items_of_the_train_motions(tmp_path):
+    config = _small_synth_config(tmp_path / "work", synth_classes=4, synth_test_per_class=2)
+    run_synth(config)
+    train, test = (formats.read_dataset(artifact_paths(config)[split]) for split in SPLITS)
+    rows = np.stack([seq.data.ravel() for seq in train.samples])
+    for seq in test.samples:
+        gaps = np.abs(rows - seq.data.ravel()).max(axis=1)
+        assert gaps.min() > 0  # a new draw, not a copy of a train item
+        assert train.samples[int(np.argmin(gaps))].label == seq.label
+
+
 def test_run_synth_manifest_identical_across_workdirs(tmp_path):
     manifests = []
     for name in ("a", "b"):
