@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class MpjpeStats:
         return self.total / self.evaluated if self.evaluated else None
 
     def __add__(self, other: MpjpeStats) -> MpjpeStats:
-        return MpjpeStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return MpjpeStats(*(getattr(self, f.name) + getattr(other, f.name)
+                            for f in fields(self)))
 
 
 @dataclass
@@ -111,7 +112,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
 def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
     """Summed Euclidean error over recovered joint instances vs the record."""
     by_id = {seq.sample_id: seq for seq in imputed.samples}
-    stats = MpjpeStats()
+    total, evaluated, excluded = 0.0, 0, 0
     for sid, (idx, values) in record.entries.items():
         seq = by_id.get(sid)
         if seq is None:
@@ -124,9 +125,10 @@ def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
         got = seq.data[:, idx[:, 0], idx[:, 1], idx[:, 2]].T.astype(np.float64)  # [n, 3]
         finite = np.isfinite(got).all(axis=1)
         diff = got[finite] - values[finite].astype(np.float64)
-        stats += MpjpeStats(float(np.sqrt((diff * diff).sum(axis=1)).sum()),
-                            int(finite.sum()), int((~finite).sum()))
-    return stats
+        total += float(np.sqrt((diff * diff).sum(axis=1)).sum())
+        evaluated += int(finite.sum())
+        excluded += int((~finite).sum())
+    return MpjpeStats(total, evaluated, excluded)
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +78,8 @@ class SampleCounts:
     unimputable: int = 0
 
     def __add__(self, other: SampleCounts) -> SampleCounts:
-        return SampleCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return SampleCounts(*(getattr(self, f.name) + getattr(other, f.name)
+                              for f in fields(self)))
 
 
 @dataclass
