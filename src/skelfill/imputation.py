@@ -30,6 +30,17 @@ and ``_weighted_fill`` fills each column of a [candidate, column] matrix.
 The engine calls each once per target for all of its holes; ``find_donors``
 and ``impute_value`` call them on one column, so the scalar API computes
 exactly what the engine does.
+
+The engine finds donors in two passes.  The bounds pass runs once per
+cluster: matrix products over column blocks give, for every target with a
+hole against every pool row, a proven lower and upper bound on the value
+whose square root is the distance (``_distance_bounds``).  The exact pass
+runs per target, on a shortlist: the rows usable for some hole whose lower
+bound does not exceed that hole's k-th smallest upper bound
+(``_shortlist``).  Every row that can be among a hole's first k donors, ties
+included, is on it, so ``_ordered_donors``, ``_first_k`` and
+``_weighted_fill`` on the shortlist give the donors, weights and summation
+order of the whole pool: a row left out would only have added ``-0.0``.
 """
 
 from __future__ import annotations
@@ -218,6 +229,15 @@ def _ordered_donors(
 # their sample indices [n] in the training set.
 Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+# Column width of one block of the bounds pass.  The products of one block of
+# a typical cluster (17 targets by 17 members: 17 * 17 * 512 multiply-adds)
+# stay under OpenBLAS's single-thread size (m * n * k <= 65536 * 4), above
+# which its thread pool makes such small products several times slower.
+# 2048-column blocks slowed the synth-default benchmark workload and raised
+# peak RSS on its 180-member coarse-sparse cluster.  The float64 slices of a
+# block bound the pass's working memory whatever L is.
+BLOCK_COLUMNS = 512
+
 
 def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
     rows = np.array([dataset.samples[i].data.ravel() for i in members], np.float32)
@@ -229,19 +249,92 @@ def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
     return {int(label): np.flatnonzero(labels == label) for label in np.unique(labels)}
 
 
+def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo``, ``hi`` [target, member] on the value whose square root
+    ``_distances_to_members`` returns, ``length / counts * ignored``, for
+    every target row against every member row; +inf for both where the two
+    rows share no present coordinate.  ``lo`` is low enough that a row whose
+    distance rounds to the same float as another's is not cut off by it."""
+    (a_rows, a_present, _), (b_rows, b_present, _) = targets, pool
+    shape, length = (a_rows.shape[0], b_rows.shape[0]), a_rows.shape[1]
+    q1, q2, x, c = (np.zeros(shape) for _ in range(4))
+    # with no target (rate 0) or no member there is nothing to bound
+    for start in range(0, length, BLOCK_COLUMNS) if all(shape) else ():
+        cols = slice(start, start + BLOCK_COLUMNS)
+        pa = a_present[:, cols].astype(np.float64)
+        pb = b_present[:, cols].astype(np.float64)
+        a = np.where(a_present[:, cols], a_rows[:, cols], 0).astype(np.float64)
+        b = np.where(b_present[:, cols], b_rows[:, cols], 0).astype(np.float64)
+        q1 += (a * a) @ pb.T
+        q2 += pa @ (b * b).T
+        x += a @ b.T
+        c += pa @ pb.T
+    # Proof.  u = 2**-53 and g(n) = n*u / (1 - n*u).  Over the c positions
+    # both rows have, with values a of the target and b of the member, let
+    # S = sum((b - a)**2) and T = sum(a**2 + b**2), so S <= 2T.  The rows are
+    # float32, so every a*a, b*b and a*b is exact in float64, c is an exact
+    # count, and nothing comes near float64's underflow or overflow.
+    # 1. The loop rounds b - a, its square, and then L additions in some
+    #    order, so its sum I obeys |I - S| <= g(L+2) S <= 2 g(L+2) T.
+    # 2. s = q1 + q2 - 2x adds the 3c exact terms a*a, b*b, -2ab and exact
+    #    zeros in some order of float64 additions, whatever the BLAS kernel
+    #    and block order (an FMA rounds once), so |s - S| <= g(3L) 2T, as
+    #    |2ab| <= a*a + b*b.  total adds nonnegative terms, so T <= total
+    #    / (1 - g(L+1)).
+    # 3. The loop's value is v = fl(r I), with r = fl(L / c) the same float
+    #    as here, and the distance is fl(sqrt(v)).  Rounding is monotone and
+    #    I is a float, so hi = fl(r fl(s + err)) >= v once err >= |I - s|.
+    #    Sorting compares fl(sqrt(v)), and fl(sqrt(v')) <= fl(sqrt(v))
+    #    implies v' <= v / (1 - 4u); so each lo must be at most (1 - 4u) v.
+    #    lo <= r (s - err) (1 + u)**2, v >= r I (1 - u), and (1 - 7u)
+    #    (1 + u)**2 <= (1 - 4u) (1 - u), so err >= |I - s| + 7u I is enough.
+    # 4. By 1 and 2, with I <= 2 (1 + g(L+2)) T: |I - s| + 7u I <= (g(8L+4)
+    #    + g(14)) (1 + g(L+2)) T <= g(11L+23) (1 - u) total, so err =
+    #    fl(32 (L+2) u total) >= g(16L+32) (1 - u) total is enough.
+    total = q1 + q2
+    s = total - 2.0 * x
+    err = 32 * (length + 2) * 2.0**-53 * total
+    ratio = length / np.maximum(c, 1.0)
+    lo = ratio * np.maximum(s - err, 0.0)
+    hi = ratio * (s + err)
+    lo[c == 0] = hi[c == 0] = np.inf
+    return lo, hi
+
+
+def _shortlist(usable: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    """The rows of a [member, hole] ``usable`` matrix that can be among the
+    first k usable rows of some hole in neighbour order, given each row's
+    ``lo`` and ``hi`` from ``_distance_bounds``.  At least k rows of a hole
+    lie within its k-th smallest ``hi``, so a row whose ``lo`` exceeds that
+    comes after the hole's k-th donor; with fewer than k usable rows every
+    one is kept."""
+    usable = usable & np.isfinite(lo)[:, None]  # a row with no overlap has no distance
+    cut = np.where(usable, hi[:, None], np.inf)
+    limit = np.partition(cut, k - 1, axis=0)[k - 1] if len(cut) >= k else np.inf
+    return (usable & (lo[:, None] <= limit)).any(axis=1)
+
+
 def _fill_one_target(
-    seq: SkeletonSequence, pool: Pool, k: int, trace: dict | None
+    seq: SkeletonSequence,
+    pool: Pool,
+    bounds: tuple[np.ndarray, np.ndarray] | None,
+    k: int,
+    trace: dict | None,
 ) -> tuple[np.ndarray, SampleCounts]:
     """A float32 copy of one sample's data with every missing joint instance
-    imputed, and the sample's counts.  A train target is a member of its
-    own pool, but its own row lacks every one of its holes, so it is never
-    taken as a donor."""
+    imputed, and the sample's counts.  ``bounds`` holds the target's row of
+    ``_distance_bounds`` against ``pool``, or None when it has no hole.  A
+    train target is a member of its own pool, but its own row lacks every
+    one of its holes, so it is never taken as a donor."""
     data = seq.data.astype(np.float32)
     flat = data.reshape(-1)
     present = np.isfinite(flat)
     holes = np.flatnonzero(np.isnan(data).all(axis=0))  # channel-0 positions, C order
-    # a target with no hole takes no donor, so it gets an empty pool, [0, L]
-    rows, member_present, refs = (part if holes.size else part[:0] for part in pool)
+    if holes.size:
+        keep = _shortlist(pool[1][:, holes], *bounds, k)
+    else:  # a target with no hole takes no donor, so it gets an empty pool, [0, L]
+        keep = np.zeros(pool[2].size, dtype=bool)
+    rows, member_present, refs = (part[keep] for part in pool)
     order, dist = _ordered_donors(rows, member_present, refs, flat, present)
     take = _first_k(member_present[order[:, None], holes], k)  # [candidate, hole]
     found = take.any(axis=0)
@@ -268,9 +361,13 @@ def _fill_split(
     donors from ``pools[label]``."""
 
     def run_group(label: int) -> list[tuple[int, tuple[np.ndarray, SampleCounts]]]:
-        pool = pools[label]
-        return [(i, _fill_one_target(dataset.samples[i], pool, k, trace))
-                for i in groups[label].tolist()]
+        pool, targets = pools[label], groups[label]
+        holed = targets[[np.isnan(dataset.samples[i].data).all(axis=0).any()
+                         for i in targets.tolist()]]
+        lo, hi = _distance_bounds(_pool(dataset, holed), pool)
+        bounds = dict(zip(holed.tolist(), zip(lo, hi)))
+        return [(i, _fill_one_target(dataset.samples[i], pool, bounds.get(i), k, trace))
+                for i in targets.tolist()]
 
     labels = sorted(groups)
     if threads > 1:

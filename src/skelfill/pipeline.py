@@ -461,6 +461,8 @@ def run_embed(config: PipelineConfig) -> dict:
             matrix = embedding.embed_baseline(dataset, graph=graph)
         embedding.save_embeddings(matrix, paths[f"emb_{split}"])
         outputs.append(paths[f"emb_{split}"])
+    if config.embedding_source != "external" and config.edge_list is not None:
+        inputs.append(Path(config.edge_list))  # the bones the embeddings were computed over
     params = {
         "source": config.embedding_source, "edge_list": config.edge_list,
         "external_train": config.embeddings_train, "external_test": config.embeddings_test,

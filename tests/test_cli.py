@@ -343,6 +343,24 @@ def test_bad_embed_input_names_its_file(tmp_path, capsys, case, code):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_embed_manifest_hashes_the_edge_list(tmp_path):
+    # bones.txt is rewritten in place between two runs: same path, other bones
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
+    assert main(["occlude", "--workdir", str(work), "--seed", "1", "--rate", "0.2"]) == 0
+    bones = tmp_path / "bones.txt"
+    manifests = []
+    for edges in ([(i, i + 1) for i in range(24)], [(0, i) for i in range(1, 25)]):
+        bones.write_text("".join(f"{a} {b}\n" for a, b in edges))
+        assert main(["embed", "--workdir", str(work), "--edge-list", str(bones)]) == 0
+        manifests.append(json.loads((work / "manifest_embed.json").read_text()))
+    first, second = manifests
+    assert first["outputs"] != second["outputs"]
+    assert first["inputs"]["bones.txt"] != second["inputs"]["bones.txt"]
+    assert second["inputs"]["bones.txt"] == formats.sha256_file(bones)
+    assert first["inputs"].keys() - {"bones.txt"} == {"train_occluded.skl1", "test_occluded.skl1"}
+
+
 def test_impute_rejects_a_partly_nan_instance_exits_4(tmp_path, capsys):
     work = str(tmp_path / "work")
     fmt = ["--workdir", work, "--format", "csv"]

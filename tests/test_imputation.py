@@ -22,6 +22,8 @@ from skelfill import (
 from skelfill.errors import EmptyDonorSet, LabelMismatch, NoOverlap
 from skelfill import imputation
 from skelfill.imputation import _first_k, _weighted_fill
+from skelfill.occlusion import occlude_random
+from skelfill.synth import make_corpus
 
 
 def flat(values, ref=0) -> FlatSample:
@@ -350,6 +352,135 @@ def test_a_target_with_no_hole_computes_no_distance(monkeypatch):
     for before, after in zip(train.samples + test.samples[:1], out.samples + out_test.samples[:1]):
         assert bits_equal(before.data, after.data)
     assert report.test["te1"].imputed == 3
+
+
+def shortlist_corpus(offset: float, seed: int) -> Dataset:
+    """One cluster at synth scale that stresses the shortlist's bounds.
+    Values are ``offset`` plus differences of about 1e-3 (offset 1e4) or 1
+    (offset 0).  Coordinate (0, 0, 0, 0) is 0 except in the near copies and
+    q, and joint instance (0, 0, 1) is present in rows 0 and 1 alone."""
+    rng = np.random.default_rng(seed)
+    shape, spread = (3, 50, 25, 2), 1e-3 if offset else 1.0
+
+    def row(values):
+        data = np.array(values, dtype=np.float32)
+        data[:, rng.random(shape[1:]) < 0.1] = np.nan
+        data[:, 0, 0, 1] = np.nan
+        data[0, 0, 0, 0] = 0.0
+        return data
+
+    base = offset + spread * rng.uniform(-1, 1, size=shape)
+    rows = [row(base + spread * rng.uniform(-0.3, 0.3, size=shape)) for _ in range(14)]
+    rows[0][:, 0, 0, 1] = rows[1][:, 0, 0, 1] = offset  # fewer than k donors there
+    rows += [rows[3].copy(), rows[3].copy(), rows[5].copy()]  # exact ties under other refs
+    # near copies of row 7: their distances to a target differ from row 7's by
+    # about j/2 units in the last place before the square root
+    squares = [np.nansum((data.astype(np.float64) - rows[7]) ** 2) for data in rows]
+    for j in range(1, 5):
+        near = rows[7].copy()
+        near[0, 0, 0, 0] = np.sqrt(j * 2.0**-53 * np.median(squares))
+        rows.append(near)
+    # closer to row 7 than to any other row: row 7 and its near copies come first
+    rows += [row(rows[7] + spread * rng.uniform(-0.01, 0.01, size=shape)) for _ in range(3)]
+    # equal to offset: at offset 0 their distance to each other and its bounds are 0
+    rows += [row(np.full(shape, offset)) for _ in range(2)]
+    # for target w, q is 2e-7 farther than p, well inside q's bounds: w and q
+    # share the large coordinates z, which p misses and which widen q's bounds
+    z = (slice(None), slice(1, 11), 1, 0)
+    values = base + spread * rng.uniform(-0.3, 0.3, size=shape)
+    values[z] = offset + 1000 * spread
+    w, p = row(values), row(values + spread * rng.uniform(-0.01, 0.01, size=shape))
+    w[z], p[z] = values[z], np.nan
+    both = np.isfinite(w) & np.isfinite(p)
+    gap = np.sum((p[both].astype(np.float64) - w[both]) ** 2)
+    q = p.copy()
+    q[z] = w[z]
+    q[0, 0, 0, 0] = np.sqrt(gap * (both.sum() + w[z].size) / both.sum() * (1 + 2e-7) - gap)
+    rows += [w, p, q]
+    # present exactly where row 0 is missing: no overlap with row 0
+    apart = np.where(np.isnan(rows[0]), rows[2], np.nan).astype(np.float32)
+    apart[:, 0, 0, 1] = np.nan  # keeps rows 0 and 1 the only donors there
+    rows.append(apart)
+    return dataset_of(*[seq_of(data, f"s{i:02d}") for i, data in enumerate(rows)])
+
+
+def full_pool_fill(seq, pool, k):
+    """A target's filled data and donors, from ``_ordered_donors``,
+    ``_first_k`` and ``_weighted_fill`` on every row of the pool."""
+    rows, member_present, refs = pool
+    data = seq.data.astype(np.float32)
+    flat = data.reshape(-1)
+    holes = np.flatnonzero(np.isnan(data).all(axis=0))
+    order, dist = imputation._ordered_donors(rows, member_present, refs, flat, np.isfinite(flat))
+    take = _first_k(member_present[order[:, None], holes], k)
+    found = take.any(axis=0)
+    pos = (holes[found] + np.arange(3)[:, None] * (flat.size // 3)).ravel()
+    values = rows[order[:, None], pos].astype(np.float64)
+    flat[pos] = _weighted_fill(dist, values, np.tile(take[:, found], 3))
+    donors = {}
+    for hole, chosen in zip(holes[found], take[:, found].T):
+        t, v, m = (int(i) for i in np.unravel_index(hole, data.shape[1:]))
+        donors[(seq.sample_id, t, v, m)] = tuple(refs[order[chosen]].tolist())
+    return data, donors, dist
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("k", [1, 5])
+def test_shortlist_gives_the_full_pool_donors(offset, k):
+    dataset = shortlist_corpus(offset, seed=151)
+    n = len(dataset.samples)
+    trace: dict = {}
+    imputed, _, _ = impute_dataset(dataset, labels_for(dataset, [0] * n), k=k, trace=trace)
+    pool = imputation._pool(dataset, np.arange(n))
+    donors: dict = {}
+    ties = near = short = 0
+    for seq, out in zip(dataset.samples, imputed.samples):
+        data, chosen, dist = full_pool_fill(seq, pool, k)
+        assert bits_equal(out.data, data)
+        donors |= chosen
+        gaps = np.diff(dist)
+        ties += int((gaps == 0).sum())
+        near += int(((gaps > 0) & (gaps <= 4 * np.spacing(dist[1:]))).sum())
+        short += sum(0 < len(refs) < k for refs in chosen.values())
+    assert trace == donors
+    assert ties and (short or k == 1) and (near or offset)  # the corpus has what it claims
+
+
+def test_distance_bounds_hold_for_every_pair():
+    for offset in (0.0, 1e4):
+        dataset = shortlist_corpus(offset, seed=151)
+        pool = imputation._pool(dataset, np.arange(len(dataset.samples)))
+        rows, member_present, _ = pool
+        lo, hi = imputation._distance_bounds(pool, pool)
+        for target, (row_lo, row_hi) in enumerate(zip(lo, hi)):
+            # the value the loop takes the square root of, as it computes it
+            vector = rows[target].astype(np.float64)
+            both = member_present & member_present[target]
+            counts = both.sum(axis=1)
+            diff = np.where(both, rows - vector, 0.0)
+            ignored = (diff * diff).sum(axis=1)
+            valid = counts > 0
+            value = rows.shape[1] / counts[valid] * ignored[valid]
+            dist = imputation._distances_to_members(rows, member_present, vector, member_present[target])
+            assert bits_equal(np.sqrt(value), dist[valid])
+            assert (row_lo[valid] <= value).all() and (value <= row_hi[valid]).all()
+            assert np.isinf(row_lo[~valid]).all() and np.isinf(row_hi[~valid]).all()
+        assert np.isinf(lo[0, -1])  # the row apart from row 0
+
+
+def test_the_exact_pass_sees_a_shortlist(monkeypatch):
+    # 120 samples of 10 motions in one cluster: the exact distances of each
+    # target are computed on a shortlist, not on the whole pool
+    clean = make_corpus(classes=10, per_class=12, frames=20, seed=157)
+    dataset, _ = occlude_random(clean, rate=0.1, seed=157)
+    n = len(dataset.samples)
+    rows = []
+    kernel = imputation._distances_to_members
+    monkeypatch.setattr(imputation, "_distances_to_members",
+                        lambda members, *rest: rows.append(len(members)) or kernel(members, *rest))
+    _, _, report = impute_dataset(dataset, labels_for(dataset, [0] * n), k=5)
+    assert len(rows) == n and 0 < sum(rows) <= n * n / 4
+    assert report.totals().imputed == report.totals().missing > 0
 
 
 def test_impute_dataset_rejects_misaligned_labels():
