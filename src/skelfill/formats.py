@@ -26,7 +26,8 @@ Each coordinate is the ``repr`` of the float64 its float32 widens to, the
 shortest text that reads back to the same float32, and ``nan`` when it is
 missing.  Lines end in CRLF, an unlabelled sample has an empty label, and
 the sample id is quoted as RFC 4180 requires (by :mod:`csv`).  The reader
-refuses a sample that lacks the row of some (t, v, m) or repeats one.
+refuses a sample that lacks the row of some (t, v, m) or repeats one.  Both
+readers read a label below 0 as none.
 
 Labels CSV::
 
@@ -51,6 +52,7 @@ from .errors import FormatError
 
 SKL1_MAGIC = b"SKL1"
 _INVALID = "joint instance partly NaN or not finite"
+_DEFAULT_NAN = np.float32(np.nan)
 
 
 def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
@@ -93,6 +95,25 @@ def _infer_body_present(data: np.ndarray) -> np.ndarray:
     if not present.any():
         present[0] = True  # degenerate all-zero sample still owns slot 0
     return present
+
+
+def _sample_as_read(
+    data: np.ndarray, sample_id: str, label: int | None, path: str | Path, fmt: str
+) -> SkeletonSequence:
+    """One sample as a read of the ``fmt`` file ``path`` returns it: float32
+    data, refused when a joint instance is invalid; no label for one below
+    0; and the body slots :func:`_infer_body_present` finds."""
+    data = np.ascontiguousarray(data, dtype=np.float32)
+    bad = first_invalid_instance(data)
+    if bad is not None:
+        where = f"{path}:{_last_csv_line(path, sample_id, bad)}" if fmt == "csv" else path
+        raise FormatError(f"{where}: sample {sample_id!r}: {_INVALID} at (t, v, m) = {bad}")
+    return SkeletonSequence(
+        data=data,
+        sample_id=sample_id,
+        label=None if label is None or label < 0 else int(label),
+        body_present=_infer_body_present(data),
+    )
 
 
 def _check_one_shape(samples: list[SkeletonSequence], where: str = "") -> None:
@@ -139,17 +160,7 @@ def read_skl1(path: str | Path, split_tag: str = "train") -> Dataset:
             (label,) = struct.unpack("<i", read_exact(handle, 4, "label"))
             raw = read_exact(handle, slab_bytes, f"data of {sample_id}")
             data = np.frombuffer(raw, dtype="<f4").reshape(c, t, v, m).copy()
-            bad = first_invalid_instance(data)
-            if bad is not None:
-                raise FormatError(f"{path}: sample {sample_id!r}: {_INVALID} at (t, v, m) = {bad}")
-            samples.append(
-                SkeletonSequence(
-                    data=data,
-                    sample_id=sample_id,
-                    label=None if label < 0 else int(label),
-                    body_present=_infer_body_present(data),
-                )
-            )
+            samples.append(_sample_as_read(data, sample_id, label, path, "skl1"))
         if handle.read(1):
             raise FormatError(f"{path}: trailing bytes after {n} records")
     return Dataset.from_sequences(samples, split_tag=split_tag)
@@ -196,7 +207,7 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
             sid = row[0]
             try:
                 if sid not in rows:
-                    labels[sid] = int(row[1]) if row[1] not in ("", "-1") else None
+                    labels[sid] = int(row[1]) if row[1] else None
                     rows[sid] = []
                     order.append(sid)
                 t, v, m = int(row[2]), int(row[3]), int(row[4])
@@ -228,18 +239,7 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
                               f"for (t, v, m) = {first}, expected exactly 1")
         data = np.empty((NUM_CHANNELS, *shape), dtype=np.float32)
         data.reshape(NUM_CHANNELS, -1)[:, flat] = table[:, 3:].T
-        bad = first_invalid_instance(data)
-        if bad is not None:
-            line = _last_csv_line(path, sid, bad)
-            raise FormatError(f"{path}:{line}: sample {sid!r}: {_INVALID} at (t, v, m) = {bad}")
-        samples.append(
-            SkeletonSequence(
-                data=data,
-                sample_id=sid,
-                label=labels[sid],
-                body_present=_infer_body_present(data),
-            )
-        )
+        samples.append(_sample_as_read(data, sid, labels[sid], path, "csv"))
     _check_one_shape(samples, f"{path}: ")
     return Dataset.from_sequences(samples, split_tag=split_tag)
 
@@ -260,6 +260,29 @@ def write_dataset(dataset: Dataset, path: str | Path, fmt: str = "skl1") -> None
         write_dataset_csv(dataset, path)
     else:
         raise FormatError(f"unknown dataset format {fmt!r}")
+
+
+def dataset_as_written(dataset: Dataset, path: str | Path, fmt: str, split_tag: str) -> Dataset:
+    """What ``read_dataset(path, split_tag)`` returns once
+    ``write_dataset(dataset, path, fmt)`` has written ``path``, built without
+    reading it back; an invalid joint instance raises the read's
+    :class:`FormatError`.  A CSV file holds every NaN as ``nan``, which
+    reads back as the default NaN whatever its payload was."""
+    samples = []
+    for seq in dataset.samples:
+        data = _default_nans(seq.data) if fmt == "csv" else seq.data
+        samples.append(_sample_as_read(data, seq.sample_id, seq.label, path, fmt))
+    return Dataset.from_sequences(samples, split_tag=split_tag)
+
+
+def _default_nans(data: np.ndarray) -> np.ndarray:
+    """``data`` as float32 with every NaN the default NaN; a new array only
+    when some NaN differs from it."""
+    data = np.asarray(data, dtype=np.float32)
+    nan = np.isnan(data)
+    if (data[nan].view(np.uint32) == _DEFAULT_NAN.view(np.uint32)).all():
+        return data
+    return np.where(nan, _DEFAULT_NAN, data)
 
 
 def read_dataset(path: str | Path, split_tag: str = "train") -> Dataset:

@@ -8,6 +8,16 @@ identical inputs and config produce byte-identical outputs.  What varies
 between runs, each stage's wall time and peak RSS, goes only into the
 summary it returns (see :func:`_timed`).
 
+Within one :func:`run_pipeline`, datasets also pass from stage to stage in
+memory, through a hand-off table (:data:`Handoff`).  Each dataset write
+enters the file's SHA-256 and the dataset exactly as a read of the file
+returns it (:func:`formats.dataset_as_written`).  Each dataset read hashes
+the file and takes the table's dataset only when the digests agree; else it
+reads the file.  Those digests are the ones the manifests record, so no
+file is hashed twice.  A file changed on disk is read again, and a stage
+run on its own has no table and reads from disk.  ``run_eval``, the last
+reader of every dataset, drops each entry as it reads it.
+
 Config files are plain ``key = value`` text: blank lines and ``#`` comments
 are skipped, keys may be written dotted (``occlusion.rate``) or with
 underscores (``occlusion_rate``), lists are comma-separated.
@@ -43,7 +53,7 @@ from .data import (
     preprocess_relative,
     to_canonical,
 )
-from .errors import ConfigError, EmptyCapture, MalformedCapture, MissingArtifact
+from .errors import ConfigError, EmptyCapture, FormatError, MalformedCapture, MissingArtifact
 from .graph import load_edge_list
 
 _ACTION_ID = re.compile(r"A(\d{3})")
@@ -239,13 +249,43 @@ def _splits(config: PipelineConfig, key: str, stage: str, hint: str) -> list[str
             if split == "train" or paths[key.format(split=split)].exists()]
 
 
-def _write_datasets(config: PipelineConfig, datasets: dict[str, Dataset], key: str) -> list[Path]:
+# dataset path -> (SHA-256 of the file as written, the dataset a read of it
+# returns): what one ``run_pipeline`` hands from stage to stage
+Handoff = dict[Path, tuple[str, Dataset]]
+
+
+def _write_datasets(
+    config: PipelineConfig, datasets: dict[str, Dataset], key: str,
+    handoff: Handoff | None, digests: dict[Path, str],
+) -> list[Path]:
     """Write each split's dataset to ``key`` (as in :func:`_splits`) in the
-    configured format; return the paths written."""
+    configured format, put its digest in ``digests`` and its entry in
+    ``handoff``; return the paths written."""
     paths = [artifact_paths(config)[key.format(split=split)] for split in datasets]
-    for path, dataset in zip(paths, datasets.values()):
+    for path, (split, dataset) in zip(paths, datasets.items()):
         formats.write_dataset(dataset, path, config.dataset_format)
+        digests[path] = formats.sha256_file(path)
+        if handoff is not None:
+            try:
+                as_read = formats.dataset_as_written(dataset, path, config.dataset_format, split)
+            except FormatError:
+                continue  # a read refuses the file, so the stage that reads it raises
+            handoff[path] = (digests[path], as_read)
     return paths
+
+
+def _read_dataset(
+    path: Path, split: str, handoff: Handoff | None, digests: dict[Path, str], last: bool = False
+) -> Dataset:
+    """The dataset in ``path``: the one ``handoff`` holds for the file's
+    digest, else the file read.  The digest goes into ``digests``; ``last``
+    drops the entry, for the stage that reads the file last."""
+    digest = digests[path] = formats.sha256_file(path)
+    if handoff is not None:
+        entry = handoff.pop(path, None) if last else handoff.get(path)
+        if entry is not None and entry[0] == digest:
+            return entry[1]
+    return formats.read_dataset(path, split_tag=split)
 
 
 def _config_hash(params: dict) -> str:
@@ -261,15 +301,23 @@ def _relative_name(path: Path, work: Path) -> str:
 
 
 def _write_manifest(
-    config: PipelineConfig, stage: str, params: dict, inputs: list[Path], outputs: list[Path]
+    config: PipelineConfig, stage: str, params: dict, inputs: list[Path], outputs: list[Path],
+    digests: dict[Path, str] | None = None,
 ) -> None:
+    """Record the stage; a file without an entry in ``digests`` is hashed here."""
     work = config.workpath()
+    digests = digests or {}
+
+    def listing(files: list[Path]) -> dict[str, str]:
+        return {_relative_name(p, work): digests.get(p) or formats.sha256_file(p)
+                for p in sorted(files)}
+
     manifest = {
         "stage": stage,
         "config_hash": _config_hash(params),
         "params": params,
-        "inputs": {_relative_name(p, work): formats.sha256_file(p) for p in sorted(inputs)},
-        "outputs": {_relative_name(p, work): formats.sha256_file(p) for p in sorted(outputs)},
+        "inputs": listing(inputs),
+        "outputs": listing(outputs),
     }
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     (work / f"manifest_{stage}.json").write_text(text)
@@ -298,9 +346,9 @@ def _timed(stage):
     ``peak_rss_mb`` so far.  They are added after the stage has written its
     manifest, so they never reach a manifest or a report."""
     @functools.wraps(stage)
-    def run(config: PipelineConfig) -> dict:
+    def run(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         start = time.perf_counter()
-        summary = stage(config)
+        summary = stage(config, handoff=handoff)
         summary["seconds"] = time.perf_counter() - start
         summary["peak_rss_mb"] = _peak_rss_mb()
         return summary
@@ -319,7 +367,7 @@ def _check_center_joint(config: PipelineConfig, num_joints: int) -> None:
 
 
 @_timed
-def run_ingest(config: PipelineConfig) -> dict:
+def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Parse captures, canonicalise, make them relative, split train and test."""
     if config.input is None:
         raise ConfigError("ingest needs an input file or directory")
@@ -357,19 +405,20 @@ def run_ingest(config: PipelineConfig) -> dict:
     datasets = {split: Dataset.from_sequences(seqs, split) for split, seqs in chosen.items() if seqs}
 
     config.workpath().mkdir(parents=True, exist_ok=True)
-    outputs = _write_datasets(config, datasets, "{split}")
+    digests = {}
+    outputs = _write_datasets(config, datasets, "{split}", handoff, digests)
     params = {
         "input": str(source), "target_frames": config.target_frames,
         "max_bodies": config.max_bodies, "center_joint": config.center_joint,
         "test_frac": config.test_frac, "seed": config.stage_seed("ingest"),
         "dataset_format": config.dataset_format,
     }
-    _write_manifest(config, "ingest", params, files, outputs)
+    _write_manifest(config, "ingest", params, files, outputs, digests)
     return _summary("ingest", outputs, **_sample_counts(datasets))
 
 
 @_timed
-def run_synth(config: PipelineConfig) -> dict:
+def run_synth(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Generate the bundled synthetic corpus in place of ingest."""
     _check_center_joint(config, config.synth_joints)
     if config.target_frames < 2:
@@ -386,14 +435,15 @@ def run_synth(config: PipelineConfig) -> dict:
                 [preprocess_relative(s, config.center_joint) for s in corpus.samples], split
             )
     config.workpath().mkdir(parents=True, exist_ok=True)
-    outputs = _write_datasets(config, datasets, "{split}")
+    digests = {}
+    outputs = _write_datasets(config, datasets, "{split}", handoff, digests)
     params = {
         "classes": config.synth_classes, "per_class": config.synth_per_class,
         "test_per_class": config.synth_test_per_class, "frames": config.target_frames,
         "joints": config.synth_joints, "seed": config.seed,
         "center_joint": config.center_joint, "dataset_format": config.dataset_format,
     }
-    _write_manifest(config, "synth", params, [], outputs)
+    _write_manifest(config, "synth", params, [], outputs, digests)
     return _summary("synth", outputs, **_sample_counts(datasets))
 
 
@@ -408,29 +458,28 @@ def _occlusion_spec(config: PipelineConfig) -> occlusion.OcclusionSpec:
 
 
 @_timed
-def run_occlude(config: PipelineConfig) -> dict:
+def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Hide joints; the clean split stays their ground truth."""
     spec = _occlusion_spec(config)
     paths = artifact_paths(config)
-    inputs, outputs, hidden = [], [], 0
+    inputs, outputs, digests, hidden = [], [], {}, 0
     for split in _splits(config, "{split}", "occlude", "ingest"):
         inputs.append(paths[split])
-        dataset = formats.read_dataset(paths[split], split_tag=split)
+        dataset = _read_dataset(paths[split], split, handoff, digests)
         num_joints = dataset.samples[0].num_joints
         bad = [j for j in spec.joints if not 0 <= j < num_joints]
         if spec.mode == "joint_targeted" and bad:
             raise ConfigError(f"occlusion_joints {bad} outside the {num_joints} joints "
                               f"of {paths[split]}")
         occluded, record = occlusion.apply_spec(dataset, spec)
-        formats.write_dataset(occluded, paths[f"{split}_occluded"], config.dataset_format)
-        outputs.append(paths[f"{split}_occluded"])
+        outputs += _write_datasets(config, {split: occluded}, "{split}_occluded", handoff, digests)
         hidden += record.total_instances()
     params = {
         "mode": spec.mode, "rate": spec.rate, "joints": list(spec.joints),
         "frame_fraction": spec.frame_fraction, "seed": spec.seed,
         "dataset_format": config.dataset_format,
     }
-    _write_manifest(config, "occlude", params, inputs, outputs)
+    _write_manifest(config, "occlude", params, inputs, outputs, digests)
     return _summary("occlude", outputs, hidden_instances=hidden)
 
 
@@ -442,13 +491,13 @@ def _embedding_graph(config: PipelineConfig, num_joints: int):
 
 
 @_timed
-def run_embed(config: PipelineConfig) -> dict:
+def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Compute or import per-sample embeddings."""
     paths = artifact_paths(config)
-    inputs, outputs = [], []
+    inputs, outputs, digests = [], [], {}
     for split in _splits(config, "{split}_occluded", "embed", "occlude"):
         inputs.append(paths[f"{split}_occluded"])
-        dataset = formats.read_dataset(paths[f"{split}_occluded"], split_tag=split)
+        dataset = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)
         if config.embedding_source == "external":
             external = getattr(config, f"embeddings_{split}")
             if external is None:
@@ -467,7 +516,7 @@ def run_embed(config: PipelineConfig) -> dict:
         "source": config.embedding_source, "edge_list": config.edge_list,
         "external_train": config.embeddings_train, "external_test": config.embeddings_test,
     }
-    _write_manifest(config, "embed", params, inputs, outputs)
+    _write_manifest(config, "embed", params, inputs, outputs, digests)
     return _summary("embed", outputs)
 
 
@@ -480,8 +529,10 @@ def _l2_rows(matrix: embedding.EmbeddingMatrix) -> embedding.EmbeddingMatrix:
 
 
 @_timed
-def run_cluster(config: PipelineConfig) -> dict:
-    """Fit k-means on the train embeddings and label both splits."""
+def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+    """Fit k-means on the train embeddings and label both splits.
+
+    It reads and writes no dataset, so ``handoff`` is left as it is."""
     paths = artifact_paths(config)
     inputs, outputs = [], [paths["model"]]
     for split in _splits(config, "emb_{split}", "cluster", "embed"):
@@ -512,42 +563,44 @@ def run_cluster(config: PipelineConfig) -> dict:
 
 
 @_timed
-def run_impute(config: PipelineConfig) -> dict:
+def run_impute(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Fill missing joints from neighbours within each cluster."""
     paths = artifact_paths(config)
     splits = _splits(config, "{split}_occluded", "impute", "occlude")
-    inputs, args = [], {}  # impute_dataset's arguments: train, train_labels, test, test_labels
+    inputs, digests, args = [], {}, {}  # args: train, train_labels, test, test_labels
     for split in splits:
         labels_path = _require(paths[f"labels_{split}"], "impute", "cluster")
         inputs += [paths[f"{split}_occluded"], labels_path]
-        args[split] = formats.read_dataset(paths[f"{split}_occluded"], split_tag=split)
+        args[split] = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)
         ids, values = formats.read_labels_csv(labels_path)
         args[f"{split}_labels"] = clustering.PseudoLabels(labels=values, sample_ids=ids)
 
     *imputed, report = imputation.impute_dataset(**args, k=config.neighbors, threads=config.threads)
-    outputs = _write_datasets(config, dict(zip(splits, imputed)), "{split}_imputed")
+    outputs = _write_datasets(
+        config, dict(zip(splits, imputed)), "{split}_imputed", handoff, digests)
     paths["imputation_report"].write_text(report.to_json() + "\n")
     outputs.append(paths["imputation_report"])
     params = {"neighbors": config.neighbors, "dataset_format": config.dataset_format}
-    _write_manifest(config, "impute", params, inputs, outputs)
+    _write_manifest(config, "impute", params, inputs, outputs, digests)
     return _summary("impute", outputs, **dataclasses.asdict(report.totals()))
 
 
 @_timed
-def run_eval(config: PipelineConfig) -> dict:
+def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
     paths = artifact_paths(config)
     seed_eval = config.stage_seed("eval")
-    inputs, imputed, records = [], {}, {}
+    inputs, digests, imputed, records = [], {}, {}, {}
     knn, baseline = evaluation.MpjpeStats(), evaluation.MpjpeStats()
     for split in _splits(config, "{split}_imputed", "eval", "impute"):
         clean_path = _require(paths[split], "eval", "ingest")
         occluded_path = _require(paths[f"{split}_occluded"], "eval", "occlude")
         inputs += [paths[f"{split}_imputed"], clean_path, occluded_path]
-        imputed[split] = formats.read_dataset(paths[f"{split}_imputed"], split_tag=split)
-        occluded = formats.read_dataset(occluded_path, split_tag=split)
+        # the last stage to read each dataset, so it drops the hand-off entries
+        imputed[split] = _read_dataset(paths[f"{split}_imputed"], split, handoff, digests, last=True)
+        occluded = _read_dataset(occluded_path, split, handoff, digests, last=True)
         record = records[split] = occlusion.OcclusionRecord.between(
-            formats.read_dataset(clean_path, split_tag=split), occluded)
+            _read_dataset(clean_path, split, handoff, digests, last=True), occluded)
         knn += evaluation.mpjpe(imputed[split], record)
         baseline += evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
 
@@ -583,7 +636,7 @@ def run_eval(config: PipelineConfig) -> dict:
         handle.write(",".join(report.csv_row()) + "\n")
     outputs = [paths["eval_json"], paths["eval_csv"]]
     params = {"seed": seed_eval}
-    _write_manifest(config, "eval", params, inputs, outputs)
+    _write_manifest(config, "eval", params, inputs, outputs, digests)
     return _summary(
         "eval", outputs,
         mpjpe_imputed=report.mpjpe_imputed, mpjpe_random=report.mpjpe_random,
@@ -592,11 +645,15 @@ def run_eval(config: PipelineConfig) -> dict:
 
 
 @_timed
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every stage in order, on the synthetic corpus when no input is set."""
+def run_pipeline(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+    """Run every stage in order, on the synthetic corpus when no input is set.
+
+    The stages hand datasets on through ``handoff``, a new table unless the
+    caller passes one."""
     _occlusion_spec(config)  # a bad occlusion setting fails before any stage writes
+    handoff = {} if handoff is None else handoff
     first = run_ingest if config.input is not None else run_synth
-    stages = [stage(config) for stage in
+    stages = [stage(config, handoff=handoff) for stage in
               (first, run_occlude, run_embed, run_cluster, run_impute, run_eval)]
     return {
         "stage": "pipeline",

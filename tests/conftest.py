@@ -40,6 +40,24 @@ def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    """``got`` equals ``want`` as a read returns it: ids in order, labels
+    (``None``, not -1), split tag, float32 data bit for bit with NaN
+    payloads, body slots and masks."""
+    assert got.split_tag == want.split_tag
+    assert got.sample_ids == want.sample_ids
+    assert [repr(s.label) for s in got.samples] == [repr(s.label) for s in want.samples]
+    assert len(got.masks) == len(got.samples)
+    for a, b, mask_a, mask_b in zip(got.samples, want.samples, got.masks, want.masks):
+        assert a.data.dtype == b.data.dtype == np.float32, a.sample_id
+        assert a.data.shape == b.data.shape, a.sample_id
+        assert np.array_equal(a.data.view(np.uint32), b.data.view(np.uint32)), a.sample_id
+        assert a.body_present.dtype == b.body_present.dtype == bool, a.sample_id
+        assert np.array_equal(a.body_present, b.body_present), a.sample_id
+        assert np.array_equal(mask_a.frame_mask, mask_b.frame_mask), a.sample_id
+        assert np.array_equal(mask_a.joint_row, mask_b.joint_row), a.sample_id
+
+
 def capture_text(frames) -> str:
     """Build capture text.  ``frames`` is a list of frames; each frame is a
     list of (body_id, coords) where coords is an iterable of (x, y, z)."""
@@ -53,3 +71,19 @@ def capture_text(frames) -> str:
             for x, y, z in coords:
                 lines.append(f"{x} {y} {z}")
     return "\n".join(lines) + "\n"
+
+
+def write_two_body_captures(directory, count: int = 6) -> None:
+    """``count`` two-body captures of four joints, named like NTU files of
+    two actions.  In the first, the second body sits motionless at one
+    point, so after ingest its slot is all zeros: present in memory, but
+    not in a dataset read back."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(31)
+    for i in range(count):
+        frames = []
+        for _ in range(6):
+            active = rng.uniform(-1, 1, size=(4, 3))
+            other = np.full((4, 3), 0.5) if i == 0 else rng.uniform(-0.2, 0.2, size=(4, 3))
+            frames.append([(1, active.tolist()), (2, other.tolist())])
+        (directory / f"S001C001P{i:03d}R001A{1 + i % 2:03d}.skeleton").write_text(capture_text(frames))

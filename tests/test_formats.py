@@ -9,13 +9,14 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import bits_equal, dataset_of, random_dataset, seq_of
+from conftest import assert_same_dataset, bits_equal, dataset_of, random_dataset, seq_of
 from skelfill.clustering import ClusterModel, load_model, save_model
 from skelfill.data import SkeletonSequence
 from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from skelfill.errors import FormatError
 from skelfill.formats import (
     SKL1_MAGIC,
+    dataset_as_written,
     read_dataset,
     read_dataset_csv,
     read_labels_csv,
@@ -306,6 +307,53 @@ def test_read_dataset_dispatches_on_magic(tmp_path):
 def test_write_dataset_rejects_unknown_format(tmp_path):
     with pytest.raises(FormatError):
         write_dataset(random_dataset(np.random.default_rng(0), 1), tmp_path / "x", "parquet")
+
+
+# ---- a dataset as its file reads back -------------------------------------
+
+def _unlike_its_read():
+    """Samples that a write and a read change: NaN payloads, a label below
+    0, float64 and non-contiguous data, and a second body slot of zeros
+    that the object calls present."""
+    rng = np.random.default_rng(23)
+    still = rng.uniform(-5, 5, size=(3, 2, 3, 2)).astype(np.float32)
+    still[:, :, :, 1] = 0.0
+    return dataset_of(
+        payload_dataset().samples[0],
+        seq_of(still, "still", label=2, body_present=[True, True]),
+        SkeletonSequence(data=rng.normal(size=(3, 2, 3, 2)), sample_id="wide", label=-5),
+        seq_of(still[:, ::-1], "reversed", label=-1),
+    )
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_dataset_as_written_is_what_the_file_reads_back(tmp_path, fmt):
+    dataset = _unlike_its_read()
+    path = tmp_path / f"d.{fmt}"
+    write_dataset(dataset, path, fmt)
+    read = read_dataset(path, split_tag="test")
+    assert_same_dataset(dataset_as_written(dataset, path, fmt, "test"), read)
+    # the cases differ between the object and its read
+    assert [seq.label for seq in read.samples] == [4, 2, None, None]
+    assert read.samples[1].body_present.tolist() == [True, False]
+    payload = read.samples[0].data[:, 1, 2, 0].view(np.uint32).tolist()
+    assert payload == ([0x7FC00123, 0xFFC00042, 0x7FC0BEEF] if fmt == "skl1" else [0x7FC00000] * 3)
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_dataset_as_written_raises_the_reads_error(tmp_path, fmt, value):
+    data = np.ones((3, 2, 2, 1), dtype=np.float32)
+    data[1, 1, 0, 0] = value
+    dataset = dataset_of(seq_of(np.ones_like(data), "good"), seq_of(data, "bad"))
+    path = tmp_path / f"d.{fmt}"
+    write_dataset(dataset, path, fmt)
+    with pytest.raises(FormatError) as read_error:
+        read_dataset(path)
+    with pytest.raises(FormatError) as error:
+        dataset_as_written(dataset, path, fmt, "train")
+    assert str(error.value) == str(read_error.value)
+    assert "'bad'" in str(error.value)
 
 
 # ---- labels ------------------------------------------------------------------

@@ -1,24 +1,29 @@
 """Stage orchestration: config parsing, seeds, artifact naming, manifests."""
 
 import dataclasses
+import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import capture_text
-from skelfill import Dataset, clustering, evaluation, formats
+from conftest import assert_same_dataset, capture_text, dataset_of, seq_of, write_two_body_captures
+from skelfill import Dataset, clustering, evaluation, formats, pipeline
 from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
-from skelfill.errors import ConfigError, MissingArtifact
+from skelfill.errors import ConfigError, FormatError, MissingArtifact
 from skelfill.occlusion import OcclusionRecord
 from skelfill.pipeline import (
     SPLITS,
     PipelineConfig,
+    _read_dataset,
+    _write_datasets,
     artifact_paths,
     load_config,
     run_cluster,
+    run_embed,
     run_eval,
     run_ingest,
     run_occlude,
@@ -379,3 +384,131 @@ def test_per_class_error_pools_every_split(tmp_path):
     reported = json.loads(paths["eval_json"].read_text())["per_class"]
     assert reported == {str(label): stats.mean_error for label, stats in pooled.items()}
     assert reported != {str(label): stats.mean_error for label, stats in test_only.items()}
+
+
+# ---- the hand-off inside one pipeline run ------------------------------------
+
+def _handoff_config(tmp_path, fmt: str, source: str) -> PipelineConfig:
+    """A small random-rate run in ``fmt``: on the synthetic corpus, or on an
+    ingest of two-body captures, one with a motionless second body."""
+    config = PipelineConfig(workdir=str(tmp_path / "work"), dataset_format=fmt, seed=5,
+                            clusters=2, neighbors=2, occlusion_rate=0.3)
+    if source == "ingest":
+        write_two_body_captures(tmp_path / "captures")
+        return dataclasses.replace(config, input=str(tmp_path / "captures"), target_frames=6,
+                                   test_frac=0.4)
+    return dataclasses.replace(config, synth_classes=2, synth_per_class=3,
+                               synth_test_per_class=1, target_frames=6, synth_joints=5)
+
+
+class CheckingHandoff(dict):
+    """A hand-off table that compares every dataset it hands out with a real
+    read of its file, and lists the files of those hits."""
+
+    def __init__(self, read):
+        super().__init__()
+        self.read, self.hits = read, []
+
+    def _check(self, path, entry):
+        if entry is not None and entry[0] == hashlib.sha256(Path(path).read_bytes()).hexdigest():
+            split = Path(path).stem.split("_")[0]
+            assert_same_dataset(entry[1], self.read(path, split_tag=split))
+            self.hits.append(Path(path).name)
+        return entry
+
+    def get(self, path, default=None):
+        return self._check(path, super().get(path, default))
+
+    def pop(self, path, default=None):
+        return self._check(path, super().pop(path, default))
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that logs each call's first argument."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["synth", "ingest"])
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_every_dataset_handed_off_is_what_its_file_reads_back(tmp_path, monkeypatch, fmt, source):
+    config = _handoff_config(tmp_path, fmt, source)
+    table = CheckingHandoff(formats.read_dataset)
+    reads = _counting(monkeypatch, formats, "read_dataset")
+    run_pipeline(config, handoff=table)
+    assert reads == []  # every read was a hit
+    # occlude and eval read {split}; embed, impute and eval {split}_occluded;
+    # eval {split}_imputed, and eval drops every entry
+    per_split = [""] * 2 + ["_occluded"] * 3 + ["_imputed"]
+    assert sorted(table.hits) == sorted(
+        f"{split}{suffix}.{fmt}" for split in SPLITS for suffix in per_split)
+    assert table == {}
+
+
+def test_a_dataset_changed_on_disk_is_read_again(tmp_path, monkeypatch):
+    config = _handoff_config(tmp_path, "skl1", "synth")
+    before = tmp_path / "before"
+    embed = pipeline.run_embed
+
+    def rewrite_then_embed(config, handoff=None):
+        paths = artifact_paths(config)
+        before.mkdir()
+        for split in SPLITS:
+            shutil.copy(paths[f"{split}_occluded"], before)
+        occluded = formats.read_dataset(paths["train_occluded"])
+        changed = [seq.with_data(seq.data * 2) for seq in occluded.samples]
+        formats.write_dataset(dataset_of(*changed), paths["train_occluded"])
+        return embed(config, handoff=handoff)
+
+    monkeypatch.setattr(pipeline, "run_embed", rewrite_then_embed)
+    run_pipeline(config)
+
+    def embedded_alone(workdir: Path) -> bytes:
+        alone = PipelineConfig(workdir=str(workdir))
+        run_embed(alone)
+        return artifact_paths(alone)["emb_train"].read_bytes()
+
+    after = tmp_path / "after"
+    after.mkdir()
+    for split in SPLITS:
+        shutil.copy(artifact_paths(config)[f"{split}_occluded"], after)
+    got = artifact_paths(config)["emb_train"].read_bytes()
+    assert got == embedded_alone(after)
+    assert got != embedded_alone(before)
+
+
+@pytest.mark.parametrize("fmt, source", [("skl1", "synth"), ("csv", "ingest")])
+def test_a_pipeline_reads_no_dataset_and_hashes_each_listed_file_once(
+        tmp_path, monkeypatch, fmt, source):
+    config = _handoff_config(tmp_path, fmt, source)
+    reads = _counting(monkeypatch, formats, "read_dataset")
+    hashed = _counting(monkeypatch, formats, "sha256_file")
+    run_pipeline(config)
+    assert reads == []
+    manifests = [json.loads(p.read_text()) for p in config.workpath().glob("manifest_*.json")]
+    assert len(manifests) == 6
+    assert len(hashed) == sum(len(m["inputs"]) + len(m["outputs"]) for m in manifests)
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_a_dataset_a_read_refuses_is_not_handed_off(tmp_path, fmt):
+    # ingest can write such a file: a coordinate beyond float32 becomes inf
+    data = np.ones((3, 2, 2, 1), dtype=np.float32)
+    data[0, 1, 1, 0] = np.inf
+    config = PipelineConfig(workdir=str(tmp_path), dataset_format=fmt)
+    handoff, digests = {}, {}
+    [path] = _write_datasets(config, {"train": dataset_of(seq_of(data, "bad"))}, "{split}",
+                             handoff, digests)
+    assert handoff == {}
+    assert digests == {path: formats.sha256_file(path)}
+    with pytest.raises(FormatError) as read_error:
+        formats.read_dataset(path)
+    with pytest.raises(FormatError) as error:
+        _read_dataset(path, "train", handoff, {})
+    assert str(error.value) == str(read_error.value)
