@@ -36,6 +36,9 @@ NUM_CHANNELS = 3
 # used as the default origin for relative coordinates.
 DEFAULT_CENTER_JOINT = 1
 
+# the least magnitude that a cast to float32 rounds to infinity
+_F32_INF = 2.0**128 - 2.0**103
+
 
 @dataclass
 class RawCapture:
@@ -88,10 +91,6 @@ class SkeletonSequence:
     def num_joints(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def num_bodies(self) -> int:
-        return self.data.shape[3]
-
 
 @dataclass
 class MissingMask:
@@ -129,7 +128,8 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
     Counts are trusted and verified against the stream; any violation raises
     :class:`MalformedCapture` carrying the offending 1-based line number.
     Only the first three fields of a joint line are read, as coordinates;
-    tracking state and any other field are ignored.
+    tracking state and any other field are ignored.  A coordinate must be
+    finite and stay finite as float32, the type of the canonical tensor.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -181,12 +181,15 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
                 if len(fields) < 3:
                     raise MalformedCapture("joint line has fewer than 3 fields", line=pos)
                 try:
-                    xyz = (float(fields[0]), float(fields[1]), float(fields[2]))
+                    x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
                 except ValueError:
                     raise MalformedCapture("non-numeric coordinate in joint line", line=pos) from None
-                if not all(map(math.isfinite, xyz)):
-                    raise MalformedCapture("non-finite coordinate in joint line", line=pos)
-                coords.append(xyz)
+                if not (-_F32_INF < x < _F32_INF and -_F32_INF < y < _F32_INF
+                        and -_F32_INF < z < _F32_INF):  # NaN fails every comparison
+                    finite = all(map(math.isfinite, (x, y, z)))
+                    raise MalformedCapture(("coordinate beyond the float32 range" if finite else
+                                            "non-finite coordinate") + " in joint line", line=pos)
+                coords.append((x, y, z))
 
     while pos < len(lines):
         if lines[pos].strip():

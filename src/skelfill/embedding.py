@@ -60,10 +60,6 @@ def _masked_mean(values: np.ndarray, present: np.ndarray, axis: int) -> np.ndarr
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def embedding_width(num_joints: int, graph: SkeletonGraph) -> int:
-    return 9 * num_joints + len(graph.edges)
-
-
 def _embed_one(body: np.ndarray, graph: SkeletonGraph) -> np.ndarray:
     """body is [3, T, V] float64 with NaN for missing joint instances."""
     present = np.isfinite(body)  # per channel; channels of one joint agree

@@ -22,12 +22,25 @@ CSV (interchange dataset, lossy for NaN payload bits)::
     sample_id,label,t,v,m,x,y,z    header
     one row per joint instance, in (sample, t, v, m) order
 
-Each coordinate is the ``repr`` of the float64 its float32 widens to, the
-shortest text that reads back to the same float32, and ``nan`` when it is
-missing.  Lines end in CRLF, an unlabelled sample has an empty label, and
-the sample id is quoted as RFC 4180 requires (by :mod:`csv`).  The reader
-refuses a sample that lacks the row of some (t, v, m) or repeats one.  Both
-readers read a label below 0 as none.
+Each coordinate is the ``repr`` of the float64 it widens to (for float32
+data, the usual case), the shortest text that reads back to the same
+float64, and ``nan`` when it is missing.  That is not the shortest text for
+the float32: float32 0.1 is written ``0.10000000149011612``, though ``0.1``
+reads back to the same float32.  Lines end in CRLF, an unlabelled sample
+has an empty label, and the sample id is quoted as RFC 4180 requires (by
+:mod:`csv`).  The reader refuses a sample that lacks the row of some
+(t, v, m) or repeats one.  Both readers read a label below 0 as none.
+
+A CSV write may be given a *base*: a CSV file this writer wrote from
+float32 data, and the dataset a read of it returns.  Each row of a float32
+sample whose x, y, z keep their bits (as ``uint32``) in the base sample of
+the same place is then copied, line for line, from the base file, and only
+the other rows are formatted; the file equals a fresh write byte for byte.
+The base file is read one sample at a time.  A sample whose base lines do
+not start with the ``sample_id,label,t,v,m,`` text of a fresh write (a base
+label below 0, for one, reads back as none) is formatted fresh.  So is the
+whole file when the base differs in ids, order, count or shape, or when an
+id holds CR or LF, which would split its rows over more lines.
 
 Labels CSV::
 
@@ -36,14 +49,16 @@ Labels CSV::
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -53,6 +68,11 @@ from .errors import FormatError
 SKL1_MAGIC = b"SKL1"
 _INVALID = "joint instance partly NaN or not finite"
 _DEFAULT_NAN = np.float32(np.nan)
+_CSV_HEADER = "sample_id,label,t,v,m,x,y,z\r\n"
+
+# a CSV file this module wrote and the dataset a read of it returns: the
+# base whose unchanged rows a CSV write copies (see the module docstring)
+Base = tuple[str | Path, Dataset]
 
 
 def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
@@ -174,20 +194,58 @@ def _csv_prefix(seq: SkeletonSequence) -> str:
     return buf.getvalue()[:-2] + ","  # drop the "\r\n" line end
 
 
-def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+def _format_rows(heads: list[str], xyz: np.ndarray) -> list[str]:
+    """The CSV rows of ``[3, n]`` coordinates, each after its
+    ``sample_id,label,t,v,m,`` text in ``heads``."""
+    return [f"{head}{x!r},{y!r},{z!r}\r\n"
+            for head, (x, y, z) in zip(heads, xyz.T.astype(np.float64).tolist())]
+
+
+@contextlib.contextmanager
+def _base_samples(dataset: Dataset, base: Base | None) -> Iterator[Iterator]:
+    """For each sample of ``dataset``, the lines of the sample at the same
+    place in ``base`` and its ``[3, n]`` float32 coordinates; ``(None,
+    None)`` for every sample when the base can lend nothing (see the module
+    docstring).  The base file is read one sample at a time."""
+    ids = dataset.sample_ids
+    if (base is None or base[1].sample_ids != ids
+            or [s.data.shape for s in base[1].samples] != [s.data.shape for s in dataset.samples]
+            or any("\r" in sid or "\n" in sid for sid in ids)):
+        yield itertools.repeat((None, None))
+        return
+    rows = math.prod(dataset.samples[0].data.shape[1:])
+    with open(base[0], newline="") as handle:
+        if handle.readline() != _CSV_HEADER:
+            yield itertools.repeat((None, None))
+            return
+        yield ((list(itertools.islice(handle, rows)),
+                np.asarray(seq.data, dtype=np.float32).reshape(NUM_CHANNELS, -1))
+               for seq in base[1].samples)
+
+
+def write_dataset_csv(dataset: Dataset, path: str | Path, base: Base | None = None) -> None:
     """Write ``dataset`` as CSV (see the module docstring), each sample as one
-    joined string; :mod:`csv` quotes only the id and label."""
+    joined string; :mod:`csv` quotes only the id and label.  With ``base``,
+    each row whose coordinates keep their bits is copied from the base
+    file, and only the others are formatted."""
     if not dataset.samples:
         raise FormatError("refusing to write an empty dataset")
     _check_one_shape(dataset.samples)
-    with open(path, "w", newline="") as handle:
-        handle.write("sample_id,label,t,v,m,x,y,z\r\n")
-        for seq in dataset.samples:
+    tvm = [f"{t},{v},{m}," for t, v, m in np.ndindex(dataset.samples[0].data.shape[1:])]
+    with open(path, "w", newline="") as handle, _base_samples(dataset, base) as lent:
+        handle.write(_CSV_HEADER)
+        for seq, (lines, old) in zip(dataset.samples, lent):
             prefix = _csv_prefix(seq)
-            tvm = np.indices(seq.data.shape[1:]).reshape(3, -1).T.tolist()
-            xyz = seq.data.reshape(3, -1).T.astype(np.float64).tolist()
-            handle.write("".join(f"{prefix}{t},{v},{m},{x!r},{y!r},{z!r}\r\n"
-                                 for (t, v, m), (x, y, z) in zip(tvm, xyz)))
+            heads = [prefix + text for text in tvm]
+            xyz = seq.data.reshape(NUM_CHANNELS, -1)
+            if (old is None or xyz.dtype != np.float32 or len(lines) != len(heads)
+                    or not all(map(str.startswith, lines, heads))):
+                handle.write("".join(_format_rows(heads, xyz)))
+                continue
+            changed = np.flatnonzero((xyz.view(np.uint32) != old.view(np.uint32)).any(axis=0)).tolist()
+            for i, row in zip(changed, _format_rows([heads[i] for i in changed], xyz[:, changed])):
+                lines[i] = row
+            handle.write("".join(lines))
 
 
 def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
@@ -253,11 +311,16 @@ def _last_csv_line(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> int
         return [n for n, row in rows if row[:1] == [sid] and tuple(map(int, row[2:5])) == tvm][-1]
 
 
-def write_dataset(dataset: Dataset, path: str | Path, fmt: str = "skl1") -> None:
+def write_dataset(
+    dataset: Dataset, path: str | Path, fmt: str = "skl1", *, base: Base | None = None
+) -> None:
+    """Write ``dataset`` to ``path`` in ``fmt``; a CSV write copies the
+    unchanged rows of ``base`` (see the module docstring), an SKL1 write
+    ignores it."""
     if fmt == "skl1":
         write_skl1(dataset, path)
     elif fmt == "csv":
-        write_dataset_csv(dataset, path)
+        write_dataset_csv(dataset, path, base)
     else:
         raise FormatError(f"unknown dataset format {fmt!r}")
 

@@ -18,6 +18,14 @@ file is hashed twice.  A file changed on disk is read again, and a stage
 run on its own has no table and reads from disk.  ``run_eval``, the last
 reader of every dataset, drops each entry as it reads it.
 
+A CSV write of a derived dataset (``{split}_occluded`` from ``{split}``,
+``{split}_imputed`` from ``{split}_occluded``) copies, line for line, each
+row of the stage's input file whose x, y, z keep their bits, and formats
+only the rows the stage changed (see :mod:`skelfill.formats`).  Only an
+input the stage took from the table lends its file, since only a file this
+process wrote is known to hold the writer's own text; the file written
+equals a fresh write byte for byte.
+
 Config files are plain ``key = value`` text: blank lines and ``#`` comments
 are skipped, keys may be written dotted (``occlusion.rate``) or with
 underscores (``occlusion_rate``), lists are comma-separated.
@@ -257,13 +265,16 @@ Handoff = dict[Path, tuple[str, Dataset]]
 def _write_datasets(
     config: PipelineConfig, datasets: dict[str, Dataset], key: str,
     handoff: Handoff | None, digests: dict[Path, str],
+    bases: dict[str, formats.Base | None] | None = None,
 ) -> list[Path]:
     """Write each split's dataset to ``key`` (as in :func:`_splits`) in the
-    configured format, put its digest in ``digests`` and its entry in
-    ``handoff``; return the paths written."""
+    configured format, copying unchanged CSV rows from the split's entry in
+    ``bases``; put its digest in ``digests`` and its entry in ``handoff``;
+    return the paths written."""
     paths = [artifact_paths(config)[key.format(split=split)] for split in datasets]
     for path, (split, dataset) in zip(paths, datasets.items()):
-        formats.write_dataset(dataset, path, config.dataset_format)
+        base = (bases or {}).get(split)
+        formats.write_dataset(dataset, path, config.dataset_format, base=base)
         digests[path] = formats.sha256_file(path)
         if handoff is not None:
             try:
@@ -276,16 +287,20 @@ def _write_datasets(
 
 def _read_dataset(
     path: Path, split: str, handoff: Handoff | None, digests: dict[Path, str], last: bool = False
-) -> Dataset:
+) -> tuple[Dataset, formats.Base | None]:
     """The dataset in ``path``: the one ``handoff`` holds for the file's
     digest, else the file read.  The digest goes into ``digests``; ``last``
-    drops the entry, for the stage that reads the file last."""
+    drops the entry, for the stage that reads the file last.
+
+    The second value is the base a CSV write of a dataset derived from this
+    one may copy unchanged rows from: ``(path, dataset)`` on a hit, since
+    this process wrote the file, and None when the file was read."""
     digest = digests[path] = formats.sha256_file(path)
     if handoff is not None:
         entry = handoff.pop(path, None) if last else handoff.get(path)
         if entry is not None and entry[0] == digest:
-            return entry[1]
-    return formats.read_dataset(path, split_tag=split)
+            return entry[1], (path, entry[1])
+    return formats.read_dataset(path, split_tag=split), None
 
 
 def _config_hash(params: dict) -> str:
@@ -388,11 +403,16 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
             if samples and seq.num_joints != samples[0].num_joints:
                 raise MalformedCapture(f"{seq.num_joints} joints, but {files[0].name} "
                                        f"has {samples[0].num_joints}")
+            _check_center_joint(config, seq.num_joints)
+            with np.errstate(over="ignore"):  # refused just below
+                seq = preprocess_relative(seq, config.center_joint)
+            if not np.isfinite(seq.data).all():
+                raise MalformedCapture("a coordinate relative to the center joint "
+                                       "is beyond the float32 range")
         except (MalformedCapture, EmptyCapture) as exc:
             exc.args = (f"{file}: {exc}",)  # name the file; the type and its line stay
             raise
-        _check_center_joint(config, seq.num_joints)
-        samples.append(preprocess_relative(seq, config.center_joint))
+        samples.append(seq)
 
     rng = np.random.default_rng(config.stage_seed("ingest"))
     order = rng.permutation(len(samples))
@@ -465,14 +485,15 @@ def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     inputs, outputs, digests, hidden = [], [], {}, 0
     for split in _splits(config, "{split}", "occlude", "ingest"):
         inputs.append(paths[split])
-        dataset = _read_dataset(paths[split], split, handoff, digests)
+        dataset, base = _read_dataset(paths[split], split, handoff, digests)
         num_joints = dataset.samples[0].num_joints
         bad = [j for j in spec.joints if not 0 <= j < num_joints]
         if spec.mode == "joint_targeted" and bad:
             raise ConfigError(f"occlusion_joints {bad} outside the {num_joints} joints "
                               f"of {paths[split]}")
         occluded, record = occlusion.apply_spec(dataset, spec)
-        outputs += _write_datasets(config, {split: occluded}, "{split}_occluded", handoff, digests)
+        outputs += _write_datasets(
+            config, {split: occluded}, "{split}_occluded", handoff, digests, {split: base})
         hidden += record.total_instances()
     params = {
         "mode": spec.mode, "rate": spec.rate, "joints": list(spec.joints),
@@ -497,7 +518,7 @@ def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     inputs, outputs, digests = [], [], {}
     for split in _splits(config, "{split}_occluded", "embed", "occlude"):
         inputs.append(paths[f"{split}_occluded"])
-        dataset = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)
+        dataset = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)[0]
         if config.embedding_source == "external":
             external = getattr(config, f"embeddings_{split}")
             if external is None:
@@ -567,17 +588,17 @@ def run_impute(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Fill missing joints from neighbours within each cluster."""
     paths = artifact_paths(config)
     splits = _splits(config, "{split}_occluded", "impute", "occlude")
-    inputs, digests, args = [], {}, {}  # args: train, train_labels, test, test_labels
+    inputs, digests, args, bases = [], {}, {}, {}  # args: train, train_labels, test, test_labels
     for split in splits:
         labels_path = _require(paths[f"labels_{split}"], "impute", "cluster")
         inputs += [paths[f"{split}_occluded"], labels_path]
-        args[split] = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)
+        args[split], bases[split] = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)
         ids, values = formats.read_labels_csv(labels_path)
         args[f"{split}_labels"] = clustering.PseudoLabels(labels=values, sample_ids=ids)
 
     *imputed, report = imputation.impute_dataset(**args, k=config.neighbors, threads=config.threads)
     outputs = _write_datasets(
-        config, dict(zip(splits, imputed)), "{split}_imputed", handoff, digests)
+        config, dict(zip(splits, imputed)), "{split}_imputed", handoff, digests, bases)
     paths["imputation_report"].write_text(report.to_json() + "\n")
     outputs.append(paths["imputation_report"])
     params = {"neighbors": config.neighbors, "dataset_format": config.dataset_format}
@@ -597,10 +618,11 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         occluded_path = _require(paths[f"{split}_occluded"], "eval", "occlude")
         inputs += [paths[f"{split}_imputed"], clean_path, occluded_path]
         # the last stage to read each dataset, so it drops the hand-off entries
-        imputed[split] = _read_dataset(paths[f"{split}_imputed"], split, handoff, digests, last=True)
-        occluded = _read_dataset(occluded_path, split, handoff, digests, last=True)
+        imputed[split] = _read_dataset(
+            paths[f"{split}_imputed"], split, handoff, digests, last=True)[0]
+        occluded = _read_dataset(occluded_path, split, handoff, digests, last=True)[0]
         record = records[split] = occlusion.OcclusionRecord.between(
-            _read_dataset(clean_path, split, handoff, digests, last=True), occluded)
+            _read_dataset(clean_path, split, handoff, digests, last=True)[0], occluded)
         knn += evaluation.mpjpe(imputed[split], record)
         baseline += evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
 

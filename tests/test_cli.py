@@ -489,6 +489,27 @@ def test_ingest_refuses_captures_that_differ_in_joints(tmp_path, capsys, fmt):
     assert not work.exists() or not any(work.iterdir())
 
 
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+@pytest.mark.parametrize("joints, message", [
+    ({1: (0.0, 0.0, 0.0), 3: (1e39, 0.0, 0.0)},
+     "line 8: coordinate beyond the float32 range in joint line"),
+    ({1: (-3e38, 0.0, 0.0), 3: (3e38, 0.0, 0.0)},
+     "a coordinate relative to the center joint is beyond the float32 range"),
+], ids=["beyond-float32", "beyond-float32-when-centred"])
+def test_ingest_refuses_a_capture_that_overflows_float32(tmp_path, capsys, fmt, joints, message):
+    # each value casts to inf as float32, at once or once centred on joint 1
+    source = tmp_path / "captures"
+    _write_captures(source, [f"S001C001P00{i}R001A002" for i in (1, 3)])
+    coords = [joints.get(j, (0.1 * j, 0.2, 0.3)) for j in range(4)]
+    bad = source / "S001C001P002R001A002.skeleton"
+    bad.write_text(capture_text([[(8, coords)]]))
+    work = tmp_path / "work"
+    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt])
+    assert rc == 4
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not work.exists() or not any(work.iterdir())
+
+
 def test_occlude_refuses_a_csv_dataset_of_mixed_shapes(tmp_path, capsys):
     work = tmp_path / "work"
     assert main(["synth", "--workdir", str(work), "--format", "csv", "--seed", "1"] + SMALL) == 0

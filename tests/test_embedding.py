@@ -10,14 +10,17 @@ import pytest
 
 from conftest import dataset_of, random_dataset, seq_of
 from skelfill import EmbeddingMatrix, embed_baseline, load_embeddings, save_embeddings
-from skelfill.embedding import SKEMB_MAGIC, align_to_dataset, embedding_width
+from skelfill.embedding import SKEMB_MAGIC, align_to_dataset
 from skelfill.errors import FormatError, IdMismatch
 from skelfill.graph import chain_graph, default_skeleton_graph
 
 
 def test_embedding_width():
-    assert embedding_width(4, chain_graph(4)) == 39  # 9*4 + 3
-    assert embedding_width(25, default_skeleton_graph()) == 249
+    # 9 features per joint (mean, std, speed per channel) and one per bone
+    for joints, graph, width in ((4, chain_graph(4), 39), (25, default_skeleton_graph(), 249)):
+        data = np.arange(3 * 2 * joints, dtype=np.float32).reshape(3, 2, joints, 1)
+        matrix = embed_baseline(dataset_of(seq_of(data, "w")), graph=graph)
+        assert matrix.width == 9 * joints + len(graph.edges) == width
 
 
 def test_constant_sequence_features():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_dataset, bits_equal, dataset_of, random_dataset, seq_of
+from skelfill import formats
 from skelfill.clustering import ClusterModel, load_model, save_model
 from skelfill.data import SkeletonSequence
 from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
@@ -354,6 +355,86 @@ def test_dataset_as_written_raises_the_reads_error(tmp_path, fmt, value):
         dataset_as_written(dataset, path, fmt, "train")
     assert str(error.value) == str(read_error.value)
     assert "'bad'" in str(error.value)
+
+
+# ---- a CSV write that copies the unchanged rows of its base ------------------
+
+def _base_dataset(ids=("s0", 's,"1"', "s2"), first_label=3):
+    """Three samples of 12 rows: a quoted id, a missing instance and a
+    zero coordinate in each."""
+    rng = np.random.default_rng(43)
+    seqs = []
+    for i, sid in enumerate(ids):
+        data = rng.uniform(-5, 5, size=(3, 2, 3, 2)).astype(np.float32)
+        data[:, 1, 2, 1] = np.nan
+        data[0, 0, 1, 0] = 0.0
+        seqs.append(seq_of(data, sid, label=first_label if i == 0 else i))
+    return dataset_of(*seqs)
+
+
+def _edited(dataset, edit, i=0):
+    """``dataset`` with sample ``i``'s data passed through ``edit``."""
+    seqs = list(dataset.samples)
+    data = seqs[i].data.copy()
+    edit(data)
+    seqs[i] = seqs[i].with_data(data)
+    return dataset_of(*seqs)
+
+
+def _set(index, value):
+    def edit(data):
+        data[index] = value
+    return edit
+
+
+_BASE_CASES = {
+    # name: (the base written, the new dataset from the base as read, rows formatted)
+    "one-channel": (_base_dataset(), lambda d: _edited(d, _set((2, 1, 0, 1), 7.0), 1), 1),
+    "every-row": (_base_dataset(), lambda d: dataset_of(*[
+        s.with_data(np.where(np.isnan(s.data), 1, s.data + 1).astype(np.float32))
+        for s in d.samples]), 36),
+    "signed-zero": (_base_dataset(), lambda d: _edited(d, _set((0, 0, 1, 0), -0.0)), 1),
+    "nan-payload": (_base_dataset(), lambda d: _edited(
+        _edited(d, _set((slice(None), 0, 0, 0), crafted_nan(0x7FC00123)), 2),
+        _set((slice(None), 1, 2, 1), crafted_nan(0x7FC0BEEF)), 2), 2),
+    "label-minus-5": (_base_dataset(first_label=-5), lambda d: _edited(d, _set((1, 0, 2, 0), 2.0), 2),
+                      13),
+    "crlf-id": (_base_dataset(ids=("s0", 'a,"b"\r\nc', "s2")),
+                lambda d: _edited(d, _set((2, 1, 0, 1), 7.0)), 36),
+    "other-ids": (_base_dataset(), lambda d: dataset_of(
+        *d.samples[:2], seq_of(d.samples[2].data, "s3", label=2)), 36),
+    "other-order": (_base_dataset(), lambda d: dataset_of(*d.samples[::-1]), 36),
+    "fewer-samples": (_base_dataset(), lambda d: dataset_of(*d.samples[:2]), 24),
+    "other-shape": (_base_dataset(), lambda d: dataset_of(
+        *[s.with_data(s.data[:, :, :, :1]) for s in d.samples]), 18),
+    "float64-data": (_base_dataset(), lambda d: dataset_of(
+        *[s.with_data(s.data.astype(np.float64)) for s in d.samples]), 36),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BASE_CASES))
+def test_a_csv_write_with_a_base_equals_a_fresh_write(tmp_path, monkeypatch, case):
+    written, derive, formatted = _BASE_CASES[case]
+    base_path = tmp_path / "base.csv"
+    write_dataset(written, base_path, "csv")
+    base = read_dataset(base_path)
+    new = derive(base)
+    rows, format_rows = [], formats._format_rows
+    monkeypatch.setattr(formats, "_format_rows",
+                        lambda heads, xyz: rows.append(len(heads)) or format_rows(heads, xyz))
+    write_dataset(new, tmp_path / "copied.csv", "csv", base=(base_path, base))
+    assert sum(rows) == formatted
+    write_dataset(new, tmp_path / "fresh.csv", "csv")
+    assert (tmp_path / "copied.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_an_skl1_write_ignores_its_base(tmp_path):
+    base_path = tmp_path / "base.csv"
+    write_dataset(_base_dataset(), base_path, "csv")
+    new = _edited(read_dataset(base_path), _set((2, 1, 0, 1), 7.0))
+    write_dataset(new, tmp_path / "copied.skl1", base=(base_path, read_dataset(base_path)))
+    write_dataset(new, tmp_path / "fresh.skl1")
+    assert (tmp_path / "copied.skl1").read_bytes() == (tmp_path / "fresh.skl1").read_bytes()
 
 
 # ---- labels ------------------------------------------------------------------

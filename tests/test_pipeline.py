@@ -25,6 +25,7 @@ from skelfill.pipeline import (
     run_cluster,
     run_embed,
     run_eval,
+    run_impute,
     run_ingest,
     run_occlude,
     run_pipeline,
@@ -496,9 +497,56 @@ def test_a_pipeline_reads_no_dataset_and_hashes_each_listed_file_once(
     assert len(hashed) == sum(len(m["inputs"]) + len(m["outputs"]) for m in manifests)
 
 
+def _formatted_rows(monkeypatch) -> dict[str, int]:
+    """Count, per dataset file written, the CSV rows formatted rather than
+    copied from the stage's input file."""
+    rows, current = {}, []
+    write, format_rows = formats.write_dataset, formats._format_rows
+
+    def counted_write(dataset, path, *args, **kwargs):
+        current[:] = [Path(path).name]
+        rows[current[0]] = 0
+        return write(dataset, path, *args, **kwargs)
+
+    def counted_format(heads, xyz):
+        rows[current[0]] += len(heads)
+        return format_rows(heads, xyz)
+
+    monkeypatch.setattr(formats, "write_dataset", counted_write)
+    monkeypatch.setattr(formats, "_format_rows", counted_format)
+    return rows
+
+
+def test_a_pipeline_formats_only_the_csv_rows_a_stage_changed(tmp_path, monkeypatch):
+    config = _handoff_config(tmp_path, "csv", "synth")
+    formatted = _formatted_rows(monkeypatch)
+    run_pipeline(config)
+    paths = artifact_paths(config)
+
+    def changed(before: Dataset, after: Dataset) -> int:
+        return sum(int((a.data.view(np.uint32) != b.data.view(np.uint32)).any(axis=0).sum())
+                   for a, b in zip(before.samples, after.samples))
+
+    every_row = {}
+    for split in SPLITS:
+        clean, occluded, imputed = (formats.read_dataset(paths[key]) for key in
+                                    (split, f"{split}_occluded", f"{split}_imputed"))
+        total = sum(seq.data[0].size for seq in clean.samples)
+        every_row |= {f"{split}{suffix}.csv": total for suffix in ("", "_occluded", "_imputed")}
+        assert formatted[f"{split}.csv"] == total
+        assert 0 < formatted[f"{split}_occluded.csv"] == changed(clean, occluded) < total
+        assert 0 < formatted[f"{split}_imputed.csv"] == changed(occluded, imputed) < total
+
+    formatted.clear()
+    stepwise = dataclasses.replace(config, workdir=str(tmp_path / "stepwise"))
+    for stage in (run_synth, run_occlude, run_embed, run_cluster, run_impute, run_eval):
+        stage(stepwise)
+    assert formatted == every_row
+
+
 @pytest.mark.parametrize("fmt", ["skl1", "csv"])
 def test_a_dataset_a_read_refuses_is_not_handed_off(tmp_path, fmt):
-    # ingest can write such a file: a coordinate beyond float32 becomes inf
+    # no stage writes such a file, but _write_datasets must not hand it on
     data = np.ones((3, 2, 2, 1), dtype=np.float32)
     data[0, 1, 1, 0] = np.inf
     config = PipelineConfig(workdir=str(tmp_path), dataset_format=fmt)
