@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO
 
@@ -130,6 +131,11 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
     Only the first three fields of a joint line are read, as coordinates;
     tracking state and any other field are ignored.  A coordinate must be
     finite and stay finite as float32, the type of the canonical tensor.
+
+    The structure (the counts, the metadata lines and the end of the text)
+    is checked before any joint line is read.  So a capture with more than
+    one fault is reported at its first structural fault, or else at its
+    first bad joint line, even where a bad joint line comes earlier.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -161,7 +167,7 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
     num_joints = 0
     frame_index: list[int] = []
     body_ids: list[str] = []
-    coords: list[tuple[float, float, float]] = []
+    starts: list[int] = []  # index of each body's first joint line
     for f_idx in range(frame_count):
         for _ in range(take_count("body count")):
             meta = take("body metadata").split()
@@ -176,29 +182,68 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
                 raise MalformedCapture(
                     f"joint count {declared} differs from earlier count {num_joints}", line=pos
                 )
-            for _ in range(declared):
-                fields = take("joint line").split()
-                if len(fields) < 3:
-                    raise MalformedCapture("joint line has fewer than 3 fields", line=pos)
-                try:
-                    x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
-                except ValueError:
-                    raise MalformedCapture("non-numeric coordinate in joint line", line=pos) from None
-                if not (-_F32_INF < x < _F32_INF and -_F32_INF < y < _F32_INF
-                        and -_F32_INF < z < _F32_INF):  # NaN fails every comparison
-                    finite = all(map(math.isfinite, (x, y, z)))
-                    raise MalformedCapture(("coordinate beyond the float32 range" if finite else
-                                            "non-finite coordinate") + " in joint line", line=pos)
-                coords.append((x, y, z))
+            if pos + declared > len(lines):
+                raise MalformedCapture("unexpected end of stream while reading joint line",
+                                       line=len(lines) + 1)
+            starts.append(pos)
+            pos += declared
 
     while pos < len(lines):
         if lines[pos].strip():
             raise MalformedCapture("trailing content after declared frames", line=pos + 1)
         pos += 1
 
+    coords = _joint_coords(lines, starts, num_joints)
     return RawCapture(frame_index=np.array(frame_index, dtype=np.intp), body_ids=body_ids,
-                      coords=np.array(coords, dtype=np.float64).reshape(len(body_ids), num_joints, 3),
-                      frame_count=frame_count)
+                      coords=coords.reshape(len(body_ids), num_joints, 3), frame_count=frame_count)
+
+
+def _joint_coords(lines: list[str], starts: list[int], num_joints: int) -> np.ndarray:
+    """The x, y, z of the ``num_joints`` joint lines from each index in
+    ``starts``, ``[len(starts) * num_joints, 3]`` float64.
+
+    One C pass reads every joint line.  ``loadtxt`` converts each field as
+    ``float()`` does, correctly rounded, but refuses some text ``float()``
+    takes (``1_0``, non-ASCII digits) and skips blank lines.  So when the
+    pass raises, returns fewer rows, or finds a value out of range,
+    :func:`_joint_coords_per_line` reads the lines again one by one; it
+    raises at the first bad line, or returns what ``float()`` reads.
+    """
+    joint_lines = [line for start in starts for line in lines[start:start + num_joints]]
+    if not joint_lines:
+        return np.empty((0, 3))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # only blank lines: the row count below tells
+            coords = np.loadtxt(joint_lines, dtype=np.float64, comments=None,
+                                usecols=(0, 1, 2), ndmin=2)
+    except ValueError:
+        coords = None
+    if coords is None or len(coords) != len(joint_lines) or not (np.abs(coords) < _F32_INF).all():
+        coords = _joint_coords_per_line(lines, starts, num_joints)
+    return coords
+
+
+def _joint_coords_per_line(lines: list[str], starts: list[int], num_joints: int) -> np.ndarray:
+    """:func:`_joint_coords`, one ``float()`` per field, raising
+    :class:`MalformedCapture` at the first bad joint line."""
+    coords: list[tuple[float, float, float]] = []
+    for start in starts:
+        for line in range(start + 1, start + num_joints + 1):  # 1-based
+            fields = lines[line - 1].split()
+            if len(fields) < 3:
+                raise MalformedCapture("joint line has fewer than 3 fields", line=line)
+            try:
+                x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
+            except ValueError:
+                raise MalformedCapture("non-numeric coordinate in joint line", line=line) from None
+            if not (-_F32_INF < x < _F32_INF and -_F32_INF < y < _F32_INF
+                    and -_F32_INF < z < _F32_INF):  # NaN fails every comparison
+                finite = all(map(math.isfinite, (x, y, z)))
+                raise MalformedCapture(("coordinate beyond the float32 range" if finite else
+                                        "non-finite coordinate") + " in joint line", line=line)
+            coords.append((x, y, z))
+    return np.array(coords, dtype=np.float64)
 
 
 def resample_indices(source_frames: int, target_frames: int) -> list[int]:

@@ -381,6 +381,17 @@ def _check_center_joint(config: PipelineConfig, num_joints: int) -> None:
         raise ConfigError(f"center_joint {config.center_joint} is not below {num_joints} joints")
 
 
+def _capture_text(file: Path) -> str:
+    """The text of a capture file, decoded as UTF-8 whatever the locale."""
+    data = file.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; a stand-in for it counts the line it is on
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise MalformedCapture(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line=line) from None
+
+
 @_timed
 def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Parse captures, canonicalise, make them relative, split train and test."""
@@ -398,7 +409,7 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
         try:
-            seq = to_canonical(parse_ntu_skeleton(file.read_text()), config.target_frames,
+            seq = to_canonical(parse_ntu_skeleton(_capture_text(file)), config.target_frames,
                                config.max_bodies, sample_id=file.stem, label=label)
             if samples and seq.num_joints != samples[0].num_joints:
                 raise MalformedCapture(f"{seq.num_joints} joints, but {files[0].name} "

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 
+from skelfill.data import RawCapture
+from skelfill.errors import MalformedCapture
+
 
 def masked_distance_ref(a: np.ndarray, b: np.ndarray) -> float | None:
     """Overlap-scaled Euclidean distance; None when nothing overlaps."""
@@ -125,3 +128,73 @@ def naive_impute(
             imputed_test.append(impute_one("test", i, data, flat, members))
 
     return imputed_train, imputed_test, donor_map
+
+
+# the least magnitude that a cast to float32 rounds to infinity
+_F32_INF = 2.0**128 - 2.0**103
+
+
+def parse_ntu_skeleton_ref(text: str) -> RawCapture:
+    """Line-by-line capture parser: one ``float()`` per coordinate, every
+    check made in line order, so the first fault in the text is reported."""
+    lines = text.splitlines()
+    pos = 0
+
+    def take(what):
+        nonlocal pos
+        if pos >= len(lines):
+            raise MalformedCapture(f"unexpected end of stream while reading {what}", line=len(lines) + 1)
+        pos += 1
+        return lines[pos - 1]
+
+    def take_count(what):
+        raw = take(what).strip()
+        try:
+            value = int(raw)
+        except ValueError:
+            raise MalformedCapture(f"expected integer {what}, got {raw!r}", line=pos) from None
+        if value < 0:
+            raise MalformedCapture(f"negative {what}: {value}", line=pos)
+        return value
+
+    frame_count = take_count("frame count")
+    if frame_count == 0:
+        raise MalformedCapture("capture declares zero frames", line=1)
+    num_joints = 0
+    frame_index, body_ids, coords = [], [], []
+    for f_idx in range(frame_count):
+        for _ in range(take_count("body count")):
+            meta = take("body metadata").split()
+            frame_index.append(f_idx)
+            body_ids.append(meta[0] if meta else "")
+            declared = take_count("joint count")
+            if declared == 0:
+                raise MalformedCapture("body declares zero joints", line=pos)
+            if not num_joints:
+                num_joints = declared
+            elif declared != num_joints:
+                raise MalformedCapture(
+                    f"joint count {declared} differs from earlier count {num_joints}", line=pos
+                )
+            for _ in range(declared):
+                fields = take("joint line").split()
+                if len(fields) < 3:
+                    raise MalformedCapture("joint line has fewer than 3 fields", line=pos)
+                try:
+                    xyz = [float(field) for field in fields[:3]]
+                except ValueError:
+                    raise MalformedCapture("non-numeric coordinate in joint line", line=pos) from None
+                for value in xyz:
+                    if math.isnan(value) or math.isinf(value):
+                        raise MalformedCapture("non-finite coordinate in joint line", line=pos)
+                for value in xyz:
+                    if abs(value) >= _F32_INF:
+                        raise MalformedCapture("coordinate beyond the float32 range in joint line",
+                                               line=pos)
+                coords.append(xyz)
+    for index in range(pos, len(lines)):
+        if lines[index].strip():
+            raise MalformedCapture("trailing content after declared frames", line=index + 1)
+    return RawCapture(frame_index=np.array(frame_index, dtype=np.intp), body_ids=body_ids,
+                      coords=np.array(coords, dtype=np.float64).reshape(len(body_ids), num_joints, 3),
+                      frame_count=frame_count)

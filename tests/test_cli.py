@@ -476,6 +476,29 @@ def test_ingest_error_names_the_capture_file(tmp_path, capsys, frames, message):
 
 
 @pytest.mark.parametrize("fmt", ["skl1", "csv"])
+@pytest.mark.parametrize("corrupt", ["appended", "in-a-joint-line"])
+def test_ingest_refuses_a_capture_that_is_not_utf8(tmp_path, capsys, fmt, corrupt):
+    source = tmp_path / "captures"
+    _write_captures(source, [f"S001C001P00{i}R001A002" for i in (1, 2, 3)])
+    bad = source / "S001C001P002R001A002.skeleton"
+    data = bad.read_bytes()
+    if corrupt == "appended":
+        data += b"\xff\xfe"
+        offset, line, reason = len(data) - 2, data.count(b"\n") + 1, "invalid start byte"
+    else:  # the first byte of line 6, the second joint line, becomes a lone lead byte
+        offset = [i for i, byte in enumerate(data) if byte == ord("\n")][4] + 1
+        data = data[:offset] + b"\xe9" + data[offset + 1:]
+        line, reason = 6, "invalid continuation byte"
+    bad.write_bytes(data)
+    work = tmp_path / "work"
+    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"error: {bad}: line {line}: not UTF-8 text: {reason} at byte {offset}" in err
+    assert not work.exists() or not any(work.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
 def test_ingest_refuses_captures_that_differ_in_joints(tmp_path, capsys, fmt):
     source = tmp_path / "captures"
     source.mkdir()

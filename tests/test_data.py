@@ -8,7 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bits_equal, capture_text, dataset_of, seq_of
+import skelfill.data
+
+from conftest import bits_equal, capture_text, dataset_of, seq_of, write_two_body_captures
+from reference import parse_ntu_skeleton_ref
 from skelfill import (
     SkeletonSequence,
     build_missing_matrix,
@@ -129,6 +132,116 @@ def test_parse_trailing_content_rejected_but_blank_lines_allowed():
 def test_parse_negative_count():
     with pytest.raises(MalformedCapture):
         parse_ntu_skeleton("-2\n")
+
+
+def _assert_same_capture(got, want):
+    assert got.frame_count == want.frame_count
+    assert got.body_ids == want.body_ids
+    assert got.frame_index.dtype == want.frame_index.dtype
+    assert got.frame_index.tolist() == want.frame_index.tolist()
+    assert got.coords.dtype == want.coords.dtype == np.float64
+    assert got.coords.shape == want.coords.shape
+    assert np.array_equal(got.coords.view(np.uint64), want.coords.view(np.uint64))
+
+
+def _joints_text(*joint_lines):
+    """Two frames of one body each, then a frame of two bodies, each body
+    holding ``joint_lines``."""
+    body = ["body 0 0 0 0 0 0 0 0 2", str(len(joint_lines)), *joint_lines]
+    return "\n".join(["3", "1", *body, "1", *body, "2", *body, *body]) + "\n"
+
+
+_CAPTURES = {
+    "ntu-12-fields": _joints_text(
+        "0.1 0.2 0.3 250.5 200.5 960.5 540.5 0.5 0.1 0.8 0.2 2",
+        "-1.234567 0.000001 98765.4321 0 0 0 0 0 0 0 0 1"),
+    "tabs": _joints_text("0.1\t0.2\t0.3", "\t1\t2\t3\t"),
+    "no-break-space": _joints_text("0.1\xa00.2\xa00.3", "1\xa0 2 \xa03"),
+    "em-space": _joints_text("0.1\u20030.2\u20030.3", "1\u2003\u20032\u20033"),
+    "blanks-around": _joints_text("   0.1 0.2 0.3", "0.4 0.5 0.6   ", " \t 7 8 9 \t "),
+    "underscore-digits": _joints_text("1_0 2 3", "0.1 0.2 0.3"),
+    "arabic-indic-digit": _joints_text("0.1 0.2 0.3", "\u0661 2 3"),
+    "signs-and-short-forms": _joints_text("-0 +1e5 .5", "5. -.25 +0", "1E-3 -0.0 1e+2"),
+    "float32-edges": _joints_text("3.4028235e38 -3.4028235e38 3.4028234663852886e+38",  # below inf
+                                  "4.9e-324 -2.2250738585072014e-308 1.401298464324817e-45"),
+    "repr-digits": _joints_text(*(f"{x!r} {x * 3!r} {-x / 7!r}" for x in
+                                  np.random.default_rng(3).normal(size=40).tolist())),
+    "frames-with-zero-bodies": capture_text([[], [("a", [(1, 1, 1)]), ("b", [(2, 2, 2)])], []]),
+    "only-zero-body-frames": "2\n0\n0\n",
+    "crlf": capture_text([[("a", [(0.1, 0.2, 0.3), (1, 2, 3)])], [("a", [(4, 5, 6), (7, 8, 9)])]])
+            .replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("text", _CAPTURES.values(), ids=_CAPTURES.keys())
+def test_parse_equals_the_line_by_line_reference(text):
+    _assert_same_capture(parse_ntu_skeleton(text), parse_ntu_skeleton_ref(text))
+
+
+def test_parse_equals_the_line_by_line_reference_on_written_captures(tmp_path):
+    write_two_body_captures(tmp_path)
+    files = sorted(tmp_path.glob("*.skeleton"))
+    assert files
+    for file in files:
+        text = file.read_text()
+        _assert_same_capture(parse_ntu_skeleton(text), parse_ntu_skeleton_ref(text))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("", "joint line has fewer than 3 fields"),
+    ("0.5 0.5", "joint line has fewer than 3 fields"),
+    ("0.5 oops 0.5", "non-numeric coordinate in joint line"),
+    ("0.5 0.5 nan", "non-finite coordinate in joint line"),
+    ("1e39 0.5 0.5", "coordinate beyond the float32 range in joint line"),
+], ids=["blank", "two-fields", "oops", "nan", "1e39"])
+def test_parse_reports_a_bad_last_joint_line_as_the_reference_does(line, message):
+    # the fault sits on the last joint line of the last body, after every
+    # well-formed line the one-pass read takes
+    text = _joints_text("0.1 0.2 0.3", "0.4 0.5 0.6")
+    lines = text.splitlines()
+    lines[-1] = line
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(MalformedCapture) as err:
+        parse_ntu_skeleton(text)
+    with pytest.raises(MalformedCapture) as ref:
+        parse_ntu_skeleton_ref(text)
+    assert err.value.line == ref.value.line == len(lines)
+    assert str(err.value) == str(ref.value) == f"line {len(lines)}: {message}"
+
+
+def test_parse_reads_well_formed_captures_in_one_pass(tmp_path, monkeypatch):
+    def per_line(*args):
+        raise AssertionError("took the line-by-line path")
+
+    write_two_body_captures(tmp_path)
+    texts = [file.read_text() for file in sorted(tmp_path.glob("*.skeleton"))]
+    per_line_only = ("underscore-digits", "arabic-indic-digit")  # float() reads, loadtxt refuses
+    texts += [text for name, text in _CAPTURES.items() if name not in per_line_only]
+    monkeypatch.setattr(skelfill.data, "_joint_coords_per_line", per_line)
+    for text in texts:
+        parse_ntu_skeleton(text)
+    for name in per_line_only:
+        with pytest.raises(AssertionError, match="line-by-line"):
+            parse_ntu_skeleton(_CAPTURES[name])
+
+
+def test_parse_truncated_joint_block_points_past_last_line():
+    with pytest.raises(MalformedCapture, match="end of stream while reading joint line") as err:
+        parse_ntu_skeleton("1\n1\nbody 0\n3\n0 0 0\n1 1 1\n")
+    assert err.value.line == 7
+
+
+def test_parse_reports_a_structural_fault_before_an_earlier_bad_joint_line():
+    # line 5 holds a bad coordinate and line 8 a joint count that differs;
+    # the structure is checked first, so line 8 is reported
+    lines = ["2", "1", "bodyA 0", "1", "0.5 oops 0.5", "1", "bodyA 0", "2", "0 0 0", "1 1 1"]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(MalformedCapture, match="differs from earlier count") as err:
+        parse_ntu_skeleton(text)
+    assert err.value.line == 8
+    with pytest.raises(MalformedCapture, match="non-numeric") as ref:
+        parse_ntu_skeleton_ref(text)  # line order: the joint line comes first
+    assert ref.value.line == 5
 
 
 # ---- frame resampling ----------------------------------------------------
