@@ -7,6 +7,24 @@ followed by one mean bone length per skeleton edge.  Width is therefore
 ``9 * V + len(edges)``.  Statistics over empty support (a joint or bone
 never observed) are 0, so rows never contain NaN.
 
+Samples are embedded in blocks of up to ``BLOCK_SAMPLES`` samples of one
+frame count T, as one [B, 3, T, V] float64 array; samples of other frame
+counts go to other blocks.  A block bounds the working memory whatever the
+size of the dataset, and is large enough to share each array operation's
+overhead among its samples.  Each row equals, bit for bit, the row of its
+sample embedded on its own, because every sum keeps the order of the
+one-sample sum:
+
+- means, deviations and speeds reduce the T axis of the block, and bone
+  lengths its channel axis.  numpy adds the terms of each sample in the
+  order it uses on that sample alone: one frame after another, or pairwise
+  over T when V = 1;
+- a bone's mean length is the mean of the 1-D array of its lengths in the
+  frames where both joints are present, which numpy sums pairwise.  So the
+  (sample, edge) rows of a block are grouped by their count c of usable
+  frames, and each group's ``[G, c]`` array is reduced along its rows,
+  which sums each row pairwise in the same way.  A count of 0 gives 0.
+
 Learned 256-wide encoder features can be swapped in through the SKEMB file
 interface without touching any downstream stage::
 
@@ -31,6 +49,9 @@ from .graph import SkeletonGraph, chain_graph, default_skeleton_graph
 
 SKEMB_MAGIC = b"SKEMB1"
 
+# samples embedded by one set of array operations (see the module docstring)
+BLOCK_SAMPLES = 16
+
 
 @dataclass
 class EmbeddingMatrix:
@@ -54,36 +75,53 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
 
-def _masked_mean(values: np.ndarray, present: np.ndarray, axis: int) -> np.ndarray:
-    count = present.sum(axis=axis)
-    total = np.where(present, values, 0.0).sum(axis=axis)
-    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
+def _mean_over_frames(zeroed: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The mean over axis 2 of the terms ``count`` counts; the others are 0
+    in ``zeroed``.  0 where ``count`` is 0."""
+    return np.where(count > 0, zeroed.sum(axis=2) / np.maximum(count, 1), 0.0)
 
 
-def _embed_one(body: np.ndarray, graph: SkeletonGraph) -> np.ndarray:
-    """body is [3, T, V] float64 with NaN for missing joint instances."""
+def _embed_block(body: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The rows of a block: ``body`` is [B, 3, T, V] float64 with NaN for
+    missing joint instances, and is overwritten; ``edges`` is [E, 2] joint
+    indices."""
     present = np.isfinite(body)  # per channel; channels of one joint agree
-    mean = _masked_mean(body, present, axis=1)  # [3, V]
-    dev = np.where(present, body - mean[:, None, :], 0.0)
-    var = _masked_mean(dev * dev, present, axis=1)
-    std = np.sqrt(var)
+    missing = ~present
+    body[missing] = 0.0
+    count = present.sum(axis=2)  # [B, 3, V]
+    mean = _mean_over_frames(body, count)
+    dev = body - mean[:, :, None, :]
+    dev[missing] = 0.0
+    dev *= dev
+    std = np.sqrt(_mean_over_frames(dev, count))
+    del dev
+    step_present = present[:, :, 1:, :] & present[:, :, :-1, :]  # none when T = 1
+    step = body[:, :, 1:, :] - body[:, :, :-1, :]
+    np.abs(step, out=step)
+    step[~step_present] = 0.0
+    speed = _mean_over_frames(step, step_present.sum(axis=2))
+    del step
 
-    if body.shape[1] > 1:
-        step = body[:, 1:, :] - body[:, :-1, :]
-        step_present = present[:, 1:, :] & present[:, :-1, :]
-        speed = _masked_mean(np.where(step_present, np.abs(step), 0.0), step_present, axis=1)
-    else:
-        speed = np.zeros_like(mean)
+    # one row per (sample, edge): the bone's length in each frame, and
+    # whether both of its joints are present there
+    joint_present = present.all(axis=1)  # [B, T, V]
+    a, b = edges.T
+    seg = body[:, :, :, a]
+    seg -= body[:, :, :, b]  # [B, 3, T, E]
+    seg *= seg
+    length = np.sqrt(seg.sum(axis=1)).transpose(0, 2, 1).reshape(-1, body.shape[2])
+    del seg
+    usable = (joint_present[:, :, a] & joint_present[:, :, b]).transpose(0, 2, 1).reshape(length.shape)
+    used = usable.sum(axis=1)
+    bones = np.zeros(used.size)
+    for c in np.unique(used[used > 0]).tolist():
+        rows = np.flatnonzero(used == c)
+        bones[rows] = length[rows][usable[rows]].reshape(rows.size, c).mean(axis=1)
 
-    joint_present = present.all(axis=0)  # [T, V]
-    bones = np.zeros(len(graph.edges), dtype=np.float64)
-    for e_idx, (a, b) in enumerate(graph.edges):
-        both = joint_present[:, a] & joint_present[:, b]  # [T]
-        if both.any():
-            seg = body[:, both, a] - body[:, both, b]  # [3, T_ok]
-            bones[e_idx] = np.sqrt((seg * seg).sum(axis=0)).mean()
-
-    return np.concatenate([mean.ravel(), std.ravel(), speed.ravel(), bones])
+    n = body.shape[0]
+    return np.concatenate(
+        [mean.reshape(n, -1), std.reshape(n, -1), speed.reshape(n, -1), bones.reshape(n, -1)], axis=1
+    )
 
 
 def embed_baseline(dataset: Dataset, graph: SkeletonGraph | None = None) -> EmbeddingMatrix:
@@ -101,9 +139,16 @@ def embed_baseline(dataset: Dataset, graph: SkeletonGraph | None = None) -> Embe
         raise ValueError(
             f"graph covers {graph.num_joints} joints but data has {num_joints}"
         )
-    rows = np.stack(
-        [_embed_one(seq.data[:, :, :, 0].astype(np.float64), graph) for seq in dataset.samples]
-    )
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    by_frames: dict[int, list[int]] = {}
+    for i, seq in enumerate(dataset.samples):
+        by_frames.setdefault(seq.num_frames, []).append(i)
+    rows = np.empty((len(dataset.samples), 9 * num_joints + len(edges)))
+    for members in by_frames.values():
+        for start in range(0, len(members), BLOCK_SAMPLES):
+            block = members[start:start + BLOCK_SAMPLES]
+            body = np.stack([dataset.samples[i].data[:, :, :, 0] for i in block], dtype=np.float64)
+            rows[block] = _embed_block(body, edges)
     return EmbeddingMatrix(values=rows, sample_ids=dataset.sample_ids, source="builtin")
 
 

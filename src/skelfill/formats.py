@@ -30,6 +30,8 @@ reads back to the same float32.  Lines end in CRLF, an unlabelled sample
 has an empty label, and the sample id is quoted as RFC 4180 requires (by
 :mod:`csv`).  The reader refuses a sample that lacks the row of some
 (t, v, m) or repeats one.  Both readers read a label below 0 as none.
+CSV files are read and written as UTF-8 whatever the locale, and a read
+refuses text that is not UTF-8, naming the file and the line.
 
 A CSV write may be given a *base*: a CSV file this writer wrote from
 float32 data, and the dataset a read of it returns.  Each row of a float32
@@ -96,7 +98,38 @@ def write_str(handle: BinaryIO, value: str) -> None:
 
 def read_str(handle: BinaryIO, what: str) -> str:
     (length,) = struct.unpack("<I", read_exact(handle, 4, f"{what} length"))
-    return read_exact(handle, length, what).decode("utf-8")
+    raw = read_exact(handle, length, what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = handle.tell() - length + exc.start
+        raise FormatError(f"{handle.name}: {what} is not UTF-8: {exc.reason} at byte {offset}") from None
+
+
+def utf8_fault(data: bytes) -> tuple[int, str] | None:
+    """Where ``data`` stops being UTF-8: the line of its first bad byte, as
+    :meth:`str.splitlines` counts lines, and what is wrong there.  ``None``
+    when all of it decodes."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; a stand-in for it counts the line it is on
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        return line, f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+    return None
+
+
+@contextlib.contextmanager
+def _csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """The rows of the CSV file ``path``, read as UTF-8 whatever the locale;
+    text that is not UTF-8 raises :class:`FormatError` naming the file and
+    the line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield csv.reader(handle)
+    except UnicodeDecodeError:
+        line, what = utf8_fault(Path(path).read_bytes())
+        raise FormatError(f"{path}:{line}: {what}") from None
 
 
 def sha256_file(path: str | Path) -> str:
@@ -214,7 +247,7 @@ def _base_samples(dataset: Dataset, base: Base | None) -> Iterator[Iterator]:
         yield itertools.repeat((None, None))
         return
     rows = math.prod(dataset.samples[0].data.shape[1:])
-    with open(base[0], newline="") as handle:
+    with open(base[0], newline="", encoding="utf-8") as handle:
         if handle.readline() != _CSV_HEADER:
             yield itertools.repeat((None, None))
             return
@@ -232,7 +265,7 @@ def write_dataset_csv(dataset: Dataset, path: str | Path, base: Base | None = No
         raise FormatError("refusing to write an empty dataset")
     _check_one_shape(dataset.samples)
     tvm = [f"{t},{v},{m}," for t, v, m in np.ndindex(dataset.samples[0].data.shape[1:])]
-    with open(path, "w", newline="") as handle, _base_samples(dataset, base) as lent:
+    with open(path, "w", newline="", encoding="utf-8") as handle, _base_samples(dataset, base) as lent:
         handle.write(_CSV_HEADER)
         for seq, (lines, old) in zip(dataset.samples, lent):
             prefix = _csv_prefix(seq)
@@ -252,8 +285,7 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
     order: list[str] = []
     rows: dict[str, list[tuple[int, int, int, float, float, float]]] = {}
     labels: dict[str, int | None] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with _csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:5]] != ["sample_id", "label", "t", "v", "m"]:
             raise FormatError(f"{path}: unexpected CSV header {header!r}")
@@ -305,8 +337,8 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
 def _last_csv_line(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> int:
     """The line of the row of ``tvm`` of sample ``sid``: found again only on
     error, so a read keeps no line number per row."""
-    with open(path, newline="") as handle:
-        rows = enumerate(csv.reader(handle), start=1)
+    with _csv_rows(path) as reader:
+        rows = enumerate(reader, start=1)
         next(rows)  # header
         return [n for n, row in rows if row[:1] == [sid] and tuple(map(int, row[2:5])) == tvm][-1]
 
@@ -360,7 +392,7 @@ def read_dataset(path: str | Path, split_tag: str = "train") -> Dataset:
 def write_labels_csv(sample_ids: list[str], labels, path: str | Path) -> None:
     if len(sample_ids) != len(labels):
         raise FormatError("sample ids and labels differ in length")
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sample_id", "label"])
         for sid, lab in zip(sample_ids, labels):
@@ -370,8 +402,7 @@ def write_labels_csv(sample_ids: list[str], labels, path: str | Path) -> None:
 def read_labels_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     labels: list[int] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with _csv_rows(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["sample_id", "label"]:
             raise FormatError(f"{path}: unexpected labels header {header!r}")

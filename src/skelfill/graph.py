@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateGraph, FormatError
+from .formats import utf8_fault
 
 # Bones of the standard 25-joint skeleton, 0-based joint indices.
 _DEFAULT_EDGES_25 = (
@@ -92,11 +93,18 @@ def load_edge_list(path: str | Path, num_joints: int) -> SkeletonGraph:
     """Read a graph from a text file with one ``i j`` pair per line.
 
     Blank lines and lines starting with ``#`` are skipped.  The resulting
-    graph must be connected.  A malformed line, a self-loop or a joint
-    outside ``0..num_joints-1`` raises :class:`FormatError`.
+    graph must be connected.  The file is read as UTF-8 whatever the
+    locale.  Text that is not UTF-8, a malformed line, a self-loop or a
+    joint outside ``0..num_joints-1`` raises :class:`FormatError`.
     """
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        line, what = utf8_fault(data)
+        raise FormatError(f"{path}:{line}: {what}") from None
     edges = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

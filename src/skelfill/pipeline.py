@@ -181,12 +181,18 @@ def parse_setting(name: str, raw: str, where: str):
 
 
 def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Read a key-value config file on top of ``base`` (or the defaults)."""
+    """Read a key-value config file, as UTF-8 whatever the locale, on top of
+    ``base`` (or the defaults)."""
     config = dataclasses.replace(base) if base is not None else PipelineConfig()
     try:
-        lines = Path(path).read_text().splitlines()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        line, what = formats.utf8_fault(data)
+        raise ConfigError(f"{path}:{line}: {what}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -386,10 +392,9 @@ def _capture_text(file: Path) -> str:
     data = file.read_bytes()
     try:
         return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; a stand-in for it counts the line it is on
-        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
-        raise MalformedCapture(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line=line) from None
+    except UnicodeDecodeError:
+        line, what = formats.utf8_fault(data)
+        raise MalformedCapture(what, line=line) from None
 
 
 @_timed

@@ -14,6 +14,7 @@ import numpy as np
 
 from skelfill.data import RawCapture
 from skelfill.errors import MalformedCapture
+from skelfill.graph import SkeletonGraph
 
 
 def masked_distance_ref(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -198,3 +199,36 @@ def parse_ntu_skeleton_ref(text: str) -> RawCapture:
     return RawCapture(frame_index=np.array(frame_index, dtype=np.intp), body_ids=body_ids,
                       coords=np.array(coords, dtype=np.float64).reshape(len(body_ids), num_joints, 3),
                       frame_count=frame_count)
+
+
+def _masked_mean_ref(values: np.ndarray, present: np.ndarray, axis: int) -> np.ndarray:
+    count = present.sum(axis=axis)
+    total = np.where(present, values, 0.0).sum(axis=axis)
+    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
+
+
+def embed_one_ref(body: np.ndarray, graph: SkeletonGraph) -> np.ndarray:
+    """The baseline embedding row of one sample, one bone at a time.  body
+    is [3, T, V] float64 with NaN for missing joint instances."""
+    present = np.isfinite(body)  # per channel; channels of one joint agree
+    mean = _masked_mean_ref(body, present, axis=1)  # [3, V]
+    dev = np.where(present, body - mean[:, None, :], 0.0)
+    var = _masked_mean_ref(dev * dev, present, axis=1)
+    std = np.sqrt(var)
+
+    if body.shape[1] > 1:
+        step = body[:, 1:, :] - body[:, :-1, :]
+        step_present = present[:, 1:, :] & present[:, :-1, :]
+        speed = _masked_mean_ref(np.where(step_present, np.abs(step), 0.0), step_present, axis=1)
+    else:
+        speed = np.zeros_like(mean)
+
+    joint_present = present.all(axis=0)  # [T, V]
+    bones = np.zeros(len(graph.edges), dtype=np.float64)
+    for e_idx, (a, b) in enumerate(graph.edges):
+        both = joint_present[:, a] & joint_present[:, b]  # [T]
+        if both.any():
+            seg = body[:, both, a] - body[:, both, b]  # [3, T_ok]
+            bones[e_idx] = np.sqrt((seg * seg).sum(axis=0)).mean()
+
+    return np.concatenate([mean.ravel(), std.ravel(), speed.ravel(), bones])

@@ -498,6 +498,42 @@ def test_ingest_refuses_a_capture_that_is_not_utf8(tmp_path, capsys, fmt, corrup
     assert not work.exists() or not any(work.iterdir())
 
 
+# the stages run first, the file made not UTF-8, the command that reads it
+# (given the file), and its exit code
+_NOT_UTF8_CASES = {
+    "config": ([], "run.cfg", lambda bad: ["synth", "--config", str(bad)] + SMALL, 2),
+    "dataset": (["synth"], "work/train.csv", lambda bad: ["occlude"], 4),
+    "labels": (["synth", "occlude", "embed", "cluster"], "work/labels_train.csv",
+               lambda bad: ["impute"], 4),
+    "edge-list": (["synth", "occlude"], "bones.txt", lambda bad: ["embed", "--edge-list", str(bad)], 4),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NOT_UTF8_CASES))
+def test_text_input_that_is_not_utf8_exits_with_its_code(tmp_path, capsys, kind):
+    stages, name, command, code = _NOT_UTF8_CASES[kind]
+    work = tmp_path / "work"
+    flags = ["--workdir", str(work), "--format", "csv", "--seed", "1"]
+    for stage in stages:
+        extra = {"synth": SMALL, "cluster": ["--clusters", "3"]}.get(stage, [])
+        assert main([stage] + flags + extra) == 0
+    bad = tmp_path / name
+    if kind == "config":
+        bad.write_text("seed = 1\nrate = 0.2\n")
+    elif kind == "edge-list":
+        bad.write_text("".join(f"{i} {i + 1}\n" for i in range(24)))
+    data = bad.read_bytes()
+    bad.write_bytes(data + b"\xff")  # a line of its own after the last line end
+    before = {p.name: p.read_bytes() for p in work.iterdir()} if work.exists() else None
+    capsys.readouterr()
+
+    assert main(command(bad) + flags) == code
+    line = data.count(b"\n") + 1
+    assert f"{bad}:{line}: not UTF-8 text: invalid start byte at byte {len(data)}" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in work.iterdir()} if work.exists() else None
+    assert after == before
+
+
 @pytest.mark.parametrize("fmt", ["skl1", "csv"])
 def test_ingest_refuses_captures_that_differ_in_joints(tmp_path, capsys, fmt):
     source = tmp_path / "captures"

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dataset_of, random_dataset, seq_of
-from skelfill import EmbeddingMatrix, embed_baseline, load_embeddings, save_embeddings
+from reference import embed_one_ref
+from skelfill import EmbeddingMatrix, SkeletonSequence, embed_baseline, load_embeddings, save_embeddings
 from skelfill.embedding import SKEMB_MAGIC, align_to_dataset
 from skelfill.errors import FormatError, IdMismatch
-from skelfill.graph import chain_graph, default_skeleton_graph
+from skelfill.graph import SkeletonGraph, chain_graph, default_skeleton_graph
 
 
 def test_embedding_width():
@@ -97,6 +99,74 @@ def test_embed_baseline_validation():
     one = dataset_of(seq_of(np.zeros((3, 2, 3, 1), dtype=np.float32), "a"))
     with pytest.raises(ValueError, match="graph covers"):
         embed_baseline(one, graph=chain_graph(5))
+
+
+def _holey_dataset(rng, frames, n=20, joints=25, bodies=1, dtype=np.float32,
+                   joint_rate=0.2, frame_rate=0.0, never=()):
+    """``n`` random samples, each of its own frame count when ``frames`` is
+    a list.  In body slot 0, joint instances are hidden at ``joint_rate``,
+    whole frames at ``frame_rate``, and the joints in ``never`` in every
+    frame; any other body slot holds junk, NaN included."""
+    seqs = []
+    for i in range(n):
+        t = frames[i % len(frames)] if isinstance(frames, list) else frames
+        data = rng.uniform(-2, 2, size=(3, t, joints, bodies)).astype(dtype)
+        data[..., 1:] = rng.choice([np.nan, 1e30, -7.0], size=(3, t, joints, bodies - 1))
+        hidden = rng.random((t, joints)) < joint_rate
+        hidden |= (rng.random(t) < frame_rate)[:, None]
+        hidden[:, list(never)] = True
+        data[:, hidden, 0] = np.nan
+        seqs.append(SkeletonSequence(data=data, sample_id=f"s{i:03d}"))
+    return dataset_of(*seqs)
+
+
+_REFERENCE_CASES = {
+    # (dataset arguments, graph); V = 25 with the default skeleton unless given
+    "frame-holes": (dict(frames=40, joint_rate=0.0, frame_rate=0.3), None),
+    "joint-holes": (dict(frames=40), None),
+    "joint-never-present": (dict(frames=40, never=(3, 20)), None),
+    "T=1": (dict(frames=1), None),
+    "T=8": (dict(frames=8, frame_rate=0.1), None),
+    "T=129": (dict(frames=129, joint_rate=0.01), None),
+    "T=300": (dict(frames=300, frame_rate=0.05), None),
+    "float64": (dict(frames=30, dtype=np.float64), None),
+    "one-joint": (dict(frames=30, joints=1), SkeletonGraph(num_joints=1, edges=())),
+    "chain-of-4": (dict(frames=30, joints=4), chain_graph(4)),
+    "junk-second-body": (dict(frames=30, bodies=2), None),
+    "mixed-T": (dict(frames=[7, 40, 1, 40, 129, 40], n=40), None),  # 20 of T = 40
+    "N=37": (dict(frames=30, n=37), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_embed_baseline_equals_the_per_sample_reference(case):
+    kwargs, graph = _REFERENCE_CASES[case]
+    rng = np.random.default_rng(sorted(_REFERENCE_CASES).index(case))
+    dataset = _holey_dataset(rng, **kwargs)
+    graph = graph or default_skeleton_graph()
+    got = embed_baseline(dataset, graph=graph).values
+    want = np.stack([embed_one_ref(seq.data[:, :, :, 0].astype(np.float64), graph)
+                     for seq in dataset.samples])
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_embed_baseline_working_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(59)
+    graph = default_skeleton_graph()
+
+    def peak_without_output(n):
+        dataset = _holey_dataset(rng, 50, n=n)
+        tracemalloc.start()
+        try:
+            matrix = embed_baseline(dataset, graph=graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - matrix.values.nbytes
+
+    small, large = peak_without_output(32), peak_without_output(160)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_matrix_validation():

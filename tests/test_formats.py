@@ -113,6 +113,23 @@ def test_skl1_trailing_bytes(tmp_path):
         read_skl1(path)
 
 
+@pytest.mark.parametrize("kind", ["skl1", "skemb"])
+def test_sample_id_that_is_not_utf8_raises_format_error(tmp_path, kind):
+    path = tmp_path / f"d.{kind}"
+    if kind == "skl1":
+        write_skl1(payload_dataset(), path)
+        offset, read = 4 + 20 + 4, read_skl1  # magic, header, id length
+    else:
+        save_embeddings(EmbeddingMatrix(values=np.ones((1, 2)), sample_ids=["a"], source="builtin"), path)
+        offset, read = 6 + 8 + 4, load_embeddings
+    blob = bytearray(path.read_bytes())
+    blob[offset] = 0xFF  # the first byte of the first id
+    path.write_bytes(bytes(blob))
+    message = f"{path}: sample id is not UTF-8: invalid start byte at byte {offset}"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read(path)
+
+
 def test_skl1_rejects_wrong_channel_count(tmp_path):
     path = tmp_path / "c4.skl1"
     with open(path, "wb") as handle:
