@@ -70,8 +70,9 @@ def _init_plusplus(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             idx = int(rng.choice(n, p=best / total))
         else:
             # all remaining mass at already-chosen points: spread uniformly
-            remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
-            idx = int(rng.choice(remaining))
+            remaining = np.ones(n, dtype=bool)
+            remaining[chosen] = False
+            idx = int(rng.choice(np.flatnonzero(remaining)))
         chosen.append(idx)
         best = np.minimum(best, ((rows - rows[idx]) ** 2).sum(axis=1))
     return rows[chosen].copy()

@@ -114,7 +114,7 @@ def _embed_block(body: np.ndarray, edges: np.ndarray) -> np.ndarray:
     usable = (joint_present[:, :, a] & joint_present[:, :, b]).transpose(0, 2, 1).reshape(length.shape)
     used = usable.sum(axis=1)
     bones = np.zeros(used.size)
-    for c in np.unique(used[used > 0]).tolist():
+    for c in sorted(set(used[used > 0].tolist())):
         rows = np.flatnonzero(used == c)
         bones[rows] = length[rows][usable[rows]].reshape(rows.size, c).mean(axis=1)
 

@@ -21,26 +21,44 @@ stay NaN and are tallied as unimputable.
 
 Training samples draw donors from their own cluster; test samples draw
 donors exclusively from the training members of their predicted cluster.
-Both splits run through one fill path.
+A coordinate that is not finite is absent: the pool and the target rows hold
+NaN wherever one is, ``inf`` included, so the distance kernel adds
+``fmax((a - b)**2, 0)``, which is ``+0.0`` exactly where either row lacks the
+position.  A donor's channel that is not finite (an instance every reader
+refuses) therefore fills NaN.
 
-Each rule is stated once.  ``_ordered_donors`` (over
-``_distances_to_members``) puts a target's candidates in neighbour order,
-``_first_k`` selects the donors of each hole of a [candidate, hole] matrix,
-and ``_weighted_fill`` fills each column of a [candidate, column] matrix.
-The engine calls each once per target for all of its holes; ``find_donors``
-and ``impute_value`` call them on one column, so the scalar API computes
+Each cluster is one task: it builds the cluster's pool once, fills the
+cluster's train members, then the test samples predicted into it, and drops
+the pool.  A test label no train cluster has gets an empty pool.  The train
+members are the pool's own rows, and ``d(i, j)`` is ``d(j, i)`` bit for bit
+(``fl(a - b)**2 == fl(b - a)**2`` over the same positions in the same sum),
+so each of their pairs is computed once and read back for the other.
+
+Each rule is stated once.  ``_distances_to_members`` gives a target's
+distances and ``_neighbour_order`` puts its candidates in neighbour order:
+ascending distance, then ascending ref.  ``_donor_slots`` takes the first k
+usable candidates of each hole of a [candidate, hole] matrix as [slot, hole]
+arrays, and ``_slot_fill`` adds each hole's weighted terms slot by slot,
+from ``-0.0``: the candidate order of the per-target path (kept in
+``tests/reference.py``), without the ``-0.0`` terms it added for candidates
+a hole does not take, so every value keeps its bits.  The engine calls both
+once per block of targets (``FILL_HOLES``); ``find_donors`` and
+``impute_value`` call them on one column, so the scalar API computes
 exactly what the engine does.
 
-The engine finds donors in two passes.  The bounds pass runs once per
-cluster: matrix products over column blocks give, for every target with a
-hole against every pool row, a proven lower and upper bound on the value
-whose square root is the distance (``_distance_bounds``).  The exact pass
-runs per target, on a shortlist: the rows usable for some hole whose lower
-bound does not exceed that hole's k-th smallest upper bound
+Candidates come from one of two rules, chosen by the pool size.  A pool of
+at most 4k rows sends every row usable for some hole of the target to the
+exact pass.  A larger pool first runs the bounds pass once per task: matrix
+products over column blocks give, for every target with a hole against
+every pool row, a proven lower and upper bound on the value whose square
+root is the distance (``_distance_bounds``).  The exact pass then sees a
+shortlist: the rows usable for some hole whose lower bound does not exceed
+that hole's k-th smallest upper bound, found among the 4k rows of least
+upper bound or, for the holes short of k usable rows there, among all rows
 (``_shortlist``).  Every row that can be among a hole's first k donors, ties
-included, is on it, so ``_ordered_donors``, ``_first_k`` and
-``_weighted_fill`` on the shortlist give the donors, weights and summation
-order of the whole pool: a row left out would only have added ``-0.0``.
+included, is on it, so the slots on the shortlist give the donors, weights
+and summation order of the whole pool.  Nothing derived from the bounds
+reaches an output.
 """
 
 from __future__ import annotations
@@ -116,7 +134,8 @@ def masked_distance(a: FlatSample, b: FlatSample) -> float:
     """Overlap-scaled Euclidean distance between two flat samples."""
     if a.vector.shape != b.vector.shape:
         raise ValueError("samples differ in length")
-    dist = _distances_to_members(b.vector[None, :], b.present[None, :], a.vector, a.present)[0]
+    dist = _distances_to_members(_absent_as_nan(b)[None, :], b.present[None, :],
+                                 _absent_as_nan(a), a.present)[0]
     if dist == np.inf:
         raise NoOverlap(f"samples {a.sample_ref} and {b.sample_ref} share no present coordinate")
     return float(dist)
@@ -140,12 +159,11 @@ def find_donors(
     shape = (len(others), target.vector.size)
     present = np.array([member.present for member in others], dtype=bool).reshape(shape)
     refs = np.array([member.sample_ref for member in others], dtype=np.int64)
-    order, dist = _ordered_donors(
-        np.array([member.vector for member in others], dtype=np.float64).reshape(shape),
-        present, refs, target.vector, target.present,
-    )
-    hits = np.flatnonzero(_first_k(present[order, position][:, None], k)[:, 0])
-    return DonorSet(neighbors=[(int(refs[order[i]]), float(dist[i])) for i in hits])
+    rows = np.array([_absent_as_nan(member) for member in others], dtype=np.float64).reshape(shape)
+    dist = _distances_to_members(rows, present, _absent_as_nan(target), target.present)
+    order = _neighbour_order(dist, refs)
+    slot, valid = _donor_slots(present[order, position][:, None], k)
+    return DonorSet(neighbors=[(int(refs[i]), float(dist[i])) for i in order[slot[valid]]])
 
 
 def impute_value(donors: DonorSet, donor_values: np.ndarray) -> float:
@@ -155,32 +173,43 @@ def impute_value(donors: DonorSet, donor_values: np.ndarray) -> float:
     donor_values = np.asarray(donor_values, dtype=np.float64)
     if donor_values.shape != (len(donors),):
         raise ValueError("donor values do not align with the donor set")
-    distances = np.array([dist for _, dist in donors.neighbors], dtype=np.float64)
-    take = np.ones((len(donors), 1), dtype=bool)
-    return float(_weighted_fill(distances, donor_values[:, None], take)[0])
+    distances = np.array([dist for _, dist in donors.neighbors], dtype=np.float64)[:, None]
+    valid = np.ones(distances.shape, dtype=bool)
+    return float(_slot_fill(distances, valid, donor_values[:, None, None])[0, 0])
 
 
-def _first_k(usable: np.ndarray, k: int) -> np.ndarray:
-    """The donors of each column of a [candidate, hole] matrix whose rows
-    are in neighbour order: its first k usable candidates."""
-    return usable & (np.cumsum(usable, axis=0) <= k)
+def _absent_as_nan(sample: FlatSample) -> np.ndarray:
+    return np.where(sample.present, sample.vector, np.nan)
 
 
-def _weighted_fill(dist: np.ndarray, values: np.ndarray, take: np.ndarray) -> np.ndarray:
-    """The fill of each column of [candidate, column] float64 ``values``
-    from the candidates ``take`` marks, each column taking at least one: the
-    mean of the taken donors at ``dist`` 0 where there are any, otherwise
-    their inverse-distance weighted mean."""
-    zero = take & (dist == 0.0)[:, None]
+def _donor_slots(usable: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The donors of each column of a [candidate, column] matrix whose
+    candidates are in neighbour order: its first k usable candidates, as
+    [slot, column] candidate indices and whether each slot holds a donor.
+    A column's donors fill its first slots, in candidate order."""
+    count = np.cumsum(usable, axis=0, dtype=np.min_scalar_type(len(usable)))
+    # the candidates before a column's (s+1)-th usable one have a count <= s
+    slot = np.array([np.count_nonzero(count <= s, axis=0) for s in range(min(k, len(usable)))],
+                    dtype=np.intp).reshape(-1, usable.shape[1])
+    valid = slot < len(usable)
+    return np.where(valid, slot, 0), valid
+
+
+def _slot_fill(dist: np.ndarray, valid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The fill [channel, column] of each column from the donors ``valid``
+    marks in its slots, at ``dist`` [slot, column] with float64 ``values``
+    [slot, channel, column], each column holding at least one: the mean of
+    its donors at distance 0 where it has any, otherwise their
+    inverse-distance weighted mean.  Both sums add one slot at a time, in
+    candidate order, from -0.0, the exact identity of float addition."""
+    zero = valid & (dist == 0.0)
     recip = 1.0 / np.where(dist == 0.0, 1.0, dist)
-    weight = np.where(zero.any(axis=0), zero, take * recip[:, None])
-    terms = np.where(weight > 0.0, weight * values, -0.0)
-    # cumsum adds the rows in candidate order for any number of columns (sum()
-    # adds one column pairwise), and from -0.0, the exact identity of float
-    # addition, so the candidates a column does not take change nothing.
-    start = np.full((1, values.shape[1]), -0.0)
-    num = np.cumsum(np.concatenate([start, terms]), axis=0)[-1]
-    den = np.cumsum(np.concatenate([start, weight]), axis=0)[-1]
+    weight = np.where(zero.any(axis=0), zero, valid * recip)
+    terms = np.where((weight > 0.0)[:, None], weight[:, None] * values, -0.0)
+    num, den = np.full(values.shape[1:], -0.0), np.full(dist.shape[1:], -0.0)
+    for s in range(len(dist)):
+        num += terms[s]
+        den += weight[s]  # +0.0 for a slot that adds no donor, which no sum > 0 notices
     return num / den
 
 
@@ -195,38 +224,29 @@ def _distances_to_members(
     member_rows: np.ndarray, member_present: np.ndarray, vector: np.ndarray, present: np.ndarray
 ) -> np.ndarray:
     """Masked distance from one target to every member row; positions with
-    no overlap come back as +inf.  The arithmetic runs in float64 whatever
-    the dtype of the member rows."""
-    vector = np.asarray(vector, dtype=np.float64)
-    both = member_present & present[None, :]
-    counts = both.sum(axis=1)
-    diff = np.where(both, member_rows - vector[None, :], 0.0)
-    ignored = (diff * diff).sum(axis=1)
-    length = vector.size
-    out = np.full(member_rows.shape[0], np.inf)
+    no overlap come back as +inf.  The rows and the vector hold NaN exactly
+    where their present masks are False.  The arithmetic runs in float64
+    whatever the dtype of the member rows."""
+    sq = member_rows - np.asarray(vector, dtype=np.float64)
+    sq *= sq
+    np.fmax(sq, 0.0, out=sq)  # NaN, where either lacks the position, becomes +0.0
+    ignored = sq.sum(axis=1)
+    counts = np.count_nonzero(member_present & present, axis=1)
+    out = np.full(len(sq), np.inf)
     valid = counts > 0
-    out[valid] = np.sqrt(length / counts[valid] * ignored[valid])
+    out[valid] = np.sqrt(sq.shape[1] / counts[valid] * ignored[valid])
     return out
 
 
-def _ordered_donors(
-    rows: np.ndarray,
-    present: np.ndarray,
-    refs: np.ndarray,
-    vector: np.ndarray,
-    target_present: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate rows in neighbour order: ascending distance, then ascending
-    ref.  Rows with no overlap are dropped.  Returns (row indices, their
-    distances)."""
-    dist = _distances_to_members(rows, present, vector, target_present)
+def _neighbour_order(dist: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """The candidates with a distance, by ascending distance then ascending
+    ref."""
     order = np.lexsort((refs, dist))
-    order = order[np.isfinite(dist[order])]
-    return order, dist[order]
+    return order[np.isfinite(dist[order])]
 
 
-# A donor pool: member rows [n, L] float32, their present mask [n, L] and
-# their sample indices [n] in the training set.
+# A donor pool: member rows [n, L] float32 with NaN wherever a coordinate is
+# not finite, their present mask [n, L] and their sample indices [n].
 Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Column width of one block of the bounds pass.  The products of one block of
@@ -238,15 +258,26 @@ Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 # block bound the pass's working memory whatever L is.
 BLOCK_COLUMNS = 512
 
+# Holes whose donors are chosen and filled together, in blocks of whole
+# targets: enough to spread the cost of each NumPy call over the holes of
+# some 16 synth-default targets, few enough that the [candidate, hole]
+# arrays of a block stay a few MiB whatever L is.  Blocks of 16 targets
+# raised the traced peak of filling 300-frame samples (1500 holes each, two
+# threads) from 144 to 164 MiB.
+FILL_HOLES = 4096
+
 
 def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
     rows = np.array([dataset.samples[i].data.ravel() for i in members], np.float32)
     rows = rows.reshape(members.size, dataset.samples[0].data.size)
-    return rows, np.isfinite(rows), members
+    present = np.isfinite(rows)
+    rows[~present] = np.nan
+    return rows, present, members
 
 
 def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
-    return {int(label): np.flatnonzero(labels == label) for label in np.unique(labels)}
+    labels = np.asarray(labels)
+    return {label: np.flatnonzero(labels == label) for label in sorted(set(labels.tolist()))}
 
 
 def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]:
@@ -254,44 +285,56 @@ def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]
     ``_distances_to_members`` returns, ``length / counts * ignored``, for
     every target row against every member row; +inf for both where the two
     rows share no present coordinate.  ``lo`` is low enough that a row whose
-    distance rounds to the same float as another's is not cut off by it."""
+    distance rounds to the same float as another's is not cut off by it.
+    When ``targets`` is ``pool`` itself, each product of the pool with
+    itself is computed once."""
     (a_rows, a_present, _), (b_rows, b_present, _) = targets, pool
     shape, length = (a_rows.shape[0], b_rows.shape[0]), a_rows.shape[1]
-    q1, q2, x, c = (np.zeros(shape) for _ in range(4))
+    total, x, c = (np.zeros(shape) for _ in range(3))
     # with no target (rate 0) or no member there is nothing to bound
     for start in range(0, length, BLOCK_COLUMNS) if all(shape) else ():
         cols = slice(start, start + BLOCK_COLUMNS)
-        pa = a_present[:, cols].astype(np.float64)
         pb = b_present[:, cols].astype(np.float64)
-        a = np.where(a_present[:, cols], a_rows[:, cols], 0).astype(np.float64)
         b = np.where(b_present[:, cols], b_rows[:, cols], 0).astype(np.float64)
-        q1 += (a * a) @ pb.T
-        q2 += pa @ (b * b).T
-        x += a @ b.T
-        c += pa @ pb.T
+        if targets is pool:
+            q = (b * b) @ pb.T
+            total += q + q.T
+            x += b @ b.T
+            c += pb @ pb.T
+        else:
+            pa = a_present[:, cols].astype(np.float64)
+            a = np.where(a_present[:, cols], a_rows[:, cols], 0).astype(np.float64)
+            total += np.hstack([a * a, pa]) @ np.hstack([pb, b * b]).T
+            x += a @ b.T
+            c += pa @ pb.T
     # Proof.  u = 2**-53 and g(n) = n*u / (1 - n*u).  Over the c positions
     # both rows have, with values a of the target and b of the member, let
     # S = sum((b - a)**2) and T = sum(a**2 + b**2), so S <= 2T.  The rows are
     # float32, so every a*a, b*b and a*b is exact in float64, c is an exact
     # count, and nothing comes near float64's underflow or overflow.
-    # 1. The loop rounds b - a, its square, and then L additions in some
-    #    order, so its sum I obeys |I - S| <= g(L+2) S <= 2 g(L+2) T.
-    # 2. s = q1 + q2 - 2x adds the 3c exact terms a*a, b*b, -2ab and exact
-    #    zeros in some order of float64 additions, whatever the BLAS kernel
-    #    and block order (an FMA rounds once), so |s - S| <= g(3L) 2T, as
-    #    |2ab| <= a*a + b*b.  total adds nonnegative terms, so T <= total
-    #    / (1 - g(L+1)).
-    # 3. The loop's value is v = fl(r I), with r = fl(L / c) the same float
-    #    as here, and the distance is fl(sqrt(v)).  Rounding is monotone and
-    #    I is a float, so hi = fl(r fl(s + err)) >= v once err >= |I - s|.
-    #    Sorting compares fl(sqrt(v)), and fl(sqrt(v')) <= fl(sqrt(v))
-    #    implies v' <= v / (1 - 4u); so each lo must be at most (1 - 4u) v.
-    #    lo <= r (s - err) (1 + u)**2, v >= r I (1 - u), and (1 - 7u)
-    #    (1 + u)**2 <= (1 - 4u) (1 - u), so err >= |I - s| + 7u I is enough.
+    # 1. The exact pass rounds b - a, its square, and then L additions in
+    #    some order, so its sum I obeys |I - S| <= g(L+2) S <= 2 g(L+2) T.
+    # 2. total is a float64 sum of the 2c exact terms a*a and b*b and of
+    #    exact zeros: one product per block of [A*A | P_t] by [P_m | B*B]
+    #    transposed, or q + q.T with q = (B*B) P_m^T when the targets are the
+    #    pool, since then q2 = q1 transposed.  2x is the sum of the terms 2ab
+    #    exactly, as scaling by 2 is exact.  So s = total - 2x adds the 3c
+    #    exact terms a*a, b*b, -2ab and exact zeros in some order of float64
+    #    additions, whatever the BLAS kernel and block order (an FMA rounds
+    #    once), and |s - S| <= g(3L) 2T, as |2ab| <= a*a + b*b.  total adds
+    #    nonnegative terms, so T <= total / (1 - g(2L)).
+    # 3. The exact pass's value is v = fl(r I), with r = fl(L / c) the same
+    #    float as here, and the distance is fl(sqrt(v)).  Rounding is
+    #    monotone and I is a float, so hi = fl(r fl(s + err)) >= v once err
+    #    >= |I - s|.  Sorting compares fl(sqrt(v)), and fl(sqrt(v')) <=
+    #    fl(sqrt(v)) implies v' <= v / (1 - 4u); so each lo must be at most
+    #    (1 - 4u) v.  lo <= r (s - err) (1 + u)**2, v >= r I (1 - u), and
+    #    (1 - 7u) (1 + u)**2 <= (1 - 4u) (1 - u), so err >= |I - s| + 7u I
+    #    is enough.
     # 4. By 1 and 2, with I <= 2 (1 + g(L+2)) T: |I - s| + 7u I <= (g(8L+4)
-    #    + g(14)) (1 + g(L+2)) T <= g(11L+23) (1 - u) total, so err =
-    #    fl(32 (L+2) u total) >= g(16L+32) (1 - u) total is enough.
-    total = q1 + q2
+    #    + g(14)) (1 + g(L+2)) T <= g(9L+20) T <= g(11L+21) (1 - u) total,
+    #    by 2's bound on T, so err = fl(32 (L+2) u total) >= g(16L+32) (1 - u)
+    #    total is enough.
     s = total - 2.0 * x
     err = 32 * (length + 2) * 2.0**-53 * total
     ratio = length / np.maximum(c, 1.0)
@@ -301,87 +344,131 @@ def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
-def _shortlist(usable: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
-    """The rows of a [member, hole] ``usable`` matrix that can be among the
-    first k usable rows of some hole in neighbour order, given each row's
-    ``lo`` and ``hi`` from ``_distance_bounds``.  At least k rows of a hole
-    lie within its k-th smallest ``hi``, so a row whose ``lo`` exceeds that
-    comes after the hole's k-th donor; with fewer than k usable rows every
-    one is kept."""
-    usable = usable & np.isfinite(lo)[:, None]  # a row with no overlap has no distance
-    cut = np.where(usable, hi[:, None], np.inf)
-    limit = np.partition(cut, k - 1, axis=0)[k - 1] if len(cut) >= k else np.inf
-    return (usable & (lo[:, None] <= limit)).any(axis=1)
+def _shortlist(present: np.ndarray, holes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               k: int) -> np.ndarray:
+    """The rows, of more than 4k ``present`` rows [member, L], that can be
+    among the first k rows with a hole's position present in neighbour
+    order, for some of the target's ``holes``, given each row's ``lo`` and
+    ``hi`` from ``_distance_bounds``.  At least k usable rows of a hole lie
+    within its k-th smallest ``hi``, its limit, so a row whose ``lo``
+    exceeds that comes after the hole's k-th donor; with fewer than k
+    usable rows every one is kept."""
+    finite = np.isfinite(lo)  # a row with no overlap has no distance
+    # a hole's limit is the hi of its k-th usable row in ascending hi; look
+    # for it among the 4k rows of least hi, and partition only for the
+    # holes that have fewer than k usable rows there
+    head = np.argsort(hi, kind="stable")[: 4 * k]
+    count = np.cumsum(present[head[:, None], holes] & finite[head, None], axis=0)
+    reached = count[-1] >= k
+    limit = np.full(holes.size, np.inf)
+    limit[reached] = hi[head[np.argmax(count[:, reached] >= k, axis=0)]]
+    if not reached.all():
+        rest = holes[~reached]
+        cut = np.where(present[:, rest] & finite[:, None], hi[:, None], np.inf)
+        limit[~reached] = np.partition(cut, k - 1, axis=0)[k - 1]
+    # only a row within the largest limit can be kept: it is, when usable for
+    # a hole whose limit it is within
+    rows = np.flatnonzero(finite & (lo <= limit.max()))
+    usable = present[rows[:, None], holes]
+    keep = usable & (lo[rows, None] <= limit)
+    return rows[keep.any(axis=1)]
 
 
-def _fill_one_target(
-    seq: SkeletonSequence,
-    pool: Pool,
-    bounds: tuple[np.ndarray, np.ndarray] | None,
-    k: int,
-    trace: dict | None,
-) -> tuple[np.ndarray, SampleCounts]:
-    """A float32 copy of one sample's data with every missing joint instance
-    imputed, and the sample's counts.  ``bounds`` holds the target's row of
-    ``_distance_bounds`` against ``pool``, or None when it has no hole.  A
-    train target is a member of its own pool, but its own row lacks every
-    one of its holes, so it is never taken as a donor."""
-    data = seq.data.astype(np.float32)
-    flat = data.reshape(-1)
-    present = np.isfinite(flat)
-    holes = np.flatnonzero(np.isnan(data).all(axis=0))  # channel-0 positions, C order
-    if holes.size:
-        keep = _shortlist(pool[1][:, holes], *bounds, k)
-    else:  # a target with no hole takes no donor, so it gets an empty pool, [0, L]
-        keep = np.zeros(pool[2].size, dtype=bool)
-    rows, member_present, refs = (part[keep] for part in pool)
-    order, dist = _ordered_donors(rows, member_present, refs, flat, present)
-    take = _first_k(member_present[order[:, None], holes], k)  # [candidate, hole]
-    found = take.any(axis=0)
-    pos = (holes[found] + np.arange(3)[:, None] * (flat.size // 3)).ravel()  # [channel * hole]
-    values = rows[order[:, None], pos].astype(np.float64)
-    flat[pos] = _weighted_fill(dist, values, np.tile(take[:, found], 3))
-    if trace is not None:
-        for hole, donors in zip(holes[found], take[:, found].T):
-            t, v, m = (int(i) for i in np.unravel_index(hole, data.shape[1:]))
-            trace[(seq.sample_id, t, v, m)] = tuple(refs[order[donors]].tolist())
-    imputed = 3 * int(found.sum())
-    return data, SampleCounts(int((~present).sum()), imputed, 3 * holes.size - imputed)
+@dataclass
+class _Target:
+    """One sample to fill: its index in its dataset, a float32 copy of its
+    data, its holes (channel-0 positions, C order) and its counts."""
+
+    index: int
+    sample_id: str
+    data: np.ndarray
+    holes: np.ndarray
+    counts: SampleCounts
+
+    @classmethod
+    def of(cls, dataset: Dataset, index: int) -> _Target:
+        seq = dataset.samples[index]
+        data = seq.data.astype(np.float32)
+        holes = np.flatnonzero(np.isnan(data).all(axis=0))
+        missing = int(np.count_nonzero(~np.isfinite(data)))
+        return cls(index, seq.sample_id, data, holes, SampleCounts(missing, 0, 3 * holes.size))
 
 
-def _fill_split(
-    dataset: Dataset,
-    groups: dict[int, np.ndarray],
-    pools: dict[int, Pool],
-    k: int,
-    threads: int,
-    trace: dict | None,
-) -> tuple[Dataset, dict[str, SampleCounts]]:
-    """Fill every sample of ``dataset``: the targets ``groups[label]`` draw
-    donors from ``pools[label]``."""
+def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray]], pool: Pool, k: int,
+                trace: dict | None) -> None:
+    """Fill the holes of each target of ``block`` from its candidate rows of
+    ``pool`` and their distances, in neighbour order, in place, and set its
+    imputed and unimputable counts.  The columns are the block's holes,
+    target by target; the candidate axis is as wide as the longest
+    candidate list, the others padded with candidates that are never
+    usable."""
+    rows, present, refs = pool
+    width = max(cand.size for _, cand, _ in block)
+    cand = np.zeros((width, len(block)), dtype=np.intp)
+    dist = np.full((width, len(block)), np.inf)
+    for i, (_, rows_in, d) in enumerate(block):
+        cand[: rows_in.size, i] = rows_in
+        dist[: d.size, i] = d
+    owner = np.repeat(np.arange(len(block)), [target.holes.size for target, _, _ in block])
+    holes = np.concatenate([target.holes for target, _, _ in block])
+    usable = present[cand[:, owner], holes] & np.isfinite(dist)[:, owner]  # [candidate, hole]
+    slot, valid = _donor_slots(usable, k)  # [slot, hole]
+    found = valid[0] if width else np.zeros(holes.size, dtype=bool)
+    slot, valid, owner, holes = slot[:, found], valid[:, found], owner[found], holes[found]
+    donors = cand[slot, owner]
+    pos = np.arange(3)[:, None] * (rows.shape[1] // 3) + holes  # [channel, hole]
+    values = rows[donors[:, None, :], pos].astype(np.float64)  # [slot, channel, hole]
+    fill = _slot_fill(dist[slot, owner], valid, values)
+    ends = np.cumsum(np.bincount(owner, minlength=len(block))).tolist()
+    for i, (target, _, _) in enumerate(block):
+        mine = slice(ends[i - 1] if i else 0, ends[i])
+        target.data.reshape(-1)[pos[:, mine]] = fill[:, mine]
+        imputed = 3 * (mine.stop - mine.start)
+        target.counts.imputed, target.counts.unimputable = imputed, 3 * target.holes.size - imputed
+        if trace is not None:
+            for hole, chosen, ok in zip(holes[mine], donors[:, mine].T, valid[:, mine].T):
+                t, v, m = (int(j) for j in np.unravel_index(hole, target.data.shape[1:]))
+                trace[(target.sample_id, t, v, m)] = tuple(refs[chosen[ok]].tolist())
 
-    def run_group(label: int) -> list[tuple[int, tuple[np.ndarray, SampleCounts]]]:
-        pool, targets = pools[label], groups[label]
-        holed = targets[[np.isnan(dataset.samples[i].data).all(axis=0).any()
-                         for i in targets.tolist()]]
-        lo, hi = _distance_bounds(_pool(dataset, holed), pool)
-        bounds = dict(zip(holed.tolist(), zip(lo, hi)))
-        return [(i, _fill_one_target(dataset.samples[i], pool, bounds.get(i), k, trace))
-                for i in targets.tolist()]
 
-    labels = sorted(groups)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            results = list(executor.map(run_group, labels))
+def _fill_targets(targets: list[_Target], pool: Pool, k: int, trace: dict | None,
+                  dataset: Dataset | None = None) -> None:
+    """Fill ``targets`` from ``pool``, in place.  ``dataset`` is the test
+    split they come from; without it they are the pool's own members, in
+    its order, so each target's row is a pool row, and the distance of each
+    pair of them is computed once."""
+    holed = [r for r, target in enumerate(targets) if target.holes.size]
+    if not holed:
+        return
+    if dataset is None:
+        rows, at = pool, holed
     else:
-        results = [run_group(label) for label in labels]
-
-    filled = dict(pair for done in results for pair in done)
-    out = Dataset.from_sequences(
-        [seq.with_data(filled[gi][0]) for gi, seq in enumerate(dataset.samples)],
-        split_tag=dataset.split_tag,
-    )
-    return out, {seq.sample_id: filled[gi][1] for gi, seq in enumerate(dataset.samples)}
+        rows = _pool(dataset, np.array([targets[r].index for r in holed], dtype=np.intp))
+        at = range(len(holed))
+    bounds = _distance_bounds(rows, pool) if pool[2].size > 4 * k else None
+    # the distances computed so far between the pool's own rows
+    known = np.full((pool[2].size,) * 2, np.nan) if dataset is None else None
+    block, size = [], 0
+    for target, r in zip((targets[r] for r in holed), at):
+        if bounds is None:  # a pool of at most 4k rows: every usable row is a candidate
+            rows_in = np.flatnonzero(pool[1][:, target.holes].any(axis=1))
+        else:
+            rows_in = _shortlist(pool[1], target.holes, bounds[0][r], bounds[1][r], k)
+        if known is None:
+            dist = _distances_to_members(pool[0][rows_in], pool[1][rows_in], rows[0][r], rows[1][r])
+        else:  # d(r, j) and d(j, r) are the same float: each pair is computed once
+            new = rows_in[np.isnan(known[r, rows_in])]
+            known[r, new] = known[new, r] = _distances_to_members(
+                pool[0][new], pool[1][new], rows[0][r], rows[1][r])
+            dist = known[r, rows_in]
+        order = _neighbour_order(dist, pool[2][rows_in])
+        block.append((target, rows_in[order], dist[order]))
+        size += target.holes.size
+        if size >= FILL_HOLES:
+            _fill_block(block, pool, k, trace)
+            block, size = [], 0
+    if block:
+        _fill_block(block, pool, k, trace)
 
 
 def impute_dataset(
@@ -405,16 +492,37 @@ def impute_dataset(
         _check_alignment(test, test_labels, "test")
 
     clusters = _groups(train_labels.labels)
-    pools = {label: _pool(train, members) for label, members in clusters.items()}
-    imputed_train, train_counts = _fill_split(train, clusters, pools, k, threads, trace)
+    groups = _groups(test_labels.labels) if test is not None else {}
+    # every copy a task fills is made here, in the calling thread: made in a
+    # worker, these long-lived arrays would pin the memory that the task's
+    # temporaries freed around them in the worker's malloc arena
+    train_targets = [_Target.of(train, i) for i in range(len(train.samples))]
+    test_targets = [_Target.of(test, i) for i in range(len(test.samples))] if test is not None else []
+    none = np.zeros(0, dtype=np.intp)
 
-    imputed_test, test_counts = None, {}
-    if test is not None:
-        groups = _groups(test_labels.labels)
-        # a label no train cluster has gets an empty pool, [0, L] as the test rows
-        pools |= {label: _pool(test, groups[label][:0]) for label in groups if label not in pools}
-        imputed_test, test_counts = _fill_split(test, groups, pools, k, threads, trace)
+    def fill_cluster(label: int) -> None:
+        # a label no train cluster has gets an empty pool, [0, L]
+        pool = _pool(train, clusters.get(label, none))
+        _fill_targets([train_targets[i] for i in pool[2]], pool, k, trace)
+        _fill_targets([test_targets[i] for i in groups.get(label, none)], pool, k, trace, test)
 
+    labels = sorted(clusters.keys() | groups.keys())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            list(executor.map(fill_cluster, labels))
+    else:
+        for label in labels:
+            fill_cluster(label)
+
+    def assemble(dataset: Dataset, targets: list[_Target]) -> tuple[Dataset, dict[str, SampleCounts]]:
+        out = Dataset.from_sequences(
+            [seq.with_data(target.data) for seq, target in zip(dataset.samples, targets)],
+            split_tag=dataset.split_tag,
+        )
+        return out, {target.sample_id: target.counts for target in targets}
+
+    imputed_train, train_counts = assemble(train, train_targets)
+    imputed_test, test_counts = assemble(test, test_targets) if test is not None else (None, {})
     report = ImputationReport(
         train=train_counts,
         test=test_counts,

@@ -15,6 +15,7 @@ import numpy as np
 from skelfill.data import RawCapture
 from skelfill.errors import MalformedCapture
 from skelfill.graph import SkeletonGraph
+from skelfill.imputation import SampleCounts
 
 
 def masked_distance_ref(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -129,6 +130,62 @@ def naive_impute(
             imputed_test.append(impute_one("test", i, data, flat, members))
 
     return imputed_train, imputed_test, donor_map
+
+
+def fill_one_target_ref(seq, rows: np.ndarray, refs: np.ndarray, k: int, trace: dict | None = None):
+    """One target's float32 data with every missing joint instance filled
+    from the float32 member ``rows`` [n, L] (sample indices ``refs``), and
+    its counts: the engine's per-target path before it batched each
+    cluster, kept as it was with every member row a candidate.  A row of
+    the target itself lacks all of its holes, so it is never a donor."""
+
+    def first_k(usable, k):
+        return usable & (np.cumsum(usable, axis=0) <= k)
+
+    def weighted_fill(dist, values, take):
+        zero = take & (dist == 0.0)[:, None]
+        recip = 1.0 / np.where(dist == 0.0, 1.0, dist)
+        weight = np.where(zero.any(axis=0), zero, take * recip[:, None])
+        terms = np.where(weight > 0.0, weight * values, -0.0)
+        start = np.full((1, values.shape[1]), -0.0)
+        num = np.cumsum(np.concatenate([start, terms]), axis=0)[-1]
+        den = np.cumsum(np.concatenate([start, weight]), axis=0)[-1]
+        return num / den
+
+    def distances_to_members(member_rows, member_present, vector, present):
+        vector = np.asarray(vector, dtype=np.float64)
+        both = member_present & present[None, :]
+        counts = both.sum(axis=1)
+        diff = np.where(both, member_rows - vector[None, :], 0.0)
+        ignored = (diff * diff).sum(axis=1)
+        length = vector.size
+        out = np.full(member_rows.shape[0], np.inf)
+        valid = counts > 0
+        out[valid] = np.sqrt(length / counts[valid] * ignored[valid])
+        return out
+
+    member_present = np.isfinite(rows)
+    data = seq.data.astype(np.float32)
+    flat = data.reshape(-1)
+    present = np.isfinite(flat)
+    holes = np.flatnonzero(np.isnan(data).all(axis=0))  # channel-0 positions, C order
+    keep = np.full(refs.size, holes.size > 0)  # a target with no hole computes no distance
+    rows, member_present, refs = rows[keep], member_present[keep], refs[keep]
+    dist = distances_to_members(rows, member_present, flat, present)
+    order = np.lexsort((refs, dist))
+    order = order[np.isfinite(dist[order])]
+    dist = dist[order]
+    take = first_k(member_present[order[:, None], holes], k)  # [candidate, hole]
+    found = take.any(axis=0)
+    pos = (holes[found] + np.arange(3)[:, None] * (flat.size // 3)).ravel()  # [channel * hole]
+    values = rows[order[:, None], pos].astype(np.float64)
+    flat[pos] = weighted_fill(dist, values, np.tile(take[:, found], 3))
+    if trace is not None:
+        for hole, donors in zip(holes[found], take[:, found].T):
+            t, v, m = (int(i) for i in np.unravel_index(hole, data.shape[1:]))
+            trace[(seq.sample_id, t, v, m)] = tuple(refs[order[donors]].tolist())
+    imputed = 3 * int(found.sum())
+    return data, SampleCounts(int((~present).sum()), imputed, 3 * holes.size - imputed)
 
 
 # the least magnitude that a cast to float32 rounds to infinity

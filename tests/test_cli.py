@@ -631,3 +631,30 @@ def test_json_summary_times_every_stage_outside_the_workdir(tmp_path, capsys):
         data = (tmp_path / "one" / name).read_bytes()
         assert data == (tmp_path / "two" / name).read_bytes(), name
         assert b"seconds" not in data and b"peak_rss_mb" not in data, name
+
+
+def test_a_pipeline_leaves_numpy_ma_unimported(tmp_path):
+    # NumPy 2 imports numpy.ma, about 15 ms, on the first plain np.unique or
+    # np.setdiff1d call; the run ends with a k-means++ start on rows that are
+    # all alike, whose later centroids are drawn from the rows not yet chosen
+    import subprocess
+    import sys
+
+    import skelfill
+
+    program = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from skelfill.cli import main\n"
+        "from skelfill.clustering import _init_plusplus\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "_init_plusplus(np.zeros((4, 2)), 3, np.random.default_rng(0))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {"PYTHONPATH": str(Path(skelfill.__file__).parents[1]), "PATH": ""}
+    out = subprocess.run(
+        [sys.executable, "-c", program, "pipeline", "--workdir", str(tmp_path / "work"),
+         "--clusters", "2", "--neighbors", "2", "--threads", "2"] + SMALL,
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "False"

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, dataset_of, seq_of
+from reference import fill_one_target_ref
 from skelfill import (
     Dataset,
     DonorSet,
     FlatSample,
     PseudoLabels,
+    SkeletonSequence,
     find_donors,
     impute_dataset,
     impute_value,
@@ -21,7 +23,7 @@ from skelfill import (
 )
 from skelfill.errors import EmptyDonorSet, LabelMismatch, NoOverlap
 from skelfill import imputation
-from skelfill.imputation import _first_k, _weighted_fill
+from skelfill.imputation import _donor_slots, _slot_fill
 from skelfill.occlusion import occlude_random
 from skelfill.synth import make_corpus
 
@@ -144,13 +146,19 @@ def test_fill_adds_each_column_in_candidate_order():
     rng = np.random.default_rng(149)
     dist = np.sort(rng.uniform(0.5, 3.0, size=16))
     values = rng.uniform(-2, 2, size=(16, 300))
-    take = _first_k(rng.random((16, 300)) < 0.8, 10)
-    assert take.any(axis=0).all() and (take.sum(axis=0) == 10).sum() > 200
-    fill = _weighted_fill(dist, values, take)
+    slot, valid = _donor_slots(rng.random((16, 300)) < 0.8, 10)  # [slot, column]
+    assert valid.any(axis=0).all() and valid.all(axis=0).sum() > 200
+    fill = _slot_fill(dist[slot], valid, np.take_along_axis(values, slot, axis=0)[:, None])
     for j in range(values.shape[1]):
-        rows = np.flatnonzero(take[:, j])
+        rows = slot[valid[:, j], j]
+        assert (np.diff(rows) > 0).all()  # the first usable candidates, in order
         donors = DonorSet(neighbors=[(int(i), float(dist[i])) for i in rows])
-        assert impute_value(donors, values[rows, j]) == fill[j]
+        assert impute_value(donors, values[rows, j]) == fill[0, j]
+        num = den = -0.0
+        for i in rows:  # one donor at a time, in candidate order
+            num += (1.0 / dist[i]) * values[i, j]
+            den += 1.0 / dist[i]
+        assert num / den == fill[0, j]
 
 
 # ---- full engine ------------------------------------------------------------------
@@ -405,23 +413,14 @@ def shortlist_corpus(offset: float, seed: int) -> Dataset:
 
 
 def full_pool_fill(seq, pool, k):
-    """A target's filled data and donors, from ``_ordered_donors``,
-    ``_first_k`` and ``_weighted_fill`` on every row of the pool."""
+    """A target's filled data and donors from ``fill_one_target_ref`` on
+    every row of the pool, and its candidates' distances in neighbour order."""
     rows, member_present, refs = pool
-    data = seq.data.astype(np.float32)
-    flat = data.reshape(-1)
-    holes = np.flatnonzero(np.isnan(data).all(axis=0))
-    order, dist = imputation._ordered_donors(rows, member_present, refs, flat, np.isfinite(flat))
-    take = _first_k(member_present[order[:, None], holes], k)
-    found = take.any(axis=0)
-    pos = (holes[found] + np.arange(3)[:, None] * (flat.size // 3)).ravel()
-    values = rows[order[:, None], pos].astype(np.float64)
-    flat[pos] = _weighted_fill(dist, values, np.tile(take[:, found], 3))
-    donors = {}
-    for hole, chosen in zip(holes[found], take[:, found].T):
-        t, v, m = (int(i) for i in np.unravel_index(hole, data.shape[1:]))
-        donors[(seq.sample_id, t, v, m)] = tuple(refs[order[chosen]].tolist())
-    return data, donors, dist
+    donors: dict = {}
+    data, _ = fill_one_target_ref(seq, rows, refs, k, donors)
+    flat = np.where(np.isfinite(seq.data), seq.data, np.nan).astype(np.float32).reshape(-1)
+    dist = imputation._distances_to_members(rows, member_present, flat, np.isfinite(flat))
+    return data, donors, np.sort(dist[np.isfinite(dist)])
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -481,6 +480,142 @@ def test_the_exact_pass_sees_a_shortlist(monkeypatch):
     _, _, report = impute_dataset(dataset, labels_for(dataset, [0] * n), k=5)
     assert len(rows) == n and 0 < sum(rows) <= n * n / 4
     assert report.totals().imputed == report.totals().missing > 0
+
+
+def shortlist_by_partition(usable, lo, hi, k):
+    """The shortlist's rule with every hole's limit taken by partitioning
+    the hi of all of its usable rows."""
+    usable = usable & np.isfinite(lo)[:, None]
+    cut = np.where(usable, hi[:, None], np.inf)
+    limit = np.partition(cut, k - 1, axis=0)[k - 1]
+    return np.flatnonzero((usable & (lo[:, None] <= limit)).any(axis=1))
+
+
+def test_shortlist_falls_back_for_holes_short_of_k_donors_in_its_head():
+    # 40 rows and k = 3, so the head is the 12 rows of least hi.  Hole 0 has
+    # one usable row there and three beyond it; hole 1's third usable row
+    # ties on hi with its fourth; hole 2 is usable everywhere but in the row
+    # that overlaps nothing, which hole 0 alone may use.
+    rng = np.random.default_rng(163)
+    n, k = 40, 3
+    hi = np.round(np.sort(rng.uniform(1.0, 2.0, size=n)), 2)
+    hi[6] = hi[5]
+    lo = hi - rng.uniform(0.0, 0.5, size=n)
+    rank = rng.permutation(n)  # row rank[i] is the i-th in hi order
+    lo, hi = lo[np.argsort(rank)], hi[np.argsort(rank)]
+    present = np.zeros((n, 9), dtype=bool)
+    present[rank[[10, 20, 30, 35]], 0] = True
+    present[rank[[0, 2, 5, 6]], 1] = True
+    present[:, 2] = True
+    apart = rank[25]
+    lo[apart] = hi[apart] = np.inf
+    present[apart, 0] = True
+    holes = np.arange(3)
+    head = np.argsort(hi, kind="stable")[: 4 * k]
+    assert present[head, 0].sum() < k <= present[:, 0].sum()
+    assert hi[rank[5]] == hi[rank[6]]
+    kept = imputation._shortlist(present, holes, lo, hi, k)
+    assert bits_equal(kept, shortlist_by_partition(present[:, holes], lo, hi, k))
+    assert set(rank[[10, 20, 30]]) <= set(kept.tolist()) and apart not in kept
+    assert {rank[5], rank[6]} <= set(kept.tolist())
+    # every row within the least limit, and none beyond the largest
+    for trial in range(20):
+        lo = rng.uniform(0.0, 2.0, size=n)
+        hi = lo + rng.uniform(0.0, 0.2, size=n)
+        usable = rng.random((n, 9)) < rng.uniform(0.05, 0.9)
+        assert bits_equal(imputation._shortlist(usable, holes, lo, hi, k),
+                          shortlist_by_partition(usable[:, holes], lo, hi, k)), trial
+
+
+def random_arrays(rng, n, shape=(3, 6, 5, 2), rate=0.25, dtype=np.float32):
+    arrays = []
+    for _ in range(n):
+        data = rng.uniform(-2, 2, size=shape).astype(dtype)
+        data[:, rng.random(shape[1:]) < rate] = np.nan
+        arrays.append(data)
+    return arrays
+
+
+def as_dataset(arrays, prefix, split="train"):
+    # not seq_of, which casts to float32: float64 data keeps its digits
+    seqs = [SkeletonSequence(data=data, sample_id=f"{prefix}{i:02d}") for i, data in enumerate(arrays)]
+    return dataset_of(*seqs, split=split)
+
+
+def reference_case(name):
+    """(train, train labels, test, test labels, k, threads) for one case of
+    the engine against ``fill_one_target_ref``."""
+    rng = np.random.default_rng(167)
+    if name.startswith("shortlist"):
+        _, offset, k = name.split("-")
+        train = shortlist_corpus(float(offset), seed=151)
+        return train, [0] * len(train.samples), None, None, int(k), 1
+    if name == "zero-distance":
+        train = random_arrays(rng, 12)
+        for i, source in ((3, 2), (7, 6), (8, 6)):  # copies, with a hole of their own
+            train[i] = train[source].copy()
+            train[i][:, i % 6, 1, 0] = np.nan
+        return as_dataset(train, "tr"), [0] * 12, None, None, 3, 1
+    if name == "inf-member":
+        train, test = random_arrays(rng, 10), random_arrays(rng, 3)
+        train[2][0, 1, 2, 0] = np.inf  # channel 0 of a present instance
+        train[5][:, 3, 4, 1] = np.inf
+        train[7][0, 0, 0, 0], train[7][1:, 0, 0, 0] = -np.inf, np.nan
+        test[1][0, 2, 2, 0] = np.inf
+        return as_dataset(train, "tr"), [0] * 10, as_dataset(test, "te", "test"), [0, 0, 0], 4, 1
+    if name == "test-label-without-train":
+        train, test = as_dataset(random_arrays(rng, 8), "tr"), as_dataset(random_arrays(rng, 4), "te", "test")
+        return train, [0, 1] * 4, test, [1, 5, 0, 5], 3, 2
+    if name == "members-without-holes":
+        train = random_arrays(rng, 30, rate=0.0)
+        for data in train[::3]:
+            data[:, rng.random(data.shape[1:]) < 0.3] = np.nan
+        test = as_dataset(random_arrays(rng, 5), "te", "test")
+        return as_dataset(train, "tr"), [0] * 30, test, [0] * 5, 2, 1
+    if name == "pools-either-side-of-4k":  # k = 4: 17 members bounded, 9 not
+        train, test = as_dataset(random_arrays(rng, 26), "tr"), as_dataset(random_arrays(rng, 6), "te", "test")
+        return train, [0] * 17 + [1] * 9, test, [0, 1, 1, 0, 1, 0], 4, 2
+    if name == "40-targets":  # about 6000 holes: more than one block of FILL_HOLES
+        train = as_dataset(random_arrays(rng, 40, shape=(3, 20, 25, 1), rate=0.3), "tr")
+        return train, [0] * 40, None, None, 5, 1
+    if name == "float64":
+        train = as_dataset(random_arrays(rng, 25, dtype=np.float64), "tr")
+        test = as_dataset(random_arrays(rng, 5, dtype=np.float64), "te", "test")
+        return train, [0] * 25, test, [0] * 5, 5, 1
+    raise ValueError(name)
+
+
+REFERENCE_CASES = [f"shortlist-{offset}-{k}" for offset in ("0", "1e4") for k in (1, 5, 10)] + [
+    "zero-distance", "inf-member", "test-label-without-train", "members-without-holes",
+    "pools-either-side-of-4k", "40-targets", "float64",
+]
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_engine_equals_the_per_target_reference(name):
+    train, train_labels, test, test_labels, k, threads = reference_case(name)
+    trace: dict = {}
+    out_train, out_test, report = impute_dataset(
+        train, labels_for(train, train_labels),
+        test, None if test is None else labels_for(test, test_labels),
+        k=k, threads=threads, trace=trace,
+    )
+    rows = np.array([seq.data.ravel() for seq in train.samples], dtype=np.float32)
+    want: dict = {}
+    filled = 0
+    sides = [(train, train_labels, out_train, report.train)]
+    if test is not None:
+        sides.append((test, test_labels, out_test, report.test))
+    for dataset, labels, out, counts in sides:
+        for seq, label, got in zip(dataset.samples, labels, out.samples):
+            members = np.flatnonzero(np.asarray(train_labels) == label)
+            with np.errstate(invalid="ignore"):  # the reference weighs an infinite row by 0
+                data, expected = fill_one_target_ref(seq, rows[members], members, k, want)
+            assert np.array_equal(got.data.view(np.uint32), data.view(np.uint32)), seq.sample_id
+            assert counts[seq.sample_id] == expected, seq.sample_id
+            filled += expected.imputed
+    assert trace == want
+    assert filled > 0
 
 
 def test_impute_dataset_rejects_misaligned_labels():
