@@ -1,9 +1,13 @@
 """Capture parsing and the canonical in-memory data model.
 
-The canonical tensor layout is ``[C, T, V, M]`` float32: C=3 coordinate
-channels, T frames, V joints, M body slots.  A missing joint instance is
-encoded as NaN in all three channels at once; zeros mean "present at the
-origin" (padding for absent bodies), never "missing".
+The canonical tensor layout of a sample is ``[C, T, V, M]`` float32: C=3
+coordinate channels, T frames, V joints, M body slots.  A missing joint
+instance is encoded as NaN in all three channels at once; zeros mean
+"present at the origin" (padding for absent bodies), never "missing".
+
+A :class:`Dataset` is one split held as one ``[N, C, T, V, M]`` array, so
+every sample of a dataset has one shape; each sample's ``data`` is a view of
+its row.  The missing-data masks of a dataset are computed when read.
 
 All container types are treated as immutable after construction: operations
 return new objects and never write into arrays they received.
@@ -27,7 +31,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import EmptyCapture, MalformedCapture
+from .errors import EmptyCapture, FormatError, MalformedCapture
 
 log = logging.getLogger(__name__)
 
@@ -107,13 +111,29 @@ class MissingMask:
 
 @dataclass
 class Dataset:
+    """One split: ``data`` [N, 3, T, V, M], with ``samples[i].data`` a view
+    of ``data[i]``, as :meth:`from_sequences` and :meth:`with_data` build it."""
+
+    data: np.ndarray
     samples: list[SkeletonSequence]
-    masks: list[MissingMask]
     split_tag: str = "train"
 
     @classmethod
     def from_sequences(cls, samples: list[SkeletonSequence], split_tag: str = "train") -> "Dataset":
-        return cls(samples=samples, masks=[compute_missing_mask(s) for s in samples], split_tag=split_tag)
+        """The samples stacked into one array; refused unless they share one shape."""
+        for seq in samples[1:]:
+            if seq.data.shape != samples[0].data.shape:
+                raise FormatError(f"samples disagree in shape: {seq.sample_id} has "
+                                  f"{seq.data.shape}, expected {samples[0].data.shape}")
+        data = (np.stack([seq.data for seq in samples]) if samples
+                else np.empty((0, NUM_CHANNELS, 0, 0, 0), dtype=np.float32))
+        return cls(data, samples, split_tag).with_data(data)
+
+    def with_data(self, data: np.ndarray) -> "Dataset":
+        """The same samples (ids, labels, copies of ``body_present``) and
+        split holding ``data`` [N, 3, T, V, M], each sample a view of it."""
+        return Dataset(data, [seq.with_data(row) for seq, row in zip(self.samples, data)],
+                       self.split_tag)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -121,6 +141,11 @@ class Dataset:
     @property
     def sample_ids(self) -> list[str]:
         return [s.sample_id for s in self.samples]
+
+    @property
+    def masks(self) -> list[MissingMask]:
+        """Each sample's :class:`MissingMask`, computed on every read."""
+        return [compute_missing_mask(s) for s in self.samples]
 
 
 def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
@@ -341,11 +366,11 @@ def preprocess_relative(seq: SkeletonSequence, center_joint: int = DEFAULT_CENTE
     return seq.with_data(out)
 
 
-def first_invalid_instance(data: np.ndarray) -> tuple[int, int, int] | None:
-    """The first (t, v, m), in C order, of a ``[3, T, V, M]`` tensor whose
-    joint instance is only partly NaN or has an infinite coordinate; None
-    when every instance is either finite or NaN in all three channels."""
-    bad = ~(np.isfinite(data).all(axis=0) | np.isnan(data).all(axis=0))
+def first_invalid_instance(data: np.ndarray) -> tuple[int, int, int, int] | None:
+    """The first (n, t, v, m), in C order, of a ``[N, 3, T, V, M]`` array
+    whose joint instance is only partly NaN or has an infinite coordinate;
+    None when every instance is either finite or NaN in all three channels."""
+    bad = ~(np.isfinite(data).all(axis=1) | np.isnan(data).all(axis=1))
     return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
 
 

@@ -7,13 +7,12 @@ followed by one mean bone length per skeleton edge.  Width is therefore
 ``9 * V + len(edges)``.  Statistics over empty support (a joint or bone
 never observed) are 0, so rows never contain NaN.
 
-Samples are embedded in blocks of up to ``BLOCK_SAMPLES`` samples of one
-frame count T, as one [B, 3, T, V] float64 array; samples of other frame
-counts go to other blocks.  A block bounds the working memory whatever the
-size of the dataset, and is large enough to share each array operation's
-overhead among its samples.  Each row equals, bit for bit, the row of its
-sample embedded on its own, because every sum keeps the order of the
-one-sample sum:
+Samples are embedded in blocks of up to ``BLOCK_SAMPLES`` consecutive
+samples, as one [B, 3, T, V] float64 array.  A block bounds the working
+memory whatever the size of the dataset, and is large enough to share each
+array operation's overhead among its samples.  Each row equals, bit for
+bit, the row of its sample embedded on its own, because every sum keeps
+the order of the one-sample sum:
 
 - means, deviations and speeds reduce the T axis of the block, and bone
   lengths its channel axis.  numpy adds the terms of each sample in the
@@ -127,12 +126,9 @@ def _embed_block(body: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def embed_baseline(dataset: Dataset, graph: SkeletonGraph | None = None) -> EmbeddingMatrix:
     """Embed every sample of the dataset; reads body slot 0 only, so the
     content of padding body slots never influences the row."""
-    if not dataset.samples:
+    if not len(dataset):
         raise ValueError("dataset has no samples")
-    num_joints = dataset.samples[0].num_joints
-    for seq in dataset.samples:
-        if seq.num_joints != num_joints:
-            raise ValueError("samples disagree in joint count")
+    num_joints = dataset.data.shape[3]
     if graph is None:
         graph = default_skeleton_graph() if num_joints == 25 else chain_graph(num_joints)
     if graph.num_joints != num_joints:
@@ -140,15 +136,10 @@ def embed_baseline(dataset: Dataset, graph: SkeletonGraph | None = None) -> Embe
             f"graph covers {graph.num_joints} joints but data has {num_joints}"
         )
     edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-    by_frames: dict[int, list[int]] = {}
-    for i, seq in enumerate(dataset.samples):
-        by_frames.setdefault(seq.num_frames, []).append(i)
-    rows = np.empty((len(dataset.samples), 9 * num_joints + len(edges)))
-    for members in by_frames.values():
-        for start in range(0, len(members), BLOCK_SAMPLES):
-            block = members[start:start + BLOCK_SAMPLES]
-            body = np.stack([dataset.samples[i].data[:, :, :, 0] for i in block], dtype=np.float64)
-            rows[block] = _embed_block(body, edges)
+    rows = np.empty((len(dataset), 9 * num_joints + len(edges)))
+    for start in range(0, len(dataset), BLOCK_SAMPLES):
+        block = slice(start, start + BLOCK_SAMPLES)
+        rows[block] = _embed_block(dataset.data[block, ..., 0].astype(np.float64), edges)
     return EmbeddingMatrix(values=rows, sample_ids=dataset.sample_ids, source="builtin")
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset
+from .data import Dataset, SkeletonSequence
 from .errors import LengthMismatch, RecordMismatch
 from .occlusion import OcclusionRecord
 
@@ -78,49 +79,39 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
     Per-sample randomness derives from ``seed XOR sample_index``.  A dataset
     with nothing missing comes back with identical values.
     """
-    lo = np.zeros(3)
-    hi = np.zeros(3)
-    seen = np.zeros(3, dtype=bool)
-    for seq in dataset.samples:
-        slots = np.flatnonzero(seq.body_present)
-        if slots.size == 0:
-            continue
-        block = seq.data[:, :, :, slots]
-        for c in range(3):
-            finite = block[c][np.isfinite(block[c])]
-            if finite.size == 0:
-                continue
-            c_lo, c_hi = float(finite.min()), float(finite.max())
-            if not seen[c]:
-                lo[c], hi[c], seen[c] = c_lo, c_hi, True
-            else:
-                lo[c], hi[c] = min(lo[c], c_lo), max(hi[c], c_hi)
+    lo, hi = np.zeros(3), np.zeros(3)
+    n, _, _, _, m = dataset.data.shape
+    present = np.array([seq.body_present for seq in dataset.samples], dtype=bool)
+    usable = np.isfinite(dataset.data) & present.reshape(n, 1, 1, 1, m)
+    for c in range(3):
+        values = dataset.data[:, c][usable[:, c]]
+        if values.size:
+            lo[c], hi[c] = values.min(), values.max()
 
-    out = []
-    for index, seq in enumerate(dataset.samples):
+    data = dataset.data.copy()
+    for index, sample in enumerate(data):
         rng = np.random.default_rng(seed ^ index)
-        data = seq.data.copy()
         for c in range(3):
-            holes = np.isnan(data[c])
+            holes = np.isnan(sample[c])
             count = int(holes.sum())
             if count:
-                data[c][holes] = rng.uniform(lo[c], hi[c], size=count).astype(np.float32)
-        out.append(seq.with_data(data))
-    return Dataset.from_sequences(out, split_tag=dataset.split_tag)
+                sample[c][holes] = rng.uniform(lo[c], hi[c], size=count).astype(np.float32)
+    return dataset.with_data(data)
 
 
 def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
     """Summed Euclidean error over recovered joint instances vs the record."""
-    by_id = {seq.sample_id: seq for seq in imputed.samples}
+    return _mpjpe({seq.sample_id: seq for seq in imputed.samples}, record)
+
+
+def _mpjpe(by_id: dict[str, SkeletonSequence], record: OcclusionRecord) -> MpjpeStats:
+    """:func:`mpjpe` of the samples in ``by_id``, in the record's order."""
     total, evaluated, excluded = 0.0, 0, 0
     for sid, (idx, values) in record.entries.items():
         seq = by_id.get(sid)
         if seq is None:
             raise RecordMismatch(f"record refers to unknown sample {sid!r}")
-        _, t_n, v_n, m_n = seq.data.shape
-        if idx.size and (
-            idx[:, 0].max() >= t_n or idx[:, 1].max() >= v_n or idx[:, 2].max() >= m_n
-        ):
+        if idx.size and (idx.max(axis=0) >= seq.data.shape[1:]).any():
             raise RecordMismatch(f"record for {sid!r} indexes outside the sample shape")
         got = seq.data[:, idx[:, 0], idx[:, 1], idx[:, 2]].T.astype(np.float64)  # [n, 3]
         finite = np.isfinite(got).all(axis=1)
@@ -172,12 +163,16 @@ def clustering_quality(pseudo, truth) -> tuple[float, float]:
     return purity, nmi
 
 
-def per_class_error(imputed: Dataset, record: OcclusionRecord) -> dict[int, MpjpeStats]:
-    """Recovery error per true class label of the recorded samples; empty
-    when no sample has a label."""
-    label_of = {seq.sample_id: seq.label for seq in imputed.samples}
+def per_class_error(imputed: Dataset | Iterable[Dataset], record: OcclusionRecord
+                    ) -> dict[int, MpjpeStats]:
+    """Recovery error per true class label of the recorded samples of
+    ``imputed``, one dataset or several pooled (the splits, say); empty when
+    no sample has a label."""
+    splits = [imputed] if isinstance(imputed, Dataset) else imputed
+    by_id = {seq.sample_id: seq for split in splits for seq in split.samples}
     by_label: dict[int, OcclusionRecord] = {}
     for sid, entry in record.entries.items():
-        if label_of.get(sid) is not None:
-            by_label.setdefault(int(label_of[sid]), OcclusionRecord()).entries[sid] = entry
-    return {label: mpjpe(imputed, sub) for label, sub in sorted(by_label.items())}
+        label = by_id[sid].label if sid in by_id else None
+        if label is not None:
+            by_label.setdefault(int(label), OcclusionRecord()).entries[sid] = entry
+    return {label: _mpjpe(by_id, sub) for label, sub in sorted(by_label.items())}

@@ -11,11 +11,14 @@ SKL1 (binary dataset container)::
         f32[]  C*T*V*M values, row-major in (C, T, V, M) order
 
 Float payloads round-trip bit-exactly: values are copied to and from the
-file without any arithmetic, so NaN payload bits survive.
+file without any arithmetic, so NaN payload bits survive.  The reader
+refuses a header of no records, one that claims more records than the file
+could hold before it allocates them, and a sample id that repeats.
 
 Both dataset readers refuse a joint instance that is NaN in only some of
 its channels, or that has an infinite coordinate (see the data model in
-:mod:`skelfill.data`).
+:mod:`skelfill.data`), once the file's structure has passed: so a file
+with more than one fault is reported at its first structural fault.
 
 CSV (interchange dataset, lossy for NaN payload bits)::
 
@@ -141,59 +144,42 @@ def sha256_file(path: str | Path) -> str:
 
 
 def _infer_body_present(data: np.ndarray) -> np.ndarray:
-    """A slot holds a body iff its slab has any nonzero or NaN value."""
-    slab_nan = np.isnan(data).any(axis=(0, 1, 2))
-    slab_nonzero = (data != 0).any(axis=(0, 1, 2))
-    present = slab_nan | slab_nonzero
-    if not present.any():
-        present[0] = True  # degenerate all-zero sample still owns slot 0
+    """[N, M]: a slot holds a body iff its slab of ``data`` [N, 3, T, V, M]
+    has any nonzero or NaN (!= 0) value; a sample with none owns slot 0."""
+    present = (data != 0).any(axis=(1, 2, 3))
+    present[~present.any(axis=1), 0] = True
     return present
 
 
-def _sample_as_read(
-    data: np.ndarray, sample_id: str, label: int | None, path: str | Path, fmt: str
-) -> SkeletonSequence:
-    """One sample as a read of the ``fmt`` file ``path`` returns it: float32
-    data, refused when a joint instance is invalid; no label for one below
-    0; and the body slots :func:`_infer_body_present` finds."""
+def _as_read(data: np.ndarray, sample_ids: list[str], labels: list[int | None],
+             path: str | Path, fmt: str, split_tag: str) -> Dataset:
+    """The dataset a read of the ``fmt`` file ``path`` returns for ``data``
+    [N, 3, T, V, M] and its samples' ids and labels: float32 data, refused
+    when an id repeats or a joint instance is invalid; no label for one
+    below 0; and the body slots :func:`_infer_body_present` finds."""
     data = np.ascontiguousarray(data, dtype=np.float32)
+    if len(set(sample_ids)) != len(sample_ids):
+        raise FormatError(f"{path}: duplicate sample ids")
     bad = first_invalid_instance(data)
     if bad is not None:
-        where = f"{path}:{_last_csv_line(path, sample_id, bad)}" if fmt == "csv" else path
-        raise FormatError(f"{where}: sample {sample_id!r}: {_INVALID} at (t, v, m) = {bad}")
-    return SkeletonSequence(
-        data=data,
-        sample_id=sample_id,
-        label=None if label is None or label < 0 else int(label),
-        body_present=_infer_body_present(data),
-    )
-
-
-def _check_one_shape(samples: list[SkeletonSequence], where: str = "") -> None:
-    """Refuse samples that disagree in shape, naming the first that differs
-    from the first sample."""
-    shape = samples[0].data.shape
-    for seq in samples:
-        if seq.data.shape != shape:
-            raise FormatError(
-                f"{where}samples disagree in shape: {seq.sample_id} has {seq.data.shape}, expected {shape}"
-            )
+        sid, tvm = sample_ids[bad[0]], bad[1:]
+        where = f"{path}:{_last_csv_line(path, sid, tvm)}" if fmt == "csv" else path
+        raise FormatError(f"{where}: sample {sid!r}: {_INVALID} at (t, v, m) = {tvm}")
+    labels = [None if label is None or label < 0 else int(label) for label in labels]
+    return Dataset(data, [SkeletonSequence(row, sid, label, present) for row, sid, label, present
+                          in zip(data, sample_ids, labels, _infer_body_present(data))], split_tag)
 
 
 def write_skl1(dataset: Dataset, path: str | Path) -> None:
-    samples = dataset.samples
-    if not samples:
+    if not len(dataset):
         raise FormatError("refusing to write an empty dataset")
-    _check_one_shape(samples)
-    c, t, v, m = samples[0].data.shape
+    slabs = np.ascontiguousarray(dataset.data, dtype="<f4")
     with open(path, "wb") as handle:
-        handle.write(SKL1_MAGIC)
-        handle.write(struct.pack("<IIIII", len(samples), c, t, v, m))
-        for seq in samples:
+        handle.write(SKL1_MAGIC + struct.pack("<IIIII", *slabs.shape))
+        for seq, slab in zip(dataset.samples, slabs):
             write_str(handle, seq.sample_id)
-            label = -1 if seq.label is None else int(seq.label)
-            handle.write(struct.pack("<i", label))
-            handle.write(np.ascontiguousarray(seq.data, dtype="<f4").tobytes())
+            handle.write(struct.pack("<i", -1 if seq.label is None else int(seq.label)))
+            handle.write(slab)
 
 
 def read_skl1(path: str | Path, split_tag: str = "train") -> Dataset:
@@ -206,17 +192,23 @@ def read_skl1(path: str | Path, split_tag: str = "train") -> Dataset:
             raise FormatError(f"{path}: expected {NUM_CHANNELS} channels, header says {c}")
         if min(t, v, m) < 1:
             raise FormatError(f"{path}: degenerate dimensions T={t} V={v} M={m}")
-        samples = []
+        if n == 0:
+            raise FormatError(f"{path}: header declares no records")
         slab_bytes = c * t * v * m * 4
-        for _ in range(n):
-            sample_id = read_str(handle, "sample id")
-            (label,) = struct.unpack("<i", read_exact(handle, 4, "label"))
-            raw = read_exact(handle, slab_bytes, f"data of {sample_id}")
-            data = np.frombuffer(raw, dtype="<f4").reshape(c, t, v, m).copy()
-            samples.append(_sample_as_read(data, sample_id, label, path, "skl1"))
+        # each record holds at least a 4-byte id length, the label and its data
+        left = os.fstat(handle.fileno()).st_size - handle.tell()
+        if n * (4 + 4 + slab_bytes) > left:
+            raise FormatError(f"{path}: truncated: header claims {n} records of {slab_bytes} "
+                              f"data bytes, but only {left} bytes follow")
+        data = np.empty((n, c, t, v, m), dtype=np.float32)
+        ids, labels = [], []
+        for row in data.reshape(n, -1):
+            ids.append(read_str(handle, "sample id"))
+            labels.append(struct.unpack("<i", read_exact(handle, 4, "label"))[0])
+            row[:] = np.frombuffer(read_exact(handle, slab_bytes, f"data of {ids[-1]}"), "<f4")
         if handle.read(1):
             raise FormatError(f"{path}: trailing bytes after {n} records")
-    return Dataset.from_sequences(samples, split_tag=split_tag)
+    return _as_read(data, ids, labels, path, "skl1", split_tag)
 
 
 def _csv_prefix(seq: SkeletonSequence) -> str:
@@ -241,19 +233,16 @@ def _base_samples(dataset: Dataset, base: Base | None) -> Iterator[Iterator]:
     None)`` for every sample when the base can lend nothing (see the module
     docstring).  The base file is read one sample at a time."""
     ids = dataset.sample_ids
-    if (base is None or base[1].sample_ids != ids
-            or [s.data.shape for s in base[1].samples] != [s.data.shape for s in dataset.samples]
+    if (base is None or base[1].sample_ids != ids or base[1].data.shape != dataset.data.shape
             or any("\r" in sid or "\n" in sid for sid in ids)):
         yield itertools.repeat((None, None))
         return
-    rows = math.prod(dataset.samples[0].data.shape[1:])
+    coords = np.asarray(base[1].data, dtype=np.float32).reshape(len(ids), NUM_CHANNELS, -1)
     with open(base[0], newline="", encoding="utf-8") as handle:
         if handle.readline() != _CSV_HEADER:
             yield itertools.repeat((None, None))
             return
-        yield ((list(itertools.islice(handle, rows)),
-                np.asarray(seq.data, dtype=np.float32).reshape(NUM_CHANNELS, -1))
-               for seq in base[1].samples)
+        yield ((list(itertools.islice(handle, coords.shape[2])), xyz) for xyz in coords)
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path, base: Base | None = None) -> None:
@@ -261,16 +250,15 @@ def write_dataset_csv(dataset: Dataset, path: str | Path, base: Base | None = No
     joined string; :mod:`csv` quotes only the id and label.  With ``base``,
     each row whose coordinates keep their bits is copied from the base
     file, and only the others are formatted."""
-    if not dataset.samples:
+    if not len(dataset):
         raise FormatError("refusing to write an empty dataset")
-    _check_one_shape(dataset.samples)
-    tvm = [f"{t},{v},{m}," for t, v, m in np.ndindex(dataset.samples[0].data.shape[1:])]
+    tvm = [f"{t},{v},{m}," for t, v, m in np.ndindex(dataset.data.shape[2:])]
     with open(path, "w", newline="", encoding="utf-8") as handle, _base_samples(dataset, base) as lent:
         handle.write(_CSV_HEADER)
-        for seq, (lines, old) in zip(dataset.samples, lent):
+        coords = dataset.data.reshape(len(dataset), NUM_CHANNELS, -1)
+        for seq, xyz, (lines, old) in zip(dataset.samples, coords, lent):
             prefix = _csv_prefix(seq)
             heads = [prefix + text for text in tvm]
-            xyz = seq.data.reshape(NUM_CHANNELS, -1)
             if (old is None or xyz.dtype != np.float32 or len(lines) != len(heads)
                     or not all(map(str.startswith, lines, heads))):
                 handle.write("".join(_format_rows(heads, xyz)))
@@ -308,8 +296,8 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
     if not order:
         raise FormatError(f"{path}: no data rows")
 
-    samples = []
-    for sid in order:
+    data = None
+    for i, sid in enumerate(order):
         table = np.array(rows[sid], dtype=np.float64)  # [row, (t, v, m, x, y, z)]
         tvm = table[:, :3].astype(np.int64)
         if (tvm < 0).any():
@@ -327,11 +315,13 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
             first = tuple(int(i) for i in np.unravel_index(pos, shape))
             raise FormatError(f"{path}: sample {sid!r}: {np.count_nonzero(flat == pos)} rows "
                               f"for (t, v, m) = {first}, expected exactly 1")
-        data = np.empty((NUM_CHANNELS, *shape), dtype=np.float32)
-        data.reshape(NUM_CHANNELS, -1)[:, flat] = table[:, 3:].T
-        samples.append(_sample_as_read(data, sid, labels[sid], path, "csv"))
-    _check_one_shape(samples, f"{path}: ")
-    return Dataset.from_sequences(samples, split_tag=split_tag)
+        if data is None:
+            data = np.empty((len(order), NUM_CHANNELS, *shape), dtype=np.float32)
+        elif shape != data.shape[2:]:
+            raise FormatError(f"{path}: samples disagree in shape: {sid} has "
+                              f"{(NUM_CHANNELS, *shape)}, expected {data.shape[1:]}")
+        data[i].reshape(NUM_CHANNELS, -1)[:, flat] = table[:, 3:].T
+    return _as_read(data, order, [labels[sid] for sid in order], path, "csv", split_tag)
 
 
 def _last_csv_line(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> int:
@@ -360,14 +350,12 @@ def write_dataset(
 def dataset_as_written(dataset: Dataset, path: str | Path, fmt: str, split_tag: str) -> Dataset:
     """What ``read_dataset(path, split_tag)`` returns once
     ``write_dataset(dataset, path, fmt)`` has written ``path``, built without
-    reading it back; an invalid joint instance raises the read's
-    :class:`FormatError`.  A CSV file holds every NaN as ``nan``, which
-    reads back as the default NaN whatever its payload was."""
-    samples = []
-    for seq in dataset.samples:
-        data = _default_nans(seq.data) if fmt == "csv" else seq.data
-        samples.append(_sample_as_read(data, seq.sample_id, seq.label, path, fmt))
-    return Dataset.from_sequences(samples, split_tag=split_tag)
+    reading it back; a repeated id or an invalid joint instance raises a
+    :class:`FormatError`, as the read does.  A CSV file holds every NaN as
+    ``nan``, which reads back as the default NaN whatever its payload was."""
+    data = _default_nans(dataset.data) if fmt == "csv" else dataset.data
+    return _as_read(data, dataset.sample_ids, [seq.label for seq in dataset.samples],
+                    path, fmt, split_tag)
 
 
 def _default_nans(data: np.ndarray) -> np.ndarray:

@@ -64,6 +64,7 @@ reaches an output.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
@@ -71,7 +72,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset, SkeletonSequence
+from .data import Dataset
 from .errors import EmptyDonorSet, LabelMismatch, NoOverlap
 
 
@@ -268,8 +269,8 @@ FILL_HOLES = 4096
 
 
 def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
-    rows = np.array([dataset.samples[i].data.ravel() for i in members], np.float32)
-    rows = rows.reshape(members.size, dataset.samples[0].data.size)
+    n, *shape = dataset.data.shape
+    rows = dataset.data.reshape(n, math.prod(shape))[members].astype(np.float32, copy=False)
     present = np.isfinite(rows)
     rows[~present] = np.nan
     return rows, present, members
@@ -376,8 +377,9 @@ def _shortlist(present: np.ndarray, holes: np.ndarray, lo: np.ndarray, hi: np.nd
 
 @dataclass
 class _Target:
-    """One sample to fill: its index in its dataset, a float32 copy of its
-    data, its holes (channel-0 positions, C order) and its counts."""
+    """One sample to fill: its index in its dataset, a view of its row of
+    the float32 copy that is filled, its holes (channel-0 positions, C
+    order) and its counts."""
 
     index: int
     sample_id: str
@@ -385,13 +387,16 @@ class _Target:
     holes: np.ndarray
     counts: SampleCounts
 
-    @classmethod
-    def of(cls, dataset: Dataset, index: int) -> _Target:
-        seq = dataset.samples[index]
-        data = seq.data.astype(np.float32)
-        holes = np.flatnonzero(np.isnan(data).all(axis=0))
-        missing = int(np.count_nonzero(~np.isfinite(data)))
-        return cls(index, seq.sample_id, data, holes, SampleCounts(missing, 0, 3 * holes.size))
+
+def _targets(dataset: Dataset) -> tuple[np.ndarray, list[_Target]]:
+    """A float32 copy of ``dataset.data`` to fill, and a target per row."""
+    data = dataset.data.astype(np.float32)
+    flat = data.reshape(*data.shape[:2], math.prod(data.shape[2:]))  # [N, 3, L / 3]
+    missing = np.count_nonzero(~np.isfinite(flat), axis=(1, 2)).tolist()
+    holes = [np.flatnonzero(row) for row in np.isnan(flat).all(axis=1)]
+    return data, [_Target(i, sid, row, hole, SampleCounts(miss, 0, 3 * hole.size))
+                  for i, (sid, row, hole, miss)
+                  in enumerate(zip(dataset.sample_ids, data, holes, missing))]
 
 
 def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray]], pool: Pool, k: int,
@@ -496,8 +501,8 @@ def impute_dataset(
     # every copy a task fills is made here, in the calling thread: made in a
     # worker, these long-lived arrays would pin the memory that the task's
     # temporaries freed around them in the worker's malloc arena
-    train_targets = [_Target.of(train, i) for i in range(len(train.samples))]
-    test_targets = [_Target.of(test, i) for i in range(len(test.samples))] if test is not None else []
+    train_out, train_targets = _targets(train)
+    test_out, test_targets = _targets(test) if test is not None else (None, [])
     none = np.zeros(0, dtype=np.intp)
 
     def fill_cluster(label: int) -> None:
@@ -514,19 +519,11 @@ def impute_dataset(
         for label in labels:
             fill_cluster(label)
 
-    def assemble(dataset: Dataset, targets: list[_Target]) -> tuple[Dataset, dict[str, SampleCounts]]:
-        out = Dataset.from_sequences(
-            [seq.with_data(target.data) for seq, target in zip(dataset.samples, targets)],
-            split_tag=dataset.split_tag,
-        )
-        return out, {target.sample_id: target.counts for target in targets}
-
-    imputed_train, train_counts = assemble(train, train_targets)
-    imputed_test, test_counts = assemble(test, test_targets) if test is not None else (None, {})
     report = ImputationReport(
-        train=train_counts,
-        test=test_counts,
+        train={target.sample_id: target.counts for target in train_targets},
+        test={target.sample_id: target.counts for target in test_targets},
         cluster_sizes={str(label): int(members.size) for label, members in clusters.items()},
         k=k,
     )
-    return imputed_train, imputed_test, report
+    imputed_test = test.with_data(test_out) if test is not None else None
+    return train.with_data(train_out), imputed_test, report

@@ -74,18 +74,20 @@ class OcclusionRecord:
 
     def restore(self, dataset: Dataset) -> Dataset:
         """Write the recorded originals back; inverse of the occlusion."""
-        by_id = {seq.sample_id: seq for seq in dataset.samples}
-        out = []
-        for seq in dataset.samples:
-            data = seq.data.copy()
-            if seq.sample_id in self.entries:
-                idx, values = self.entries[seq.sample_id]
-                data[:, idx[:, 0], idx[:, 1], idx[:, 2]] = values.T
-            out.append(seq.with_data(data))
+        ids = dataset.sample_ids
+        known = set(ids)
         for sid in self.entries:
-            if sid not in by_id:
+            if sid not in known:
                 raise RecordMismatch(f"record refers to unknown sample {sid!r}")
-        return Dataset.from_sequences(out, split_tag=dataset.split_tag)
+        data = dataset.data.copy()
+        # every recorded instance of every sample, as [n, t, v, m] and its values
+        rows = [i for i, sid in enumerate(ids) if sid in self.entries]
+        if rows:
+            idx = np.concatenate([self.entries[ids[i]][0] for i in rows])
+            values = np.concatenate([self.entries[ids[i]][1] for i in rows])
+            n = np.repeat(rows, [len(self.entries[ids[i]][0]) for i in rows])
+            data[n, :, idx[:, 0], idx[:, 1], idx[:, 2]] = values
+        return dataset.with_data(data)
 
     @classmethod
     def between(cls, clean: Dataset, occluded: Dataset) -> "OcclusionRecord":
@@ -93,17 +95,22 @@ class OcclusionRecord:
         :meth:`restore`.  Per occluded sample: every joint instance missing
         there (all channels NaN) and present in ``clean`` (no channel NaN),
         with its clean values."""
-        by_id = {seq.sample_id: seq for seq in clean.samples}
+        position = {sid: i for i, sid in enumerate(clean.sample_ids)}
+        ids = occluded.sample_ids
+        for sid in ids:
+            if sid not in position or clean.data.shape[1:] != occluded.data.shape[1:]:
+                raise RecordMismatch(f"occluded sample {sid!r} has no clean sample of shape "
+                                     f"{occluded.data.shape[1:]}")
+        # the clean rows in the occluded split's order; a copy only where that differs
+        source = clean.data if ids == clean.sample_ids else clean.data[[position[sid] for sid in ids]]
+        hidden = np.isnan(occluded.data).all(axis=1) & ~np.isnan(source).any(axis=1)
+        idx = np.argwhere(hidden)  # [n, t, v, m], by sample, then in (t, v, m) order
+        values = source[idx[:, 0], :, idx[:, 1], idx[:, 2], idx[:, 3]]
+        ends = np.cumsum(np.bincount(idx[:, 0], minlength=len(ids)))
         record = cls()
-        for seq in occluded.samples:
-            source = by_id.get(seq.sample_id)
-            if source is None or source.data.shape != seq.data.shape:
-                raise RecordMismatch(
-                    f"occluded sample {seq.sample_id!r} has no clean sample of shape "
-                    f"{seq.data.shape}")
-            hidden = np.isnan(seq.data).all(axis=0) & ~np.isnan(source.data).any(axis=0)
-            idx = np.argwhere(hidden)
-            record.add(seq.sample_id, idx, source.data[:, idx[:, 0], idx[:, 1], idx[:, 2]].T)
+        for sid, sample_idx, sample_values in zip(ids, np.split(idx[:, 1:], ends[:-1]),
+                                                  np.split(values, ends[:-1])):
+            record.add(sid, sample_idx, sample_values)
         return record
 
     def save_csv(self, path: str | Path) -> None:
@@ -147,9 +154,10 @@ class OcclusionRecord:
 
 
 def _reject_preexisting_nan(dataset: Dataset) -> None:
-    for mask, seq in zip(dataset.masks, dataset.samples):
-        if mask.frame_mask.any():
-            raise AlreadyOccluded(f"sample {seq.sample_id!r} already has missing joints")
+    missing = np.isnan(dataset.data).all(axis=1).any(axis=(1, 2, 3))
+    if missing.any():
+        sid = dataset.sample_ids[int(np.argmax(missing))]
+        raise AlreadyOccluded(f"sample {sid!r} already has missing joints")
 
 
 def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, OcclusionRecord]:
@@ -159,20 +167,18 @@ def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, O
         raise RateOutOfRange(f"rate {rate} outside [0, 1]")
     _reject_preexisting_nan(dataset)
 
-    out = []
-    for index, seq in enumerate(dataset.samples):
+    data = dataset.data.copy()
+    _, _, t_n, v_n, _ = data.shape
+    for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
         rng = np.random.default_rng(seed ^ index)
-        _, t_n, v_n, _ = seq.data.shape
         slots = np.flatnonzero(seq.body_present)
         pool = t_n * v_n * len(slots)
         count = math.floor(rate * pool)
-        data = seq.data.copy()
         if count:
             chosen = rng.choice(pool, size=count, replace=False)
             ts, vs, ks = np.unravel_index(chosen, (t_n, v_n, len(slots)))
-            data[:, ts, vs, slots[ks]] = np.nan
-        out.append(seq.with_data(data))
-    occluded = Dataset.from_sequences(out, split_tag=dataset.split_tag)
+            sample[:, ts, vs, slots[ks]] = np.nan
+    occluded = dataset.with_data(data)
     return occluded, OcclusionRecord.between(dataset, occluded)
 
 
@@ -191,21 +197,19 @@ def occlude_joints(
     if not 0.0 <= frame_fraction <= 1.0:
         raise RateOutOfRange(f"frame fraction {frame_fraction} outside [0, 1]")
 
-    out = []
-    for index, seq in enumerate(dataset.samples):
-        _, t_n, v_n, _ = seq.data.shape
-        bad = [j for j in targets if not 0 <= j < v_n]
-        if bad:
-            raise JointIndexOutOfRange(f"joints {bad} outside 0..{v_n - 1}")
+    _, _, t_n, v_n, _ = dataset.data.shape
+    bad = [j for j in targets if not 0 <= j < v_n]
+    if bad:
+        raise JointIndexOutOfRange(f"joints {bad} outside 0..{v_n - 1}")
+    n_frames = math.floor(frame_fraction * t_n)
+    data = dataset.data.copy()
+    for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
         rng = np.random.default_rng(seed ^ index)
-        n_frames = math.floor(frame_fraction * t_n)
         slots = np.flatnonzero(seq.body_present)
-        data = seq.data.copy()
         for joint in targets:
             frames = rng.choice(t_n, size=n_frames, replace=False)
-            data[:, frames[:, None], joint, slots[None, :]] = np.nan
-        out.append(seq.with_data(data))
-    occluded = Dataset.from_sequences(out, split_tag=dataset.split_tag)
+            sample[:, frames[:, None], joint, slots[None, :]] = np.nan
+    occluded = dataset.with_data(data)
     return occluded, OcclusionRecord.between(dataset, occluded)
 
 

@@ -409,16 +409,20 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     if not files:
         raise MissingArtifact(f"ingest: no .skeleton files under {source}")
 
-    samples = []
-    for file in files:
+    rng = np.random.default_rng(config.stage_seed("ingest"))
+    test_idx = set(int(i) for i in rng.permutation(len(files))[:int(config.test_frac * len(files))])
+    split_of = ["test" if i in test_idx else "train" for i in range(len(files))]
+    chosen: dict[str, list] = {split: [] for split in SPLITS}
+    data: dict[str, np.ndarray] = {}  # each split's [N, 3, T, V, M], once the first capture is read
+    for file, split in zip(files, split_of):
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
         try:
             seq = to_canonical(parse_ntu_skeleton(_capture_text(file)), config.target_frames,
                                config.max_bodies, sample_id=file.stem, label=label)
-            if samples and seq.num_joints != samples[0].num_joints:
+            if data and seq.num_joints != data["train"].shape[3]:
                 raise MalformedCapture(f"{seq.num_joints} joints, but {files[0].name} "
-                                       f"has {samples[0].num_joints}")
+                                       f"has {data['train'].shape[3]}")
             _check_center_joint(config, seq.num_joints)
             with np.errstate(over="ignore"):  # refused just below
                 seq = preprocess_relative(seq, config.center_joint)
@@ -428,17 +432,14 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         except (MalformedCapture, EmptyCapture) as exc:
             exc.args = (f"{file}: {exc}",)  # name the file; the type and its line stay
             raise
-        samples.append(seq)
-
-    rng = np.random.default_rng(config.stage_seed("ingest"))
-    order = rng.permutation(len(samples))
-    test_idx = set(int(i) for i in order[:int(config.test_frac * len(samples))])
-    chosen = {split: [] for split in SPLITS}
-    for i, seq in enumerate(samples):
-        chosen["test" if i in test_idx else "train"].append(seq)
+        data = data or {name: np.empty((split_of.count(name), *seq.data.shape), np.float32)
+                        for name in SPLITS}
+        row = data[split][len(chosen[split])]
+        row[...] = seq.data
+        chosen[split].append(seq.with_data(row))
     if not chosen["train"]:
         raise ConfigError("ingest: split left no training samples")
-    datasets = {split: Dataset.from_sequences(seqs, split) for split, seqs in chosen.items() if seqs}
+    datasets = {split: Dataset(data[split], seqs, split) for split, seqs in chosen.items() if seqs}
 
     config.workpath().mkdir(parents=True, exist_ok=True)
     digests = {}
@@ -467,9 +468,9 @@ def run_synth(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
                 config.synth_classes, per_class[split], frames=config.target_frames,
                 joints=config.synth_joints, seed=config.seed, id_prefix=split, split_tag=split,
             )
-            datasets[split] = Dataset.from_sequences(
-                [preprocess_relative(s, config.center_joint) for s in corpus.samples], split
-            )
+            for seq in corpus.samples:  # in place: the corpus is this stage's own
+                seq.data[...] = preprocess_relative(seq, config.center_joint).data
+            datasets[split] = corpus
     config.workpath().mkdir(parents=True, exist_ok=True)
     digests = {}
     outputs = _write_datasets(config, datasets, "{split}", handoff, digests)
@@ -502,7 +503,7 @@ def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     for split in _splits(config, "{split}", "occlude", "ingest"):
         inputs.append(paths[split])
         dataset, base = _read_dataset(paths[split], split, handoff, digests)
-        num_joints = dataset.samples[0].num_joints
+        num_joints = dataset.data.shape[3]
         bad = [j for j in spec.joints if not 0 <= j < num_joints]
         if spec.mode == "joint_targeted" and bad:
             raise ConfigError(f"occlusion_joints {bad} outside the {num_joints} joints "
@@ -543,7 +544,7 @@ def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
             inputs.append(ext_path)
             matrix = embedding.align_to_dataset(embedding.load_embeddings(ext_path), dataset)
         else:
-            graph = _embedding_graph(config, dataset.samples[0].num_joints)
+            graph = _embedding_graph(config, dataset.data.shape[3])
             matrix = embedding.embed_baseline(dataset, graph=graph)
         embedding.save_embeddings(matrix, paths[f"emb_{split}"])
         outputs.append(paths[f"emb_{split}"])
@@ -642,11 +643,8 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         knn += evaluation.mpjpe(imputed[split], record)
         baseline += evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
 
-    per_class = evaluation.per_class_error(
-        Dataset.from_sequences([seq for d in imputed.values() for seq in d.samples], "all"),
-        occlusion.OcclusionRecord(
-            entries={sid: e for r in records.values() for sid, e in r.entries.items()}),
-    )
+    pooled = {sid: e for record in records.values() for sid, e in record.entries.items()}
+    per_class = evaluation.per_class_error(imputed.values(), occlusion.OcclusionRecord(pooled))
 
     purity = nmi = None
     truth = [seq.label for seq in imputed["train"].samples]

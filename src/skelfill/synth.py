@@ -60,6 +60,7 @@ def make_corpus(
     item_stream = 202 if split_tag == "train" else 303
     t_axis = np.arange(frames, dtype=np.float64) / frames
 
+    data = np.empty((classes * per_class, 3, frames, joints, 1), dtype=np.float32)
     samples = []
     for cls in range(classes):
         cls_rng = np.random.default_rng([seed, 101, cls])
@@ -75,12 +76,7 @@ def make_corpus(
             )  # [T, V, 3]
             traj = base[None] + scale * amplitude[None] * wave
             traj = traj + rng.normal(0.0, 0.004, size=traj.shape)
-            data = traj.transpose(2, 0, 1)[:, :, :, None].astype(np.float32)  # [3, T, V, 1]
-            samples.append(
-                SkeletonSequence(
-                    data=data,
-                    sample_id=f"{id_prefix}-c{cls:02d}-{item:04d}",
-                    label=cls,
-                )
-            )
-    return Dataset.from_sequences(samples, split_tag=split_tag)
+            row = data[len(samples)]
+            row[..., 0] = traj.transpose(2, 0, 1)  # [3, T, V], rounded to float32
+            samples.append(SkeletonSequence(row, f"{id_prefix}-c{cls:02d}-{item:04d}", label=cls))
+    return Dataset(data, samples, split_tag)

@@ -113,6 +113,32 @@ def test_eval_before_impute_exits_3(tmp_path, capsys):
     assert "impute" in capsys.readouterr().err
 
 
+def test_a_skl1_dataset_of_no_records_exits_4(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
+    path = work / "train.skl1"
+    path.write_bytes(path.read_bytes()[:4] + struct.pack("<I", 0) + path.read_bytes()[8:24])
+    capsys.readouterr()
+    assert main(["occlude", "--workdir", str(work), "--seed", "1"]) == 4
+    assert f"error: {path}: header declares no records" in capsys.readouterr().err
+    assert not (work / "train_occluded.skl1").exists()
+
+
+def test_a_skl1_dataset_with_a_repeated_sample_id_exits_4(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
+    path = work / "train.skl1"
+    clean = formats.read_dataset(path)
+    first = clean.samples[0].sample_id
+    formats.write_dataset(Dataset.from_sequences(
+        [dataclasses.replace(seq, sample_id=first) if i == 1 else seq
+         for i, seq in enumerate(clean.samples)]), path, "skl1")
+    capsys.readouterr()
+    assert main(["occlude", "--workdir", str(work), "--seed", "1"]) == 4
+    assert f"error: {path}: duplicate sample ids" in capsys.readouterr().err
+    assert not (work / "train_occluded.skl1").exists()
+
+
 def _rename_samples(path):
     clean = formats.read_dataset(path)
     renamed = [dataclasses.replace(seq, sample_id=f"other-{seq.sample_id}")

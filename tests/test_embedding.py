@@ -89,13 +89,7 @@ def test_embed_baseline_validation():
     from skelfill.data import Dataset
 
     with pytest.raises(ValueError):
-        embed_baseline(Dataset(samples=[], masks=[]))
-    mixed = dataset_of(
-        seq_of(np.zeros((3, 2, 3, 1), dtype=np.float32), "a"),
-        seq_of(np.zeros((3, 2, 4, 1), dtype=np.float32), "b"),
-    )
-    with pytest.raises(ValueError, match="joint count"):
-        embed_baseline(mixed)
+        embed_baseline(Dataset.from_sequences([]))
     one = dataset_of(seq_of(np.zeros((3, 2, 3, 1), dtype=np.float32), "a"))
     with pytest.raises(ValueError, match="graph covers"):
         embed_baseline(one, graph=chain_graph(5))
@@ -103,17 +97,16 @@ def test_embed_baseline_validation():
 
 def _holey_dataset(rng, frames, n=20, joints=25, bodies=1, dtype=np.float32,
                    joint_rate=0.2, frame_rate=0.0, never=()):
-    """``n`` random samples, each of its own frame count when ``frames`` is
-    a list.  In body slot 0, joint instances are hidden at ``joint_rate``,
-    whole frames at ``frame_rate``, and the joints in ``never`` in every
-    frame; any other body slot holds junk, NaN included."""
+    """``n`` random samples of ``frames`` frames.  In body slot 0, joint
+    instances are hidden at ``joint_rate``, whole frames at ``frame_rate``,
+    and the joints in ``never`` in every frame; any other body slot holds
+    junk, NaN included."""
     seqs = []
     for i in range(n):
-        t = frames[i % len(frames)] if isinstance(frames, list) else frames
-        data = rng.uniform(-2, 2, size=(3, t, joints, bodies)).astype(dtype)
-        data[..., 1:] = rng.choice([np.nan, 1e30, -7.0], size=(3, t, joints, bodies - 1))
-        hidden = rng.random((t, joints)) < joint_rate
-        hidden |= (rng.random(t) < frame_rate)[:, None]
+        data = rng.uniform(-2, 2, size=(3, frames, joints, bodies)).astype(dtype)
+        data[..., 1:] = rng.choice([np.nan, 1e30, -7.0], size=(3, frames, joints, bodies - 1))
+        hidden = rng.random((frames, joints)) < joint_rate
+        hidden |= (rng.random(frames) < frame_rate)[:, None]
         hidden[:, list(never)] = True
         data[:, hidden, 0] = np.nan
         seqs.append(SkeletonSequence(data=data, sample_id=f"s{i:03d}"))
@@ -133,9 +126,18 @@ _REFERENCE_CASES = {
     "one-joint": (dict(frames=30, joints=1), SkeletonGraph(num_joints=1, edges=())),
     "chain-of-4": (dict(frames=30, joints=4), chain_graph(4)),
     "junk-second-body": (dict(frames=30, bodies=2), None),
-    "mixed-T": (dict(frames=[7, 40, 1, 40, 129, 40], n=40), None),  # 20 of T = 40
     "N=37": (dict(frames=30, n=37), None),
 }
+
+
+def test_samples_of_other_frame_or_joint_counts_are_refused_when_a_dataset_is_built():
+    # a dataset is one [N, 3, T, V, M] array, so embed_baseline never meets them
+    zeros = np.zeros((3, 2, 3, 1), dtype=np.float32)
+    for t, v in ((40, 3), (2, 4)):
+        other = seq_of(np.zeros((3, t, v, 1), dtype=np.float32), "b")
+        with pytest.raises(FormatError, match=re.escape(
+                f"samples disagree in shape: b has (3, {t}, {v}, 1), expected (3, 2, 3, 1)")):
+            dataset_of(seq_of(zeros, "a"), other)
 
 
 @pytest.mark.parametrize("case", list(_REFERENCE_CASES))

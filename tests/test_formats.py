@@ -148,6 +148,39 @@ def test_skl1_rejects_degenerate_dimensions(tmp_path):
         read_skl1(path)
 
 
+def test_skl1_refuses_a_file_of_no_records(tmp_path):
+    path = tmp_path / "n0.skl1"
+    path.write_bytes(SKL1_MAGIC + struct.pack("<IIIII", 0, 3, 5, 4, 1))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: header declares no records")):
+        read_skl1(path)
+
+
+def test_skl1_refuses_a_repeated_sample_id(tmp_path):
+    data = np.ones((3, 2, 3, 1), dtype=np.float32)
+    dataset = dataset_of(seq_of(data, "a"), seq_of(data, "b"), seq_of(data, "a"))
+    path = tmp_path / "dup.skl1"
+    write_skl1(dataset, path)
+    message = re.escape(f"{path}: duplicate sample ids")
+    with pytest.raises(FormatError, match=message):
+        read_skl1(path)
+    # the dataset a pipeline hands on in place of reading the file is refused alike
+    for fmt in ("skl1", "csv"):
+        with pytest.raises(FormatError, match=message):
+            dataset_as_written(dataset, path, fmt, "train")
+
+
+def test_skl1_refuses_more_records_than_the_file_can_hold_before_allocating(tmp_path):
+    # two records of 144 data bytes each; three need at least 3 * (4 + 4 + 144) bytes
+    path = tmp_path / "d.skl1"
+    write_skl1(payload_dataset(), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: truncated: header claims 3 records of 144 data bytes, but only "
+            f"{len(raw) - 24} bytes follow")):
+        read_skl1(path)
+
+
 @pytest.mark.parametrize("bad", [(0, np.nan), (1, np.inf), (2, -np.inf)])
 def test_skl1_rejects_partly_nan_and_infinite_instances(tmp_path, bad):
     channel, value = bad
@@ -164,7 +197,7 @@ def test_skl1_rejects_empty_dataset(tmp_path):
     from skelfill.data import Dataset
 
     with pytest.raises(FormatError):
-        write_skl1(Dataset(samples=[], masks=[]), tmp_path / "e.skl1")
+        write_skl1(Dataset.from_sequences([]), tmp_path / "e.skl1")
 
 
 def test_skl1_rejects_mixed_shapes(tmp_path):

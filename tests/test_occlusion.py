@@ -109,6 +109,11 @@ def test_random_rate_refuses_preexisting_holes():
     data[:, 0, 0, 0] = np.nan
     with pytest.raises(AlreadyOccluded):
         occlude_random(dataset_of(seq_of(data, "dirty")), 0.2, seed=0)
+    # a hole in the second body slot of the second sample is found and named
+    clean, dirty = np.ones((2, 3, 2, 2, 2), dtype=np.float32)
+    dirty[:, 1, 0, 1] = np.nan
+    with pytest.raises(AlreadyOccluded, match="'second'"):
+        occlude_random(dataset_of(seq_of(clean, "first"), seq_of(dirty, "second")), 0.2, seed=0)
 
 
 # ---- joint-targeted mode -----------------------------------------------------
@@ -196,6 +201,38 @@ def test_between_restores_the_clean_split_bit_exactly():
         assert bits_equal(original.data, back.data)
 
 
+def test_between_and_restore_equal_a_per_sample_loop():
+    # the whole-split forms against the one-sample-at-a-time rule, with the
+    # clean split in another order, holding one more sample and missing
+    # instances of its own, and a record of only some of the samples
+    rng = np.random.default_rng(19)
+    clean = random_dataset(rng, 5, frames=6, joints=5, bodies=2)
+    occluded, _ = occlude_random(clean, 0.3, seed=2)
+    dirty = [seq.data.copy() for seq in reversed(clean.samples)]
+    dirty[0][:, 2, 3, 1] = np.nan
+    dirty[2][:, :, 4, 0] = np.nan
+    clean = dataset_of(*(seq_of(data, seq.sample_id) for data, seq in
+                         zip(dirty, reversed(clean.samples))), seq_of(dirty[1], "extra"))
+    by_id = {seq.sample_id: seq.data for seq in clean.samples}
+    record = OcclusionRecord.between(clean, occluded)
+    assert list(record.entries) == occluded.sample_ids
+    for seq in occluded.samples:
+        source = by_id[seq.sample_id]
+        idx = np.argwhere(np.isnan(seq.data).all(axis=0) & ~np.isnan(source).any(axis=0))
+        got_idx, got_values = record.entries[seq.sample_id]
+        assert np.array_equal(got_idx, idx)
+        assert bits_equal(got_values, np.ascontiguousarray(source[:, idx[:, 0], idx[:, 1], idx[:, 2]].T))
+
+    partial = OcclusionRecord({sid: record.entries[sid] for sid in occluded.sample_ids[3:0:-2]})
+    restored = partial.restore(occluded)
+    for seq, back in zip(occluded.samples, restored.samples):
+        want = seq.data.copy()
+        if seq.sample_id in partial.entries:
+            idx, values = partial.entries[seq.sample_id]
+            want[:, idx[:, 0], idx[:, 1], idx[:, 2]] = values.T
+        assert bits_equal(back.data, want), seq.sample_id
+
+
 def test_between_records_in_t_v_m_order():
     rng = np.random.default_rng(17)
     clean = random_dataset(rng, 2, frames=6, joints=5, bodies=2)
@@ -211,9 +248,10 @@ def test_between_needs_a_clean_sample_of_the_same_id_and_shape():
     occluded, _ = occlude_random(clean, 0.3, seed=1)
     with pytest.raises(RecordMismatch, match="r0001"):
         OcclusionRecord.between(dataset_of(clean.samples[0]), occluded)
+    # a dataset holds one shape, so the clean split is all of the shorter shape
     shorter = seq_of(clean.samples[1].data[:, :3], "r0001")
     with pytest.raises(RecordMismatch, match="r0001"):
-        OcclusionRecord.between(dataset_of(clean.samples[0], shorter), occluded)
+        OcclusionRecord.between(dataset_of(shorter), dataset_of(occluded.samples[1]))
 
 
 def test_record_csv_round_trip(tmp_path):

@@ -10,8 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_dataset, capture_text, dataset_of, seq_of, write_two_body_captures
-from skelfill import Dataset, clustering, evaluation, formats, pipeline
+import skelfill.data
+
+from conftest import (
+    assert_same_dataset,
+    bits_equal,
+    capture_text,
+    dataset_of,
+    random_dataset,
+    seq_of,
+    write_two_body_captures,
+)
+from skelfill import Dataset, clustering, evaluation, formats, imputation, occlusion, pipeline
 from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from skelfill.errors import ConfigError, FormatError, MissingArtifact
 from skelfill.occlusion import OcclusionRecord
@@ -560,3 +570,49 @@ def test_a_dataset_a_read_refuses_is_not_handed_off(tmp_path, fmt):
     with pytest.raises(FormatError) as error:
         _read_dataset(path, "train", handoff, {})
     assert str(error.value) == str(read_error.value)
+
+
+# ---- one array per split -------------------------------------------------------
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_a_pipeline_computes_no_missing_mask(tmp_path, monkeypatch, fmt):
+    calls = []
+    counted = skelfill.data.compute_missing_mask
+    monkeypatch.setattr(skelfill.data, "compute_missing_mask",
+                        lambda seq: calls.append(seq.sample_id) or counted(seq))
+    run_pipeline(_small_synth_config(tmp_path / "work", clusters=2, neighbors=2,
+                                     dataset_format=fmt))
+    assert calls == []
+    # the masks are computed when read, by the function the counter replaced
+    assert len(dataset_of(seq_of(np.zeros((3, 1, 1, 1)), "read")).masks) == 1
+    assert calls == ["read"]
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_each_dataset_a_stage_returns_is_one_array_and_views_of_its_rows(tmp_path, fmt):
+    rng = np.random.default_rng(61)
+    clean = random_dataset(rng, 6, frames=4, joints=5, bodies=2)
+    test = random_dataset(rng, 3, frames=4, joints=5, bodies=2, split="test", prefix="t")
+    path = tmp_path / f"train.{fmt}"
+    formats.write_dataset(clean, path, fmt)
+    spec = occlusion.OcclusionSpec
+    occluded, _ = occlusion.apply_spec(clean, spec("random_rate", rate=0.3, seed=1))
+    targeted, _ = occlusion.apply_spec(clean, spec("joint_targeted", joints=(1, 3),
+                                                   frame_fraction=0.5, seed=1))
+    test_occluded, _ = occlusion.apply_spec(test, spec("random_rate", rate=0.3))
+    labels = clustering.PseudoLabels(np.array([0, 0, 0, 1, 1, 1]), occluded.sample_ids)
+    test_labels = clustering.PseudoLabels(np.array([1, 0, 1]), test_occluded.sample_ids)
+    imputed, imputed_test, _ = imputation.impute_dataset(occluded, labels, test_occluded,
+                                                         test_labels, k=2)
+    read = formats.read_skl1 if fmt == "skl1" else formats.read_dataset_csv
+    datasets = {
+        "read": read(path), "as written": formats.dataset_as_written(occluded, path, fmt, "train"),
+        "random_rate": occluded, "joint_targeted": targeted, "imputed train": imputed,
+        "imputed test": imputed_test,
+        "random baseline": evaluation.impute_random_baseline(occluded, 5),
+    }
+    for name, dataset in datasets.items():
+        assert dataset.data.shape == (len(dataset), 3, 4, 5, 2), name
+        for row, seq in zip(dataset.data, dataset.samples):
+            assert np.shares_memory(dataset.data, seq.data), (name, seq.sample_id)
+            assert bits_equal(seq.data, row), (name, seq.sample_id)
