@@ -197,4 +197,7 @@ def load_model(path: str | Path) -> ClusterModel:
         centroids = np.frombuffer(raw, dtype="<f4").reshape(k, width).astype(np.float64)
         if handle.read(1):
             raise FormatError(f"{path}: trailing bytes after centroids")
+    finite = np.isfinite(centroids).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: non-finite value in centroid {int(np.argmin(finite))}")
     return ClusterModel(centroids=centroids, k=int(k), inertia=float(inertia), iterations_run=0, seed=int(seed))

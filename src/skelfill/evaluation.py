@@ -23,7 +23,7 @@ import numpy as np
 from .clustering import PseudoLabels
 from .data import Dataset, SkeletonSequence
 from .errors import LengthMismatch, RecordMismatch
-from .occlusion import OcclusionRecord
+from .occlusion import OcclusionRecord, sample_rng
 
 
 @dataclass
@@ -76,7 +76,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
     """Fill every missing scalar with a seeded uniform draw from the
     dataset-wide [min, max] of its coordinate channel (present bodies only).
 
-    Per-sample randomness derives from ``seed XOR sample_index``.  A dataset
+    Each sample draws from :func:`occlusion.sample_rng`.  A dataset
     with nothing missing comes back with identical values.
     """
     lo, hi = np.zeros(3), np.zeros(3)
@@ -90,7 +90,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
 
     data = dataset.data.copy()
     for index, sample in enumerate(data):
-        rng = np.random.default_rng(seed ^ index)
+        rng = sample_rng(seed, index)
         for c in range(3):
             holes = np.isnan(sample[c])
             count = int(holes.sum())

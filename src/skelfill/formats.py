@@ -32,7 +32,11 @@ the float32: float32 0.1 is written ``0.10000000149011612``, though ``0.1``
 reads back to the same float32.  Lines end in CRLF, an unlabelled sample
 has an empty label, and the sample id is quoted as RFC 4180 requires (by
 :mod:`csv`).  The reader refuses a sample that lacks the row of some
-(t, v, m) or repeats one.  Both readers read a label below 0 as none.
+(t, v, m) or repeats one, and an index below 0 or not below the sample's
+row count (no complete sample has one), naming it as written before
+anything sized by it is allocated.  A label must fit the int32 of SKL1,
+whose writer refuses one that does not.  Both readers read a label below 0
+as none.
 CSV files are read and written as UTF-8 whatever the locale, and a read
 refuses text that is not UTF-8, naming the file and the line.
 
@@ -50,6 +54,8 @@ id holds CR or LF, which would split its rows over more lines.
 Labels CSV::
 
     sample_id,label
+
+Its reader refuses a label outside int64, naming the line.
 """
 
 from __future__ import annotations
@@ -74,10 +80,18 @@ SKL1_MAGIC = b"SKL1"
 _INVALID = "joint instance partly NaN or not finite"
 _DEFAULT_NAN = np.float32(np.nan)
 _CSV_HEADER = "sample_id,label,t,v,m,x,y,z\r\n"
+_I32, _I64 = range(-1 << 31, 1 << 31), range(-1 << 63, 1 << 63)
 
 # a CSV file this module wrote and the dataset a read of it returns: the
 # base whose unchanged rows a CSV write copies (see the module docstring)
 Base = tuple[str | Path, Dataset]
+
+
+def _int_in(span: range, text: str, what: str) -> int:
+    """The integer ``text``, refused naming ``what`` and the text outside ``span``."""
+    if (value := int(text)) not in span:
+        raise FormatError(f"{what} {text} outside {span.start}..{span.stop - 1}")
+    return value
 
 
 def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
@@ -136,10 +150,10 @@ def _csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
 
 
 def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    digest, buf = hashlib.sha256(), bytearray(1 << 20)  # one buffer, refilled in place
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buf):
+            digest.update(memoryview(buf)[:size])
     return digest.hexdigest()
 
 
@@ -173,6 +187,9 @@ def _as_read(data: np.ndarray, sample_ids: list[str], labels: list[int | None],
 def write_skl1(dataset: Dataset, path: str | Path) -> None:
     if not len(dataset):
         raise FormatError("refusing to write an empty dataset")
+    for seq in dataset.samples:
+        if seq.label is not None and int(seq.label) not in _I32:
+            raise FormatError(f"{path}: sample {seq.sample_id!r}: label {seq.label} outside int32")
     slabs = np.ascontiguousarray(dataset.data, dtype="<f4")
     with open(path, "wb") as handle:
         handle.write(SKL1_MAGIC + struct.pack("<IIIII", *slabs.shape))
@@ -285,13 +302,15 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
             sid = row[0]
             try:
                 if sid not in rows:
-                    labels[sid] = int(row[1]) if row[1] else None
+                    labels[sid] = _int_in(_I32, row[1], f"{path}:{lineno}: label") if row[1] else None
                     rows[sid] = []
                     order.append(sid)
                 t, v, m = int(row[2]), int(row[3]), int(row[4])
                 x, y, z = float(row[5]), float(row[6]), float(row[7])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
+            if not 0 <= t | v | m < 1 << 62:  # each is in [0, 2**62) just when their OR is
+                raise FormatError(_index_fault(path, sid, (t, v, m)) + f", line {lineno}")
             rows[sid].append((t, v, m, x, y, z))
     if not order:
         raise FormatError(f"{path}: no data rows")
@@ -300,9 +319,9 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
     for i, sid in enumerate(order):
         table = np.array(rows[sid], dtype=np.float64)  # [row, (t, v, m, x, y, z)]
         tvm = table[:, :3].astype(np.int64)
-        if (tvm < 0).any():
-            first = tuple(tvm[(tvm < 0).any(axis=1)][0].tolist())
-            raise FormatError(f"{path}: sample {sid!r}: negative index (t, v, m) = {first}")
+        beyond = np.flatnonzero((tvm >= len(tvm)).any(axis=1))  # no complete sample has it
+        if beyond.size:
+            raise FormatError(_index_fault(path, sid, rows[sid][beyond[0]][:3]))
         shape = tuple((tvm.max(axis=0) + 1).tolist())
         flat = np.ravel_multi_index(tvm.T, shape)
         # a complete sample holds each position of its shape once, so its
@@ -322,6 +341,11 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
                               f"{(NUM_CHANNELS, *shape)}, expected {data.shape[1:]}")
         data[i].reshape(NUM_CHANNELS, -1)[:, flat] = table[:, 3:].T
     return _as_read(data, order, [labels[sid] for sid in order], path, "csv", split_tag)
+
+
+def _index_fault(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> str:
+    return (f"{path}: sample {sid!r}: {'negative' if min(tvm) < 0 else 'out-of-range'} "
+            f"index (t, v, m) = ({', '.join(map(str, tvm))})")
 
 
 def _last_csv_line(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> int:
@@ -400,7 +424,7 @@ def read_labels_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             if len(row) != 2:
                 raise FormatError(f"{path}:{lineno}: expected 2 columns")
             try:
-                labels.append(int(row[1]))
+                labels.append(_int_in(_I64, row[1], f"{path}:{lineno}: label"))
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-integer label {row[1]!r}") from None
             ids.append(row[0])

@@ -12,8 +12,8 @@ The ground truth of an occluded copy is the clean copy.  One rule,
 hidden when it is missing in the occluded copy and present in the clean
 one.  Both modes return the occluded dataset with that record, and
 evaluation rebuilds it the same way from the clean and occluded files.
-Per-sample randomness derives from ``seed XOR sample_index`` so results do
-not depend on iteration order.
+Each sample's draws come from its own stream, :func:`sample_rng`, so results
+do not depend on iteration order.
 """
 
 from __future__ import annotations
@@ -153,6 +153,13 @@ class OcclusionRecord:
         return record
 
 
+def sample_rng(seed: int, index: int) -> np.random.Generator:
+    """The random stream of the sample at ``index`` of a split, under a
+    stage's ``seed``: every per-sample draw of occlusion and of the random
+    baseline comes from it."""
+    return np.random.default_rng(seed ^ index)
+
+
 def _reject_preexisting_nan(dataset: Dataset) -> None:
     missing = np.isnan(dataset.data).all(axis=1).any(axis=(1, 2, 3))
     if missing.any():
@@ -170,7 +177,7 @@ def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, O
     data = dataset.data.copy()
     _, _, t_n, v_n, _ = data.shape
     for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
-        rng = np.random.default_rng(seed ^ index)
+        rng = sample_rng(seed, index)
         slots = np.flatnonzero(seq.body_present)
         pool = t_n * v_n * len(slots)
         count = math.floor(rate * pool)
@@ -204,7 +211,7 @@ def occlude_joints(
     n_frames = math.floor(frame_fraction * t_n)
     data = dataset.data.copy()
     for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
-        rng = np.random.default_rng(seed ^ index)
+        rng = sample_rng(seed, index)
         slots = np.flatnonzero(seq.body_present)
         for joint in targets:
             frames = rng.choice(t_n, size=n_frames, replace=False)

@@ -35,13 +35,17 @@ config keys, the command-line flags and the range checks: each field holds
 its text parser, its range or choices, its flag and the subcommands that
 offer the flag.  Config files and flags share one parse path.
 
-Every stage works on the splits in ``SPLITS``: :func:`_splits` requires the
-train input of a stage and adds test when the stage before wrote it, and
-:func:`_write_datasets` writes one dataset per split.
+Each stage keeps this bookkeeping in one :class:`_StageFiles`, so its body
+shows only what it reads, computes and writes.  The object lists the splits
+the stage works on (train, and test when the stage before wrote it),
+requires and lists each input, reads and writes datasets through the
+hand-off table, lends a read's file as the base of its split's CSV write,
+and writes the manifest from the digests taken on the way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -247,105 +251,89 @@ def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
     }
 
 
-def _require(path: Path, stage: str, hint: str) -> Path:
-    if not path.exists():
-        raise MissingArtifact(f"{stage}: required input {path} is missing; run '{hint}' first")
-    return path
-
-
-def _splits(config: PipelineConfig, key: str, stage: str, hint: str) -> list[str]:
-    """The splits ``stage`` works on.  ``key`` names a split's input in
-    :func:`artifact_paths` with ``{split}`` in place of the split: train's
-    input is required, and test is added when its input exists."""
-    paths = artifact_paths(config)
-    _require(paths[key.format(split="train")], stage, hint)
-    return [split for split in SPLITS
-            if split == "train" or paths[key.format(split=split)].exists()]
-
-
 # dataset path -> (SHA-256 of the file as written, the dataset a read of it
 # returns): what one ``run_pipeline`` hands from stage to stage
 Handoff = dict[Path, tuple[str, Dataset]]
 
 
-def _write_datasets(
-    config: PipelineConfig, datasets: dict[str, Dataset], key: str,
-    handoff: Handoff | None, digests: dict[Path, str],
-    bases: dict[str, formats.Base | None] | None = None,
-) -> list[Path]:
-    """Write each split's dataset to ``key`` (as in :func:`_splits`) in the
-    configured format, copying unchanged CSV rows from the split's entry in
-    ``bases``; put its digest in ``digests`` and its entry in ``handoff``;
-    return the paths written."""
-    paths = [artifact_paths(config)[key.format(split=split)] for split in datasets]
-    for path, (split, dataset) in zip(paths, datasets.items()):
-        base = (bases or {}).get(split)
-        formats.write_dataset(dataset, path, config.dataset_format, base=base)
-        digests[path] = formats.sha256_file(path)
-        if handoff is not None:
-            try:
-                as_read = formats.dataset_as_written(dataset, path, config.dataset_format, split)
-            except FormatError:
-                continue  # a read refuses the file, so the stage that reads it raises
-            handoff[path] = (digests[path], as_read)
-    return paths
+class _StageFiles:
+    """The files of one run of ``stage``: its artifact paths, the inputs and
+    outputs its manifest lists, the SHA-256 of each file taken so far, and
+    the hand-off table (None for a stage run on its own).  Keys name
+    artifacts in :func:`artifact_paths`; a dataset's key starts with its
+    split."""
 
+    def __init__(self, config: PipelineConfig, stage: str, handoff: Handoff | None):
+        self.config, self.stage, self.handoff = config, stage, handoff
+        self.paths = artifact_paths(config)
+        self.inputs: set[Path] = set()
+        self.outputs: list[Path] = []
+        self.digests: dict[Path, str] = {}
+        self._bases: dict[str, formats.Base] = {}  # split -> base of its next write
 
-def _read_dataset(
-    path: Path, split: str, handoff: Handoff | None, digests: dict[Path, str], last: bool = False
-) -> tuple[Dataset, formats.Base | None]:
-    """The dataset in ``path``: the one ``handoff`` holds for the file's
-    digest, else the file read.  The digest goes into ``digests``; ``last``
-    drops the entry, for the stage that reads the file last.
+    def splits(self, key: str, hint: str) -> list[str]:
+        """The splits the stage works on: train, whose input ``key`` (with
+        ``{split}`` for the split) it needs, and test when its input exists."""
+        self.need(key.format(split="train"), hint)
+        return [split for split in SPLITS
+                if split == "train" or self.paths[key.format(split=split)].exists()]
 
-    The second value is the base a CSV write of a dataset derived from this
-    one may copy unchanged rows from: ``(path, dataset)`` on a hit, since
-    this process wrote the file, and None when the file was read."""
-    digest = digests[path] = formats.sha256_file(path)
-    if handoff is not None:
-        entry = handoff.pop(path, None) if last else handoff.get(path)
-        if entry is not None and entry[0] == digest:
-            return entry[1], (path, entry[1])
-    return formats.read_dataset(path, split_tag=split), None
+    def need(self, what: str | Path, hint: str) -> Path:
+        """List the input ``what``, a key or a path; a missing file raises
+        :class:`MissingArtifact` naming ``hint``, what to run first."""
+        path = self.paths[what] if isinstance(what, str) else what
+        if not path.exists():
+            raise MissingArtifact(f"{self.stage}: required input {path} is missing; run '{hint}' first")
+        self.inputs.add(path)
+        return path
 
+    def read(self, key: str, last: bool = False) -> Dataset:
+        """The dataset of the input ``key``: the table's for the file's digest,
+        else the file read.  ``last`` drops the table's entry, for the stage
+        that reads the file last; else a dataset from the table is also the
+        base of the split's next :meth:`write`, since this process wrote the
+        file."""
+        path, split = self.paths[key], key.split("_")[0]
+        self.inputs.add(path)
+        digest = self.digests[path] = formats.sha256_file(path)
+        entry = None if self.handoff is None else (
+            self.handoff.pop(path, None) if last else self.handoff.get(path))
+        if entry is None or entry[0] != digest:
+            return formats.read_dataset(path, split_tag=split)
+        if not last:
+            self._bases[split] = (path, entry[1])
+        return entry[1]
 
-def _config_hash(params: dict) -> str:
-    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+    def write(self, key: str, dataset: Dataset) -> None:
+        """Write the output ``key`` in the configured format, copying the CSV
+        rows left unchanged from the split's base, and hand it on."""
+        path, split, fmt = self.output(key), key.split("_")[0], self.config.dataset_format
+        path.parent.mkdir(parents=True, exist_ok=True)
+        formats.write_dataset(dataset, path, fmt, base=self._bases.pop(split, None))
+        digest = self.digests[path] = formats.sha256_file(path)
+        if self.handoff is not None:
+            with contextlib.suppress(FormatError):  # a read refuses it, so its reader raises
+                self.handoff[path] = (digest, formats.dataset_as_written(dataset, path, fmt, split))
 
+    def output(self, key: str) -> Path:
+        self.outputs.append(self.paths[key])
+        return self.paths[key]
 
-def _relative_name(path: Path, work: Path) -> str:
-    # keep manifests independent of where the workdir itself lives
-    try:
-        return str(path.relative_to(work))
-    except ValueError:
-        return path.name
+    def finish(self, params: dict, **summary) -> dict:
+        """Write the stage's manifest, hashing each listed file not hashed
+        yet, and return the stage's summary."""
+        work = self.config.workpath()
 
+        def listing(files) -> dict[str, str]:  # names independent of where the workdir lives
+            return {str(p.relative_to(work)) if p.is_relative_to(work) else p.name:
+                    self.digests.get(p) or formats.sha256_file(p) for p in sorted(files)}
 
-def _write_manifest(
-    config: PipelineConfig, stage: str, params: dict, inputs: list[Path], outputs: list[Path],
-    digests: dict[Path, str] | None = None,
-) -> None:
-    """Record the stage; a file without an entry in ``digests`` is hashed here."""
-    work = config.workpath()
-    digests = digests or {}
-
-    def listing(files: list[Path]) -> dict[str, str]:
-        return {_relative_name(p, work): digests.get(p) or formats.sha256_file(p)
-                for p in sorted(files)}
-
-    manifest = {
-        "stage": stage,
-        "config_hash": _config_hash(params),
-        "params": params,
-        "inputs": listing(inputs),
-        "outputs": listing(outputs),
-    }
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    (work / f"manifest_{stage}.json").write_text(text)
-
-
-def _summary(stage: str, outputs: list[Path], **extra) -> dict:
-    return {"stage": stage, "outputs": [str(p) for p in outputs], **extra}
+        config_hash = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+        manifest = {"stage": self.stage, "config_hash": config_hash, "params": params,
+                    "inputs": listing(self.inputs), "outputs": listing(self.outputs)}
+        (work / f"manifest_{self.stage}.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        return {"stage": self.stage, "outputs": [str(p) for p in self.outputs], **summary}
 
 
 def _peak_rss_mb() -> float | None:
@@ -405,23 +393,25 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     source = Path(config.input)
     if not source.exists():
         raise MissingArtifact(f"ingest: input {source} does not exist")
-    files = sorted(source.glob("*.skeleton")) if source.is_dir() else [source]
-    if not files:
+    captures = sorted(source.glob("*.skeleton")) if source.is_dir() else [source]
+    if not captures:
         raise MissingArtifact(f"ingest: no .skeleton files under {source}")
 
+    files = _StageFiles(config, "ingest", handoff)
     rng = np.random.default_rng(config.stage_seed("ingest"))
-    test_idx = set(int(i) for i in rng.permutation(len(files))[:int(config.test_frac * len(files))])
-    split_of = ["test" if i in test_idx else "train" for i in range(len(files))]
+    test_idx = set(rng.permutation(len(captures))[:int(config.test_frac * len(captures))].tolist())
+    split_of = ["test" if i in test_idx else "train" for i in range(len(captures))]
     chosen: dict[str, list] = {split: [] for split in SPLITS}
     data: dict[str, np.ndarray] = {}  # each split's [N, 3, T, V, M], once the first capture is read
-    for file, split in zip(files, split_of):
+    for file, split in zip(captures, split_of):
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
         try:
-            seq = to_canonical(parse_ntu_skeleton(_capture_text(file)), config.target_frames,
+            text = _capture_text(files.need(file, "provide the capture"))
+            seq = to_canonical(parse_ntu_skeleton(text), config.target_frames,
                                config.max_bodies, sample_id=file.stem, label=label)
             if data and seq.num_joints != data["train"].shape[3]:
-                raise MalformedCapture(f"{seq.num_joints} joints, but {files[0].name} "
+                raise MalformedCapture(f"{seq.num_joints} joints, but {captures[0].name} "
                                        f"has {data['train'].shape[3]}")
             _check_center_joint(config, seq.num_joints)
             with np.errstate(over="ignore"):  # refused just below
@@ -440,18 +430,15 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     if not chosen["train"]:
         raise ConfigError("ingest: split left no training samples")
     datasets = {split: Dataset(data[split], seqs, split) for split, seqs in chosen.items() if seqs}
-
-    config.workpath().mkdir(parents=True, exist_ok=True)
-    digests = {}
-    outputs = _write_datasets(config, datasets, "{split}", handoff, digests)
+    for split, dataset in datasets.items():
+        files.write(split, dataset)
     params = {
         "input": str(source), "target_frames": config.target_frames,
         "max_bodies": config.max_bodies, "center_joint": config.center_joint,
         "test_frac": config.test_frac, "seed": config.stage_seed("ingest"),
         "dataset_format": config.dataset_format,
     }
-    _write_manifest(config, "ingest", params, files, outputs, digests)
-    return _summary("ingest", outputs, **_sample_counts(datasets))
+    return files.finish(params, **_sample_counts(datasets))
 
 
 @_timed
@@ -471,17 +458,16 @@ def run_synth(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
             for seq in corpus.samples:  # in place: the corpus is this stage's own
                 seq.data[...] = preprocess_relative(seq, config.center_joint).data
             datasets[split] = corpus
-    config.workpath().mkdir(parents=True, exist_ok=True)
-    digests = {}
-    outputs = _write_datasets(config, datasets, "{split}", handoff, digests)
+    files = _StageFiles(config, "synth", handoff)
+    for split, dataset in datasets.items():
+        files.write(split, dataset)
     params = {
         "classes": config.synth_classes, "per_class": config.synth_per_class,
         "test_per_class": config.synth_test_per_class, "frames": config.target_frames,
         "joints": config.synth_joints, "seed": config.seed,
         "center_joint": config.center_joint, "dataset_format": config.dataset_format,
     }
-    _write_manifest(config, "synth", params, [], outputs, digests)
-    return _summary("synth", outputs, **_sample_counts(datasets))
+    return files.finish(params, **_sample_counts(datasets))
 
 
 def _occlusion_spec(config: PipelineConfig) -> occlusion.OcclusionSpec:
@@ -498,64 +484,47 @@ def _occlusion_spec(config: PipelineConfig) -> occlusion.OcclusionSpec:
 def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Hide joints; the clean split stays their ground truth."""
     spec = _occlusion_spec(config)
-    paths = artifact_paths(config)
-    inputs, outputs, digests, hidden = [], [], {}, 0
-    for split in _splits(config, "{split}", "occlude", "ingest"):
-        inputs.append(paths[split])
-        dataset, base = _read_dataset(paths[split], split, handoff, digests)
+    files, hidden = _StageFiles(config, "occlude", handoff), 0
+    for split in files.splits("{split}", "ingest"):
+        dataset = files.read(split)
         num_joints = dataset.data.shape[3]
         bad = [j for j in spec.joints if not 0 <= j < num_joints]
         if spec.mode == "joint_targeted" and bad:
             raise ConfigError(f"occlusion_joints {bad} outside the {num_joints} joints "
-                              f"of {paths[split]}")
+                              f"of {files.paths[split]}")
         occluded, record = occlusion.apply_spec(dataset, spec)
-        outputs += _write_datasets(
-            config, {split: occluded}, "{split}_occluded", handoff, digests, {split: base})
+        files.write(f"{split}_occluded", occluded)
         hidden += record.total_instances()
     params = {
         "mode": spec.mode, "rate": spec.rate, "joints": list(spec.joints),
         "frame_fraction": spec.frame_fraction, "seed": spec.seed,
         "dataset_format": config.dataset_format,
     }
-    _write_manifest(config, "occlude", params, inputs, outputs, digests)
-    return _summary("occlude", outputs, hidden_instances=hidden)
-
-
-def _embedding_graph(config: PipelineConfig, num_joints: int):
-    if config.edge_list is not None:
-        return load_edge_list(_require(Path(config.edge_list), "embed", "provide the edge list"),
-                              num_joints)
-    return None  # embed_baseline picks its default
+    return files.finish(params, hidden_instances=hidden)
 
 
 @_timed
 def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Compute or import per-sample embeddings."""
-    paths = artifact_paths(config)
-    inputs, outputs, digests = [], [], {}
-    for split in _splits(config, "{split}_occluded", "embed", "occlude"):
-        inputs.append(paths[f"{split}_occluded"])
-        dataset = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)[0]
+    files = _StageFiles(config, "embed", handoff)
+    for split in files.splits("{split}_occluded", "occlude"):
+        dataset = files.read(f"{split}_occluded")
         if config.embedding_source == "external":
             external = getattr(config, f"embeddings_{split}")
             if external is None:
                 raise ConfigError(f"embedding_source=external but no embeddings_{split} path")
-            ext_path = _require(Path(external), "embed", "provide external embeddings")
-            inputs.append(ext_path)
+            ext_path = files.need(Path(external), "provide external embeddings")
             matrix = embedding.align_to_dataset(embedding.load_embeddings(ext_path), dataset)
-        else:
-            graph = _embedding_graph(config, dataset.data.shape[3])
+        else:  # embed_baseline picks its default bones without an edge list
+            graph = None if config.edge_list is None else load_edge_list(
+                files.need(Path(config.edge_list), "provide the edge list"), dataset.data.shape[3])
             matrix = embedding.embed_baseline(dataset, graph=graph)
-        embedding.save_embeddings(matrix, paths[f"emb_{split}"])
-        outputs.append(paths[f"emb_{split}"])
-    if config.embedding_source != "external" and config.edge_list is not None:
-        inputs.append(Path(config.edge_list))  # the bones the embeddings were computed over
+        embedding.save_embeddings(matrix, files.output(f"emb_{split}"))
     params = {
         "source": config.embedding_source, "edge_list": config.edge_list,
         "external_train": config.embeddings_train, "external_test": config.embeddings_test,
     }
-    _write_manifest(config, "embed", params, inputs, outputs, digests)
-    return _summary("embed", outputs)
+    return files.finish(params)
 
 
 def _l2_rows(matrix: embedding.EmbeddingMatrix) -> embedding.EmbeddingMatrix:
@@ -571,11 +540,9 @@ def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Fit k-means on the train embeddings and label both splits.
 
     It reads and writes no dataset, so ``handoff`` is left as it is."""
-    paths = artifact_paths(config)
-    inputs, outputs = [], [paths["model"]]
-    for split in _splits(config, "emb_{split}", "cluster", "embed"):
-        inputs.append(paths[f"emb_{split}"])
-        matrix = embedding.load_embeddings(paths[f"emb_{split}"])
+    files = _StageFiles(config, "cluster", handoff)
+    for split in files.splits("emb_{split}", "embed"):
+        matrix = embedding.load_embeddings(files.need(f"emb_{split}", "embed"))
         if config.normalize_embeddings:
             matrix = _l2_rows(matrix)
         if split == "train":
@@ -583,63 +550,53 @@ def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
                 matrix, config.clusters, config.stage_seed("cluster"),
                 max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
             )
-            clustering.save_model(model, paths["model"])
+            clustering.save_model(model, files.output("model"))
         else:  # from the model as stored, so a later predict from its file agrees
-            labels = clustering.kmeans_predict(clustering.load_model(paths["model"]), matrix)
-        formats.write_labels_csv(labels.sample_ids, labels.labels, paths[f"labels_{split}"])
-        outputs.append(paths[f"labels_{split}"])
+            labels = clustering.kmeans_predict(clustering.load_model(files.paths["model"]), matrix)
+        formats.write_labels_csv(labels.sample_ids, labels.labels, files.output(f"labels_{split}"))
     params = {
         "clusters": config.clusters, "max_iter": config.kmeans_max_iter,
         "tol": config.kmeans_tol, "seed": config.stage_seed("cluster"),
         "normalize": config.normalize_embeddings,
     }
-    _write_manifest(config, "cluster", params, inputs, outputs)
-    return _summary(
-        "cluster", outputs,
-        inertia=model.inertia, iterations=model.iterations_run,
-    )
+    return files.finish(params, inertia=model.inertia, iterations=model.iterations_run)
 
 
 @_timed
 def run_impute(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Fill missing joints from neighbours within each cluster."""
-    paths = artifact_paths(config)
-    splits = _splits(config, "{split}_occluded", "impute", "occlude")
-    inputs, digests, args, bases = [], {}, {}, {}  # args: train, train_labels, test, test_labels
+    files = _StageFiles(config, "impute", handoff)
+    splits = files.splits("{split}_occluded", "occlude")
+    args = {}  # train, train_labels, test, test_labels
     for split in splits:
-        labels_path = _require(paths[f"labels_{split}"], "impute", "cluster")
-        inputs += [paths[f"{split}_occluded"], labels_path]
-        args[split], bases[split] = _read_dataset(paths[f"{split}_occluded"], split, handoff, digests)
+        labels_path = files.need(f"labels_{split}", "cluster")
+        args[split] = files.read(f"{split}_occluded")
         ids, values = formats.read_labels_csv(labels_path)
         args[f"{split}_labels"] = clustering.PseudoLabels(labels=values, sample_ids=ids)
 
     *imputed, report = imputation.impute_dataset(**args, k=config.neighbors, threads=config.threads)
-    outputs = _write_datasets(
-        config, dict(zip(splits, imputed)), "{split}_imputed", handoff, digests, bases)
-    paths["imputation_report"].write_text(report.to_json() + "\n")
-    outputs.append(paths["imputation_report"])
+    for split, dataset in zip(splits, imputed):
+        files.write(f"{split}_imputed", dataset)
+    files.output("imputation_report").write_text(report.to_json() + "\n")
     params = {"neighbors": config.neighbors, "dataset_format": config.dataset_format}
-    _write_manifest(config, "impute", params, inputs, outputs, digests)
-    return _summary("impute", outputs, **dataclasses.asdict(report.totals()))
+    return files.finish(params, **dataclasses.asdict(report.totals()))
 
 
 @_timed
 def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
-    paths = artifact_paths(config)
+    files = _StageFiles(config, "eval", handoff)
     seed_eval = config.stage_seed("eval")
-    inputs, digests, imputed, records = [], {}, {}, {}
+    imputed, records = {}, {}
     knn, baseline = evaluation.MpjpeStats(), evaluation.MpjpeStats()
-    for split in _splits(config, "{split}_imputed", "eval", "impute"):
-        clean_path = _require(paths[split], "eval", "ingest")
-        occluded_path = _require(paths[f"{split}_occluded"], "eval", "occlude")
-        inputs += [paths[f"{split}_imputed"], clean_path, occluded_path]
+    for split in files.splits("{split}_imputed", "impute"):
+        files.need(split, "ingest")
+        files.need(f"{split}_occluded", "occlude")
         # the last stage to read each dataset, so it drops the hand-off entries
-        imputed[split] = _read_dataset(
-            paths[f"{split}_imputed"], split, handoff, digests, last=True)[0]
-        occluded = _read_dataset(occluded_path, split, handoff, digests, last=True)[0]
+        imputed[split] = files.read(f"{split}_imputed", last=True)
+        occluded = files.read(f"{split}_occluded", last=True)
         record = records[split] = occlusion.OcclusionRecord.between(
-            _read_dataset(clean_path, split, handoff, digests, last=True)[0], occluded)
+            files.read(split, last=True), occluded)
         knn += evaluation.mpjpe(imputed[split], record)
         baseline += evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
 
@@ -648,11 +605,11 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
     purity = nmi = None
     truth = [seq.label for seq in imputed["train"].samples]
-    if all(lab is not None for lab in truth) and paths["labels_train"].exists():
-        ids, pseudo = formats.read_labels_csv(paths["labels_train"])
+    if all(lab is not None for lab in truth) and files.paths["labels_train"].exists():
+        ids, pseudo = formats.read_labels_csv(files.paths["labels_train"])
         if ids == imputed["train"].sample_ids:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
-            inputs.append(paths["labels_train"])
+            files.need("labels_train", "cluster")
 
     hidden = knn.evaluated + knn.excluded
     report = evaluation.EvalReport(
@@ -666,15 +623,12 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         purity=purity,
         nmi=nmi,
     )
-    paths["eval_json"].write_text(report.to_json() + "\n")
-    with open(paths["eval_csv"], "w", newline="") as handle:
+    files.output("eval_json").write_text(report.to_json() + "\n")
+    with open(files.output("eval_csv"), "w", newline="") as handle:
         handle.write(",".join(report.csv_header()) + "\n")
         handle.write(",".join(report.csv_row()) + "\n")
-    outputs = [paths["eval_json"], paths["eval_csv"]]
-    params = {"seed": seed_eval}
-    _write_manifest(config, "eval", params, inputs, outputs, digests)
-    return _summary(
-        "eval", outputs,
+    return files.finish(
+        {"seed": seed_eval},
         mpjpe_imputed=report.mpjpe_imputed, mpjpe_random=report.mpjpe_random,
         coverage=report.coverage, purity=report.purity, nmi=report.nmi,
     )

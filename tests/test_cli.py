@@ -139,6 +139,34 @@ def test_a_skl1_dataset_with_a_repeated_sample_id_exits_4(tmp_path, capsys):
     assert not (work / "train_occluded.skl1").exists()
 
 
+def test_a_csv_index_beyond_float64_exits_4(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1", "--format", "csv"] + SMALL) == 0
+    path = work / "train.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    lines[1] = ",".join(fields[:2] + ["9" * 400] + fields[3:])
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["occlude", "--workdir", str(work), "--seed", "1", "--format", "csv"]) == 4
+    assert f"error: {path}: sample {fields[0]!r}: out-of-range index" in capsys.readouterr().err
+    assert not (work / "train_occluded.csv").exists()
+
+
+def test_a_cluster_label_beyond_int64_exits_4(tmp_path, capsys):
+    work = str(tmp_path / "work")
+    assert main(["synth", "--workdir", work, "--seed", "1"] + SMALL) == 0
+    for stage in (["occlude", "--rate", "0.2"], ["embed"], ["cluster", "--clusters", "3"]):
+        assert main(stage + ["--workdir", work, "--seed", "1"]) == 0, stage[0]
+    path = artifact_paths(PipelineConfig(workdir=work))["labels_train"]
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].split(",")[0] + f",{10**23}\r\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["impute", "--workdir", work]) == 4
+    assert f"error: {path}:2: label {10**23} outside" in capsys.readouterr().err
+
+
 def _rename_samples(path):
     clean = formats.read_dataset(path)
     renamed = [dataclasses.replace(seq, sample_id=f"other-{seq.sample_id}")

@@ -170,3 +170,14 @@ def test_model_load_errors(tmp_path):
     trailing.write_bytes(good.read_bytes() + b"x")
     with pytest.raises(FormatError, match="trailing"):
         load_model(trailing)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_load_refuses_a_non_finite_centroid(tmp_path, value):
+    # such a centroid would give every row the label 0 in kmeans_predict
+    centroids = np.arange(6, dtype=np.float64).reshape(3, 2)
+    centroids[1, 0] = value
+    path = tmp_path / "m.skkm"
+    save_model(ClusterModel(centroids=centroids, k=3, inertia=0.0, iterations_run=0, seed=0), path)
+    with pytest.raises(FormatError, match=f"{path}: non-finite value in centroid 1"):
+        load_model(path)

@@ -323,6 +323,40 @@ def test_csv_rejects_a_negative_index(tmp_path):
         read_dataset_csv(path)
 
 
+BIG, HUGE, WIDE = 10**10, 10**400, 10**31  # beyond the rows, float64 and int64
+
+
+@pytest.mark.parametrize("rows, fault", [
+    (f"a,0,0,0,0,1,1,1\na,0,{BIG},{BIG},0,1,1,1", f"out-of-range index (t, v, m) = ({BIG}, {BIG}, 0)"),
+    (f"a,0,{HUGE},0,0,1,1,1\na,0,0,0,0,1,1,1", f"out-of-range index (t, v, m) = ({HUGE}, 0, 0), line 2"),
+    (f"a,0,0,0,0,1,1,1\na,0,-{WIDE},0,0,1,1,1", f"negative index (t, v, m) = (-{WIDE}, 0, 0), line 3"),
+], ids=["beyond-the-rows", "beyond-float64", "beyond-int64"])
+def test_csv_refuses_an_index_out_of_range_naming_it(tmp_path, rows, fault):
+    # each of t, v, m is at least 0 and below the sample's row count
+    path = tmp_path / "i.csv"
+    path.write_text(f"sample_id,label,t,v,m,x,y,z\n{rows}\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: sample 'a': {fault}")):
+        read_dataset_csv(path)
+
+
+def test_csv_refuses_a_label_outside_int32(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text(f"sample_id,label,t,v,m,x,y,z\na,{10**23},0,0,0,1,1,1\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2: label {10**23} outside")):
+        read_dataset_csv(path)
+    path.write_text(f"sample_id,label,t,v,m,x,y,z\na,{2**31 - 1},0,0,0,1,1,1\n")
+    assert read_dataset_csv(path).samples[0].label == 2**31 - 1
+
+
+def test_skl1_refuses_to_write_a_label_outside_int32(tmp_path):
+    path = tmp_path / "l.skl1"
+    for label in (2**31, -2**31 - 1):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: sample 'a': label {label} outside int32")):
+            write_skl1(dataset_of(seq_of(np.ones((3, 1, 1, 1)), "a", label=label)), path)
+    write_skl1(dataset_of(seq_of(np.ones((3, 1, 1, 1)), "a", label=2**31 - 1)), path)
+    assert read_skl1(path).samples[0].label == 2**31 - 1
+
+
 def test_csv_rejects_partly_nan_and_infinite_instances(tmp_path):
     path = tmp_path / "p.csv"
     good = "a,0,0,0,0,nan,nan,nan\na,0,1,0,0,1,1,1\n"
@@ -508,6 +542,22 @@ def test_labels_csv_rejects_bad_rows(tmp_path):
     path.write_text("sample_id,label\na,notanumber\n")
     with pytest.raises(FormatError, match="label"):
         read_labels_csv(path)
+
+
+def test_labels_csv_refuses_a_label_outside_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(f"sample_id,label\na,0\nb,{10**23}\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: label {10**23} outside")):
+        read_labels_csv(path)
+
+
+def test_sha256_file_equals_hashlib_over_chunk_boundaries(tmp_path):
+    import hashlib
+
+    for size in (0, 1, (1 << 20) - 1, 1 << 20, (2 << 20) + 7):
+        path = tmp_path / f"{size}.bin"
+        path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+        assert formats.sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---- corrupt headers of the binary containers -------------------------------

@@ -28,8 +28,7 @@ from skelfill.occlusion import OcclusionRecord
 from skelfill.pipeline import (
     SPLITS,
     PipelineConfig,
-    _read_dataset,
-    _write_datasets,
+    _StageFiles,
     artifact_paths,
     load_config,
     run_cluster,
@@ -556,19 +555,20 @@ def test_a_pipeline_formats_only_the_csv_rows_a_stage_changed(tmp_path, monkeypa
 
 @pytest.mark.parametrize("fmt", ["skl1", "csv"])
 def test_a_dataset_a_read_refuses_is_not_handed_off(tmp_path, fmt):
-    # no stage writes such a file, but _write_datasets must not hand it on
+    # no stage writes such a file, but a stage's write must not hand it on
     data = np.ones((3, 2, 2, 1), dtype=np.float32)
     data[0, 1, 1, 0] = np.inf
     config = PipelineConfig(workdir=str(tmp_path), dataset_format=fmt)
-    handoff, digests = {}, {}
-    [path] = _write_datasets(config, {"train": dataset_of(seq_of(data, "bad"))}, "{split}",
-                             handoff, digests)
+    handoff = {}
+    written = _StageFiles(config, "synth", handoff)
+    written.write("train", dataset_of(seq_of(data, "bad")))
+    [path] = written.outputs
     assert handoff == {}
-    assert digests == {path: formats.sha256_file(path)}
+    assert written.digests == {path: formats.sha256_file(path)}
     with pytest.raises(FormatError) as read_error:
         formats.read_dataset(path)
     with pytest.raises(FormatError) as error:
-        _read_dataset(path, "train", handoff, {})
+        _StageFiles(config, "occlude", handoff).read("train")
     assert str(error.value) == str(read_error.value)
 
 
