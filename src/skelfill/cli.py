@@ -6,16 +6,29 @@ CLI > config file > built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input artifact,
 4 data/format error, 1 unexpected failure.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+already set, before it loads numpy, so a process that starts here runs no
+BLAS threads beside its ``--threads`` pool.  Library use of the other
+modules keeps the caller's setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, MissingArtifact, SkelfillError
-from .pipeline import (
+
+# The --threads pool is the program's parallelism, and its BLAS products are
+# too small to gain from BLAS threads, whose pool only spins beside it.
+# OpenBLAS reads the variable once, when it loads, so this comes before the
+# first numpy import; a value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .pipeline import (  # noqa: E402
     SETTINGS,
     PipelineConfig,
     _validate,

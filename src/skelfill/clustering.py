@@ -23,6 +23,7 @@ from .formats import read_exact
 SKKM_MAGIC = b"SKKM1"
 
 _INERTIA_SLACK = 1e-8  # relative tolerance for the monotonicity assertion
+_BLOCK_VALUES = 1 << 17  # values per difference block: 1 MiB of float64
 
 
 @dataclass
@@ -45,18 +46,21 @@ class PseudoLabels:
             raise ValueError("labels and sample ids differ in length")
 
 
-def _sq_distances(rows: np.ndarray, centroids: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Exact [N, K] squared Euclidean distances, chunked to bound memory.
+def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Exact [N, K] squared Euclidean distances, in blocks of rows whose
+    [rows, K, D] difference array holds at most ``_BLOCK_VALUES`` values
+    (or one row).
 
     Computed as explicit differences (not the expanded dot-product form) so
     symmetric inputs give bitwise-identical distances and argmin tie-breaks
-    are trustworthy.
+    are trustworthy.  Each (row, centroid) sum reduces the same D values in
+    the same order whatever the block size, so its bits do not depend on it.
     """
     out = np.empty((rows.shape[0], centroids.shape[0]), dtype=np.float64)
+    chunk = max(1, _BLOCK_VALUES // max(1, centroids.size))
     for start in range(0, rows.shape[0], chunk):
-        block = rows[start : start + chunk]
-        diff = block[:, None, :] - centroids[None, :, :]
-        out[start : start + chunk] = (diff * diff).sum(axis=2)
+        diff = rows[start : start + chunk, None, :] - centroids[None, :, :]
+        out[start : start + chunk] = np.multiply(diff, diff, out=diff).sum(axis=2)
     return out
 
 

@@ -34,9 +34,10 @@ has an empty label, and the sample id is quoted as RFC 4180 requires (by
 :mod:`csv`).  The reader refuses a sample that lacks the row of some
 (t, v, m) or repeats one, and an index below 0 or not below the sample's
 row count (no complete sample has one), naming it as written before
-anything sized by it is allocated.  A label must fit the int32 of SKL1,
-whose writer refuses one that does not.  Both readers read a label below 0
-as none.
+anything sized by it is allocated.  Each of ``t``, ``v``, ``m`` and the label
+is an optional minus sign and ASCII digits; other text is refused, naming
+the line.  A label must fit the int32 of SKL1, whose writer refuses one that
+does not.  Both readers read a label below 0 as none.
 CSV files are read and written as UTF-8 whatever the locale, and a read
 refuses text that is not UTF-8, naming the file and the line.
 
@@ -55,7 +56,8 @@ Labels CSV::
 
     sample_id,label
 
-Its reader refuses a label outside int64, naming the line.
+Its reader refuses a label outside int64, or written other than as an
+optional minus sign and ASCII digits, naming the line.
 """
 
 from __future__ import annotations
@@ -87,9 +89,17 @@ _I32, _I64 = range(-1 << 31, 1 << 31), range(-1 << 63, 1 << 63)
 Base = tuple[str | Path, Dataset]
 
 
+def _int(text: str) -> int:
+    """The integer ``text``, written as an optional minus sign and ASCII
+    digits; ``int`` alone would also take spaces, ``_`` and other digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _int_in(span: range, text: str, what: str) -> int:
     """The integer ``text``, refused naming ``what`` and the text outside ``span``."""
-    if (value := int(text)) not in span:
+    if (value := _int(text)) not in span:
         raise FormatError(f"{what} {text} outside {span.start}..{span.stop - 1}")
     return value
 
@@ -305,7 +315,7 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
                     labels[sid] = _int_in(_I32, row[1], f"{path}:{lineno}: label") if row[1] else None
                     rows[sid] = []
                     order.append(sid)
-                t, v, m = int(row[2]), int(row[3]), int(row[4])
+                t, v, m = _int(row[2]), _int(row[3]), _int(row[4])
                 x, y, z = float(row[5]), float(row[6]), float(row[7])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: malformed numeric field") from None

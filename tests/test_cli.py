@@ -153,6 +153,20 @@ def test_a_csv_index_beyond_float64_exits_4(tmp_path, capsys):
     assert not (work / "train_occluded.csv").exists()
 
 
+def test_a_csv_index_written_with_spaces_and_underscores_exits_4(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1", "--format", "csv"] + SMALL) == 0
+    path = work / "train.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    lines[1] = ",".join(fields[:2] + [f" {fields[2]}_0 "] + fields[3:])  # int() reads t * 10
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["occlude", "--workdir", str(work), "--seed", "1", "--format", "csv"]) == 4
+    assert f"error: {path}:2: malformed numeric field" in capsys.readouterr().err
+    assert not (work / "train_occluded.csv").exists()
+
+
 def test_a_cluster_label_beyond_int64_exits_4(tmp_path, capsys):
     work = str(tmp_path / "work")
     assert main(["synth", "--workdir", work, "--seed", "1"] + SMALL) == 0
@@ -712,3 +726,58 @@ def test_a_pipeline_leaves_numpy_ma_unimported(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def _fresh(program: str, **env: str) -> list[str]:
+    """The lines ``program`` prints in a new interpreter that imports this
+    checkout, with ``OPENBLAS_NUM_THREADS`` unset unless ``env`` sets it."""
+    import os
+    import subprocess
+    import sys
+
+    import skelfill
+
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(Path(skelfill.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", program], env={**base, **env},
+                          capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_importing_the_package_loads_no_numpy_and_changes_no_environment():
+    assert _fresh(
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import skelfill\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+    ) == ["False True"]
+
+
+def test_the_cli_starts_blas_with_one_thread():
+    # OpenBLAS starts its pool when numpy loads, so the process would have
+    # one thread more; the count is read where /proc exists
+    lines = _fresh(
+        "import os, sys\n"
+        "import skelfill.cli\n"
+        "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))\n"
+    )
+    assert lines[0] == "True 1"
+    if Path("/proc/self/status").exists():
+        assert lines[1].split() == ["Threads:", "1"]
+
+
+def test_the_cli_keeps_a_blas_thread_count_the_caller_set():
+    assert _fresh("import os, skelfill.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n",
+                  OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+def test_every_exported_name_resolves_and_no_other():
+    assert _fresh(
+        "import skelfill\n"
+        "print(len(skelfill.__all__), all(getattr(skelfill, n).__name__ == n for n in skelfill.__all__))\n"
+        "try:\n"
+        "    skelfill.no_such_name\n"
+        "except AttributeError as error:\n"
+        "    print(error)\n"
+    ) == ["43 True", "module 'skelfill' has no attribute 'no_such_name'"]

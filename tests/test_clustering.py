@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skelfill import ClusterModel, EmbeddingMatrix, kmeans_fit, kmeans_predict
-from skelfill.clustering import SKKM_MAGIC, load_model, save_model
+from skelfill.clustering import _BLOCK_VALUES, SKKM_MAGIC, _sq_distances, load_model, save_model
 from skelfill.errors import DimensionMismatch, FormatError, KTooLarge
 
 
@@ -112,6 +112,19 @@ def test_duplicate_heavy_input_triggers_empty_cluster_repair():
     assert model.centroids.shape == (5, 2)
     assert set(labels.labels.tolist()) <= set(range(5))
     assert model.inertia <= 1e-12  # every point sits on some centroid
+
+
+@pytest.mark.parametrize("k, d", [(60, 249), (3, 1 << 16), (1, 7)])
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_sq_distances_equal_a_row_at_a_time_bit_for_bit_across_block_edges(k, d, scale):
+    # the rows span two whole blocks and one row of a third (one row a block
+    # when K * D alone exceeds the bound)
+    n = 2 * max(1, _BLOCK_VALUES // (k * d)) + 1
+    rng = np.random.default_rng(k)
+    rows = rng.standard_normal((n, d)) * scale
+    centroids = rng.standard_normal((k, d)) * scale
+    expected = np.stack([((row - centroids) ** 2).sum(axis=1) for row in rows])
+    assert _sq_distances(rows, centroids).tobytes() == expected.tobytes()
 
 
 def test_k_bounds():

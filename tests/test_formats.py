@@ -348,6 +348,19 @@ def test_csv_refuses_a_label_outside_int32(tmp_path):
     assert read_dataset_csv(path).samples[0].label == 2**31 - 1
 
 
+@pytest.mark.parametrize("field", ["label", "t", "v", "m"])
+@pytest.mark.parametrize("text", [" 0_1 ", "1_0", " 1", "+1", "\u0661"])
+def test_csv_refuses_an_integer_other_than_a_sign_and_digits(tmp_path, field, text):
+    # Python's int takes spaces, "_", "+" and non-ASCII digits; no writer does
+    row = dict(label="0", t="0", v="0", m="0")
+    row[field] = text
+    path = tmp_path / "d.csv"
+    path.write_text("sample_id,label,t,v,m,x,y,z\n"
+                    f"a,{row['label']},{row['t']},{row['v']},{row['m']},1,1,1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2: malformed numeric field")):
+        read_dataset_csv(path)
+
+
 def test_skl1_refuses_to_write_a_label_outside_int32(tmp_path):
     path = tmp_path / "l.skl1"
     for label in (2**31, -2**31 - 1):
@@ -548,6 +561,14 @@ def test_labels_csv_refuses_a_label_outside_int64(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text(f"sample_id,label\na,0\nb,{10**23}\n")
     with pytest.raises(FormatError, match=re.escape(f"{path}:3: label {10**23} outside")):
+        read_labels_csv(path)
+
+
+@pytest.mark.parametrize("text", [" 1_0", "1 ", "+1", "\u0661"])
+def test_labels_csv_refuses_a_label_other_than_a_sign_and_digits(tmp_path, text):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"sample_id,label\na,-1\nb,{text}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: non-integer label {text!r}")):
         read_labels_csv(path)
 
 
