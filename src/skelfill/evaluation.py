@@ -1,6 +1,6 @@
 """Evaluation: error against the clean split and clustering quality.
 
-The ground truth is an :class:`OcclusionRecord`: the joint instances the
+The ground truth is an :class:`OcclusionRecord`: the joint instances one
 occluded split hides, with their values in the clean split
 (:meth:`OcclusionRecord.between`).  The headline metric is the mean
 per-joint position error (in the data's units) between recovered and clean
@@ -8,7 +8,8 @@ joint positions, taken over the hidden instances that were actually
 imputed; instances left NaN are excluded from the mean and reported as a
 separate count.  A seeded random baseline fills every hole uniformly inside
 the per-channel value range of the dataset, giving the scale against which
-recovery quality is judged.
+recovery quality is judged.  Each sample's :class:`MpjpeStats` add in
+record order, and several splits pool split by split, each with its record.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset, SkeletonSequence
-from .errors import LengthMismatch, RecordMismatch
+from .data import Dataset
+from .errors import LengthMismatch
 from .occlusion import OcclusionRecord, sample_rng
 
 
@@ -99,27 +100,27 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
     return dataset.with_data(data)
 
 
+def _sample_stats(imputed: Dataset, record: OcclusionRecord) -> Iterator[tuple[int, MpjpeStats]]:
+    """Each recorded sample's row in ``imputed`` and its stats, in record order."""
+    rows, (n, t, v, m) = record.rows_in(imputed), record.index.T
+    diff = imputed.data[rows[n], :, t, v, m].astype(np.float64)  # [n, 3], in place from here
+    diff -= record.values
+    finite = np.isfinite(diff).all(axis=1)  # as recovered: the recorded values are finite
+    diff *= diff
+    errors = np.sqrt(diff.sum(axis=1)[finite])
+    hidden = np.bincount(n, minlength=len(rows))
+    evaluated = np.bincount(n[finite], minlength=len(rows))
+    for row, count, kept, end in zip(*(a.tolist() for a in (rows, hidden, evaluated, np.cumsum(evaluated)))):
+        # one sum per sample, over its errors alone, so totals keep their bits
+        yield row, MpjpeStats(float(errors[end - kept:end].sum()), kept, count - kept)
+
+
 def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
     """Summed Euclidean error over recovered joint instances vs the record."""
-    return _mpjpe({seq.sample_id: seq for seq in imputed.samples}, record)
-
-
-def _mpjpe(by_id: dict[str, SkeletonSequence], record: OcclusionRecord) -> MpjpeStats:
-    """:func:`mpjpe` of the samples in ``by_id``, in the record's order."""
-    total, evaluated, excluded = 0.0, 0, 0
-    for sid, (idx, values) in record.entries.items():
-        seq = by_id.get(sid)
-        if seq is None:
-            raise RecordMismatch(f"record refers to unknown sample {sid!r}")
-        if idx.size and (idx.max(axis=0) >= seq.data.shape[1:]).any():
-            raise RecordMismatch(f"record for {sid!r} indexes outside the sample shape")
-        got = seq.data[:, idx[:, 0], idx[:, 1], idx[:, 2]].T.astype(np.float64)  # [n, 3]
-        finite = np.isfinite(got).all(axis=1)
-        diff = got[finite] - values[finite].astype(np.float64)
-        total += float(np.sqrt((diff * diff).sum(axis=1)).sum())
-        evaluated += int(finite.sum())
-        excluded += int((~finite).sum())
-    return MpjpeStats(total, evaluated, excluded)
+    stats = MpjpeStats()
+    for _, sample in _sample_stats(imputed, record):
+        stats += sample
+    return stats
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -163,16 +164,13 @@ def clustering_quality(pseudo, truth) -> tuple[float, float]:
     return purity, nmi
 
 
-def per_class_error(imputed: Dataset | Iterable[Dataset], record: OcclusionRecord
-                    ) -> dict[int, MpjpeStats]:
-    """Recovery error per true class label of the recorded samples of
-    ``imputed``, one dataset or several pooled (the splits, say); empty when
-    no sample has a label."""
-    splits = [imputed] if isinstance(imputed, Dataset) else imputed
-    by_id = {seq.sample_id: seq for split in splits for seq in split.samples}
-    by_label: dict[int, OcclusionRecord] = {}
-    for sid, entry in record.entries.items():
-        label = by_id[sid].label if sid in by_id else None
-        if label is not None:
-            by_label.setdefault(int(label), OcclusionRecord()).entries[sid] = entry
-    return {label: _mpjpe(by_id, sub) for label, sub in sorted(by_label.items())}
+def per_class_error(splits: Iterable[tuple[Dataset, OcclusionRecord]]) -> dict[int, MpjpeStats]:
+    """Recovery error per true class label over (imputed split, its record)
+    pairs, pooled split by split; empty when no recorded sample has a label."""
+    by_label: dict[int, MpjpeStats] = {}
+    for imputed, record in splits:
+        for row, stats in _sample_stats(imputed, record):
+            label = imputed.samples[row].label
+            if label is not None:
+                by_label[int(label)] = by_label.get(int(label), MpjpeStats()) + stats
+    return dict(sorted(by_label.items()))

@@ -11,9 +11,10 @@ The ground truth of an occluded copy is the clean copy.  One rule,
 :meth:`OcclusionRecord.between`, reads it off the two: a joint instance was
 hidden when it is missing in the occluded copy and present in the clean
 one.  Both modes return the occluded dataset with that record, and
-evaluation rebuilds it the same way from the clean and occluded files.
-Each sample's draws come from its own stream, :func:`sample_rng`, so results
-do not depend on iteration order.
+evaluation rebuilds it the same way from the clean and occluded files.  A
+record holds one split as arrays, a row per hidden joint instance.  Each
+sample's draws come from its own stream, :func:`sample_rng`, so results do
+not depend on iteration order.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     RateOutOfRange,
     RecordMismatch,
 )
+from .formats import _int
 
 
 @dataclass
@@ -57,36 +59,38 @@ class OcclusionSpec:
 
 @dataclass
 class OcclusionRecord:
-    """Hidden ground truth: per sample, the (t, v, m) indices of the hidden
-    joint instances and their original finite values, in (t, v, m) order."""
+    """One split's hidden ground truth.  ``index`` [n, 4] int32: a row
+    (position in ``sample_ids``, t, v, m) per hidden joint instance, by
+    sample, then (t, v, m); ``values`` [n, 3] float32: its clean values."""
 
-    entries: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    # sample_id -> (indices [n, 3] int32, values [n, 3] float32)
-
-    def add(self, sample_id: str, indices: np.ndarray, values: np.ndarray) -> None:
-        self.entries[sample_id] = (
-            np.asarray(indices, dtype=np.int32).reshape(-1, 3),
-            np.asarray(values, dtype=np.float32).reshape(-1, 3),
-        )
+    sample_ids: list[str] = field(default_factory=list)
+    index: np.ndarray = field(default_factory=lambda: np.empty((0, 4), dtype=np.int32))
+    values: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.float32))
 
     def total_instances(self) -> int:
-        return sum(idx.shape[0] for idx, _ in self.entries.values())
+        return len(self.index)
+
+    def rows_in(self, dataset: Dataset) -> np.ndarray:
+        """The row of ``dataset`` holding each recorded sample.  Refused when
+        the record names a sample ``dataset`` lacks, or indexes outside
+        [0, shape) of the record's samples and of ``dataset``'s (t, v, m)."""
+        position = {sid: i for i, sid in enumerate(dataset.sample_ids)}
+        try:
+            rows = np.array([position[sid] for sid in self.sample_ids], dtype=np.intp)
+        except KeyError as missing:
+            raise RecordMismatch(f"record refers to unknown sample {missing.args[0]!r}") from None
+        shape = (len(rows), *dataset.data.shape[2:])
+        outside = ((self.index < 0) | (self.index >= shape)).any(axis=1)
+        if outside.any():
+            row = tuple(self.index[outside][0].tolist())
+            raise RecordMismatch(f"record row (sample, t, v, m) = {row} indexes outside {shape}")
+        return rows
 
     def restore(self, dataset: Dataset) -> Dataset:
         """Write the recorded originals back; inverse of the occlusion."""
-        ids = dataset.sample_ids
-        known = set(ids)
-        for sid in self.entries:
-            if sid not in known:
-                raise RecordMismatch(f"record refers to unknown sample {sid!r}")
+        rows, (n, t, v, m) = self.rows_in(dataset), self.index.T
         data = dataset.data.copy()
-        # every recorded instance of every sample, as [n, t, v, m] and its values
-        rows = [i for i, sid in enumerate(ids) if sid in self.entries]
-        if rows:
-            idx = np.concatenate([self.entries[ids[i]][0] for i in rows])
-            values = np.concatenate([self.entries[ids[i]][1] for i in rows])
-            n = np.repeat(rows, [len(self.entries[ids[i]][0]) for i in rows])
-            data[n, :, idx[:, 0], idx[:, 1], idx[:, 2]] = values
+        data[rows[n], :, t, v, m] = self.values
         return dataset.with_data(data)
 
     @classmethod
@@ -104,30 +108,24 @@ class OcclusionRecord:
         # the clean rows in the occluded split's order; a copy only where that differs
         source = clean.data if ids == clean.sample_ids else clean.data[[position[sid] for sid in ids]]
         hidden = np.isnan(occluded.data).all(axis=1) & ~np.isnan(source).any(axis=1)
-        idx = np.argwhere(hidden)  # [n, t, v, m], by sample, then in (t, v, m) order
-        values = source[idx[:, 0], :, idx[:, 1], idx[:, 2], idx[:, 3]]
-        ends = np.cumsum(np.bincount(idx[:, 0], minlength=len(ids)))
-        record = cls()
-        for sid, sample_idx, sample_values in zip(ids, np.split(idx[:, 1:], ends[:-1]),
-                                                  np.split(values, ends[:-1])):
-            record.add(sid, sample_idx, sample_values)
-        return record
+        index = np.argwhere(hidden)  # by sample, then in (t, v, m) order
+        n, t, v, m = index.T
+        return cls(ids, index.astype(np.int32), source[n, :, t, v, m])
 
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["sample_id", "t", "v", "m", "x", "y", "z"])
-            for sid, (idx, values) in self.entries.items():
-                for row in range(idx.shape[0]):
-                    writer.writerow(
-                        [sid, int(idx[row, 0]), int(idx[row, 1]), int(idx[row, 2])]
-                        + [repr(float(values[row, c])) for c in range(3)]
-                    )
+            for (n, t, v, m), values in zip(self.index.tolist(), self.values.tolist()):
+                writer.writerow([self.sample_ids[n], t, v, m] + [repr(value) for value in values])
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "OcclusionRecord":
-        grouped_idx: dict[str, list[tuple[int, int, int]]] = {}
-        grouped_val: dict[str, list[tuple[float, float, float]]] = {}
+        """The record in the CSV at ``path``, its samples in order of first
+        appearance.  Refuses a malformed or non-finite field, an index outside
+        [0, 2**31) and a repeated instance, naming the file and the line."""
+        position: dict[str, int] = {}
+        rows: dict[tuple[int, int, int, int], tuple[float, float, float]] = {}
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
@@ -139,18 +137,21 @@ class OcclusionRecord:
                 if len(row) != 7:
                     raise FormatError(f"{path}:{lineno}: expected 7 columns")
                 try:
-                    t, v, m = int(row[1]), int(row[2]), int(row[3])
+                    t, v, m = _int(row[1]), _int(row[2]), _int(row[3])
                     x, y, z = float(row[4]), float(row[5]), float(row[6])
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
                 if not all(map(math.isfinite, (x, y, z))):
                     raise FormatError(f"{path}:{lineno}: recorded value is not finite")
-                grouped_idx.setdefault(row[0], []).append((t, v, m))
-                grouped_val.setdefault(row[0], []).append((x, y, z))
-        record = cls()
-        for sid in grouped_idx:
-            record.add(sid, np.array(grouped_idx[sid]), np.array(grouped_val[sid], dtype=np.float32))
-        return record
+                if not 0 <= t | v | m < 1 << 31:  # each is in [0, 2**31) just when their OR is
+                    raise FormatError(f"{path}:{lineno}: (t, v, m) = {t, v, m} outside 0..{(1 << 31) - 1}")
+                key = (position.setdefault(row[0], len(position)), t, v, m)
+                if key in rows:
+                    raise FormatError(f"{path}:{lineno}: repeats (t, v, m) = {t, v, m} of sample {row[0]!r}")
+                rows[key] = (x, y, z)
+        keys = sorted(rows)  # by sample, then (t, v, m)
+        return cls(list(position), np.array(keys, dtype=np.int32).reshape(-1, 4),
+                   np.array([rows[key] for key in keys], dtype=np.float32).reshape(-1, 3))
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:

@@ -587,27 +587,26 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
     files = _StageFiles(config, "eval", handoff)
     seed_eval = config.stage_seed("eval")
-    imputed, records = {}, {}
+    scored = {}  # split -> (imputed split, its record)
     knn, baseline = evaluation.MpjpeStats(), evaluation.MpjpeStats()
     for split in files.splits("{split}_imputed", "impute"):
         files.need(split, "ingest")
         files.need(f"{split}_occluded", "occlude")
         # the last stage to read each dataset, so it drops the hand-off entries
-        imputed[split] = files.read(f"{split}_imputed", last=True)
+        imputed = files.read(f"{split}_imputed", last=True)
         occluded = files.read(f"{split}_occluded", last=True)
-        record = records[split] = occlusion.OcclusionRecord.between(
-            files.read(split, last=True), occluded)
-        knn += evaluation.mpjpe(imputed[split], record)
+        record = occlusion.OcclusionRecord.between(files.read(split, last=True), occluded)
+        scored[split] = imputed, record
+        knn += evaluation.mpjpe(imputed, record)
         baseline += evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
-
-    pooled = {sid: e for record in records.values() for sid, e in record.entries.items()}
-    per_class = evaluation.per_class_error(imputed.values(), occlusion.OcclusionRecord(pooled))
+    per_class = evaluation.per_class_error(scored.values())
+    train = scored["train"][0]
 
     purity = nmi = None
-    truth = [seq.label for seq in imputed["train"].samples]
+    truth = [seq.label for seq in train.samples]
     if all(lab is not None for lab in truth) and files.paths["labels_train"].exists():
         ids, pseudo = formats.read_labels_csv(files.paths["labels_train"])
-        if ids == imputed["train"].sample_ids:
+        if ids == train.sample_ids:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
             files.need("labels_train", "cluster")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from skelfill import Dataset, SkeletonSequence
+from skelfill import Dataset, OcclusionRecord, SkeletonSequence
 
 
 def seq_of(data, sample_id="s0", label=None, body_present=None) -> SkeletonSequence:
@@ -56,6 +56,23 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
         assert np.array_equal(a.body_present, b.body_present), a.sample_id
         assert np.array_equal(mask_a.frame_mask, mask_b.frame_mask), a.sample_id
         assert np.array_equal(mask_a.joint_row, mask_b.joint_row), a.sample_id
+
+
+def record_from(entries: dict) -> OcclusionRecord:
+    """The record of ``entries``: sample id -> ((t, v, m) rows, their
+    values), each sample's rows in (t, v, m) order."""
+    index = [[n, *row] for n, (idx, _) in enumerate(entries.values())
+             for row in np.reshape(idx, (-1, 3)).tolist()]
+    values = [row for _, vals in entries.values() for row in np.reshape(vals, (-1, 3)).tolist()]
+    return OcclusionRecord(list(entries), np.array(index, dtype=np.int32).reshape(-1, 4),
+                           np.array(values, dtype=np.float32).reshape(-1, 3))
+
+
+def entries_of(record: OcclusionRecord) -> dict:
+    """``record`` as sample id -> ((t, v, m) rows [n, 3] int32, their values
+    [n, 3] float32), every recorded sample included."""
+    rows = [record.index[:, 0] == n for n in range(len(record.sample_ids))]
+    return {sid: (record.index[at, 1:], record.values[at]) for sid, at in zip(record.sample_ids, rows)}
 
 
 def capture_text(frames) -> str:

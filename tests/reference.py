@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
+from skelfill.data import Dataset
 from skelfill.data import RawCapture
 from skelfill.errors import MalformedCapture
+from skelfill.evaluation import MpjpeStats
 from skelfill.graph import SkeletonGraph
 from skelfill.imputation import SampleCounts
 
@@ -289,3 +291,49 @@ def embed_one_ref(body: np.ndarray, graph: SkeletonGraph) -> np.ndarray:
             bones[e_idx] = np.sqrt((seg * seg).sum(axis=0)).mean()
 
     return np.concatenate([mean.ravel(), std.ravel(), speed.ravel(), bones])
+
+
+# A record as a dict: sample id -> ((t, v, m) rows [n, 3] int32, their values
+# [n, 3] float32), in (t, v, m) order.
+Entries = dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def between_ref(clean: Dataset, occluded: Dataset) -> Entries:
+    """Per occluded sample, in its order: every joint instance missing there
+    (all channels NaN) and present in the clean sample of the same id (no
+    channel NaN), with its clean values; one sample at a time."""
+    by_id = {seq.sample_id: seq.data for seq in clean.samples}
+    entries = {}
+    for seq in occluded.samples:
+        source = by_id[seq.sample_id]
+        idx = np.argwhere(np.isnan(seq.data).all(axis=0) & ~np.isnan(source).any(axis=0))
+        entries[seq.sample_id] = (idx.astype(np.int32),
+                                  np.ascontiguousarray(source[:, idx[:, 0], idx[:, 1], idx[:, 2]].T))
+    return entries
+
+
+def mpjpe_ref(by_id: dict[str, np.ndarray], entries: Entries) -> MpjpeStats:
+    """Summed error of the recovered instances of each recorded sample, its
+    data ``by_id[sample id]`` [3, T, V, M], one sample at a time and in the
+    record's order; each sample's stats added with ``+``."""
+    stats = MpjpeStats()
+    for sid, (idx, values) in entries.items():
+        got = by_id[sid][:, idx[:, 0], idx[:, 1], idx[:, 2]].T.astype(np.float64)  # [n, 3]
+        finite = np.isfinite(got).all(axis=1)
+        diff = got[finite] - values[finite].astype(np.float64)
+        stats += MpjpeStats(float(np.sqrt((diff * diff).sum(axis=1)).sum()),
+                            int(finite.sum()), int((~finite).sum()))
+    return stats
+
+
+def per_class_error_ref(splits: list[Dataset], entries: Entries) -> dict[int, MpjpeStats]:
+    """Error per true label of the recorded samples, found by id among the
+    samples of every split; a sample id must not recur across the splits."""
+    by_id = {seq.sample_id: seq for split in splits for seq in split.samples}
+    by_label: dict[int, Entries] = {}
+    for sid, entry in entries.items():
+        label = by_id[sid].label if sid in by_id else None
+        if label is not None:
+            by_label.setdefault(int(label), {})[sid] = entry
+    data = {sid: seq.data for sid, seq in by_id.items()}
+    return {label: mpjpe_ref(data, sub) for label, sub in sorted(by_label.items())}

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bits_equal, dataset_of, random_dataset, seq_of
+from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
+from reference import between_ref, mpjpe_ref, per_class_error_ref
 from skelfill import OcclusionRecord, clustering_quality, impute_random_baseline, mpjpe
 from skelfill.errors import LengthMismatch, RecordMismatch
 from skelfill.evaluation import EvalReport, MpjpeStats, per_class_error
@@ -64,11 +65,7 @@ def test_baseline_range_ignores_padding_slots():
 # ---- recovery error --------------------------------------------------------------
 
 def record_of(sample_id, entries):
-    record = OcclusionRecord()
-    idx = np.array([e[0] for e in entries])
-    values = np.array([e[1] for e in entries], dtype=np.float32)
-    record.add(sample_id, idx, values)
-    return record
+    return record_from({sample_id: ([e[0] for e in entries], [e[1] for e in entries])})
 
 
 def test_mpjpe_single_displacement():
@@ -113,6 +110,16 @@ def test_mpjpe_record_mismatches():
         mpjpe(dataset, record_of("s0", [((5, 0, 0), (0, 0, 0))]))
 
 
+@pytest.mark.parametrize("row", [(-1, 0, 0), (2, 0, 0), (0, -1, 0), (0, 2, 0), (0, 0, -1), (0, 0, 1)])
+def test_mpjpe_refuses_an_index_outside_the_sample_shape(row):
+    # t = -1 once scored the last frame a second time
+    data = np.zeros((3, 2, 2, 1), dtype=np.float32)
+    data[:, 1, 0, 0] = (3.0, 4.0, 0.0)
+    record = record_of("s0", [((1, 0, 0), (0, 0, 0)), (row, (0, 0, 0))])
+    with pytest.raises(RecordMismatch, match="outside"):
+        mpjpe(dataset_of(seq_of(data, "s0")), record)
+
+
 def test_mpjpe_stats_add_totals_and_counts():
     merged = MpjpeStats(6.0, 3, 1) + MpjpeStats(4.0, 1, 0)
     assert (merged.total, merged.evaluated, merged.excluded) == (10.0, 4, 1)
@@ -127,17 +134,80 @@ def test_per_class_error_groups_by_label():
     near[:, 0, 0, 0] = (1.0, 0.0, 0.0)
     far = np.zeros((3, 1, 1, 1), dtype=np.float32)
     far[:, 0, 0, 0] = (0.0, 2.0, 0.0)
-    record = OcclusionRecord()
-    record.add("a", np.array([[0, 0, 0]]), np.zeros((1, 3), dtype=np.float32))
-    record.add("b", np.array([[0, 0, 0]]), np.zeros((1, 3), dtype=np.float32))
+    record = record_from({sid: ([[0, 0, 0]], np.zeros((1, 3))) for sid in ("a", "b")})
     dataset = dataset_of(seq_of(near, "a", label=0), seq_of(far, "b", label=1))
-    errors = per_class_error(dataset, record)
+    errors = per_class_error([(dataset, record)])
     assert list(errors) == [0, 1]
     assert errors[0].mean_error == pytest.approx(1.0)
     assert errors[1].mean_error == pytest.approx(2.0)
     assert (errors[1].evaluated, errors[1].excluded) == (1, 0)
     unlabeled = dataset_of(seq_of(near, "a"), seq_of(far, "b"))
-    assert per_class_error(unlabeled, record) == {}
+    assert per_class_error([(unlabeled, record)]) == {}
+
+
+# ---- against the per-sample oracles ------------------------------------------------
+
+ORACLE_CASES = ["excluded", "nothing-hidden", "unlabelled", "partial-record", "reordered", "two-splits"]
+
+
+def oracle_split(seed: int, prefix: str, case: str) -> tuple:
+    """An imputed split and the record of what its occluded copy hid, with
+    the feature ``case`` names."""
+    rng = np.random.default_rng(seed)
+    clean = dataset_of(*(
+        seq_of(rng.uniform(-10, 10, size=(3, 6, 5, 2)).astype(np.float32), f"{prefix}{i}",
+               label=None if case == "unlabelled" and i % 3 == 0 else int(rng.integers(3)))
+        for i in range(8)))
+    occluded, _ = occlude_random(clean, 0.3, seed=seed)
+    if case == "nothing-hidden":
+        occluded = occluded.with_data(np.where(np.arange(8)[:, None, None, None, None] % 3 == 1,
+                                               clean.data, occluded.data))
+    record = OcclusionRecord.between(clean, occluded)
+    got, want = entries_of(record), between_ref(clean, occluded)
+    assert list(got) == list(want)
+    assert all(bits_equal(got[sid][i], want[sid][i]) for sid in want for i in (0, 1))
+    # every hole filled near its clean value, or, in "excluded", a third left missing
+    noise = rng.normal(0, 0.1, size=clean.data.shape).astype(np.float32)
+    filled = np.where(np.isnan(occluded.data), clean.data + noise, occluded.data)
+    if case == "excluded":
+        left = (rng.uniform(size=filled[:, 0].shape) < 0.3)[:, None] & np.isnan(occluded.data)
+        filled[left] = np.nan
+    imputed = occluded.with_data(filled)
+    if case == "partial-record":
+        entries = entries_of(record)
+        record = record_from({sid: entries[sid] for sid in record.sample_ids[6:0:-2]})
+    if case == "reordered":
+        imputed = dataset_of(*(imputed.samples[i] for i in rng.permutation(8)))
+    return imputed, record
+
+
+def stats_bits(stats: MpjpeStats) -> tuple:
+    return stats.total.hex(), stats.evaluated, stats.excluded
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_scoring_equals_the_per_sample_oracles_bit_for_bit(case, seed):
+    splits = [oracle_split(seed, "a", case)]
+    if case == "two-splits":
+        splits.append(oracle_split(seed + 100, "b", case))
+    for imputed, record in splits:
+        by_id = {seq.sample_id: seq.data for seq in imputed.samples}
+        assert stats_bits(mpjpe(imputed, record)) == stats_bits(mpjpe_ref(by_id, entries_of(record)))
+    pooled = {sid: entry for _, record in splits for sid, entry in entries_of(record).items()}
+    got = per_class_error(splits)
+    want = per_class_error_ref([imputed for imputed, _ in splits], pooled)
+    assert {label: stats_bits(stats) for label, stats in got.items()} == \
+        {label: stats_bits(stats) for label, stats in want.items()}
+    # each case holds what it names
+    stats = mpjpe(*splits[0])
+    assert stats.evaluated > 0 and (stats.excluded > 0) == (case == "excluded")
+    counts = [len(idx) for idx, _ in entries_of(splits[0][1]).values()]
+    assert (0 in counts) == (case == "nothing-hidden")
+    imputed, record = splits[0]
+    assert (None in [seq.label for seq in imputed.samples]) == (case == "unlabelled")
+    assert (len(record.sample_ids) < len(imputed)) == (case == "partial-record")
+    assert (record.sample_ids != imputed.sample_ids) == (case in ("partial-record", "reordered"))
 
 
 # ---- clustering quality -----------------------------------------------------------

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bits_equal, dataset_of, random_dataset, seq_of
+from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
+from reference import between_ref
 from skelfill import OcclusionRecord, OcclusionSpec, occlude_joints, occlude_random
 from skelfill.errors import (
     AlreadyOccluded,
@@ -58,9 +59,9 @@ def test_random_rate_is_deterministic():
     second, rec_b = occlude_random(dataset, 0.25, seed=42)
     for a, b in zip(first.samples, second.samples):
         assert bits_equal(a.data, b.data)
-    for sid in rec_a.entries:
-        assert bits_equal(rec_a.entries[sid][0], rec_b.entries[sid][0])
-        assert bits_equal(rec_a.entries[sid][1], rec_b.entries[sid][1])
+    assert rec_a.sample_ids == rec_b.sample_ids
+    assert bits_equal(rec_a.index, rec_b.index)
+    assert bits_equal(rec_a.values, rec_b.values)
     # a different seed must produce a different pattern
     third, _ = occlude_random(dataset, 0.25, seed=43)
     assert any(
@@ -81,7 +82,7 @@ def test_restore_rejects_unknown_sample():
     rng = np.random.default_rng(8)
     dataset = random_dataset(rng, 2)
     _, record = occlude_random(dataset, 0.2, seed=0)
-    record.add("ghost", np.zeros((1, 3)), np.zeros((1, 3), dtype=np.float32))
+    record = record_from({**entries_of(record), "ghost": (np.zeros((1, 3)), np.zeros((1, 3)))})
     with pytest.raises(RecordMismatch):
         record.restore(dataset)
 
@@ -93,7 +94,7 @@ def test_rate_zero_hides_nothing():
     for original, out in zip(dataset.samples, occluded.samples):
         assert bits_equal(original.data, out.data)
     assert record.total_instances() == 0
-    assert set(record.entries) == set(dataset.sample_ids)
+    assert record.sample_ids == dataset.sample_ids
 
 
 def test_rate_out_of_range():
@@ -157,9 +158,10 @@ def test_joint_targeted_skips_already_missing_entries():
     twice, rec_second = occlude_joints(once, joints=[1, 2], frame_fraction=1.0, seed=8)
     sid = dataset.sample_ids[0]
     # second pass only recorded joint 2: joint 1 was already gone
-    assert rec_second.entries[sid][0].shape[0] == 4
-    assert set(rec_second.entries[sid][0][:, 1].tolist()) == {2}
-    assert np.isfinite(rec_second.entries[sid][1]).all()
+    idx, values = entries_of(rec_second)[sid]
+    assert idx.shape[0] == 4
+    assert set(idx[:, 1].tolist()) == {2}
+    assert np.isfinite(values).all()
     # restoring both records in reverse order recovers the original
     restored = rec_first.restore(rec_second.restore(twice))
     assert bits_equal(restored.samples[0].data, dataset.samples[0].data)
@@ -195,7 +197,7 @@ def test_between_restores_the_clean_split_bit_exactly():
     occluded, record = occlude_joints(clean, joints=[3, 1], frame_fraction=0.5, seed=6)
     rebuilt = OcclusionRecord.between(clean, occluded)
     assert rebuilt.total_instances() == record.total_instances() == 3 * 2 * 3 * 2
-    assert all(not (idx[:, 2] == 2).any() for idx, _ in rebuilt.entries.values())
+    assert not (rebuilt.index[:, 3] == 2).any()
     restored = rebuilt.restore(occluded)
     for original, back in zip(clean.samples, restored.samples):
         assert bits_equal(original.data, back.data)
@@ -213,22 +215,20 @@ def test_between_and_restore_equal_a_per_sample_loop():
     dirty[2][:, :, 4, 0] = np.nan
     clean = dataset_of(*(seq_of(data, seq.sample_id) for data, seq in
                          zip(dirty, reversed(clean.samples))), seq_of(dirty[1], "extra"))
-    by_id = {seq.sample_id: seq.data for seq in clean.samples}
     record = OcclusionRecord.between(clean, occluded)
-    assert list(record.entries) == occluded.sample_ids
-    for seq in occluded.samples:
-        source = by_id[seq.sample_id]
-        idx = np.argwhere(np.isnan(seq.data).all(axis=0) & ~np.isnan(source).any(axis=0))
-        got_idx, got_values = record.entries[seq.sample_id]
-        assert np.array_equal(got_idx, idx)
-        assert bits_equal(got_values, np.ascontiguousarray(source[:, idx[:, 0], idx[:, 1], idx[:, 2]].T))
+    assert record.sample_ids == occluded.sample_ids
+    got, want = entries_of(record), between_ref(clean, occluded)
+    assert list(got) == list(want)
+    for sid, (idx, values) in want.items():
+        assert bits_equal(got[sid][0], idx), sid
+        assert bits_equal(got[sid][1], values), sid
 
-    partial = OcclusionRecord({sid: record.entries[sid] for sid in occluded.sample_ids[3:0:-2]})
+    partial = record_from({sid: got[sid] for sid in occluded.sample_ids[3:0:-2]})
     restored = partial.restore(occluded)
     for seq, back in zip(occluded.samples, restored.samples):
         want = seq.data.copy()
-        if seq.sample_id in partial.entries:
-            idx, values = partial.entries[seq.sample_id]
+        if seq.sample_id in partial.sample_ids:
+            idx, values = got[seq.sample_id]
             want[:, idx[:, 0], idx[:, 1], idx[:, 2]] = values.T
         assert bits_equal(back.data, want), seq.sample_id
 
@@ -237,9 +237,8 @@ def test_between_records_in_t_v_m_order():
     rng = np.random.default_rng(17)
     clean = random_dataset(rng, 2, frames=6, joints=5, bodies=2)
     _, record = occlude_joints(clean, joints=[4, 0], frame_fraction=0.5, seed=3)
-    for idx, _ in record.entries.values():
-        keys = [tuple(row) for row in idx.tolist()]
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    keys = [tuple(row) for row in record.index.tolist()]  # (sample, t, v, m)
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_between_needs_a_clean_sample_of_the_same_id_and_shape():
@@ -262,9 +261,10 @@ def test_record_csv_round_trip(tmp_path):
     record.save_csv(path)
     loaded = OcclusionRecord.load_csv(path)
     # empty-entry samples drop out of the CSV; every written row survives
-    for sid, (idx, values) in loaded.entries.items():
-        assert bits_equal(idx, record.entries[sid][0])
-        assert bits_equal(values, record.entries[sid][1])
+    whole = entries_of(record)
+    for sid, (idx, values) in entries_of(loaded).items():
+        assert bits_equal(idx, whole[sid][0])
+        assert bits_equal(values, whole[sid][1])
     assert loaded.total_instances() == record.total_instances()
 
 
@@ -275,6 +275,54 @@ def test_record_csv_rejects_non_finite_value(tmp_path, value):
     with pytest.raises(FormatError) as err:
         OcclusionRecord.load_csv(path)
     assert f"{path}:3: recorded value is not finite" in str(err.value)
+
+
+HEADER = "sample_id,t,v,m,x,y,z\n"
+
+
+@pytest.mark.parametrize("row, fault", [
+    ("s0,-1,0,0,1,2,3", "(t, v, m) = (-1, 0, 0) outside 0..2147483647"),
+    ("s0,0,-1,0,1,2,3", "(t, v, m) = (0, -1, 0) outside 0..2147483647"),
+    ("s0,0,0,-1,1,2,3", "(t, v, m) = (0, 0, -1) outside 0..2147483647"),
+    ("s0,2147483648,0,0,1,2,3", "(t, v, m) = (2147483648, 0, 0) outside 0..2147483647"),
+    ("s0, 1_0 ,0,0,1,2,3", "malformed numeric field"),
+    ("s0,+1,0,0,1,2,3", "malformed numeric field"),
+    ("s0,10,0,0,4,5,6", "repeats (t, v, m) = (10, 0, 0) of sample 's0'"),
+], ids=["t-negative", "v-negative", "m-negative", "beyond-int32", "spaces-underscore", "plus",
+        "repeated"])
+def test_record_csv_refuses_an_index_naming_the_line(tmp_path, row, fault):
+    # as int() read them, t = -1 indexed the last frame and " 1_0 " read as
+    # 10, each a second row for the instance of line 2
+    path = tmp_path / "rec.csv"
+    path.write_text(HEADER + "s0,10,0,0,1,2,3\n" + row + "\n")
+    with pytest.raises(FormatError) as err:
+        OcclusionRecord.load_csv(path)
+    assert f"{path}:3: {fault}" in str(err.value)
+
+
+def test_record_csv_groups_rows_by_sample_in_order_of_first_appearance(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text(HEADER + "b,2,0,0,1,1,1\na,0,1,0,2,2,2\nb,0,3,0,3,3,3\na,0,0,0,4,4,4\n")
+    record = OcclusionRecord.load_csv(path)
+    assert record.sample_ids == ["b", "a"]
+    assert record.index.dtype == np.int32 and record.values.dtype == np.float32
+    assert record.index.tolist() == [[0, 0, 3, 0], [0, 2, 0, 0], [1, 0, 0, 0], [1, 0, 1, 0]]
+    assert record.values[:, 0].tolist() == [3, 1, 4, 2]
+    saved = tmp_path / "saved.csv"
+    record.save_csv(saved)
+    assert saved.read_text().splitlines()[1:] == [
+        "b,0,3,0,3.0,3.0,3.0", "b,2,0,0,1.0,1.0,1.0", "a,0,0,0,4.0,4.0,4.0", "a,0,1,0,2.0,2.0,2.0"]
+
+
+@pytest.mark.parametrize("row", [(-1, 0, 0, 0), (2, 0, 0, 0), (0, -1, 0, 0), (0, 4, 0, 0),
+                                 (0, 0, -1, 0), (0, 0, 5, 0), (0, 0, 0, -1), (0, 0, 0, 1)])
+def test_restore_refuses_an_index_outside_the_shape(row):
+    dataset = random_dataset(np.random.default_rng(20), 2, frames=4, joints=5)
+    _, record = occlude_random(dataset, 0.3, seed=1)
+    record.index = np.vstack([record.index, np.array([row], dtype=np.int32)])
+    record.values = np.vstack([record.values, np.zeros((1, 3), dtype=np.float32)])
+    with pytest.raises(RecordMismatch, match="outside"):
+        record.restore(dataset)
 
 
 def test_spec_validation_and_dispatch():

@@ -40,6 +40,7 @@ from skelfill.pipeline import (
     run_pipeline,
     run_synth,
 )
+from skelfill.synth import make_corpus
 
 
 def test_stage_seeds_derive_from_base_seed():
@@ -386,14 +387,38 @@ def test_per_class_error_pools_every_split(tmp_path):
          OcclusionRecord.between(read(paths[split]), read(paths[f"{split}_occluded"])))
         for split in SPLITS
     ]
-    pooled = evaluation.per_class_error(
-        Dataset.from_sequences([seq for imputed, _ in parts for seq in imputed.samples]),
-        OcclusionRecord(entries={sid: e for _, rec in parts for sid, e in rec.entries.items()}),
-    )
-    test_only = evaluation.per_class_error(*parts[1])
+    pooled = evaluation.per_class_error(parts)
+    test_only = evaluation.per_class_error(parts[1:])
     reported = json.loads(paths["eval_json"].read_text())["per_class"]
     assert reported == {str(label): stats.mean_error for label, stats in pooled.items()}
     assert reported != {str(label): stats.mean_error for label, stats in test_only.items()}
+
+
+def test_per_class_error_counts_an_id_both_splits_hold_in_each(tmp_path):
+    # one id prefix, so the 6 test samples share their ids with 6 of the 18
+    # train samples; run stage by stage from disk
+    config = PipelineConfig(workdir=str(tmp_path / "work"), clusters=2)
+    paths = artifact_paths(config)
+    config.workpath().mkdir(parents=True)
+    formats.write_dataset(make_corpus(3, 6, frames=20, seed=0, id_prefix="s"), paths["train"])
+    formats.write_dataset(make_corpus(3, 2, frames=20, seed=1, id_prefix="s", split_tag="test"),
+                          paths["test"])
+    for stage in (run_occlude, run_embed, run_cluster, run_impute, run_eval):
+        stage(config)
+    read = formats.read_dataset
+    train, test = (
+        evaluation.per_class_error([(read(paths[f"{split}_imputed"], split_tag=split),
+                                     OcclusionRecord.between(read(paths[split]),
+                                                             read(paths[f"{split}_occluded"])))])
+        for split in SPLITS
+    )
+    assert set(read(paths["train"]).sample_ids) > set(read(paths["test"]).sample_ids)
+    reported = json.loads(paths["eval_json"].read_text())["per_class"]
+    # each split scored on its own, then added train then test; the report
+    # adds sample by sample, so the sums may differ in the last bits
+    want = {str(label): (train[label] + test[label]).mean_error for label in train}
+    assert reported == pytest.approx(want, rel=1e-12, abs=0)
+    assert [round(error, 4) for error in reported.values()] == [0.0719, 0.0658, 0.0681]
 
 
 # ---- the hand-off inside one pipeline run ------------------------------------
