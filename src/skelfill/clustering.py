@@ -5,7 +5,8 @@ k-means++ initialisation, assignment ties broken toward the lowest cluster
 index, empty clusters repaired by re-seeding them on the point currently
 farthest from its own centroid, and a per-iteration check that inertia
 never increases.  Identical inputs and seed give identical models and
-labels on every platform.
+labels on every platform.  Every assignment of rows to centroids, in the
+fit and in :func:`kmeans_predict`, is made by :func:`_assign`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _assign(rows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid, ties toward the lowest index, and its
+    squared distance to it."""
+    dist = _sq_distances(rows, centroids)
+    labels = dist.argmin(axis=1)
+    return labels, dist[np.arange(len(labels)), labels]
+
+
 def _init_plusplus(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = rows.shape[0]
     chosen = [int(rng.integers(n))]
@@ -109,9 +118,7 @@ def kmeans_fit(
     rng = np.random.default_rng(seed)
     centroids = _init_plusplus(rows, k, rng)
 
-    dist = _sq_distances(rows, centroids)
-    labels = dist.argmin(axis=1)
-    point_costs = dist[np.arange(n), labels]
+    labels, point_costs = _assign(rows, centroids)
     inertia = float(point_costs.sum())
     if inertia_log is not None:
         inertia_log.append(inertia)
@@ -146,9 +153,7 @@ def kmeans_fit(
         shift = float(np.sqrt(((means - centroids) ** 2).sum(axis=1)).max())
         centroids = means
 
-        dist = _sq_distances(rows, centroids)
-        new_labels = dist.argmin(axis=1)
-        point_costs = dist[np.arange(n), new_labels]
+        new_labels, point_costs = _assign(rows, centroids)
         new_inertia = float(point_costs.sum())
         if inertia_log is not None:
             inertia_log.append(new_inertia)
@@ -174,8 +179,8 @@ def kmeans_predict(model: ClusterModel, matrix: EmbeddingMatrix) -> PseudoLabels
         raise DimensionMismatch(
             f"matrix width {matrix.width} != model width {model.centroids.shape[1]}"
         )
-    dist = _sq_distances(matrix.values, model.centroids)
-    return PseudoLabels(labels=dist.argmin(axis=1), sample_ids=list(matrix.sample_ids))
+    labels, _ = _assign(matrix.values, model.centroids)
+    return PseudoLabels(labels=labels, sample_ids=list(matrix.sample_ids))
 
 
 def save_model(model: ClusterModel, path: str | Path) -> None:

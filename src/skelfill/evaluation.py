@@ -8,8 +8,11 @@ joint positions, taken over the hidden instances that were actually
 imputed; instances left NaN are excluded from the mean and reported as a
 separate count.  A seeded random baseline fills every hole uniformly inside
 the per-channel value range of the dataset, giving the scale against which
-recovery quality is judged.  Each sample's :class:`MpjpeStats` add in
-record order, and several splits pool split by split, each with its record.
+recovery quality is judged; its per-sample draws, like occlusion's, are
+made by the one owner of those streams, :func:`occlusion.draw_per_sample`.
+Each sample's :class:`MpjpeStats` add in record order, and several splits
+pool split by split, each with its record.  The report scores each split
+on its own and the splits together.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .clustering import PseudoLabels
 from .data import Dataset
 from .errors import LengthMismatch
-from .occlusion import OcclusionRecord, sample_rng
+from .occlusion import OcclusionRecord, draw_per_sample
 
 
 @dataclass
@@ -48,25 +51,40 @@ class MpjpeStats:
 
 
 @dataclass
-class EvalReport:
-    """Errors and coverage are None when nothing was evaluated or hidden.
-    ``per_class`` is keyed by the label as text, as JSON writes it, and is
-    left out of the CSV."""
+class SplitScores:
+    """Errors and coverage are None when nothing was evaluated or hidden."""
 
     mpjpe_imputed: float | None
     mpjpe_random: float | None
     coverage: float | None
     imputed_instances: int
     unimputable_instances: int
+
+    @classmethod
+    def of(cls, knn: MpjpeStats, baseline: MpjpeStats, **rest):
+        """The scores of recovery ``knn`` against the random ``baseline``, on
+        the same hidden instances; ``rest`` fills a subclass's fields."""
+        hidden = knn.evaluated + knn.excluded
+        return cls(knn.mean_error, baseline.mean_error, knn.evaluated / hidden if hidden else None,
+                   knn.evaluated, knn.excluded, **rest)
+
+
+@dataclass
+class EvalReport(SplitScores):
+    """The scores of the splits together, and of each split in ``splits``.
+    ``per_class`` is keyed by the label as text, as JSON writes it.  The CSV
+    leaves out ``per_class`` and ``splits``."""
+
     per_class: dict[str, float] | None = None
     purity: float | None = None
     nmi: float | None = None
+    splits: dict[str, SplitScores] | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def csv_header(self) -> list[str]:
-        return [f.name for f in fields(self) if f.name != "per_class"]
+        return [f.name for f in fields(self) if f.name not in ("per_class", "splits")]
 
     def csv_row(self) -> list[str]:
         values = (getattr(self, name) for name in self.csv_header())
@@ -77,7 +95,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
     """Fill every missing scalar with a seeded uniform draw from the
     dataset-wide [min, max] of its coordinate channel (present bodies only).
 
-    Each sample draws from :func:`occlusion.sample_rng`.  A dataset
+    Each sample draws through :func:`occlusion.draw_per_sample`.  A dataset
     with nothing missing comes back with identical values.
     """
     lo, hi = np.zeros(3), np.zeros(3)
@@ -89,15 +107,14 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
         if values.size:
             lo[c], hi[c] = values.min(), values.max()
 
-    data = dataset.data.copy()
-    for index, sample in enumerate(data):
-        rng = sample_rng(seed, index)
+    def draw(sample, rng, slots):
         for c in range(3):
             holes = np.isnan(sample[c])
             count = int(holes.sum())
             if count:
                 sample[c][holes] = rng.uniform(lo[c], hi[c], size=count).astype(np.float32)
-    return dataset.with_data(data)
+
+    return draw_per_sample(dataset, seed, draw)
 
 
 def _sample_stats(imputed: Dataset, record: OcclusionRecord) -> Iterator[tuple[int, MpjpeStats]]:

@@ -71,7 +71,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -133,17 +133,16 @@ def read_str(handle: BinaryIO, what: str) -> str:
         raise FormatError(f"{handle.name}: {what} is not UTF-8: {exc.reason} at byte {offset}") from None
 
 
-def utf8_fault(data: bytes) -> tuple[int, str] | None:
-    """Where ``data`` stops being UTF-8: the line of its first bad byte, as
-    :meth:`str.splitlines` counts lines, and what is wrong there.  ``None``
-    when all of it decodes."""
+def decode_utf8(data: bytes, fault: Callable[[int, str], Exception]) -> str:
+    """``data`` decoded as UTF-8; else raises ``fault(line, what)``, given the
+    line of the first bad byte, as :meth:`str.splitlines` counts lines, and
+    what is wrong there.  Every text input is decoded here."""
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; a stand-in for it counts the line it is on
         line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
-        return line, f"not UTF-8 text: {exc.reason} at byte {exc.start}"
-    return None
+        raise fault(line, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 @contextlib.contextmanager
@@ -155,8 +154,8 @@ def _csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
         with open(path, newline="", encoding="utf-8") as handle:
             yield csv.reader(handle)
     except UnicodeDecodeError:
-        line, what = utf8_fault(Path(path).read_bytes())
-        raise FormatError(f"{path}:{line}: {what}") from None
+        decode_utf8(Path(path).read_bytes(), lambda line, what: FormatError(f"{path}:{line}: {what}"))
+        raise
 
 
 def sha256_file(path: str | Path) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateGraph, FormatError
-from .formats import utf8_fault
+from .formats import decode_utf8
 
 # Bones of the standard 25-joint skeleton, 0-based joint indices.
 _DEFAULT_EDGES_25 = (
@@ -97,12 +97,8 @@ def load_edge_list(path: str | Path, num_joints: int) -> SkeletonGraph:
     locale.  Text that is not UTF-8, a malformed line, a self-loop or a
     joint outside ``0..num_joints-1`` raises :class:`FormatError`.
     """
-    data = Path(path).read_bytes()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        line, what = utf8_fault(data)
-        raise FormatError(f"{path}:{line}: {what}") from None
+    lines = decode_utf8(Path(path).read_bytes(),
+                        lambda line, what: FormatError(f"{path}:{line}: {what}")).splitlines()
     edges = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

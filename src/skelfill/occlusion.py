@@ -12,9 +12,13 @@ The ground truth of an occluded copy is the clean copy.  One rule,
 hidden when it is missing in the occluded copy and present in the clean
 one.  Both modes return the occluded dataset with that record, and
 evaluation rebuilds it the same way from the clean and occluded files.  A
-record holds one split as arrays, a row per hidden joint instance.  Each
-sample's draws come from its own stream, :func:`sample_rng`, so results do
-not depend on iteration order.
+record holds one split as arrays, a row per hidden joint instance.
+
+:func:`draw_per_sample` owns every per-sample draw, of both modes and of
+evaluation's random baseline: each sample draws from its own stream,
+:func:`sample_rng`, keyed by the stage seed, the split and the sample's
+index, so results do not depend on iteration order and the train and test
+samples at one index draw apart.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -154,11 +158,22 @@ class OcclusionRecord:
                    np.array([rows[key] for key in keys], dtype=np.float32).reshape(-1, 3))
 
 
-def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """The random stream of the sample at ``index`` of a split, under a
-    stage's ``seed``: every per-sample draw of occlusion and of the random
-    baseline comes from it."""
-    return np.random.default_rng(seed ^ index)
+def sample_rng(seed: int, split: int, index: int) -> np.random.Generator:
+    """The random stream of the sample at ``index`` of a split, 0 for train
+    and 1 for any other, under a stage's ``seed``."""
+    return np.random.default_rng([seed, split, index])
+
+
+def draw_per_sample(dataset: Dataset, seed: int,
+                    draw: Callable[[np.ndarray, np.random.Generator, np.ndarray], None]) -> Dataset:
+    """A copy of ``dataset`` in which ``draw(sample, rng, slots)`` has changed
+    each sample's [3, T, V, M] array in place, given the sample's own stream
+    (:func:`sample_rng`, keyed by ``dataset.split_tag``) and its present body
+    slots."""
+    data, split = dataset.data.copy(), int(dataset.split_tag != "train")
+    for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
+        draw(sample, sample_rng(seed, split, index), np.flatnonzero(seq.body_present))
+    return dataset.with_data(data)
 
 
 def _reject_preexisting_nan(dataset: Dataset) -> None:
@@ -175,18 +190,17 @@ def occlude_random(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, O
         raise RateOutOfRange(f"rate {rate} outside [0, 1]")
     _reject_preexisting_nan(dataset)
 
-    data = dataset.data.copy()
-    _, _, t_n, v_n, _ = data.shape
-    for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
-        rng = sample_rng(seed, index)
-        slots = np.flatnonzero(seq.body_present)
+    _, _, t_n, v_n, _ = dataset.data.shape
+
+    def draw(sample, rng, slots):
         pool = t_n * v_n * len(slots)
         count = math.floor(rate * pool)
         if count:
             chosen = rng.choice(pool, size=count, replace=False)
             ts, vs, ks = np.unravel_index(chosen, (t_n, v_n, len(slots)))
             sample[:, ts, vs, slots[ks]] = np.nan
-    occluded = dataset.with_data(data)
+
+    occluded = draw_per_sample(dataset, seed, draw)
     return occluded, OcclusionRecord.between(dataset, occluded)
 
 
@@ -210,14 +224,13 @@ def occlude_joints(
     if bad:
         raise JointIndexOutOfRange(f"joints {bad} outside 0..{v_n - 1}")
     n_frames = math.floor(frame_fraction * t_n)
-    data = dataset.data.copy()
-    for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
-        rng = sample_rng(seed, index)
-        slots = np.flatnonzero(seq.body_present)
+
+    def draw(sample, rng, slots):
         for joint in targets:
             frames = rng.choice(t_n, size=n_frames, replace=False)
             sample[:, frames[:, None], joint, slots[None, :]] = np.nan
-    occluded = dataset.with_data(data)
+
+    occluded = draw_per_sample(dataset, seed, draw)
     return occluded, OcclusionRecord.between(dataset, occluded)
 
 

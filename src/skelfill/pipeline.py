@@ -155,18 +155,13 @@ class PipelineConfig:
     # run control
     seed: int = _setting(
         0, int, on=COMMANDS, check=_NON_NEGATIVE, help="base seed for all stage seeds")
-    seed_ingest: int | None = _setting(None, int, check=_NON_NEGATIVE)
-    seed_occlude: int | None = _setting(None, int, check=_NON_NEGATIVE)
-    seed_cluster: int | None = _setting(None, int, check=_NON_NEGATIVE)
-    seed_eval: int | None = _setting(None, int, check=_NON_NEGATIVE)
     threads: int = _setting(
         1, int, on=COMMANDS, check=_POSITIVE, help="worker threads (default: 1)")
     dataset_format: str = _setting("skl1", flag="--format", on=COMMANDS, choices=("skl1", "csv"),
                                    help="dataset artifact format (default: skl1)")
 
     def stage_seed(self, stage: str) -> int:
-        explicit = getattr(self, f"seed_{stage}")
-        return int(explicit) if explicit is not None else self.seed + _SEED_OFFSETS[stage]
+        return self.seed + _SEED_OFFSETS[stage]
 
     def workpath(self) -> Path:
         return Path(self.workdir)
@@ -192,11 +187,8 @@ def load_config(path: str | Path, base: PipelineConfig | None = None) -> Pipelin
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        line, what = formats.utf8_fault(data)
-        raise ConfigError(f"{path}:{line}: {what}") from None
+    lines = formats.decode_utf8(
+        data, lambda line, what: ConfigError(f"{path}:{line}: {what}")).splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -375,16 +367,6 @@ def _check_center_joint(config: PipelineConfig, num_joints: int) -> None:
         raise ConfigError(f"center_joint {config.center_joint} is not below {num_joints} joints")
 
 
-def _capture_text(file: Path) -> str:
-    """The text of a capture file, decoded as UTF-8 whatever the locale."""
-    data = file.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        line, what = formats.utf8_fault(data)
-        raise MalformedCapture(what, line=line) from None
-
-
 @_timed
 def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Parse captures, canonicalise, make them relative, split train and test."""
@@ -407,7 +389,8 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
         try:
-            text = _capture_text(files.need(file, "provide the capture"))
+            text = formats.decode_utf8(files.need(file, "provide the capture").read_bytes(),
+                                       lambda line, what: MalformedCapture(what, line=line))
             seq = to_canonical(parse_ntu_skeleton(text), config.target_frames,
                                config.max_bodies, sample_id=file.stem, label=label)
             if data and seq.num_joints != data["train"].shape[3]:
@@ -588,7 +571,7 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     files = _StageFiles(config, "eval", handoff)
     seed_eval = config.stage_seed("eval")
     scored = {}  # split -> (imputed split, its record)
-    knn, baseline = evaluation.MpjpeStats(), evaluation.MpjpeStats()
+    by_split = {}  # split -> (MpjpeStats of its recovery, of the random baseline)
     for split in files.splits("{split}_imputed", "impute"):
         files.need(split, "ingest")
         files.need(f"{split}_occluded", "occlude")
@@ -597,8 +580,9 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         occluded = files.read(f"{split}_occluded", last=True)
         record = occlusion.OcclusionRecord.between(files.read(split, last=True), occluded)
         scored[split] = imputed, record
-        knn += evaluation.mpjpe(imputed, record)
-        baseline += evaluation.mpjpe(evaluation.impute_random_baseline(occluded, seed_eval), record)
+        by_split[split] = (evaluation.mpjpe(imputed, record), evaluation.mpjpe(
+            evaluation.impute_random_baseline(occluded, seed_eval), record))
+    knn, baseline = (sum(parts, evaluation.MpjpeStats()) for parts in zip(*by_split.values()))
     per_class = evaluation.per_class_error(scored.values())
     train = scored["train"][0]
 
@@ -610,17 +594,12 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
             files.need("labels_train", "cluster")
 
-    hidden = knn.evaluated + knn.excluded
-    report = evaluation.EvalReport(
-        mpjpe_imputed=knn.mean_error,
-        mpjpe_random=baseline.mean_error,
-        coverage=knn.evaluated / hidden if hidden else None,
-        imputed_instances=knn.evaluated,
-        unimputable_instances=knn.excluded,
+    report = evaluation.EvalReport.of(
+        knn, baseline,
         per_class={str(label): stats.mean_error
                    for label, stats in per_class.items() if stats.evaluated} or None,
-        purity=purity,
-        nmi=nmi,
+        purity=purity, nmi=nmi,
+        splits={split: evaluation.SplitScores.of(*pair) for split, pair in by_split.items()},
     )
     files.output("eval_json").write_text(report.to_json() + "\n")
     with open(files.output("eval_csv"), "w", newline="") as handle:

@@ -232,6 +232,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus_knob" in err
 
 
+@pytest.mark.parametrize("stage", ["ingest", "occlude", "cluster", "eval"])
+def test_a_stage_seed_key_is_unknown(tmp_path, capsys, stage):
+    # each stage's seed is the base seed plus the stage's fixed offset
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed_{stage} = 5\n")
+    rc = main(["synth", "--config", str(cfg), "--workdir", str(tmp_path / "work")])
+    assert rc == 2
+    assert f"unknown config key 'seed_{stage}'" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
 from reference import between_ref
-from skelfill import OcclusionRecord, OcclusionSpec, occlude_joints, occlude_random
+from skelfill import Dataset, OcclusionRecord, OcclusionSpec, occlude_joints, occlude_random
 from skelfill.errors import (
     AlreadyOccluded,
     FormatError,
@@ -67,6 +67,20 @@ def test_random_rate_is_deterministic():
     assert any(
         not bits_equal(a.data, c.data) for a, c in zip(first.samples, third.samples)
     )
+
+
+def test_each_sample_draws_from_its_own_seed_split_and_index():
+    # sample 1 under seed 0 and sample 0 under seed 1 share seed ^ index, and
+    # the train and test samples at one index share seed and index
+    train = random_dataset(np.random.default_rng(8), 2, frames=8, joints=6)
+    test = Dataset(train.data, train.samples, "test")
+
+    def hidden(dataset, seed):
+        return np.isnan(occlude_random(dataset, 0.5, seed)[0].data).all(axis=1)
+
+    assert not np.array_equal(hidden(train, 0)[1], hidden(train, 1)[0])
+    assert not np.array_equal(hidden(train, 0), hidden(test, 0))
+    assert np.array_equal(hidden(test, 0), hidden(Dataset(train.data, train.samples, "val"), 0))
 
 
 def test_restore_inverts_occlusion_bit_exactly():
