@@ -91,6 +91,30 @@ class EvalReport(SplitScores):
         return ["" if value is None else repr(value) for value in values]
 
 
+# Scalars of the samples whose channel range one step of the random
+# baseline takes: the step's masks stay a few MiB whatever the split's size.
+RANGE_BLOCK = 1 << 20
+
+
+def _channel_ranges(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The [min, max] of each coordinate channel over the finite values of
+    present bodies, (0, 0) for a channel with none.  Taken over blocks of
+    samples; min and max are exact, so the blocks do not change them."""
+    lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
+    data, (n, *shape) = dataset.data, dataset.data.shape
+    present = np.array([seq.body_present for seq in dataset.samples], dtype=bool)
+    step = max(1, RANGE_BLOCK // max(1, math.prod(shape)))
+    for start in range(0, n, step):
+        block = data[start:start + step]
+        usable = np.isfinite(block)
+        usable &= present[start:start + step, None, None, None, :]
+        values = np.where(usable, block, np.float32(np.nan))  # NaN, which fmin and fmax skip
+        lo = np.fmin(lo, np.fmin.reduce(values, axis=(0, 2, 3, 4), initial=np.inf))
+        hi = np.fmax(hi, np.fmax.reduce(values, axis=(0, 2, 3, 4), initial=-np.inf))
+    seen = lo <= hi
+    return np.where(seen, lo, 0.0), np.where(seen, hi, 0.0)
+
+
 def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
     """Fill every missing scalar with a seeded uniform draw from the
     dataset-wide [min, max] of its coordinate channel (present bodies only).
@@ -98,14 +122,7 @@ def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
     Each sample draws through :func:`occlusion.draw_per_sample`.  A dataset
     with nothing missing comes back with identical values.
     """
-    lo, hi = np.zeros(3), np.zeros(3)
-    n, _, _, _, m = dataset.data.shape
-    present = np.array([seq.body_present for seq in dataset.samples], dtype=bool)
-    usable = np.isfinite(dataset.data) & present.reshape(n, 1, 1, 1, m)
-    for c in range(3):
-        values = dataset.data[:, c][usable[:, c]]
-        if values.size:
-            lo[c], hi[c] = values.min(), values.max()
+    lo, hi = _channel_ranges(dataset)
 
     def draw(sample, rng, slots):
         for c in range(3):

@@ -29,10 +29,12 @@ refuses) therefore fills NaN.
 
 Each cluster is one task: it builds the cluster's pool once, fills the
 cluster's train members, then the test samples predicted into it, and drops
-the pool.  A test label no train cluster has gets an empty pool.  The train
-members are the pool's own rows, and ``d(i, j)`` is ``d(j, i)`` bit for bit
-(``fl(a - b)**2 == fl(b - a)**2`` over the same positions in the same sum),
-so each of their pairs is computed once and read back for the other.
+the pool.  A test label no train cluster has gets an empty pool.  Up to
+``threads`` workers run the tasks, never more than there are tasks, and a
+lone task runs in the calling thread.  The train members are the pool's own
+rows, and ``d(i, j)`` is ``d(j, i)`` bit for bit (``fl(a - b)**2 ==
+fl(b - a)**2`` over the same positions in the same sum), so each of their
+pairs is computed once and read back for the other.
 
 Each rule is stated once.  ``_distances_to_members`` gives a target's
 distances and ``_neighbour_order`` puts its candidates in neighbour order:
@@ -65,7 +67,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
@@ -512,8 +513,13 @@ def impute_dataset(
         _fill_targets([test_targets[i] for i in groups.get(label, none)], pool, k, trace, test)
 
     labels = sorted(clusters.keys() | groups.keys())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
+    # no more workers than tasks, and none for a lone task: a worker thread
+    # adds its own malloc arena to the peak
+    workers = min(threads, len(labels))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that starts one
+
+        with ThreadPoolExecutor(max_workers=workers) as executor:
             list(executor.map(fill_cluster, labels))
     else:
         for label in labels:

@@ -10,9 +10,11 @@ Two modes:
 The ground truth of an occluded copy is the clean copy.  One rule,
 :meth:`OcclusionRecord.between`, reads it off the two: a joint instance was
 hidden when it is missing in the occluded copy and present in the clean
-one.  Both modes return the occluded dataset with that record, and
-evaluation rebuilds it the same way from the clean and occluded files.  A
-record holds one split as arrays, a row per hidden joint instance.
+one.  Both modes return the occluded dataset with that record.  Evaluation
+takes the record occlusion returned when a pipeline hands it on and both
+files are as occlusion left them; otherwise it rebuilds the record the same
+way from the clean and occluded files.  A record holds one split as arrays,
+a row per hidden joint instance.
 
 :func:`draw_per_sample` owns every per-sample draw, of both modes and of
 evaluation's random baseline: each sample draws from its own stream,

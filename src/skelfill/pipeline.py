@@ -18,6 +18,17 @@ file is hashed twice.  A file changed on disk is read again, and a stage
 run on its own has no table and reads from disk.  ``run_eval``, the last
 reader of every dataset, drops each entry as it reads it.
 
+The clean splits are read again only by ``run_eval``, and only for the
+ground truth of what occlusion hid.  So ``run_occlude`` puts each split's
+:class:`~skelfill.occlusion.OcclusionRecord` in the table in place of the
+clean dataset, keyed by the digests of the clean file as it read it and of
+the occluded file as it wrote it, and no clean split stays in memory
+through embed, cluster and impute.  ``run_eval`` still hashes the clean
+file and lists it in its manifest, and takes the record when both digests
+agree; else, when either file changed on disk or eval runs on its own, it
+reads the clean file and rebuilds the record
+(:meth:`~skelfill.occlusion.OcclusionRecord.between`).
+
 A CSV write of a derived dataset (``{split}_occluded`` from ``{split}``,
 ``{split}_imputed`` from ``{split}_occluded``) copies, line for line, each
 row of the stage's input file whose x, y, z keep their bits, and formats
@@ -38,9 +49,10 @@ offer the flag.  Config files and flags share one parse path.
 Each stage keeps this bookkeeping in one :class:`_StageFiles`, so its body
 shows only what it reads, computes and writes.  The object lists the splits
 the stage works on (train, and test when the stage before wrote it),
-requires and lists each input, reads and writes datasets through the
-hand-off table, lends a read's file as the base of its split's CSV write,
-and writes the manifest from the digests taken on the way.
+requires and lists each input, reads and writes datasets and hands on and
+takes records through the hand-off table, lends a read's file as the base
+of its split's CSV write, and writes the manifest from the digests taken on
+the way.
 """
 
 from __future__ import annotations
@@ -243,9 +255,11 @@ def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
     }
 
 
-# dataset path -> (SHA-256 of the file as written, the dataset a read of it
-# returns): what one ``run_pipeline`` hands from stage to stage
-Handoff = dict[Path, tuple[str, Dataset]]
+# What one ``run_pipeline`` hands from stage to stage.  Dataset path ->
+# (SHA-256 of the file as written, the dataset a read of it returns); after
+# occlude, clean split path -> ((SHA-256 of the clean file, of the occluded
+# file), the record of what the occluded split hides of the clean one).
+Handoff = dict[Path, tuple[str, Dataset] | tuple[tuple[str, str], occlusion.OcclusionRecord]]
 
 
 class _StageFiles:
@@ -306,6 +320,26 @@ class _StageFiles:
         if self.handoff is not None:
             with contextlib.suppress(FormatError):  # a read refuses it, so its reader raises
                 self.handoff[path] = (digest, formats.dataset_as_written(dataset, path, fmt, split))
+
+    def hand_on_record(self, split: str, record: occlusion.OcclusionRecord) -> None:
+        """Put ``record``, read off the clean ``split`` and its occluded copy
+        as written, in the table in place of the clean dataset."""
+        if self.handoff is not None:
+            clean, occluded = self.paths[split], self.paths[f"{split}_occluded"]
+            self.handoff[clean] = ((self.digests[clean], self.digests[occluded]), record)
+
+    def record(self, split: str, occluded: Dataset) -> occlusion.OcclusionRecord:
+        """The record of what ``occluded``, read from the split's occluded
+        file, hides of the clean ``split``: the table's when both files have
+        the digests it was handed on with, else rebuilt from the clean file.
+        Drops the table's entry."""
+        path = self.paths[split]
+        digest = self.digests[path] = formats.sha256_file(path)
+        entry = None if self.handoff is None else self.handoff.pop(path, None)
+        if entry is not None and entry[0] == (digest, self.digests[self.paths[f"{split}_occluded"]]):
+            return entry[1]
+        clean = formats.read_dataset(path, split_tag=split)
+        return occlusion.OcclusionRecord.between(clean, occluded)
 
     def output(self, key: str) -> Path:
         self.outputs.append(self.paths[key])
@@ -477,6 +511,7 @@ def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
                               f"of {files.paths[split]}")
         occluded, record = occlusion.apply_spec(dataset, spec)
         files.write(f"{split}_occluded", occluded)
+        files.hand_on_record(split, record)
         hidden += record.total_instances()
     params = {
         "mode": spec.mode, "rate": spec.rate, "joints": list(spec.joints),
@@ -578,7 +613,7 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         # the last stage to read each dataset, so it drops the hand-off entries
         imputed = files.read(f"{split}_imputed", last=True)
         occluded = files.read(f"{split}_occluded", last=True)
-        record = occlusion.OcclusionRecord.between(files.read(split, last=True), occluded)
+        record = files.record(split, occluded)
         scored[split] = imputed, record
         by_split[split] = (evaluation.mpjpe(imputed, record), evaluation.mpjpe(
             evaluation.impute_random_baseline(occluded, seed_eval), record))

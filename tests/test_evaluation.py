@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
 from reference import between_ref, mpjpe_ref, per_class_error_ref
-from skelfill import OcclusionRecord, clustering_quality, impute_random_baseline, mpjpe
+from skelfill import OcclusionRecord, clustering_quality, evaluation, impute_random_baseline, mpjpe
 from skelfill.errors import LengthMismatch, RecordMismatch
 from skelfill.evaluation import EvalReport, MpjpeStats, per_class_error
 from skelfill.occlusion import occlude_random
@@ -60,6 +60,36 @@ def test_baseline_range_ignores_padding_slots():
     filled = impute_random_baseline(dataset_of(seq), seed=9)
     value = filled.samples[0].data[:, 1, 1, 0]
     assert (value <= 1.0).all()  # range came from the present body only
+
+
+@pytest.mark.parametrize("block", [1, 300, 1 << 20])
+def test_baseline_range_is_the_same_over_any_blocks_of_samples(monkeypatch, block):
+    # blocks of one sample (144 scalars), of two, and of all seven
+    rng = np.random.default_rng(163)
+    seqs = []
+    for i in range(7):
+        data = rng.uniform(-5.0, 5.0, size=(3, 4, 6, 2)).astype(np.float32)
+        if i % 3:
+            data[:, :, :, 1] = 1000.0 * (-1) ** i  # junk in an absent body slot
+        seqs.append(seq_of(data, f"s{i}", body_present=[True, i % 3 == 0]))
+    occluded, _ = occlude_random(dataset_of(*seqs), 0.3, seed=4)
+    present = np.array([seq.body_present for seq in occluded.samples])[:, None, None, None, :]
+    usable = np.isfinite(occluded.data) & present
+    want = [[occluded.data[:, c][usable[:, c]].min() for c in range(3)],
+            [occluded.data[:, c][usable[:, c]].max() for c in range(3)]]
+    monkeypatch.setattr(evaluation, "RANGE_BLOCK", block)
+    assert [bound.tolist() for bound in evaluation._channel_ranges(occluded)] == want
+    filled = impute_random_baseline(occluded, seed=8)
+    monkeypatch.setattr(evaluation, "RANGE_BLOCK", 1 << 20)
+    for a, b in zip(filled.samples, impute_random_baseline(occluded, seed=8).samples):
+        assert bits_equal(a.data, b.data)
+
+
+def test_baseline_range_of_a_channel_with_no_value_is_zero():
+    data = np.full((3, 2, 2, 1), np.nan, dtype=np.float32)
+    data[0] = 1.5
+    lo, hi = evaluation._channel_ranges(dataset_of(seq_of(data, "s")))
+    assert lo.tolist() == [1.5, 0.0, 0.0] and hi.tolist() == [1.5, 0.0, 0.0]
 
 
 # ---- recovery error --------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -309,6 +310,33 @@ def test_impute_dataset_threads_match_single_thread():
     for a, b in zip(out_one.samples, out_four.samples):
         assert bits_equal(a.data, b.data)
     assert rep_one.to_json() == rep_four.to_json()
+
+
+def test_a_lone_cluster_runs_in_the_calling_thread(monkeypatch):
+    rng = np.random.default_rng(149)
+
+    def corpus(n, prefix, split):
+        data = rng.uniform(-2, 2, size=(n, 3, 4, 5, 1)).astype(np.float32)
+        data = np.where(rng.random((n, 1, 4, 5, 1)) < 0.3, np.float32(np.nan), data)
+        return dataset_of(*(seq_of(row, f"{prefix}{i}") for i, row in enumerate(data)), split=split)
+
+    train, test = corpus(12, "tr", "train"), corpus(3, "te", "test")
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+
+    def run(threads, labels=0):
+        return impute_dataset(train, labels_for(train, [labels] * 6 + [0] * 6), test,
+                              labels_for(test, [0] * 3), k=3, threads=threads)
+
+    one, two = run(1), run(2)
+    assert started == []
+    for a, b in zip(one[:2], two[:2]):
+        assert bits_equal(a.data, b.data)
+    assert one[2].to_json() == two[2].to_json()
+    assert one[2].totals().imputed > 0
+    run(2, labels=1)  # two clusters: the probe sees the pool's worker
+    assert started
 
 
 def test_impute_dataset_test_split_draws_from_train_only():

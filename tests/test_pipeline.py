@@ -1,10 +1,12 @@
 """Stage orchestration: config parsing, seeds, artifact naming, manifests."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import re
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -454,19 +456,35 @@ def _handoff_config(tmp_path, fmt: str, source: str) -> PipelineConfig:
                                synth_test_per_class=1, target_frames=6, synth_joints=5)
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class CheckingHandoff(dict):
     """A hand-off table that compares every dataset it hands out with a real
-    read of its file, and lists the files of those hits."""
+    read of its file, and every record with the one rebuilt from reads of the
+    clean and occluded files, and lists the files of those hits: a record's
+    as ``record of`` its clean file."""
 
     def __init__(self, read):
         super().__init__()
         self.read, self.hits = read, []
 
     def _check(self, path, entry):
-        if entry is not None and entry[0] == hashlib.sha256(Path(path).read_bytes()).hexdigest():
-            split = Path(path).stem.split("_")[0]
+        path = Path(path)
+        split = path.stem.split("_")[0]
+        if entry is not None and isinstance(entry[1], OcclusionRecord):
+            occluded = path.with_name(f"{split}_occluded{path.suffix}")
+            if entry[0] == (_sha256(path), _sha256(occluded)):
+                want = OcclusionRecord.between(self.read(path, split_tag=split),
+                                               self.read(occluded, split_tag=split))
+                assert entry[1].sample_ids == want.sample_ids
+                assert bits_equal(entry[1].index, want.index)
+                assert bits_equal(entry[1].values, want.values)
+                self.hits.append(f"record of {path.name}")
+        elif entry is not None and entry[0] == _sha256(path):
             assert_same_dataset(entry[1], self.read(path, split_tag=split))
-            self.hits.append(Path(path).name)
+            self.hits.append(path.name)
         return entry
 
     def get(self, path, default=None):
@@ -496,11 +514,13 @@ def test_every_dataset_handed_off_is_what_its_file_reads_back(tmp_path, monkeypa
     reads = _counting(monkeypatch, formats, "read_dataset")
     run_pipeline(config, handoff=table)
     assert reads == []  # every read was a hit
-    # occlude and eval read {split}; embed, impute and eval {split}_occluded;
-    # eval {split}_imputed, and eval drops every entry
-    per_split = [""] * 2 + ["_occluded"] * 3 + ["_imputed"]
+    # occlude reads {split}, and eval takes the record occlude handed on in
+    # its place; embed, impute and eval read {split}_occluded; eval reads
+    # {split}_imputed, and eval drops every entry
+    per_split = ["{split}.{fmt}", "record of {split}.{fmt}"] + ["{split}_occluded.{fmt}"] * 3 + [
+        "{split}_imputed.{fmt}"]
     assert sorted(table.hits) == sorted(
-        f"{split}{suffix}.{fmt}" for split in SPLITS for suffix in per_split)
+        hit.format(split=split, fmt=fmt) for split in SPLITS for hit in per_split)
     assert table == {}
 
 
@@ -534,6 +554,51 @@ def test_a_dataset_changed_on_disk_is_read_again(tmp_path, monkeypatch):
     got = artifact_paths(config)["emb_train"].read_bytes()
     assert got == embedded_alone(after)
     assert got != embedded_alone(before)
+
+
+def test_a_clean_split_changed_on_disk_is_scored_from_the_file(tmp_path, monkeypatch):
+    config = _handoff_config(tmp_path, "skl1", "synth")
+    paths = artifact_paths(config)
+    kept = tmp_path / "kept" / "train.skl1"
+    evaluate = pipeline.run_eval
+
+    def rewrite_then_eval(config, handoff=None):
+        kept.parent.mkdir()
+        shutil.copy(paths["train"], kept)
+        clean = formats.read_dataset(paths["train"])
+        formats.write_dataset(clean.with_data(clean.data * 2), paths["train"])
+        return evaluate(config, handoff=handoff)
+
+    monkeypatch.setattr(pipeline, "run_eval", rewrite_then_eval)
+    run_pipeline(config)
+
+    def evaluated_alone(train: Path) -> list[bytes]:
+        workdir = tmp_path / f"alone-{train.parent.name}"
+        shutil.copytree(config.workpath(), workdir)
+        shutil.copy(train, workdir / "train.skl1")
+        run_eval(dataclasses.replace(config, workdir=str(workdir)))
+        return [(workdir / name).read_bytes() for name in ("eval_report.json", "manifest_eval.json")]
+
+    got = [(config.workpath() / name).read_bytes()
+           for name in ("eval_report.json", "manifest_eval.json")]
+    assert got == evaluated_alone(paths["train"])
+    assert got[0] != evaluated_alone(kept)[0]
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_the_table_holds_no_clean_split_once_occlude_returns(tmp_path, fmt):
+    config = _handoff_config(tmp_path, fmt, "synth")
+    paths, handoff = artifact_paths(config), {}
+    run_synth(config, handoff=handoff)
+    clean = [weakref.ref(handoff[paths[split]][1].data) for split in SPLITS]
+    run_occlude(config, handoff=handoff)
+    gc.collect()
+    assert [ref() for ref in clean] == [None, None]  # no sample of either clean split is held
+    assert sorted(handoff) == sorted(paths[key] for split in SPLITS
+                                     for key in (split, f"{split}_occluded"))
+    for split in SPLITS:
+        assert isinstance(handoff[paths[split]][1], OcclusionRecord)
+        assert isinstance(handoff[paths[f"{split}_occluded"]][1], Dataset)
 
 
 @pytest.mark.parametrize("fmt, source", [("skl1", "synth"), ("csv", "ingest")])
