@@ -11,7 +11,6 @@ fit and in :func:`kmeans_predict`, is made by :func:`_assign`.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .embedding import EmbeddingMatrix
 from .errors import DimensionMismatch, FormatError, KTooLarge
-from .formats import read_exact
+from .formats import read_container, read_records, write_container
 
 SKKM_MAGIC = b"SKKM1"
 
@@ -184,28 +183,15 @@ def kmeans_predict(model: ClusterModel, matrix: EmbeddingMatrix) -> PseudoLabels
 
 
 def save_model(model: ClusterModel, path: str | Path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(SKKM_MAGIC)
-        handle.write(
-            struct.pack(
-                "<IIdQ", model.k, model.centroids.shape[1], float(model.inertia), model.seed
-            )
-        )
-        handle.write(np.ascontiguousarray(model.centroids, dtype="<f4").tobytes())
+    fields = (model.k, model.centroids.shape[1], float(model.inertia), model.seed)
+    write_container(path, SKKM_MAGIC, "<IIdQ", fields, model.centroids)
 
 
 def load_model(path: str | Path) -> ClusterModel:
-    with open(path, "rb") as handle:
-        magic = handle.read(5)
-        if magic != SKKM_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {SKKM_MAGIC!r}")
-        k, width, inertia, seed = struct.unpack("<IIdQ", read_exact(handle, 24, "header"))
+    with read_container(path, SKKM_MAGIC, "<IIdQ") as (handle, (k, width, inertia, seed)):
         if k == 0 or width == 0:
             raise FormatError(f"{path}: degenerate model K={k} D={width}")
-        raw = read_exact(handle, k * width * 4, "centroids")
-        centroids = np.frombuffer(raw, dtype="<f4").reshape(k, width).astype(np.float64)
-        if handle.read(1):
-            raise FormatError(f"{path}: trailing bytes after centroids")
+        centroids, _, _ = read_records(handle, (k, width), np.float64, ids=False)
     finite = np.isfinite(centroids).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}: non-finite value in centroid {int(np.argmin(finite))}")

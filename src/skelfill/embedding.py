@@ -24,18 +24,13 @@ the order of the one-sample sum:
   frames, and each group's ``[G, c]`` array is reduced along its rows,
   which sums each row pairwise in the same way.  A count of 0 gives 0.
 
-Learned 256-wide encoder features can be swapped in through the SKEMB file
-interface without touching any downstream stage::
-
-    magic  b"SKEMB1"
-    u32    N, u32 D             (little endian)
-    N records: u32 id length, UTF-8 id, D f32 values
+Learned 256-wide encoder features can be swapped in through an SKEMB file
+without touching any downstream stage; its layout and the refusals of its
+reader are those of every binary container (see :mod:`skelfill.formats`).
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +38,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FormatError, IdMismatch
-from .formats import read_exact, read_str, write_str
+from .formats import read_container, read_records, write_container
 from .graph import SkeletonGraph, chain_graph, default_skeleton_graph
 
 SKEMB_MAGIC = b"SKEMB1"
@@ -146,39 +141,14 @@ def embed_baseline(dataset: Dataset, graph: SkeletonGraph | None = None) -> Embe
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     if matrix.width == 0:
         raise FormatError("refusing to write a zero-width embedding matrix")
-    with open(path, "wb") as handle:
-        handle.write(SKEMB_MAGIC)
-        handle.write(struct.pack("<II", matrix.values.shape[0], matrix.width))
-        for row, sid in zip(matrix.values, matrix.sample_ids):
-            write_str(handle, sid)
-            handle.write(np.ascontiguousarray(row, dtype="<f4").tobytes())
+    write_container(path, SKEMB_MAGIC, "<II", matrix.values.shape, matrix.values, matrix.sample_ids)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    with open(path, "rb") as handle:
-        magic = handle.read(6)
-        if magic != SKEMB_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {SKEMB_MAGIC!r}")
-        n, width = struct.unpack("<II", read_exact(handle, 8, "header"))
+    with read_container(path, SKEMB_MAGIC, "<II") as (handle, (n, width)):
         if width == 0:
             raise FormatError(f"{path}: zero-width embedding matrix")
-        # each record holds at least a 4-byte id length and the row itself
-        left = os.fstat(handle.fileno()).st_size - handle.tell()
-        if n * (4 + 4 * width) > left:
-            raise FormatError(
-                f"{path}: truncated: header claims {n} rows of width {width}, "
-                f"but only {left} bytes follow"
-            )
-        ids: list[str] = []
-        rows = np.empty((n, width), dtype=np.float64)
-        for i in range(n):
-            ids.append(read_str(handle, "sample id"))
-            raw = read_exact(handle, width * 4, f"row of {ids[-1]}")
-            rows[i] = np.frombuffer(raw, dtype="<f4")
-        if handle.read(1):
-            raise FormatError(f"{path}: trailing bytes after {n} records")
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: duplicate sample ids")
+        rows, ids, _ = read_records(handle, (n, width), np.float64)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}: non-finite value in the row of {ids[np.argmin(finite)]!r}")

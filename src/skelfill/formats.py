@@ -1,19 +1,26 @@
-"""Dataset wire formats.
+"""Dataset wire formats, and the container of every binary artifact.
 
-SKL1 (binary dataset container)::
+The splits (SKL1), the embeddings (SKEMB) and the k-means model (SKKM) are
+each a magic, a header of little-endian fields and records of ``<f4``
+values, in SKL1 and SKEMB after a sample id (u32 byte length, UTF-8)::
 
-    magic  b"SKL1"
-    u32    N, C, T, V, M          (little endian)
-    N records:
-        u32    id byte length
-        bytes  sample id, UTF-8
-        i32    label, -1 when absent
-        f32[]  C*T*V*M values, row-major in (C, T, V, M) order
+    SKL1   magic b"SKL1", header u32 N, C, T, V, M; N records of an id, an
+           i32 label (-1 when absent) and C*T*V*M values in (C, T, V, M) order
+    SKEMB  magic b"SKEMB1", header u32 N, D; N records of an id and D values
+    SKKM   magic b"SKKM1", header u32 K, u32 D, f64 inertia, u64 seed;
+           K records of D values, the centroids
 
-Float payloads round-trip bit-exactly: values are copied to and from the
-file without any arithmetic, so NaN payload bits survive.  The reader
-refuses a header of no records, one that claims more records than the file
-could hold before it allocates them, and a sample id that repeats.
+Only :func:`read_container`, :func:`read_records` and
+:func:`write_container` know this framing.  A read refuses, naming the
+file, a wrong magic; a header or record cut short; a header count the bytes
+left cannot hold, before anything sized by it is allocated; a byte after
+the last record; and a sample id that repeats, or that is not UTF-8
+(naming its byte).  A write refuses an id with no UTF-8 form (a lone
+surrogate, as a file name that is not UTF-8 decodes to) before it opens the
+file.  Each codec adds its own refusals: SKL1 a channel count other than
+3, a dimension of 0 and no records; SKEMB a width of 0; SKKM a K or D of 0;
+SKEMB and SKKM a non-finite value.  SKL1 values are copied to and from the
+file without arithmetic, so NaN payload bits survive.
 
 Both dataset readers refuse a joint instance that is NaN in only some of
 its channels, or that has an infinite coordinate (see the data model in
@@ -104,9 +111,9 @@ def _int_in(span: range, text: str, what: str) -> int:
     return value
 
 
-def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
+def _read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
     """Read ``count`` bytes of a file.  A count beyond the bytes left, as a
-    corrupt header field gives, is refused before anything is allocated."""
+    corrupt length field gives, is refused before anything is allocated."""
     left = os.fstat(handle.fileno()).st_size - handle.tell()
     buf = handle.read(count) if count <= left else b""
     if len(buf) != count:
@@ -117,20 +124,75 @@ def read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
     return buf
 
 
-def write_str(handle: BinaryIO, value: str) -> None:
-    raw = value.encode("utf-8")
-    handle.write(struct.pack("<I", len(raw)))
-    handle.write(raw)
-
-
-def read_str(handle: BinaryIO, what: str) -> str:
-    (length,) = struct.unpack("<I", read_exact(handle, 4, f"{what} length"))
-    raw = read_exact(handle, length, what)
+def encode_id(sample_id: str, path: str | Path) -> bytes:
+    """``sample_id`` as UTF-8; an id with no UTF-8 form is refused naming
+    ``path``, which may hold the same lone surrogates, escaped like the id."""
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        offset = handle.tell() - length + exc.start
-        raise FormatError(f"{handle.name}: {what} is not UTF-8: {exc.reason} at byte {offset}") from None
+        return sample_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        where = str(path).encode("utf-8", "backslashreplace").decode("utf-8")
+        raise FormatError(f"{where}: sample id {sample_id!r} is not UTF-8: {exc.reason}") from None
+
+
+def _refuse_repeated_ids(sample_ids: list[str], path: str | Path) -> None:
+    if len(set(sample_ids)) != len(sample_ids):
+        raise FormatError(f"{path}: duplicate sample ids")
+
+
+@contextlib.contextmanager
+def read_container(path: str | Path, magic: bytes, header: str) -> Iterator[tuple[BinaryIO, tuple]]:
+    """The file ``path`` past its ``magic`` and the fields of its ``header``
+    struct; a byte left once the caller has read the records is refused."""
+    with open(path, "rb") as handle:
+        found = handle.read(len(magic))
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        yield handle, struct.unpack(header, _read_exact(handle, struct.calcsize(header), "header"))
+        if handle.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last record")
+
+
+def read_records(handle: BinaryIO, shape: tuple[int, ...], dtype, *, ids: bool = True,
+                 labels: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
+    """The ``dtype`` array of the rows of ``shape[1:]`` of ``shape[0]`` records,
+    read in place once the bytes left can hold that many, and the records'
+    sample ids and i32 labels, each when asked for."""
+    n, size = shape[0], math.prod(shape[1:])
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    if n * (4 * ids + 4 * labels + 4 * size) > left:  # each record's least size
+        raise FormatError(f"{handle.name}: truncated: header claims {n} records of {4 * size} "
+                          f"data bytes, but only {left} bytes follow")
+    data, sample_ids, label_list = np.empty(shape, dtype=dtype), [], []
+    for i, row in enumerate(data.reshape(n, size)):
+        if ids:
+            (length,) = struct.unpack("<I", _read_exact(handle, 4, "sample id length"))
+            try:
+                sample_ids.append(_read_exact(handle, length, "sample id").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{handle.name}: sample id is not UTF-8: {exc.reason} "
+                                  f"at byte {handle.tell() - length + exc.start}") from None
+        if labels:
+            label_list.append(struct.unpack("<i", _read_exact(handle, 4, "label"))[0])
+        what = f"data of {sample_ids[-1]}" if ids else f"record {i}"
+        row[:] = np.frombuffer(_read_exact(handle, 4 * size, what), "<f4")
+    _refuse_repeated_ids(sample_ids, handle.name)
+    return data, sample_ids, label_list
+
+
+def write_container(path: str | Path, magic: bytes, header: str, fields: tuple, rows: np.ndarray,
+                    ids: list[str] | None = None, labels: list[int] | None = None) -> None:
+    """Write ``magic``, the ``header`` struct of ``fields`` and a record of
+    each row of ``rows``, after its id and label when given, to ``path``,
+    which is not opened when an id is refused."""
+    raw_ids = None if ids is None else [encode_id(sid, path) for sid in ids]
+    with open(path, "wb") as handle:
+        handle.write(magic + struct.pack(header, *fields))
+        for i, row in enumerate(rows):
+            if raw_ids is not None:
+                handle.write(struct.pack("<I", len(raw_ids[i])) + raw_ids[i])
+            if labels is not None:
+                handle.write(struct.pack("<i", labels[i]))
+            handle.write(np.ascontiguousarray(row, dtype="<f4"))
 
 
 def decode_utf8(data: bytes, fault: Callable[[int, str], Exception]) -> str:
@@ -178,11 +240,9 @@ def _as_read(data: np.ndarray, sample_ids: list[str], labels: list[int | None],
              path: str | Path, fmt: str, split_tag: str) -> Dataset:
     """The dataset a read of the ``fmt`` file ``path`` returns for ``data``
     [N, 3, T, V, M] and its samples' ids and labels: float32 data, refused
-    when an id repeats or a joint instance is invalid; no label for one
+    when a joint instance is invalid; no label for one
     below 0; and the body slots :func:`_infer_body_present` finds."""
     data = np.ascontiguousarray(data, dtype=np.float32)
-    if len(set(sample_ids)) != len(sample_ids):
-        raise FormatError(f"{path}: duplicate sample ids")
     bad = first_invalid_instance(data)
     if bad is not None:
         sid, tvm = sample_ids[bad[0]], bad[1:]
@@ -196,44 +256,23 @@ def _as_read(data: np.ndarray, sample_ids: list[str], labels: list[int | None],
 def write_skl1(dataset: Dataset, path: str | Path) -> None:
     if not len(dataset):
         raise FormatError("refusing to write an empty dataset")
-    for seq in dataset.samples:
-        if seq.label is not None and int(seq.label) not in _I32:
+    labels = [-1 if seq.label is None else int(seq.label) for seq in dataset.samples]
+    for seq, label in zip(dataset.samples, labels):
+        if label not in _I32:
             raise FormatError(f"{path}: sample {seq.sample_id!r}: label {seq.label} outside int32")
-    slabs = np.ascontiguousarray(dataset.data, dtype="<f4")
-    with open(path, "wb") as handle:
-        handle.write(SKL1_MAGIC + struct.pack("<IIIII", *slabs.shape))
-        for seq, slab in zip(dataset.samples, slabs):
-            write_str(handle, seq.sample_id)
-            handle.write(struct.pack("<i", -1 if seq.label is None else int(seq.label)))
-            handle.write(slab)
+    write_container(path, SKL1_MAGIC, "<IIIII", dataset.data.shape, dataset.data,
+                    dataset.sample_ids, labels)
 
 
 def read_skl1(path: str | Path, split_tag: str = "train") -> Dataset:
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != SKL1_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {SKL1_MAGIC!r}")
-        n, c, t, v, m = struct.unpack("<IIIII", read_exact(handle, 20, "header"))
+    with read_container(path, SKL1_MAGIC, "<IIIII") as (handle, (n, c, t, v, m)):
         if c != NUM_CHANNELS:
             raise FormatError(f"{path}: expected {NUM_CHANNELS} channels, header says {c}")
         if min(t, v, m) < 1:
             raise FormatError(f"{path}: degenerate dimensions T={t} V={v} M={m}")
         if n == 0:
             raise FormatError(f"{path}: header declares no records")
-        slab_bytes = c * t * v * m * 4
-        # each record holds at least a 4-byte id length, the label and its data
-        left = os.fstat(handle.fileno()).st_size - handle.tell()
-        if n * (4 + 4 + slab_bytes) > left:
-            raise FormatError(f"{path}: truncated: header claims {n} records of {slab_bytes} "
-                              f"data bytes, but only {left} bytes follow")
-        data = np.empty((n, c, t, v, m), dtype=np.float32)
-        ids, labels = [], []
-        for row in data.reshape(n, -1):
-            ids.append(read_str(handle, "sample id"))
-            labels.append(struct.unpack("<i", read_exact(handle, 4, "label"))[0])
-            row[:] = np.frombuffer(read_exact(handle, slab_bytes, f"data of {ids[-1]}"), "<f4")
-        if handle.read(1):
-            raise FormatError(f"{path}: trailing bytes after {n} records")
+        data, ids, labels = read_records(handle, (n, c, t, v, m), np.float32, labels=True)
     return _as_read(data, ids, labels, path, "skl1", split_tag)
 
 
@@ -386,6 +425,7 @@ def dataset_as_written(dataset: Dataset, path: str | Path, fmt: str, split_tag: 
     reading it back; a repeated id or an invalid joint instance raises a
     :class:`FormatError`, as the read does.  A CSV file holds every NaN as
     ``nan``, which reads back as the default NaN whatever its payload was."""
+    _refuse_repeated_ids(dataset.sample_ids, path)
     data = _default_nans(dataset.data) if fmt == "csv" else dataset.data
     return _as_read(data, dataset.sample_ids, [seq.label for seq in dataset.samples],
                     path, fmt, split_tag)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateGraph, FormatError
-from .formats import decode_utf8
+from .formats import _int, decode_utf8
 
 # Bones of the standard 25-joint skeleton, 0-based joint indices.
 _DEFAULT_EDGES_25 = (
@@ -94,8 +94,9 @@ def load_edge_list(path: str | Path, num_joints: int) -> SkeletonGraph:
 
     Blank lines and lines starting with ``#`` are skipped.  The resulting
     graph must be connected.  The file is read as UTF-8 whatever the
-    locale.  Text that is not UTF-8, a malformed line, a self-loop or a
-    joint outside ``0..num_joints-1`` raises :class:`FormatError`.
+    locale.  Text that is not UTF-8, a line other than two indices of ASCII
+    digits, a self-loop or a joint outside ``0..num_joints-1`` raises
+    :class:`FormatError`.
     """
     lines = decode_utf8(Path(path).read_bytes(),
                         lambda line, what: FormatError(f"{path}:{line}: {what}")).splitlines()
@@ -108,7 +109,7 @@ def load_edge_list(path: str | Path, num_joints: int) -> SkeletonGraph:
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected two joint indices, got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-integer joint index in {line!r}") from None
         edges.append((a, b))

@@ -420,6 +420,7 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     chosen: dict[str, list] = {split: [] for split in SPLITS}
     data: dict[str, np.ndarray] = {}  # each split's [N, 3, T, V, M], once the first capture is read
     for file, split in zip(captures, split_of):
+        formats.encode_id(file.stem, file)  # the sample id, refused before anything is written
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
         try:

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -574,6 +575,22 @@ def test_ingest_refuses_a_capture_that_is_not_utf8(tmp_path, capsys, fmt, corrup
     assert rc == 4
     err = capsys.readouterr().err
     assert f"error: {bad}: line {line}: not UTF-8 text: {reason} at byte {offset}" in err
+    assert not work.exists() or not any(work.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_ingest_refuses_a_capture_whose_name_is_not_utf8(tmp_path, capsys, fmt):
+    source = tmp_path / "captures"
+    _write_captures(source, [f"S001C001P00{i}R001A002" for i in (1, 2, 3)])
+    # the byte 0xff in a file name reads back as the lone surrogate U+DCFF
+    bad = source / os.fsdecode(b"S\xff01C001P003R001A002.skeleton")
+    (source / "S001C001P003R001A002.skeleton").rename(bad)
+    work = tmp_path / "work"
+    rc = main(["ingest", "--input", str(source), "--workdir", str(work), "--format", fmt])
+    assert rc == 4
+    err = capsys.readouterr().err
+    named = str(bad).encode("utf-8", "backslashreplace").decode("utf-8")  # as stderr shows it
+    assert f"error: {named}: sample id {bad.stem!r} is not UTF-8: surrogates not allowed" in err
     assert not work.exists() or not any(work.iterdir())
 
 

@@ -113,23 +113,6 @@ def test_skl1_trailing_bytes(tmp_path):
         read_skl1(path)
 
 
-@pytest.mark.parametrize("kind", ["skl1", "skemb"])
-def test_sample_id_that_is_not_utf8_raises_format_error(tmp_path, kind):
-    path = tmp_path / f"d.{kind}"
-    if kind == "skl1":
-        write_skl1(payload_dataset(), path)
-        offset, read = 4 + 20 + 4, read_skl1  # magic, header, id length
-    else:
-        save_embeddings(EmbeddingMatrix(values=np.ones((1, 2)), sample_ids=["a"], source="builtin"), path)
-        offset, read = 6 + 8 + 4, load_embeddings
-    blob = bytearray(path.read_bytes())
-    blob[offset] = 0xFF  # the first byte of the first id
-    path.write_bytes(bytes(blob))
-    message = f"{path}: sample id is not UTF-8: invalid start byte at byte {offset}"
-    with pytest.raises(FormatError, match=re.escape(message)):
-        read(path)
-
-
 def test_skl1_rejects_wrong_channel_count(tmp_path):
     path = tmp_path / "c4.skl1"
     with open(path, "wb") as handle:
@@ -588,14 +571,16 @@ def _write_skl1(path):
 
 
 def _write_skemb(path):
-    save_embeddings(EmbeddingMatrix(np.ones((2, 3)), ["a", "b"], "builtin"), path)
+    save_embeddings(EmbeddingMatrix(np.ones((2, 3)), ["r0000", "r0001"], "builtin"), path)
 
 
 def _write_skkm(path):
     save_model(ClusterModel(np.ones((2, 3)), k=2, inertia=0.0, iterations_run=0, seed=0), path)
 
 
-# container -> (writer of a valid file, reader, fixed header bytes, offsets of its u32 sizes)
+# container -> (writer of a valid file of two records, ids r0000 and r0001 but
+# none in SKKM; reader; fixed header bytes; offsets of its u32 sizes, the
+# record count first)
 CONTAINERS = {
     "skl1": (_write_skl1, read_skl1, 24, (4, 8, 12, 16, 20)),
     "skemb": (_write_skemb, load_embeddings, 14, (6, 10)),
@@ -621,3 +606,48 @@ def test_corrupt_header_raises_format_error(tmp_path, kind):
         bad.write_bytes(raw[:offset] + b"\xff\xff\xff\xff" + raw[offset + 4:])
         with pytest.raises(FormatError, match=bad.name):
             read(bad)
+
+
+# fault -> whether it needs sample ids, which SKKM records lack
+FAULTS = {"bad-magic": False, "count-beyond-the-file": False, "last-record-cut": False,
+          "trailing-byte": False, "repeated-id": True, "id-not-utf8": True}
+
+
+@pytest.mark.parametrize("kind, fault", [(kind, fault) for kind in sorted(CONTAINERS)
+                                         for fault, needs_ids in FAULTS.items()
+                                         if kind != "skkm" or not needs_ids])
+def test_a_corrupt_container_is_refused_naming_the_file(tmp_path, kind, fault):
+    write, read, header_bytes, (count_at, *_) = CONTAINERS[kind]
+    path = tmp_path / f"d.{kind}"
+    write(path)
+    raw = path.read_bytes()
+    (count,) = struct.unpack_from("<I", raw, count_at)
+    magic, first_id = raw[:count_at], header_bytes + 4
+    # the corrupt file, and what its refusal says after the file name
+    data, message = {
+        "bad-magic": (b"X" + raw[1:], f"bad magic {b'X' + magic[1:]!r}, expected {magic!r}"),
+        "count-beyond-the-file": (raw[:count_at] + struct.pack("<I", count + 1) + raw[count_at + 4:],
+                                  f"truncated: header claims {count + 1} records of "),
+        "last-record-cut": (raw[:-1], "truncated: header claims 2 records" if kind == "skkm"
+                            else "truncated stream while reading data of r0001: "),
+        "trailing-byte": (raw + b"\0", "trailing bytes after the last record"),
+        "repeated-id": (raw.replace(b"r0001", b"r0000"), "duplicate sample ids"),
+        "id-not-utf8": (raw[:first_id] + b"\xff" + raw[first_id + 1:],
+                        f"sample id is not UTF-8: invalid start byte at byte {first_id}"),
+    }[fault]
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", ["skl1", "skemb"])
+def test_an_id_with_no_utf8_form_is_refused_before_the_file_is_opened(tmp_path, kind):
+    sid = "S\udcff01"  # what a file name with the byte 0xff in it decodes to
+    path = tmp_path / f"d.{kind}"
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: sample id {sid!r} is not UTF-8: surrogates not allowed")):
+        if kind == "skl1":
+            write_skl1(dataset_of(seq_of(np.ones((3, 2, 3, 1)), "a"), seq_of(np.ones((3, 2, 3, 1)), sid)), path)
+        else:
+            save_embeddings(EmbeddingMatrix(np.ones((2, 3)), ["a", sid], "builtin"), path)
+    assert not path.exists()

@@ -60,9 +60,10 @@ def test_load_edge_list(tmp_path):
         load_edge_list(bad, num_joints=3)
 
     nonint = tmp_path / "nonint.txt"
-    nonint.write_text("0 x\n")
-    with pytest.raises(FormatError, match="non-integer"):
-        load_edge_list(nonint, num_joints=3)
+    for line in ("0 x", "1 \u0662", "0 1_0"):  # "\u0662" is an Arabic-Indic 2
+        nonint.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{nonint}:2: non-integer joint index")):
+            load_edge_list(nonint, num_joints=11)
 
     outside = tmp_path / "outside.txt"
     outside.write_text("0 1\n1 99\n")

@@ -163,6 +163,34 @@ def test_test_labels_come_from_the_model_as_stored(tmp_path):
     assert clustering.kmeans_predict(fitted, test).labels.tolist() != labels.tolist()
 
 
+def test_cluster_fits_l2_normalised_rows_and_keeps_a_zero_row_zero(tmp_path, monkeypatch):
+    config = PipelineConfig(workdir=str(tmp_path), clusters=2, normalize_embeddings=True)
+    paths = artifact_paths(config)
+    rows = np.random.default_rng(7).normal(size=(6, 4)).astype(np.float32).astype(np.float64)
+    rows[2] = 0.0
+    ids = [f"s{i}" for i in range(len(rows))]
+    save_embeddings(EmbeddingMatrix(rows, ids, source="external"), paths["emb_train"])
+    fitted, fit = [], clustering.kmeans_fit
+
+    def recording_fit(matrix, *args, **kwargs):
+        fitted.append(matrix)
+        return fit(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(clustering, "kmeans_fit", recording_fit)
+    run_cluster(config)
+
+    norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
+    unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+    assert [matrix.values.tolist() for matrix in fitted] == [unit.tolist()]
+    assert not fitted[0].values[2].any()
+    model, labels = fit(EmbeddingMatrix(unit, ids, source="external"), 2, config.stage_seed("cluster"),
+                        max_iter=config.kmeans_max_iter, tol=config.kmeans_tol)
+    clustering.save_model(model, tmp_path / "expected.skkm")
+    assert paths["model"].read_bytes() == (tmp_path / "expected.skkm").read_bytes()
+    assert formats.read_labels_csv(paths["labels_train"])[1].tolist() == labels.labels.tolist()
+    assert json.loads((tmp_path / "manifest_cluster.json").read_text())["params"]["normalize"] is True
+
+
 def test_artifact_paths_follow_dataset_format(tmp_path):
     skl = artifact_paths(PipelineConfig(workdir=str(tmp_path), dataset_format="skl1"))
     csv = artifact_paths(PipelineConfig(workdir=str(tmp_path), dataset_format="csv"))
