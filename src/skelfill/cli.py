@@ -28,21 +28,8 @@ from .errors import ConfigError, MissingArtifact, SkelfillError
 # first numpy import; a value the caller set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .pipeline import (  # noqa: E402
-    SETTINGS,
-    PipelineConfig,
-    _validate,
-    load_config,
-    parse_setting,
-    run_cluster,
-    run_embed,
-    run_eval,
-    run_impute,
-    run_ingest,
-    run_occlude,
-    run_pipeline,
-    run_synth,
-)
+from . import pipeline  # noqa: E402
+from .pipeline import SETTINGS, PipelineConfig, _validate, load_config, parse_setting  # noqa: E402
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -51,16 +38,7 @@ EXIT_MISSING_ARTIFACT = 3
 EXIT_DATA = 4
 
 # subcommand -> stage, in the order ``--help`` lists them with their docstrings
-_STAGES = {
-    "ingest": run_ingest,
-    "synth": run_synth,
-    "occlude": run_occlude,
-    "embed": run_embed,
-    "cluster": run_cluster,
-    "impute": run_impute,
-    "eval": run_eval,
-    "pipeline": run_pipeline,
-}
+_STAGES = {name: getattr(pipeline, f"run_{name}") for name in pipeline.COMMANDS.split()}
 _FLAGS = {name: f.metadata["flag"] or "--" + name.replace("_", "-") for name, f in SETTINGS.items()}
 
 

@@ -207,6 +207,15 @@ def decode_utf8(data: bytes, fault: Callable[[int, str], Exception]) -> str:
         raise fault(line, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
+def text_lines(path: str | Path, error: Callable[[str], Exception]) -> list[tuple[int, str]]:
+    """The lines of the text file ``path``, read as UTF-8 whatever the
+    locale, each stripped and with its number, leaving out blank and ``#``
+    lines; text that is not UTF-8 raises ``error("{path}:{line}: {what}")``."""
+    text = decode_utf8(Path(path).read_bytes(), lambda line, what: error(f"{path}:{line}: {what}"))
+    return [(number, line) for number, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
+
+
 @contextlib.contextmanager
 def _csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
     """The rows of the CSV file ``path``, read as UTF-8 whatever the locale;

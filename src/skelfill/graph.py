@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateGraph, FormatError
-from .formats import _int, decode_utf8
+from .formats import _int, text_lines
 
 # Bones of the standard 25-joint skeleton, 0-based joint indices.
 _DEFAULT_EDGES_25 = (
@@ -98,13 +98,8 @@ def load_edge_list(path: str | Path, num_joints: int) -> SkeletonGraph:
     digits, a self-loop or a joint outside ``0..num_joints-1`` raises
     :class:`FormatError`.
     """
-    lines = decode_utf8(Path(path).read_bytes(),
-                        lambda line, what: FormatError(f"{path}:{line}: {what}")).splitlines()
     edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, FormatError):
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected two joint indices, got {line!r}")

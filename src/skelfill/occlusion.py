@@ -43,19 +43,22 @@ from .errors import (
 )
 from .formats import _int
 
+# the synthesis modes, also the choices of the config's ``occlusion_mode``
+MODES = ("random_rate", "joint_targeted")
+
 
 @dataclass
 class OcclusionSpec:
     """Configuration of one synthesis run."""
 
-    mode: str  # "random_rate" | "joint_targeted"
+    mode: str  # one of MODES
     rate: float = 0.0
     joints: tuple[int, ...] = ()
     frame_fraction: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("random_rate", "joint_targeted"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown occlusion mode {self.mode!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise RateOutOfRange(f"rate {self.rate} outside [0, 1]")

@@ -41,10 +41,13 @@ Config files are plain ``key = value`` text: blank lines and ``#`` comments
 are skipped, keys may be written dotted (``occlusion.rate``) or with
 underscores (``occlusion_rate``), lists are comma-separated.
 
-The field metadata of :class:`PipelineConfig` is the single source for the
-config keys, the command-line flags and the range checks: each field holds
-its text parser, its range or choices, its flag and the subcommands that
-offer the flag.  Config files and flags share one parse path.
+:data:`COMMANDS` is the single source for the subcommands: the command
+line offers one for each name, running the ``run_<name>`` stage of this
+module, in that order.  The field metadata of :class:`PipelineConfig` is the
+single source for the config keys, the command-line flags and the range
+checks: each field holds its text parser, its range or choices, its flag
+and the subcommands that offer the flag.  Config files and flags share one
+parse path.
 
 Each stage keeps this bookkeeping in one :class:`_StageFiles`, so its body
 shows only what it reads, computes and writes.  The object lists the splits
@@ -85,7 +88,8 @@ _ACTION_ID = re.compile(r"A(\d{3})")
 # fixed offsets for stage seeds derived from the base seed
 _SEED_OFFSETS = {"ingest": 11, "occlude": 23, "cluster": 37, "eval": 53}
 
-# every subcommand; a setting offered on all of them names this as its ``on``
+# every subcommand, each running the stage ``run_<name>``, in ``--help``
+# order; a setting offered on all of them names this as its ``on``
 COMMANDS = "ingest synth occlude embed cluster impute eval pipeline"
 
 
@@ -135,7 +139,7 @@ class PipelineConfig:
         0.2, float, on="ingest pipeline", check=(lambda v: 0 <= v < 1, "in [0, 1)"))
     # occlusion synthesis
     occlusion_mode: str = _setting("random_rate", flag="--mode", on="occlude pipeline",
-                                   choices=("random_rate", "joint_targeted"))
+                                   choices=occlusion.MODES)
     occlusion_rate: float = _setting(0.2, float, flag="--rate", on="occlude pipeline",
                                      check=(lambda v: 0 <= v <= 1, "in [0, 1]"))
     occlusion_joints: tuple[int, ...] = _setting(
@@ -196,15 +200,10 @@ def load_config(path: str | Path, base: PipelineConfig | None = None) -> Pipelin
     ``base`` (or the defaults)."""
     config = dataclasses.replace(base) if base is not None else PipelineConfig()
     try:
-        data = Path(path).read_bytes()
+        lines = formats.text_lines(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    lines = formats.decode_utf8(
-        data, lambda line, what: ConfigError(f"{path}:{line}: {what}")).splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
