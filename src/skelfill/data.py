@@ -148,6 +148,15 @@ class Dataset:
         return [compute_missing_mask(s) for s in self.samples]
 
 
+def _int(text: str) -> int:
+    """The integer ``text``, written as an optional minus sign and ASCII
+    digits; ``int`` alone would also take spaces, ``_``, ``+`` and other
+    digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
     """Parse one capture from text following the layout in the module docstring.
 
@@ -178,7 +187,7 @@ def parse_ntu_skeleton(text: str | IO[str]) -> RawCapture:
     def take_count(what: str) -> int:
         raw = take(what).strip()
         try:
-            value = int(raw)
+            value = _int(raw)
         except ValueError:
             raise MalformedCapture(f"expected integer {what}, got {raw!r}", line=pos) from None
         if value < 0:

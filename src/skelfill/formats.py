@@ -82,7 +82,7 @@ from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from .data import NUM_CHANNELS, Dataset, SkeletonSequence, first_invalid_instance
+from .data import NUM_CHANNELS, Dataset, SkeletonSequence, _int, first_invalid_instance
 from .errors import FormatError
 
 SKL1_MAGIC = b"SKL1"
@@ -94,14 +94,6 @@ _I32, _I64 = range(-1 << 31, 1 << 31), range(-1 << 63, 1 << 63)
 # a CSV file this module wrote and the dataset a read of it returns: the
 # base whose unchanged rows a CSV write copies (see the module docstring)
 Base = tuple[str | Path, Dataset]
-
-
-def _int(text: str) -> int:
-    """The integer ``text``, written as an optional minus sign and ASCII
-    digits; ``int`` alone would also take spaces, ``_`` and other digits."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
 
 
 def _int_in(span: range, text: str, what: str) -> int:
@@ -326,6 +318,8 @@ def write_dataset_csv(dataset: Dataset, path: str | Path, base: Base | None = No
     file, and only the others are formatted."""
     if not len(dataset):
         raise FormatError("refusing to write an empty dataset")
+    for sid in dataset.sample_ids:  # refused before the file is opened
+        encode_id(sid, path)
     tvm = [f"{t},{v},{m}," for t, v, m in np.ndindex(dataset.data.shape[2:])]
     with open(path, "w", newline="", encoding="utf-8") as handle, _base_samples(dataset, base) as lent:
         handle.write(_CSV_HEADER)

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _int
 from .errors import DegenerateGraph, FormatError
-from .formats import _int, text_lines
+from .formats import text_lines
 
 # Bones of the standard 25-joint skeleton, 0-based joint indices.
 _DEFAULT_EDGES_25 = (

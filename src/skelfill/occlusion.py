@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _int
 from .errors import (
     AlreadyOccluded,
     FormatError,
@@ -41,7 +41,6 @@ from .errors import (
     RateOutOfRange,
     RecordMismatch,
 )
-from .formats import _int
 
 # the synthesis modes, also the choices of the config's ``occlusion_mode``
 MODES = ("random_rate", "joint_targeted")

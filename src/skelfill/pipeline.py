@@ -76,6 +76,7 @@ from . import clustering, embedding, evaluation, formats, imputation, occlusion,
 from .data import (
     DEFAULT_CENTER_JOINT,
     Dataset,
+    _int,
     parse_ntu_skeleton,
     preprocess_relative,
     to_canonical,
@@ -102,12 +103,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_int(raw: str) -> int:
+    """An integer as :func:`~skelfill.data._int` reads one, blanks around it allowed."""
+    return _int(raw.strip())
+
+
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     text = raw.strip()
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_parse_int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
 
@@ -131,10 +137,10 @@ class PipelineConfig:
     input: str | None = _setting(None, on="ingest pipeline",
                                  help="capture file or directory (pipeline: synthetic if omitted)")
     workdir: str = _setting("work", on=COMMANDS, help="artifact directory (default: work)")
-    target_frames: int = _setting(50, int, on="ingest synth pipeline", check=_POSITIVE)
-    max_bodies: int = _setting(2, int, on="ingest pipeline", check=_POSITIVE)
+    target_frames: int = _setting(50, _parse_int, on="ingest synth pipeline", check=_POSITIVE)
+    max_bodies: int = _setting(2, _parse_int, on="ingest pipeline", check=_POSITIVE)
     center_joint: int = _setting(
-        DEFAULT_CENTER_JOINT, int, on="ingest pipeline", check=_NON_NEGATIVE)
+        DEFAULT_CENTER_JOINT, _parse_int, on="ingest pipeline", check=_NON_NEGATIVE)
     test_frac: float = _setting(
         0.2, float, on="ingest pipeline", check=(lambda v: 0 <= v < 1, "in [0, 1)"))
     # occlusion synthesis
@@ -154,25 +160,27 @@ class PipelineConfig:
     embeddings_test: str | None = _setting(None, on="embed")
     edge_list: str | None = _setting(None, on="embed", help="bone list file, one 'i j' per line")
     # clustering
-    clusters: int = _setting(60, int, on="cluster pipeline", check=_POSITIVE)
-    kmeans_max_iter: int = _setting(300, int, flag="--max-iter", on="cluster", check=_POSITIVE)
+    clusters: int = _setting(60, _parse_int, on="cluster pipeline", check=_POSITIVE)
+    kmeans_max_iter: int = _setting(
+        300, _parse_int, flag="--max-iter", on="cluster", check=_POSITIVE)
     kmeans_tol: float = _setting(1e-4, float, flag="--tol", on="cluster", check=_NON_NEGATIVE)
     normalize_embeddings: bool = _setting(False, _parse_bool, on="cluster")
     # imputation
-    neighbors: int = _setting(5, int, on="impute pipeline", check=_POSITIVE)
+    neighbors: int = _setting(5, _parse_int, on="impute pipeline", check=_POSITIVE)
     # synthetic corpus (used when no input is given)
-    synth_classes: int = _setting(10, int, flag="--classes", on="synth pipeline", check=_POSITIVE)
+    synth_classes: int = _setting(
+        10, _parse_int, flag="--classes", on="synth pipeline", check=_POSITIVE)
     synth_per_class: int = _setting(
-        100, int, flag="--per-class", on="synth pipeline", check=_POSITIVE)
+        100, _parse_int, flag="--per-class", on="synth pipeline", check=_POSITIVE)
     synth_test_per_class: int = _setting(
-        20, int, flag="--test-per-class", on="synth pipeline", check=_NON_NEGATIVE)
+        20, _parse_int, flag="--test-per-class", on="synth pipeline", check=_NON_NEGATIVE)
     synth_joints: int = _setting(
-        25, int, flag="--joints", on="synth", check=(lambda v: v >= 2, ">= 2"))
+        25, _parse_int, flag="--joints", on="synth", check=(lambda v: v >= 2, ">= 2"))
     # run control
     seed: int = _setting(
-        0, int, on=COMMANDS, check=_NON_NEGATIVE, help="base seed for all stage seeds")
+        0, _parse_int, on=COMMANDS, check=_NON_NEGATIVE, help="base seed for all stage seeds")
     threads: int = _setting(
-        1, int, on=COMMANDS, check=_POSITIVE, help="worker threads (default: 1)")
+        1, _parse_int, on=COMMANDS, check=_POSITIVE, help="worker threads (default: 1)")
     dataset_format: str = _setting("skl1", flag="--format", on=COMMANDS, choices=("skl1", "csv"),
                                    help="dataset artifact format (default: skl1)")
 
@@ -269,6 +277,9 @@ class _StageFiles:
     split."""
 
     def __init__(self, config: PipelineConfig, stage: str, handoff: Handoff | None):
+        work = config.workpath()
+        if work.exists() and not work.is_dir():  # refused before the stage writes into it
+            raise ConfigError(f"workdir {work} is not a directory")
         self.config, self.stage, self.handoff = config, stage, handoff
         self.paths = artifact_paths(config)
         self.inputs: set[Path] = set()
@@ -278,17 +289,23 @@ class _StageFiles:
 
     def splits(self, key: str, hint: str) -> list[str]:
         """The splits the stage works on: train, whose input ``key`` (with
-        ``{split}`` for the split) it needs, and test when its input exists."""
-        self.need(key.format(split="train"), hint)
-        return [split for split in SPLITS
-                if split == "train" or self.paths[key.format(split=split)].exists()]
+        ``{split}`` for the split) it needs, and test when its input exists,
+        each input listed."""
+        found = [split for split in SPLITS
+                 if split == "train" or self.paths[key.format(split=split)].exists()]
+        for split in found:
+            self.need(key.format(split=split), hint)
+        return found
 
     def need(self, what: str | Path, hint: str) -> Path:
         """List the input ``what``, a key or a path; a missing file raises
-        :class:`MissingArtifact` naming ``hint``, what to run first."""
+        :class:`MissingArtifact` naming ``hint``, what to run first, and so
+        does a directory in its place."""
         path = self.paths[what] if isinstance(what, str) else what
         if not path.exists():
             raise MissingArtifact(f"{self.stage}: required input {path} is missing; run '{hint}' first")
+        if path.is_dir():
+            raise MissingArtifact(f"{self.stage}: required input {path} is a directory, not a file")
         self.inputs.add(path)
         return path
 
@@ -546,10 +563,21 @@ def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
 
 def _l2_rows(matrix: embedding.EmbeddingMatrix) -> embedding.EmbeddingMatrix:
-    norms = np.sqrt((matrix.values * matrix.values).sum(axis=1, keepdims=True))
-    scaled = np.where(norms > 0, matrix.values / np.maximum(norms, 1e-300), matrix.values)
+    """Each row over its L2 norm; a zero row stays zero.  A nonzero row whose
+    sum of squares overflows or is not a normal float is first divided by its
+    largest magnitude, so that its norm is in range."""
+    values = matrix.values
+    with np.errstate(over="ignore", under="ignore"):
+        squares = (values * values).sum(axis=1)
+    normal = (squares >= np.finfo(values.dtype).tiny) & (squares < np.inf)
+    odd = np.flatnonzero(values.any(axis=1) & ~normal)
+    rows = values.copy()
+    rows[odd] /= np.abs(rows[odd]).max(axis=1, keepdims=True)
+    squares[odd] = (rows[odd] * rows[odd]).sum(axis=1)
+    norms = np.sqrt(squares)[:, None]
+    np.divide(rows, norms, out=rows, where=norms > 0)
     return embedding.EmbeddingMatrix(
-        values=scaled, sample_ids=list(matrix.sample_ids), source=matrix.source
+        values=rows, sample_ids=list(matrix.sample_ids), source=matrix.source
     )
 
 

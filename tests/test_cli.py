@@ -261,6 +261,8 @@ def test_a_stage_seed_key_is_unknown(tmp_path, capsys, stage):
         ["occlude", "--frame-fraction", "0"],
         # joint-targeted occlusion needs joints to target
         ["--mode", "joint_targeted"],
+        # an integer is an optional minus sign and ASCII digits
+        ["--classes", "\u0662"], ["--per-class", "1_0"], ["--test-per-class", "+1"],
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
@@ -445,6 +447,37 @@ def test_bad_embed_input_names_its_file(tmp_path, capsys, case, code):
     capsys.readouterr()
     assert main(["embed", "--workdir", work] + flags) == code
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code", [
+    ("edge-list", 3), ("external-embeddings", 3), ("train_occluded", 3), ("test_occluded", 3),
+    ("workdir", 2),
+])
+def test_a_path_of_the_wrong_kind_exits_with_its_code(tmp_path, capsys, case, code):
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
+    assert main(["occlude", "--workdir", str(work), "--seed", "1", "--rate", "0.2"]) == 0
+    bad, argv = tmp_path / "bad", ["embed", "--workdir", str(work)]
+    bad.mkdir()
+    if case == "edge-list":
+        argv += ["--edge-list", str(bad)]
+    elif case == "external-embeddings":
+        argv += ["--source", "external", "--embeddings-train", str(bad)]
+    elif case.endswith("_occluded"):
+        bad = work / f"{case}.skl1"
+        bad.unlink()
+        bad.mkdir()
+    else:
+        bad = tmp_path / "file"
+        bad.write_text("kept\n")
+        argv = ["synth", "--workdir", str(bad)] + SMALL
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert (f"{bad} is not a directory" if case == "workdir"
+            else f"required input {bad} is a directory, not a file") in err
+    assert bad.is_dir() or bad.read_text() == "kept\n"
+    assert not (work / "train.skemb").exists()
 
 
 def test_embed_manifest_hashes_the_edge_list(tmp_path):

@@ -75,10 +75,12 @@ def test_parse_zero_frames_rejected_at_line_one():
 
 
 def test_parse_non_integer_count():
-    with pytest.raises(MalformedCapture) as err:
-        parse_ntu_skeleton("banana\n")
-    assert err.value.line == 1
-    assert "frame count" in str(err.value)
+    # a count is an optional minus sign and ASCII digits
+    for count in ("banana", "\u0661", "0_2", "+1"):
+        with pytest.raises(MalformedCapture) as err:
+            parse_ntu_skeleton(f"{count}\n")
+        assert err.value.line == 1
+        assert str(err.value) == f"line 1: expected integer frame count, got {count!r}"
 
 
 def test_parse_truncated_stream_points_past_last_line():

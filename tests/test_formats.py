@@ -640,14 +640,15 @@ def test_a_corrupt_container_is_refused_naming_the_file(tmp_path, kind, fault):
         read(path)
 
 
-@pytest.mark.parametrize("kind", ["skl1", "skemb"])
+@pytest.mark.parametrize("kind", ["skl1", "csv", "skemb"])
 def test_an_id_with_no_utf8_form_is_refused_before_the_file_is_opened(tmp_path, kind):
     sid = "S\udcff01"  # what a file name with the byte 0xff in it decodes to
     path = tmp_path / f"d.{kind}"
     with pytest.raises(FormatError, match=re.escape(
             f"{path}: sample id {sid!r} is not UTF-8: surrogates not allowed")):
-        if kind == "skl1":
-            write_skl1(dataset_of(seq_of(np.ones((3, 2, 3, 1)), "a"), seq_of(np.ones((3, 2, 3, 1)), sid)), path)
-        else:
+        if kind == "skemb":
             save_embeddings(EmbeddingMatrix(np.ones((2, 3)), ["a", sid], "builtin"), path)
+        else:
+            write_dataset(dataset_of(seq_of(np.ones((3, 2, 3, 1)), "a"),
+                                     seq_of(np.ones((3, 2, 3, 1)), sid)), path, kind)
     assert not path.exists()

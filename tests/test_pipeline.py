@@ -130,12 +130,16 @@ def test_load_config_missing_file():
         "kmeans.max_iter = 0",
         "kmeans.tol = -1",
         "occlusion.joints = 1,,2",
+        "occlusion.joints = 7, \u0661\u0661",
+        "clusters = \u0662",
+        "seed = 1_0",
+        "neighbors = +1",
         "seed_eval = -3",
     ],
 )
 def test_load_config_validates_values(tmp_path, line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(cfg)
 
@@ -189,6 +193,15 @@ def test_cluster_fits_l2_normalised_rows_and_keeps_a_zero_row_zero(tmp_path, mon
     assert paths["model"].read_bytes() == (tmp_path / "expected.skkm").read_bytes()
     assert formats.read_labels_csv(paths["labels_train"])[1].tolist() == labels.labels.tolist()
     assert json.loads((tmp_path / "manifest_cluster.json").read_text())["params"]["normalize"] is True
+
+
+@pytest.mark.filterwarnings("error")
+def test_l2_rows_scales_rows_whose_sum_of_squares_overflows_or_underflows():
+    # (3e200)^2 overflows to inf and (3e-170)^2 underflows to 0: each row is
+    # divided by its largest magnitude before its norm is taken
+    rows = np.array([[3e200, 4e200], [3e-170, 4e-170]])
+    unit = pipeline._l2_rows(EmbeddingMatrix(rows, ["big", "small"], source="external")).values
+    np.testing.assert_allclose(unit, [[0.6, 0.8], [0.6, 0.8]], rtol=1e-15)
 
 
 def test_artifact_paths_follow_dataset_format(tmp_path):
