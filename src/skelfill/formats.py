@@ -27,6 +27,16 @@ its channels, or that has an infinite coordinate (see the data model in
 :mod:`skelfill.data`), once the file's structure has passed: so a file
 with more than one fault is reported at its first structural fault.
 
+The CSV tables, the dataset, the labels and the occlusion record
+(``sample_id,t,v,m,x,y,z``, its rules in :mod:`skelfill.occlusion`), share
+one framing: UTF-8 whatever the locale, a header of the table's columns,
+lines ending in CRLF and fields quoted as RFC 4180 requires (by
+:mod:`csv`).  :func:`read_table` reads each table and refuses, naming the
+file, another header (blanks around a name allowed), a row of another
+width and text that is not UTF-8, each but the header at its line; it
+skips blank rows.  :func:`write_table` writes the labels and the record;
+the dataset writer formats its rows itself, for speed and the base copy.
+
 CSV (interchange dataset, lossy for NaN payload bits)::
 
     sample_id,label,t,v,m,x,y,z    header
@@ -36,17 +46,14 @@ Each coordinate is the ``repr`` of the float64 it widens to (for float32
 data, the usual case), the shortest text that reads back to the same
 float64, and ``nan`` when it is missing.  That is not the shortest text for
 the float32: float32 0.1 is written ``0.10000000149011612``, though ``0.1``
-reads back to the same float32.  Lines end in CRLF, an unlabelled sample
-has an empty label, and the sample id is quoted as RFC 4180 requires (by
-:mod:`csv`).  The reader refuses a sample that lacks the row of some
+reads back to the same float32.  An unlabelled sample has an empty
+label.  The reader refuses a sample that lacks the row of some
 (t, v, m) or repeats one, and an index below 0 or not below the sample's
 row count (no complete sample has one), naming it as written before
 anything sized by it is allocated.  Each of ``t``, ``v``, ``m`` and the label
 is an optional minus sign and ASCII digits; other text is refused, naming
 the line.  A label must fit the int32 of SKL1, whose writer refuses one that
 does not.  Both readers read a label below 0 as none.
-CSV files are read and written as UTF-8 whatever the locale, and a read
-refuses text that is not UTF-8, naming the file and the line.
 
 A CSV write may be given a *base*: a CSV file this writer wrote from
 float32 data, and the dataset a read of it returns.  Each row of a float32
@@ -78,7 +85,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -88,7 +95,9 @@ from .errors import FormatError
 SKL1_MAGIC = b"SKL1"
 _INVALID = "joint instance partly NaN or not finite"
 _DEFAULT_NAN = np.float32(np.nan)
-_CSV_HEADER = "sample_id,label,t,v,m,x,y,z\r\n"
+DATASET_COLUMNS = ("sample_id", "label", "t", "v", "m", "x", "y", "z")
+LABEL_COLUMNS = ("sample_id", "label")
+_CSV_HEADER = ",".join(DATASET_COLUMNS) + "\r\n"
 _I32, _I64 = range(-1 << 31, 1 << 31), range(-1 << 63, 1 << 63)
 
 # a CSV file this module wrote and the dataset a read of it returns: the
@@ -208,17 +217,35 @@ def text_lines(path: str | Path, error: Callable[[str], Exception]) -> list[tupl
             if (line := raw.strip()) and not line.startswith("#")]
 
 
-@contextlib.contextmanager
-def _csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """The rows of the CSV file ``path``, read as UTF-8 whatever the locale;
-    text that is not UTF-8 raises :class:`FormatError` naming the file and
-    the line."""
+def read_table(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Each row but blank ones of the CSV table ``path`` of ``columns``, and
+    the line it ends on; a fault of the framing (see the module docstring)
+    raises :class:`FormatError`."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            yield csv.reader(handle)
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or [name.strip() for name in header] != list(columns):
+                found = "none" if header is None else ",".join(header)
+                raise FormatError(f"{path}: unexpected header {found!r}, expected {','.join(columns)!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise FormatError(f"{path}:{reader.line_num}: expected {len(columns)} columns, "
+                                      f"got {len(row)}")
+                yield reader.line_num, row
     except UnicodeDecodeError:
         decode_utf8(Path(path).read_bytes(), lambda line, what: FormatError(f"{path}:{line}: {what}"))
         raise
+
+
+def write_table(path: str | Path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    """Write the CSV table of ``columns`` and ``rows`` to ``path`` (see the module docstring)."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -341,28 +368,20 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
     order: list[str] = []
     rows: dict[str, list[tuple[int, int, int, float, float, float]]] = {}
     labels: dict[str, int | None] = {}
-    with _csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:5]] != ["sample_id", "label", "t", "v", "m"]:
-            raise FormatError(f"{path}: unexpected CSV header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 8:
-                raise FormatError(f"{path}:{lineno}: expected 8 columns, got {len(row)}")
-            sid = row[0]
-            try:
-                if sid not in rows:
-                    labels[sid] = _int_in(_I32, row[1], f"{path}:{lineno}: label") if row[1] else None
-                    rows[sid] = []
-                    order.append(sid)
-                t, v, m = _int(row[2]), _int(row[3]), _int(row[4])
-                x, y, z = float(row[5]), float(row[6]), float(row[7])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
-            if not 0 <= t | v | m < 1 << 62:  # each is in [0, 2**62) just when their OR is
-                raise FormatError(_index_fault(path, sid, (t, v, m)) + f", line {lineno}")
-            rows[sid].append((t, v, m, x, y, z))
+    for lineno, row in read_table(path, DATASET_COLUMNS):
+        sid = row[0]
+        try:
+            if sid not in rows:
+                labels[sid] = _int_in(_I32, row[1], f"{path}:{lineno}: label") if row[1] else None
+                rows[sid] = []
+                order.append(sid)
+            t, v, m = _int(row[2]), _int(row[3]), _int(row[4])
+            x, y, z = float(row[5]), float(row[6]), float(row[7])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
+        if not 0 <= t | v | m < 1 << 62:  # each is in [0, 2**62) just when their OR is
+            raise FormatError(_index_fault(path, sid, (t, v, m)) + f", line {lineno}")
+        rows[sid].append((t, v, m, x, y, z))
     if not order:
         raise FormatError(f"{path}: no data rows")
 
@@ -402,10 +421,8 @@ def _index_fault(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> str:
 def _last_csv_line(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> int:
     """The line of the row of ``tvm`` of sample ``sid``: found again only on
     error, so a read keeps no line number per row."""
-    with _csv_rows(path) as reader:
-        rows = enumerate(reader, start=1)
-        next(rows)  # header
-        return [n for n, row in rows if row[:1] == [sid] and tuple(map(int, row[2:5])) == tvm][-1]
+    return [line for line, row in read_table(path, DATASET_COLUMNS)
+            if row[0] == sid and tuple(map(int, row[2:5])) == tvm][-1]
 
 
 def write_dataset(
@@ -456,28 +473,16 @@ def read_dataset(path: str | Path, split_tag: str = "train") -> Dataset:
 def write_labels_csv(sample_ids: list[str], labels, path: str | Path) -> None:
     if len(sample_ids) != len(labels):
         raise FormatError("sample ids and labels differ in length")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sample_id", "label"])
-        for sid, lab in zip(sample_ids, labels):
-            writer.writerow([sid, int(lab)])
+    write_table(path, LABEL_COLUMNS, ((sid, int(lab)) for sid, lab in zip(sample_ids, labels)))
 
 
 def read_labels_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     labels: list[int] = []
-    with _csv_rows(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["sample_id", "label"]:
-            raise FormatError(f"{path}: unexpected labels header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                labels.append(_int_in(_I64, row[1], f"{path}:{lineno}: label"))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer label {row[1]!r}") from None
-            ids.append(row[0])
+    for lineno, (sid, label) in read_table(path, LABEL_COLUMNS):
+        try:
+            labels.append(_int_in(_I64, label, f"{path}:{lineno}: label"))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-integer label {label!r}") from None
+        ids.append(sid)
     return ids, np.asarray(labels, dtype=np.int64)

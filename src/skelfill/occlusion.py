@@ -25,7 +25,6 @@ samples at one index draw apart.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +32,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import formats
 from .data import Dataset, _int
 from .errors import (
     AlreadyOccluded,
@@ -44,6 +44,8 @@ from .errors import (
 
 # the synthesis modes, also the choices of the config's ``occlusion_mode``
 MODES = ("random_rate", "joint_targeted")
+# the columns of the record CSV, read and written by :mod:`skelfill.formats`
+RECORD_COLUMNS = ("sample_id", "t", "v", "m", "x", "y", "z")
 
 
 @dataclass
@@ -121,11 +123,9 @@ class OcclusionRecord:
         return cls(ids, index.astype(np.int32), source[n, :, t, v, m])
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["sample_id", "t", "v", "m", "x", "y", "z"])
-            for (n, t, v, m), values in zip(self.index.tolist(), self.values.tolist()):
-                writer.writerow([self.sample_ids[n], t, v, m] + [repr(value) for value in values])
+        formats.write_table(path, RECORD_COLUMNS, (
+            [self.sample_ids[n], t, v, m] + [repr(value) for value in values]
+            for (n, t, v, m), values in zip(self.index.tolist(), self.values.tolist())))
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "OcclusionRecord":
@@ -134,29 +134,20 @@ class OcclusionRecord:
         [0, 2**31) and a repeated instance, naming the file and the line."""
         position: dict[str, int] = {}
         rows: dict[tuple[int, int, int, int], tuple[float, float, float]] = {}
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["sample_id", "t", "v", "m", "x", "y", "z"]:
-                raise FormatError(f"{path}: unexpected occlusion header {header!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 7:
-                    raise FormatError(f"{path}:{lineno}: expected 7 columns")
-                try:
-                    t, v, m = _int(row[1]), _int(row[2]), _int(row[3])
-                    x, y, z = float(row[4]), float(row[5]), float(row[6])
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
-                if not all(map(math.isfinite, (x, y, z))):
-                    raise FormatError(f"{path}:{lineno}: recorded value is not finite")
-                if not 0 <= t | v | m < 1 << 31:  # each is in [0, 2**31) just when their OR is
-                    raise FormatError(f"{path}:{lineno}: (t, v, m) = {t, v, m} outside 0..{(1 << 31) - 1}")
-                key = (position.setdefault(row[0], len(position)), t, v, m)
-                if key in rows:
-                    raise FormatError(f"{path}:{lineno}: repeats (t, v, m) = {t, v, m} of sample {row[0]!r}")
-                rows[key] = (x, y, z)
+        for lineno, row in formats.read_table(path, RECORD_COLUMNS):
+            try:
+                t, v, m = _int(row[1]), _int(row[2]), _int(row[3])
+                x, y, z = float(row[4]), float(row[5]), float(row[6])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
+            if not all(map(math.isfinite, (x, y, z))):
+                raise FormatError(f"{path}:{lineno}: recorded value is not finite")
+            if not 0 <= t | v | m < 1 << 31:  # each is in [0, 2**31) just when their OR is
+                raise FormatError(f"{path}:{lineno}: (t, v, m) = {t, v, m} outside 0..{(1 << 31) - 1}")
+            key = (position.setdefault(row[0], len(position)), t, v, m)
+            if key in rows:
+                raise FormatError(f"{path}:{lineno}: repeats (t, v, m) = {t, v, m} of sample {row[0]!r}")
+            rows[key] = (x, y, z)
         keys = sorted(rows)  # by sample, then (t, v, m)
         return cls(list(position), np.array(keys, dtype=np.int32).reshape(-1, 4),
                    np.array([rows[key] for key in keys], dtype=np.float32).reshape(-1, 3))

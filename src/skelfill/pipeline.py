@@ -84,7 +84,7 @@ from .data import (
 from .errors import ConfigError, EmptyCapture, FormatError, MalformedCapture, MissingArtifact
 from .graph import load_edge_list
 
-_ACTION_ID = re.compile(r"A(\d{3})")
+_ACTION_ID = re.compile(r"A([0-9]{3})")  # ASCII digits: \d would take others, and int() read them
 
 # fixed offsets for stage seeds derived from the base seed
 _SEED_OFFSETS = {"ingest": 11, "occlude": 23, "cluster": 37, "eval": 53}
@@ -106,6 +106,15 @@ def _parse_bool(raw: str) -> bool:
 def _parse_int(raw: str) -> int:
     """An integer as :func:`~skelfill.data._int` reads one, blanks around it allowed."""
     return _int(raw.strip())
+
+
+def _parse_float(raw: str) -> float:
+    """A number as :func:`float` reads one, blanks around it allowed, but
+    refused when its text is not ASCII or holds ``_``."""
+    text = raw.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {raw!r}")
+    return float(text)
 
 
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
@@ -142,17 +151,18 @@ class PipelineConfig:
     center_joint: int = _setting(
         DEFAULT_CENTER_JOINT, _parse_int, on="ingest pipeline", check=_NON_NEGATIVE)
     test_frac: float = _setting(
-        0.2, float, on="ingest pipeline", check=(lambda v: 0 <= v < 1, "in [0, 1)"))
+        0.2, _parse_float, on="ingest pipeline", check=(lambda v: 0 <= v < 1, "in [0, 1)"))
     # occlusion synthesis
     occlusion_mode: str = _setting("random_rate", flag="--mode", on="occlude pipeline",
                                    choices=occlusion.MODES)
-    occlusion_rate: float = _setting(0.2, float, flag="--rate", on="occlude pipeline",
+    occlusion_rate: float = _setting(0.2, _parse_float, flag="--rate", on="occlude pipeline",
                                      check=(lambda v: 0 <= v <= 1, "in [0, 1]"))
     occlusion_joints: tuple[int, ...] = _setting(
         (), _parse_int_tuple, flag="--joints", on="occlude",
         help="comma-separated joint indices for joint_targeted mode")
-    occlusion_frame_fraction: float = _setting(1.0, float, flag="--frame-fraction", on="occlude",
-                                               check=(lambda v: 0 < v <= 1, "in (0, 1]"))
+    occlusion_frame_fraction: float = _setting(
+        1.0, _parse_float, flag="--frame-fraction", on="occlude",
+        check=(lambda v: 0 < v <= 1, "in (0, 1]"))
     # embedding
     embedding_source: str = _setting(
         "builtin", flag="--source", on="embed", choices=("builtin", "external"))
@@ -163,7 +173,8 @@ class PipelineConfig:
     clusters: int = _setting(60, _parse_int, on="cluster pipeline", check=_POSITIVE)
     kmeans_max_iter: int = _setting(
         300, _parse_int, flag="--max-iter", on="cluster", check=_POSITIVE)
-    kmeans_tol: float = _setting(1e-4, float, flag="--tol", on="cluster", check=_NON_NEGATIVE)
+    kmeans_tol: float = _setting(
+        1e-4, _parse_float, flag="--tol", on="cluster", check=_NON_NEGATIVE)
     normalize_embeddings: bool = _setting(False, _parse_bool, on="cluster")
     # imputation
     neighbors: int = _setting(5, _parse_int, on="impute pipeline", check=_POSITIVE)
@@ -225,7 +236,8 @@ def load_config(path: str | Path, base: PipelineConfig | None = None) -> Pipelin
 
 def _validate(config: PipelineConfig) -> None:
     """Raise :class:`ConfigError` for the first value outside its field's
-    choices or range."""
+    choices or range, or for an external embedding file set while the
+    embedding source is builtin, which would ignore it."""
     for name, f in SETTINGS.items():
         value = getattr(config, name)
         choices, check = f.metadata["choices"], f.metadata["check"]
@@ -233,6 +245,8 @@ def _validate(config: PipelineConfig) -> None:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         if check is not None and value is not None and not check[0](value):
             raise ConfigError(f"{name} must be {check[1]}, got {value!r}")
+        if name.startswith("embeddings_") and value is not None and config.embedding_source == "builtin":
+            raise ConfigError(f"{name} is set, but embedding_source is builtin; set it to external")
 
 
 # ---- artifact naming ---------------------------------------------------
@@ -358,8 +372,15 @@ class _StageFiles:
         return occlusion.OcclusionRecord.between(clean, occluded)
 
     def output(self, key: str) -> Path:
-        self.outputs.append(self.paths[key])
+        """List the output ``key`` and return its path, refused while a
+        directory stands there, as the manifest's is."""
+        self.outputs.append(self._writable(self.paths[key]))
         return self.paths[key]
+
+    def _writable(self, path: Path) -> Path:
+        if path.is_dir():  # refused before the stage opens it
+            raise ConfigError(f"{self.stage}: output {path} is a directory, not a file")
+        return path
 
     def finish(self, params: dict, **summary) -> dict:
         """Write the stage's manifest, hashing each listed file not hashed
@@ -373,7 +394,7 @@ class _StageFiles:
         config_hash = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
         manifest = {"stage": self.stage, "config_hash": config_hash, "params": params,
                     "inputs": listing(self.inputs), "outputs": listing(self.outputs)}
-        (work / f"manifest_{self.stage}.json").write_text(
+        self._writable(work / f"manifest_{self.stage}.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         return {"stage": self.stage, "outputs": [str(p) for p in self.outputs], **summary}
 
@@ -652,10 +673,9 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     purity = nmi = None
     truth = [seq.label for seq in train.samples]
     if all(lab is not None for lab in truth) and files.paths["labels_train"].exists():
-        ids, pseudo = formats.read_labels_csv(files.paths["labels_train"])
+        ids, pseudo = formats.read_labels_csv(files.need("labels_train", "cluster"))
         if ids == train.sample_ids:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
-            files.need("labels_train", "cluster")
 
     report = evaluation.EvalReport.of(
         knn, baseline,

@@ -263,6 +263,12 @@ def test_a_stage_seed_key_is_unknown(tmp_path, capsys, stage):
         ["--mode", "joint_targeted"],
         # an integer is an optional minus sign and ASCII digits
         ["--classes", "\u0662"], ["--per-class", "1_0"], ["--test-per-class", "+1"],
+        # a number is ASCII text without _ that float() reads
+        ["--rate", "\u0660.\u0665"], ["--rate", "1_0e-1"], ["cluster", "--tol", "1_0"],
+        ["occlude", "--frame-fraction", "\uff11"],
+        ["ingest", "--input", "no-such-captures", "--test-frac", "0_0"],
+        # an external embedding file needs the external source
+        ["embed", "--embeddings-train", "train.skemb"], ["embed", "--embeddings-test", "test.skemb"],
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
@@ -478,6 +484,50 @@ def test_a_path_of_the_wrong_kind_exits_with_its_code(tmp_path, capsys, case, co
             else f"required input {bad} is a directory, not a file") in err
     assert bad.is_dir() or bad.read_text() == "kept\n"
     assert not (work / "train.skemb").exists()
+
+
+@pytest.mark.parametrize("stage, name, code", [
+    ("eval", "labels_train.csv", 3), ("cluster", "labels_train.csv", 2),
+    ("impute", "train_imputed.skl1", 2), ("eval", "eval_report.csv", 2),
+    ("occlude", "manifest_occlude.json", 2),
+])
+def test_a_directory_in_place_of_a_file_exits_with_its_code(tmp_path, capsys, stage, name, code):
+    # an optional input is refused as a required one is; an output, the
+    # manifest too, before the stage opens it
+    work = tmp_path / "work"
+    flags = ["--workdir", str(work), "--seed", "1"]
+    assert main(["pipeline", "--clusters", "3"] + flags + SMALL) == 0
+    bad, manifest = work / name, work / f"manifest_{stage}.json"
+    bad.unlink()
+    bad.mkdir()
+    for stale in {manifest, work / "eval_report.json"} - {bad}:
+        stale.unlink()
+    capsys.readouterr()
+    assert main([stage] + flags + ["--clusters", "3"] * (stage == "cluster")) == code
+    err = capsys.readouterr().err
+    assert (f"eval: required input {bad} is a directory, not a file" if code == 3
+            else f"{stage}: output {bad} is a directory, not a file") in err
+    assert bad.is_dir() and not list(bad.iterdir())
+    assert not manifest.is_file()
+    # eval writes its JSON report before its CSV one, and nothing before its inputs are read
+    assert (work / "eval_report.json").exists() == (name == "eval_report.csv")
+
+
+def test_an_external_embedding_file_needs_the_external_source(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
+    assert main(["occlude", "--workdir", str(work), "--seed", "1", "--rate", "0.2"]) == 0
+    external = tmp_path / "external.skemb"
+    external.write_bytes(b"")
+    capsys.readouterr()
+    assert main(["embed", "--workdir", str(work), "--embeddings-train", str(external)]) == 2
+    assert "embeddings_train is set, but embedding_source is builtin" in capsys.readouterr().err
+    assert not list(work.glob("*.skemb")) and not (work / "manifest_embed.json").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"embeddings_test = {external}\n")
+    assert main(["pipeline", "--config", str(cfg), "--workdir", str(tmp_path / "pipe")] + SMALL) == 2
+    assert "embeddings_test is set, but embedding_source is builtin" in capsys.readouterr().err
+    assert not (tmp_path / "pipe").exists()
 
 
 def test_embed_manifest_hashes_the_edge_list(tmp_path):

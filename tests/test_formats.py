@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from skelfill.clustering import ClusterModel, load_model, save_model
 from skelfill.data import SkeletonSequence
 from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from skelfill.errors import FormatError
+from skelfill.occlusion import OcclusionRecord
 from skelfill.formats import (
     SKL1_MAGIC,
     dataset_as_written,
@@ -553,6 +555,82 @@ def test_labels_csv_refuses_a_label_other_than_a_sign_and_digits(tmp_path, text)
     path.write_text(f"sample_id,label\na,-1\nb,{text}\n", encoding="utf-8")
     with pytest.raises(FormatError, match=re.escape(f"{path}:3: non-integer label {text!r}")):
         read_labels_csv(path)
+
+
+# ---- the CSV table framing ---------------------------------------------------
+
+CSV_READERS = {  # table: reader, its header, a row of it
+    "dataset": (read_dataset_csv, "sample_id,label,t,v,m,x,y,z", "a,0,0,0,0,1,1,1"),
+    "labels": (read_labels_csv, "sample_id,label", "a,0"),
+    "record": (OcclusionRecord.load_csv, "sample_id,t,v,m,x,y,z", "a,0,0,0,1,1,1"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(CSV_READERS))
+def test_every_csv_reader_refuses_a_bad_header_and_a_row_of_another_width(tmp_path, table):
+    read, header, row = CSV_READERS[table]
+    path = tmp_path / f"{table}.csv"
+    faults = {
+        "": f"{path}: unexpected header 'none', expected {header!r}",
+        "x" + header: f"{path}: unexpected header {'x' + header!r}, expected {header!r}",
+        f"{header}\n{row}\n\n{row},1\n": f"{path}:4: expected {header.count(',') + 1} columns, got "
+                                      f"{header.count(',') + 2}",
+        f"{header}\n{row[:row.rindex(',')]}\n": f"{path}:2: expected {header.count(',') + 1} columns, "
+                                             f"got {header.count(',')}",
+    }
+    for text, message in faults.items():
+        path.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(message) + "$"):
+            read(path)
+
+
+def test_a_dataset_header_naming_other_coordinates_is_refused(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("sample_id,label,t,v,m,u,w,q\na,0,0,0,0,1,1,1\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: unexpected header ")):
+        read_dataset_csv(path)
+
+
+def test_a_csv_fault_names_the_line_past_a_quoted_line_break(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text('sample_id,label\n"a\nb",1\nc,x\n')
+    with pytest.raises(FormatError, match=re.escape(f"{path}:4: non-integer label 'x'")):
+        read_labels_csv(path)
+
+
+def test_csv_tables_are_utf8_under_an_ascii_locale(tmp_path):
+    # in the C locale, with neither its coercion nor UTF-8 mode, open()
+    # defaults to ASCII; the id \u00e9 is written as UTF-8 and read back
+    import ast
+    import os
+    import subprocess
+    import sys
+
+    import skelfill
+
+    program = (
+        "import locale, sys\n"
+        "import numpy as np\n"
+        "from skelfill.formats import read_labels_csv, write_labels_csv\n"
+        "from skelfill.occlusion import OcclusionRecord\n"
+        "record, labels = sys.argv[1] + '/record.csv', sys.argv[1] + '/labels.csv'\n"
+        "OcclusionRecord(['\\u00e91'], np.array([[0, 1, 2, 0]], np.int32),\n"
+        "                np.ones((1, 3), np.float32)).save_csv(record)\n"
+        "write_labels_csv(['\\u00e91'], [4], labels)\n"
+        "loaded = OcclusionRecord.load_csv(record)\n"
+        "print(ascii([locale.getpreferredencoding(False), loaded.sample_ids, loaded.index.tolist(),\n"
+        "             read_labels_csv(labels)[0]]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(Path(skelfill.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-X", "utf8=0", "-c", program, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    encoding, record_ids, index, label_ids = ast.literal_eval(out)
+    assert encoding.lower().replace("-", "") != "utf8"
+    assert record_ids == label_ids == ["\u00e91"]
+    assert index == [[0, 1, 2, 0]]
+    assert (tmp_path / "record.csv").read_bytes() == "sample_id,t,v,m,x,y,z\r\n\u00e91,1,2,0,1.0,1.0,1.0\r\n".encode()
+    assert (tmp_path / "labels.csv").read_bytes() == "sample_id,label\r\n\u00e91,4\r\n".encode()
 
 
 def test_sha256_file_equals_hashlib_over_chunk_boundaries(tmp_path):

@@ -33,6 +33,7 @@ from skelfill.pipeline import (
     _StageFiles,
     artifact_paths,
     load_config,
+    parse_setting,
     run_cluster,
     run_embed,
     run_eval,
@@ -135,6 +136,14 @@ def test_load_config_missing_file():
         "seed = 1_0",
         "neighbors = +1",
         "seed_eval = -3",
+        # a number is ASCII text without _ that float() reads
+        "occlusion.rate = \u0660.\u0665",
+        "test_frac = 0_0",
+        "kmeans.tol = 1_0e-1",
+        "occlusion.frame_fraction = \uff11",
+        # an external embedding file needs the external source
+        "embeddings_train = train.skemb",
+        "embeddings_test = test.skemb",
     ],
 )
 def test_load_config_validates_values(tmp_path, line):
@@ -142,6 +151,15 @@ def test_load_config_validates_values(tmp_path, line):
     cfg.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def test_a_float_setting_is_ascii_text_without_underscores_that_float_reads():
+    texts = (" 0.5 ", "1e-4", "+.25", "inf")
+    assert [parse_setting("kmeans_tol", text, "--tol") for text in texts] == [0.5, 1e-4, 0.25, np.inf]
+    for text in ("\u0660.\u0665", "1_0e-1", "\uff11", "half"):
+        with pytest.raises(ConfigError, match=re.escape("--tol: bad value for 'kmeans_tol': ")) as err:
+            parse_setting("kmeans_tol", text, "--tol")
+        assert str(err.value).endswith(repr(text))
 
 
 def test_test_labels_come_from_the_model_as_stored(tmp_path):
@@ -362,14 +380,15 @@ def test_run_ingest_reads_labels_from_file_stems(tmp_path):
 
 
 def test_run_ingest_unlabelled_when_stem_has_no_action_id(tmp_path):
+    # an action id is A and three ASCII digits; \d would take A\u0660\u0660\u0662
     source = tmp_path / "captures"
-    _write_captures(source, ["clip01"])
+    _write_captures(source, ["clip01", "S001C001P001R001A\u0660\u0660\u0662"])
     config = PipelineConfig(
         input=str(source), workdir=str(tmp_path / "work"), target_frames=4, test_frac=0.0
     )
     run_ingest(config)
     train = formats.read_dataset(artifact_paths(config)["train"], split_tag="train")
-    assert train.samples[0].label is None
+    assert [seq.label for seq in train.samples] == [None, None]
 
 
 def test_run_ingest_requires_input():
