@@ -241,7 +241,7 @@ def read_table(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int
 
 
 def write_table(path: str | Path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
-    """Write the CSV table of ``columns`` and ``rows`` to ``path`` (see the module docstring)."""
+    """Write the CSV table of ``columns`` and ``rows`` to ``path``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)

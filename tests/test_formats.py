@@ -16,7 +16,6 @@ from skelfill.clustering import ClusterModel, load_model, save_model
 from skelfill.data import SkeletonSequence
 from skelfill.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from skelfill.errors import FormatError
-from skelfill.occlusion import OcclusionRecord
 from skelfill.formats import (
     SKL1_MAGIC,
     dataset_as_written,
@@ -29,6 +28,7 @@ from skelfill.formats import (
     write_labels_csv,
     write_skl1,
 )
+from skelfill.occlusion import OcclusionRecord
 
 
 def crafted_nan(payload: int) -> np.float32:
@@ -569,14 +569,12 @@ CSV_READERS = {  # table: reader, its header, a row of it
 @pytest.mark.parametrize("table", sorted(CSV_READERS))
 def test_every_csv_reader_refuses_a_bad_header_and_a_row_of_another_width(tmp_path, table):
     read, header, row = CSV_READERS[table]
-    path = tmp_path / f"{table}.csv"
-    faults = {
+    path, width = tmp_path / f"{table}.csv", header.count(",") + 1
+    faults = {  # text: the whole message; the blank line 3 is skipped
         "": f"{path}: unexpected header 'none', expected {header!r}",
         "x" + header: f"{path}: unexpected header {'x' + header!r}, expected {header!r}",
-        f"{header}\n{row}\n\n{row},1\n": f"{path}:4: expected {header.count(',') + 1} columns, got "
-                                      f"{header.count(',') + 2}",
-        f"{header}\n{row[:row.rindex(',')]}\n": f"{path}:2: expected {header.count(',') + 1} columns, "
-                                             f"got {header.count(',')}",
+        f"{header}\n{row}\n\n{row},1\n": f"{path}:4: expected {width} columns, got {width + 1}",
+        f"{header}\n{row[:row.rindex(',')]}\n": f"{path}:2: expected {width} columns, got {width - 1}",
     }
     for text, message in faults.items():
         path.write_text(text)
