@@ -19,8 +19,9 @@ the last record; and a sample id that repeats, or that is not UTF-8
 surrogate, as a file name that is not UTF-8 decodes to) before it opens the
 file.  Each codec adds its own refusals: SKL1 a channel count other than
 3, a dimension of 0 and no records; SKEMB a width of 0; SKKM a K or D of 0;
-SKEMB and SKKM a non-finite value.  SKL1 values are copied to and from the
-file without arithmetic, so NaN payload bits survive.
+SKEMB and SKKM a non-finite value, a signalling NaN included.  SKL1 values
+are copied to and from the file without arithmetic, so NaN payload bits
+survive.
 
 Both dataset readers refuse a joint instance that is NaN in only some of
 its channels, or that has an infinite coordinate (see the data model in
@@ -34,8 +35,9 @@ lines ending in CRLF and fields quoted as RFC 4180 requires (by
 :mod:`csv`).  :func:`read_table` reads each table and refuses, naming the
 file, another header (blanks around a name allowed), a row of another
 width and text that is not UTF-8, each but the header at its line; it
-skips blank rows.  :func:`write_table` writes the labels and the record;
-the dataset writer formats its rows itself, for speed and the base copy.
+skips blank rows.  :func:`write_table` writes the labels and the record,
+and refuses an id with no UTF-8 form before it opens the file; the
+dataset writer formats its rows itself, for speed and the base copy.
 
 CSV (interchange dataset, lossy for NaN payload bits)::
 
@@ -153,6 +155,9 @@ def read_container(path: str | Path, magic: bytes, header: str) -> Iterator[tupl
             raise FormatError(f"{path}: trailing bytes after the last record")
 
 
+# a signalling NaN word widens to a quiet NaN without a warning; the readers
+# of float64 records refuse it as non-finite
+@np.errstate(invalid="ignore")
 def read_records(handle: BinaryIO, shape: tuple[int, ...], dtype, *, ids: bool = True,
                  labels: bool = False) -> tuple[np.ndarray, list[str], list[int]]:
     """The ``dtype`` array of the rows of ``shape[1:]`` of ``shape[0]`` records,
@@ -240,8 +245,13 @@ def read_table(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int
         raise
 
 
-def write_table(path: str | Path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
-    """Write the CSV table of ``columns`` and ``rows`` to ``path``."""
+def write_table(path: str | Path, columns: tuple[str, ...], rows: Iterable[Iterable],
+                ids: Iterable[str]) -> None:
+    """Write the CSV table of ``columns`` and ``rows`` to ``path``, which is
+    not opened when one of ``ids``, the sample ids the rows hold, has no
+    UTF-8 form."""
+    for sid in ids:
+        encode_id(sid, path)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
@@ -473,7 +483,8 @@ def read_dataset(path: str | Path, split_tag: str = "train") -> Dataset:
 def write_labels_csv(sample_ids: list[str], labels, path: str | Path) -> None:
     if len(sample_ids) != len(labels):
         raise FormatError("sample ids and labels differ in length")
-    write_table(path, LABEL_COLUMNS, ((sid, int(lab)) for sid, lab in zip(sample_ids, labels)))
+    write_table(path, LABEL_COLUMNS, ((sid, int(lab)) for sid, lab in zip(sample_ids, labels)),
+                sample_ids)
 
 
 def read_labels_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

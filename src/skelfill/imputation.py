@@ -29,19 +29,23 @@ refuses) therefore fills NaN.
 
 Each cluster is one task: it builds the cluster's pool once, fills the
 cluster's train members, then the test samples predicted into it, and drops
-the pool.  A test label no train cluster has gets an empty pool.  Up to
-``threads`` workers run the tasks, never more than there are tasks, and a
-lone task runs in the calling thread.  The train members are the pool's own
-rows, and ``d(i, j)`` is ``d(j, i)`` bit for bit (``fl(a - b)**2 ==
-fl(b - a)**2`` over the same positions in the same sum), so each of their
-pairs is computed once and read back for the other.
+the pool.  The fills go to a float32 copy of each split, and nothing writes
+into a pool, so a pool that is a whole split, in order, float32 and free of
+infinity (K = 1) is that split's own rows, not a copy.  A test label no
+train cluster has gets an empty pool.  Up to ``threads`` workers run the
+tasks, never more than there are tasks, and a lone task runs in the calling
+thread.  The train members are the pool's own rows, and ``d(i, j)`` is
+``d(j, i)`` bit for bit (``fl(a - b)**2 == fl(b - a)**2`` over the same
+positions in the same sum), so each of their pairs is computed once and read
+back for the other.
 
 Each rule is stated once.  ``_distances_to_members`` gives a target's
 distances and ``_neighbour_order`` puts its candidates in neighbour order:
 ascending distance, then ascending ref.  ``_donor_slots`` takes the first k
 usable candidates of each hole of a [candidate, hole] matrix as [slot, hole]
 arrays, and ``_slot_fill`` adds each hole's weighted terms slot by slot,
-from ``-0.0``: the candidate order of the per-target path (kept in
+from ``-0.0``, forming one slot's float64 terms from the float32 donor
+values at a time: the candidate order of the per-target path (kept in
 ``tests/reference.py``), without the ``-0.0`` terms it added for candidates
 a hole does not take, so every value keeps its bits.  The engine calls both
 once per block of targets (``FILL_HOLES``); ``find_donors`` and
@@ -51,24 +55,24 @@ exactly what the engine does.
 Candidates come from one of two rules, chosen by the pool size.  A pool of
 at most 4k rows sends every row usable for some hole of the target to the
 exact pass.  A larger pool first runs the bounds pass once per task: matrix
-products over column blocks give, for every target with a hole against
-every pool row, a proven lower and upper bound on the value whose square
-root is the distance (``_distance_bounds``).  The exact pass then sees a
-shortlist: the rows usable for some hole whose lower bound does not exceed
-that hole's k-th smallest upper bound, found among the 4k rows of least
-upper bound or, for the holes short of k usable rows there, among all rows
-(``_shortlist``).  Every row that can be among a hole's first k donors, ties
-included, is on it, so the slots on the shortlist give the donors, weights
-and summation order of the whole pool.  Nothing derived from the bounds
-reaches an output.
+products over column blocks, each copied into float64 buffers that every
+block refills, give, for every target with a hole against every pool row, a
+proven lower and upper bound on the value whose square root is the distance
+(``_distance_bounds``).  The exact pass then sees a shortlist: the rows
+usable for some hole whose lower bound does not exceed that hole's k-th
+smallest upper bound, found among the 4k rows of least upper bound or, for
+the holes short of k usable rows there, among all rows (``_shortlist``).
+Every row that can be among a hole's first k donors, ties included, is on
+it, so the slots on the shortlist give the donors, weights and summation
+order of the whole pool.  Nothing derived from the bounds reaches an output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,7 +132,11 @@ class ImputationReport:
         return sum([*self.train.values(), *self.test.values()], SampleCounts())
 
     def to_json(self) -> str:
-        payload = asdict(self) | {"totals": asdict(self.totals())}
+        # each SampleCounts's own field dict: asdict's deep copy of every one cost more
+        train, test = ({sid: vars(counts) for sid, counts in side.items()}
+                       for side in (self.train, self.test))
+        payload = {"train": train, "test": test, "cluster_sizes": self.cluster_sizes, "k": self.k,
+                   "totals": vars(self.totals())}
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -198,19 +206,19 @@ def _donor_slots(usable: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_fill(dist: np.ndarray, valid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The fill [channel, column] of each column from the donors ``valid``
-    marks in its slots, at ``dist`` [slot, column] with float64 ``values``
+    """The float64 fill [channel, column] of each column from the donors
+    ``valid`` marks in its slots, at ``dist`` [slot, column] with ``values``
     [slot, channel, column], each column holding at least one: the mean of
     its donors at distance 0 where it has any, otherwise their
     inverse-distance weighted mean.  Both sums add one slot at a time, in
-    candidate order, from -0.0, the exact identity of float addition."""
+    candidate order, from -0.0, the exact identity of float addition; each
+    slot's terms are formed in float64 as its turn comes."""
     zero = valid & (dist == 0.0)
     recip = 1.0 / np.where(dist == 0.0, 1.0, dist)
     weight = np.where(zero.any(axis=0), zero, valid * recip)
-    terms = np.where((weight > 0.0)[:, None], weight[:, None] * values, -0.0)
     num, den = np.full(values.shape[1:], -0.0), np.full(dist.shape[1:], -0.0)
     for s in range(len(dist)):
-        num += terms[s]
+        num += np.where(weight[s] > 0.0, weight[s] * values[s], -0.0)
         den += weight[s]  # +0.0 for a slot that adds no donor, which no sum > 0 notices
     return num / den
 
@@ -256,8 +264,10 @@ Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 # stay under OpenBLAS's single-thread size (m * n * k <= 65536 * 4), above
 # which its thread pool makes such small products several times slower.
 # 2048-column blocks slowed the synth-default benchmark workload and raised
-# peak RSS on its 180-member coarse-sparse cluster.  The float64 slices of a
-# block bound the pass's working memory whatever L is.
+# peak RSS on its 180-member coarse-sparse cluster.  Each side's float64
+# values, squares and mask of one block, three buffers refilled per block,
+# bound the pass's working memory whatever L is: 2.1 MiB for those 180
+# members, beside four [target, member] float64 arrays.
 BLOCK_COLUMNS = 512
 
 # Holes whose donors are chosen and filled together, in blocks of whole
@@ -270,8 +280,16 @@ FILL_HOLES = 4096
 
 
 def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
+    """The pool of ``members`` of ``dataset``: its own rows, as a view, when
+    they are every row in order, float32 and hold no infinity; otherwise a
+    copy with NaN wherever a coordinate is not finite.  No caller writes
+    into a pool's rows."""
     n, *shape = dataset.data.shape
-    rows = dataset.data.reshape(n, math.prod(shape))[members].astype(np.float32, copy=False)
+    rows = dataset.data.reshape(n, math.prod(shape))
+    whole = np.array_equal(members, np.arange(n))
+    if whole and rows.dtype == np.float32 and not np.isinf(rows).any():
+        return rows, np.isfinite(rows), members
+    rows = rows[members].astype(np.float32, copy=False)
     present = np.isfinite(rows)
     rows[~present] = np.nan
     return rows, present, members
@@ -280,6 +298,22 @@ def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
 def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
     labels = np.asarray(labels)
     return {label: np.flatnonzero(labels == label) for label in sorted(set(labels.tolist()))}
+
+
+def _blocks(rows: np.ndarray, present: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """For each block of ``BLOCK_COLUMNS`` columns of ``rows`` [n, L], its
+    float64 values with 0 where ``present`` is False, their squares and
+    ``present`` as 0 or 1, in three buffers that every block refills."""
+    width = min(BLOCK_COLUMNS, rows.shape[1])
+    buffers = [np.empty((len(rows), width)) for _ in range(3)]
+    for start in range(0, rows.shape[1], width):
+        cols = slice(start, start + width)
+        v, vv, pv = (buffer[:, :min(width, rows.shape[1] - start)] for buffer in buffers)
+        np.copyto(pv, present[:, cols])
+        v.fill(0.0)
+        np.copyto(v, rows[:, cols], where=present[:, cols])
+        np.multiply(v, v, out=vv)
+        yield v, vv, pv
 
 
 def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]:
@@ -292,23 +326,22 @@ def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]
     itself is computed once."""
     (a_rows, a_present, _), (b_rows, b_present, _) = targets, pool
     shape, length = (a_rows.shape[0], b_rows.shape[0]), a_rows.shape[1]
-    total, x, c = (np.zeros(shape) for _ in range(3))
+    total, x, c, product = (np.zeros(shape) for _ in range(4))
+    members = _blocks(b_rows, b_present)
+    if targets is pool:
+        pairs = ((block, block) for block in members)
+    else:
+        pairs = zip(_blocks(a_rows, a_present), members)
     # with no target (rate 0) or no member there is nothing to bound
-    for start in range(0, length, BLOCK_COLUMNS) if all(shape) else ():
-        cols = slice(start, start + BLOCK_COLUMNS)
-        pb = b_present[:, cols].astype(np.float64)
-        b = np.where(b_present[:, cols], b_rows[:, cols], 0).astype(np.float64)
+    for (a, aa, pa), (b, bb, pb) in pairs if all(shape) else ():
         if targets is pool:
-            q = (b * b) @ pb.T
-            total += q + q.T
-            x += b @ b.T
-            c += pb @ pb.T
+            total += np.matmul(bb, pb.T, out=product)
+            total += product.T
         else:
-            pa = a_present[:, cols].astype(np.float64)
-            a = np.where(a_present[:, cols], a_rows[:, cols], 0).astype(np.float64)
-            total += np.hstack([a * a, pa]) @ np.hstack([pb, b * b]).T
-            x += a @ b.T
-            c += pa @ pb.T
+            total += np.matmul(aa, pb.T, out=product)
+            total += np.matmul(pa, bb.T, out=product)
+        x += np.matmul(a, b.T, out=product)
+        c += np.matmul(pa, pb.T, out=product)
     # Proof.  u = 2**-53 and g(n) = n*u / (1 - n*u).  Over the c positions
     # both rows have, with values a of the target and b of the member, let
     # S = sum((b - a)**2) and T = sum(a**2 + b**2), so S <= 2T.  The rows are
@@ -317,14 +350,15 @@ def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]
     # 1. The exact pass rounds b - a, its square, and then L additions in
     #    some order, so its sum I obeys |I - S| <= g(L+2) S <= 2 g(L+2) T.
     # 2. total is a float64 sum of the 2c exact terms a*a and b*b and of
-    #    exact zeros: one product per block of [A*A | P_t] by [P_m | B*B]
-    #    transposed, or q + q.T with q = (B*B) P_m^T when the targets are the
-    #    pool, since then q2 = q1 transposed.  2x is the sum of the terms 2ab
-    #    exactly, as scaling by 2 is exact.  So s = total - 2x adds the 3c
-    #    exact terms a*a, b*b, -2ab and exact zeros in some order of float64
-    #    additions, whatever the BLAS kernel and block order (an FMA rounds
-    #    once), and |s - S| <= g(3L) 2T, as |2ab| <= a*a + b*b.  total adds
-    #    nonnegative terms, so T <= total / (1 - g(2L)).
+    #    exact zeros: per block, the products (A*A) P_m^T and P_t (B*B)^T,
+    #    or q and q^T with q = (B*B) P_m^T when the targets are the pool,
+    #    since then the second is the first transposed.  2x is the sum of
+    #    the terms 2ab exactly, as scaling by 2 is exact.  So s = total - 2x
+    #    adds the 3c exact terms a*a, b*b, -2ab and exact zeros in some order
+    #    of float64 additions, whatever the BLAS kernel, the block order and
+    #    the order of the products (an FMA rounds once), and |s - S| <= g(3L)
+    #    2T, as |2ab| <= a*a + b*b.  total adds nonnegative terms, so T <=
+    #    total / (1 - g(2L)).
     # 3. The exact pass's value is v = fl(r I), with r = fl(L / c) the same
     #    float as here, and the distance is fl(sqrt(v)).  Rounding is
     #    monotone and I is a float, so hi = fl(r fl(s + err)) >= v once err
@@ -337,13 +371,21 @@ def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]
     #    + g(14)) (1 + g(L+2)) T <= g(9L+20) T <= g(11L+21) (1 - u) total,
     #    by 2's bound on T, so err = fl(32 (L+2) u total) >= g(16L+32) (1 - u)
     #    total is enough.
-    s = total - 2.0 * x
-    err = 32 * (length + 2) * 2.0**-53 * total
-    ratio = length / np.maximum(c, 1.0)
-    lo = ratio * np.maximum(s - err, 0.0)
-    hi = ratio * (s + err)
-    lo[c == 0] = hi[c == 0] = np.inf
-    return lo, hi
+    # In place: x becomes s and then hi, total err, c the ratio r, and
+    # the product buffer lo.
+    apart = c == 0
+    x *= -2.0
+    x += total
+    total *= 32 * (length + 2) * 2.0**-53
+    np.maximum(c, 1.0, out=c)
+    np.divide(length, c, out=c)
+    lo = np.subtract(x, total, out=product)
+    np.maximum(lo, 0.0, out=lo)
+    lo *= c
+    x += total
+    x *= c
+    lo[apart] = x[apart] = np.inf
+    return lo, x
 
 
 def _shortlist(present: np.ndarray, holes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -423,7 +465,7 @@ def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray]], pool: Pool,
     slot, valid, owner, holes = slot[:, found], valid[:, found], owner[found], holes[found]
     donors = cand[slot, owner]
     pos = np.arange(3)[:, None] * (rows.shape[1] // 3) + holes  # [channel, hole]
-    values = rows[donors[:, None, :], pos].astype(np.float64)  # [slot, channel, hole]
+    values = rows[donors[:, None, :], pos]  # [slot, channel, hole] float32
     fill = _slot_fill(dist[slot, owner], valid, values)
     ends = np.cumsum(np.bincount(owner, minlength=len(block))).tolist()
     for i, (target, _, _) in enumerate(block):

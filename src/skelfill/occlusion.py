@@ -125,7 +125,8 @@ class OcclusionRecord:
     def save_csv(self, path: str | Path) -> None:
         formats.write_table(path, RECORD_COLUMNS, (
             [self.sample_ids[n], t, v, m] + [repr(value) for value in values]
-            for (n, t, v, m), values in zip(self.index.tolist(), self.values.tolist())))
+            for (n, t, v, m), values in zip(self.index.tolist(), self.values.tolist())),
+            self.sample_ids)
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "OcclusionRecord":

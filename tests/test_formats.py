@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -716,7 +717,7 @@ def test_a_corrupt_container_is_refused_naming_the_file(tmp_path, kind, fault):
         read(path)
 
 
-@pytest.mark.parametrize("kind", ["skl1", "csv", "skemb"])
+@pytest.mark.parametrize("kind", ["skl1", "csv", "skemb", "labels", "record"])
 def test_an_id_with_no_utf8_form_is_refused_before_the_file_is_opened(tmp_path, kind):
     sid = "S\udcff01"  # what a file name with the byte 0xff in it decodes to
     path = tmp_path / f"d.{kind}"
@@ -724,7 +725,28 @@ def test_an_id_with_no_utf8_form_is_refused_before_the_file_is_opened(tmp_path, 
             f"{path}: sample id {sid!r} is not UTF-8: surrogates not allowed")):
         if kind == "skemb":
             save_embeddings(EmbeddingMatrix(np.ones((2, 3)), ["a", sid], "builtin"), path)
+        elif kind == "labels":
+            write_labels_csv(["a", sid], [0, 1], path)
+        elif kind == "record":
+            OcclusionRecord(["a", sid], np.array([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.int32),
+                            np.ones((2, 3), dtype=np.float32)).save_csv(path)
         else:
             write_dataset(dataset_of(seq_of(np.ones((3, 2, 3, 1)), "a"),
                                      seq_of(np.ones((3, 2, 3, 1)), sid)), path, kind)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", ["skemb", "skkm"])
+def test_a_signalling_nan_is_refused_as_non_finite_without_a_warning(tmp_path, kind):
+    path = tmp_path / f"m.{kind}"
+    if kind == "skemb":
+        save_embeddings(EmbeddingMatrix(np.ones((2, 3)), ["a", "b"], "builtin"), path)
+        read, message = load_embeddings, "non-finite value in the row of 'b'"
+    else:
+        save_model(ClusterModel(np.ones((2, 3)), k=2, inertia=0.0, iterations_run=0, seed=0), path)
+        read, message = load_model, "non-finite value in centroid 1"
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", 0x7F80_0001))  # the last value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            read(path)

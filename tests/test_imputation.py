@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import threading
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -254,6 +256,8 @@ def test_impute_dataset_counts_invariant():
     totals = report.totals()
     assert totals.missing == totals.imputed + totals.unimputable
     parsed = json.loads(report.to_json())
+    assert report.to_json() == json.dumps(asdict(report) | {"totals": asdict(totals)},
+                                          sort_keys=True, indent=2)
     assert parsed["totals"]["missing"] == totals.missing
     assert parsed["k"] == 2
     assert parsed["cluster_sizes"] == {"0": 3, "1": 3}
@@ -508,6 +512,60 @@ def test_the_exact_pass_sees_a_shortlist(monkeypatch):
     _, _, report = impute_dataset(dataset, labels_for(dataset, [0] * n), k=5)
     assert len(rows) == n and 0 < sum(rows) <= n * n / 4
     assert report.totals().imputed == report.totals().missing > 0
+
+
+def test_a_whole_float32_split_without_infinity_is_its_own_pool():
+    rng = np.random.default_rng(179)
+    arrays = random_arrays(rng, 6)
+    split = as_dataset(arrays, "s")
+    rows, present, _ = imputation._pool(split, np.arange(6))
+    assert np.shares_memory(rows, split.data)
+    assert bits_equal(present, np.isfinite(rows))
+    # a part of the split, its rows out of order, an infinity and float64
+    # data each get a float32 copy with NaN wherever a value is not finite
+    with_inf = [data.copy() for data in arrays]
+    with_inf[4][1, 2, 3, 0] = -np.inf
+    for dataset, members in ((split, np.arange(5)), (split, np.arange(6)[::-1]),
+                             (as_dataset(with_inf, "s"), np.arange(6)),
+                             (as_dataset(random_arrays(rng, 6, dtype=np.float64), "s"), np.arange(6))):
+        rows, present, refs = imputation._pool(dataset, members)
+        want = dataset.data.reshape(len(dataset.samples), -1)[members].astype(np.float32)
+        assert not np.shares_memory(rows, dataset.data)
+        assert bits_equal(present, np.isfinite(want)) and bits_equal(refs, members)
+        assert bits_equal(rows, np.where(present, want, np.float32(np.nan)))
+
+
+def test_impute_dataset_leaves_its_inputs_bit_identical():
+    # one cluster of each whole split: the pools are the splits' own rows
+    rng = np.random.default_rng(181)
+    arrays = random_arrays(rng, 30)
+    arrays[0][:, 0, 0, 0] = np.uint32(0x7FC0_0001).view(np.float32)  # a hole with a NaN payload
+    train, test = as_dataset(arrays, "tr"), as_dataset(random_arrays(rng, 4), "te", "test")
+    before = [dataset.data.copy() for dataset in (train, test)]
+    out, out_test, report = impute_dataset(train, labels_for(train, [0] * 30), test,
+                                           labels_for(test, [0] * 4), k=3)
+    assert report.totals().imputed > 0
+    for dataset, data, filled in zip((train, test), before, (out, out_test)):
+        assert bits_equal(dataset.data, data)
+        assert not np.shares_memory(filled.data, dataset.data)
+
+
+def test_one_cluster_imputes_within_a_bounded_transient():
+    # 120 samples in one cluster, so the bounds pass runs on the whole split.
+    # In units of the split's bytes, the peak holds the filled copy (1), the
+    # present mask (1/4), the bounds pass's block buffers (2) and its four
+    # [member, member] arrays (2/3); a copy of the pool would add 5/4 more
+    clean = make_corpus(classes=10, per_class=12, frames=20, seed=173)
+    dataset, _ = occlude_random(clean, rate=0.05, seed=173)
+    labels = labels_for(dataset, [0] * len(dataset.samples))
+    tracemalloc.start()
+    try:
+        _, _, report = impute_dataset(dataset, labels, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.totals().imputed == report.totals().missing > 0
+    assert peak <= 6 * dataset.data.nbytes
 
 
 def shortlist_by_partition(usable, lo, hi, k):
