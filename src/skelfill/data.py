@@ -27,7 +27,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -43,6 +43,10 @@ DEFAULT_CENTER_JOINT = 1
 
 # the least magnitude that a cast to float32 rounds to infinity
 _F32_INF = 2.0**128 - 2.0**103
+
+# Scalars of the samples that one step of a pass over a split covers: the
+# step's bool and index arrays stay near a MiB whatever the split's size.
+BLOCK_SCALARS = 1 << 18
 
 
 @dataclass
@@ -375,12 +379,26 @@ def preprocess_relative(seq: SkeletonSequence, center_joint: int = DEFAULT_CENTE
     return seq.with_data(out)
 
 
+def sample_blocks(shape: tuple[int, ...], scalars: int | None = None) -> Iterator[slice]:
+    """Consecutive slices, in order, of the rows of an ``[N, ...]`` array of
+    ``shape``: as many whole rows as hold at most ``scalars`` scalars
+    (``BLOCK_SCALARS`` by default), and one at least."""
+    step = max(1, (scalars or BLOCK_SCALARS) // max(1, math.prod(shape[1:])))
+    return (slice(start, min(start + step, shape[0])) for start in range(0, shape[0], step))
+
+
 def first_invalid_instance(data: np.ndarray) -> tuple[int, int, int, int] | None:
     """The first (n, t, v, m), in C order, of a ``[N, 3, T, V, M]`` array
     whose joint instance is only partly NaN or has an infinite coordinate;
-    None when every instance is either finite or NaN in all three channels."""
-    bad = ~(np.isfinite(data).all(axis=1) | np.isnan(data).all(axis=1))
-    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
+    None when every instance is either finite or NaN in all three channels.
+    Checked over blocks of samples, in order."""
+    for rows in sample_blocks(data.shape):
+        block = data[rows]
+        bad = ~(np.isfinite(block).all(axis=1) | np.isnan(block).all(axis=1))
+        if bad.any():
+            n, *tvm = np.argwhere(bad)[0].tolist()
+            return (rows.start + n, *tvm)
+    return None
 
 
 def compute_missing_mask(seq: SkeletonSequence) -> MissingMask:

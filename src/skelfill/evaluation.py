@@ -8,15 +8,24 @@ joint positions, taken over the hidden instances that were actually
 imputed; instances left NaN are excluded from the mean and reported as a
 separate count.  A seeded random baseline fills every hole uniformly inside
 the per-channel value range of the dataset, giving the scale against which
-recovery quality is judged; its per-sample draws, like occlusion's, are
-made by the one owner of those streams, :func:`occlusion.draw_per_sample`.
-Each sample's :class:`MpjpeStats` add in record order, and several splits
-pool split by split, each with its record.  The report scores each split
-on its own and the splits together.
+recovery quality is judged.  It is drawn at the record's rows alone
+(:func:`impute_random_baseline`): each recorded sample's stream, from the
+one owner of per-sample streams, :func:`occlusion.sample_rng`, makes the
+draws a fill of the whole split makes (``tests/reference.py`` keeps that
+fill), and the values at the record's rows are kept.  Each sample's
+:class:`MpjpeStats` add in record order, and several splits pool split by
+split, each with its record.  The report scores each split on its own and
+the splits together.
+
+Scoring and the baseline go over blocks of whole recorded samples
+(``RECORD_ROWS``), and the channel ranges and hole counts over blocks of
+samples (``RANGE_BLOCK``).  So beside the splits and records it reads, eval
+holds one block's arrays at a time, and no filled copy of a split.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -25,9 +34,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset
-from .errors import LengthMismatch
-from .occlusion import OcclusionRecord, draw_per_sample
+from .data import Dataset, sample_blocks
+from .errors import LengthMismatch, RecordMismatch
+from .occlusion import OcclusionRecord, sample_rng
 
 
 @dataclass
@@ -91,68 +100,171 @@ class EvalReport(SplitScores):
         return ["" if value is None else repr(value) for value in values]
 
 
-# Scalars of the samples whose channel range one step of the random
-# baseline takes: the step's masks stay a few MiB whatever the split's size.
-RANGE_BLOCK = 1 << 20
+# Scalars of the samples that one step of the range and of the hole counts
+# covers: a block's masks stay a few hundred KiB whatever the split's size.
+# Reducing the blocks in place, the range of the 300-frame train split took
+# 6 ms, against 80 ms with a float32 copy of each block.
+RANGE_BLOCK = 1 << 18
+
+# Record rows that one step of the scoring and of the random baseline
+# takes: gathering a row's values widens its index to intp, and scoring
+# makes them float64, so a block holds some 80 bytes a row, 0.6 MiB here.
+# At the ROADMAP default the baseline and the scoring of the train split
+# took 0.160 s, 0.150 s at 16 384 rows and 0.190 s with a filled copy.
+RECORD_ROWS = 1 << 13
+
+
+def _extremes(values: np.ndarray, where) -> tuple[np.ndarray, np.ndarray]:
+    """Each channel's least and greatest value of ``values`` [n, 3, ...]
+    ``where`` it holds, NaN skipped; +inf and -inf for a channel with none."""
+    axes = (0, *range(2, values.ndim))
+    return (np.fmin.reduce(values, axis=axes, initial=np.inf, where=where),
+            np.fmax.reduce(values, axis=axes, initial=-np.inf, where=where))
 
 
 def _channel_ranges(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The [min, max] of each coordinate channel over the finite values of
     present bodies, (0, 0) for a channel with none.  Taken over blocks of
-    samples; min and max are exact, so the blocks do not change them."""
+    samples, with no copy: a block whose every body slot is present reduces
+    as it lies in memory, any other ``where`` its slots are, and only a
+    block holding an infinity adds a mask of its finite values.  Min and max
+    are exact, so the blocks do not change them."""
     lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
-    data, (n, *shape) = dataset.data, dataset.data.shape
+    data = dataset.data
     present = np.array([seq.body_present for seq in dataset.samples], dtype=bool)
-    step = max(1, RANGE_BLOCK // max(1, math.prod(shape)))
-    for start in range(0, n, step):
-        block = data[start:start + step]
-        usable = np.isfinite(block)
-        usable &= present[start:start + step, None, None, None, :]
-        values = np.where(usable, block, np.float32(np.nan))  # NaN, which fmin and fmax skip
-        lo = np.fmin(lo, np.fmin.reduce(values, axis=(0, 2, 3, 4), initial=np.inf))
-        hi = np.fmax(hi, np.fmax.reduce(values, axis=(0, 2, 3, 4), initial=-np.inf))
+    for rows in sample_blocks(data.shape, RANGE_BLOCK):
+        block, slots = data[rows], present[rows, None, None, None, :]
+        if slots.all():
+            low, high = _extremes(block.reshape(len(block), 3, -1), True)
+        else:
+            low, high = _extremes(block, slots)
+        if (low == -np.inf).any() or (high == np.inf).any():  # an infinity, which no range takes
+            low, high = _extremes(block, np.isfinite(block) & slots)
+        lo, hi = np.fmin(lo, low), np.fmax(hi, high)
     seen = lo <= hi
     return np.where(seen, lo, 0.0), np.where(seen, hi, 0.0)
 
 
-def impute_random_baseline(dataset: Dataset, seed: int) -> Dataset:
-    """Fill every missing scalar with a seeded uniform draw from the
-    dataset-wide [min, max] of its coordinate channel (present bodies only).
+def _hole_counts(data: np.ndarray) -> np.ndarray:
+    """[N, 3]: the NaN scalars of each channel of each sample of ``data``."""
+    counts = np.empty(data.shape[:2], dtype=np.intp)
+    for rows in sample_blocks(data.shape, RANGE_BLOCK):
+        block = data[rows]
+        counts[rows] = np.count_nonzero(np.isnan(block).reshape(*block.shape[:2], -1), axis=2)
+    return counts
 
-    Each sample draws through :func:`occlusion.draw_per_sample`.  A dataset
-    with nothing missing comes back with identical values.
+
+def _record_blocks(record: OcclusionRecord) -> Iterator[tuple[slice, np.ndarray, slice]]:
+    """Blocks of whole recorded samples, in record order: each block's slice
+    of ``record.sample_ids``, its samples' ends from the start of its record
+    rows, and the slice of those rows.  A block ends with the sample that
+    brings it to ``RECORD_ROWS`` rows, or with the last.  The record's rows
+    go by sample."""
+    ends = np.zeros(len(record.sample_ids) + 1, dtype=np.intp)
+    for start in range(0, len(record.index), RECORD_ROWS):
+        ends[1:] += np.bincount(record.index[start:start + RECORD_ROWS, 0], minlength=len(ends) - 1)
+    np.cumsum(ends, out=ends)
+    rows, first = ends.tolist(), 0  # rows[j]: the first record row of sample j
+    for last in range(1, len(rows)):
+        if rows[last] - rows[first] >= RECORD_ROWS or last == len(rows) - 1:
+            yield slice(first, last), ends[first + 1:last + 1] - rows[first], slice(rows[first], rows[last])
+            first = last
+
+
+def _at(data: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """[n, 3]: the values of ``data`` at record rows ``index`` [n, 4], whose
+    samples are ``data``'s ``rows``."""
+    n, t, v, m = index.T
+    return data[rows[n], :, t, v, m]
+
+
+def impute_random_baseline(dataset: Dataset, record: OcclusionRecord, seed: int) -> Iterator[np.ndarray]:
+    """The seeded random fill of ``dataset`` at the rows of ``record``, whose
+    instances it hides: the [n, 3] float32 values of each block of whole
+    recorded samples, in record order, as :func:`mpjpe` scores them.  Every
+    missing scalar draws uniformly from the dataset-wide [min, max] of its
+    coordinate channel (present bodies only), and every scalar that is not
+    missing keeps its value.  The ranges and hole counts are taken by the
+    call, and each block is drawn as it is read, so one block's values are
+    held at a time.
+
+    Each recorded sample draws from its own stream
+    (:func:`occlusion.sample_rng`, keyed by its row of ``dataset``), channel
+    by channel, one value per missing scalar in C order: the draws of a fill
+    of the whole split, read off at the record's rows.  A sample whose
+    missing scalars are its recorded instances takes them in record order;
+    any other finds each instance's rank among its holes.
     """
-    lo, hi = _channel_ranges(dataset)
+    rows, (lo, hi) = record.rows_in(dataset), _channel_ranges(dataset)
+    holes = _hole_counts(dataset.data)[rows]  # [sample, channel]
 
-    def draw(sample, rng, slots):
-        for c in range(3):
-            holes = np.isnan(sample[c])
-            count = int(holes.sum())
-            if count:
-                sample[c][holes] = rng.uniform(lo[c], hi[c], size=count).astype(np.float32)
+    def draw(samples: slice, ends: np.ndarray, at: slice) -> np.ndarray:
+        index = record.index[at]
+        values = _at(dataset.data, rows, index)  # the split's own, NaN where missing
+        missing = np.zeros((len(values) + 1, 3), dtype=np.intp)
+        np.cumsum(np.isnan(values), axis=0, out=missing[1:])
+        starts = np.concatenate(([0], ends[:-1]))
+        sizes = (ends - starts)[:, None]
+        # every hole of each channel is a recorded instance: the draws go in record order
+        ordered = ((missing[ends] - missing[starts] == sizes) & (holes[samples] == sizes)).all(axis=1)
+        for row, start, end, count, fast in zip(rows[samples].tolist(), starts.tolist(), ends.tolist(),
+                                                holes[samples].tolist(), ordered.tolist()):
+            if start == end:
+                continue
+            rng = sample_rng(dataset, seed, row)
+            for c in range(3):
+                if not count[c]:
+                    continue
+                draws = rng.uniform(lo[c], hi[c], size=count[c]).astype(np.float32)
+                if fast:
+                    values[start:end, c] = draws
+                    continue
+                # each recorded instance's rank among the channel's holes, in C order
+                place = np.flatnonzero(np.isnan(dataset.data[row, c]))
+                flat = np.ravel_multi_index(tuple(index[start:end, 1:].T), dataset.data.shape[2:])
+                rank = np.minimum(np.searchsorted(place, flat), place.size - 1)
+                hit = place[rank] == flat
+                values[start:end, c][hit] = draws[rank[hit]]
+        return values
 
-    return draw_per_sample(dataset, seed, draw)
+    return itertools.starmap(draw, _record_blocks(record))
 
 
-def _sample_stats(imputed: Dataset, record: OcclusionRecord) -> Iterator[tuple[int, MpjpeStats]]:
-    """Each recorded sample's row in ``imputed`` and its stats, in record order."""
-    rows, (n, t, v, m) = record.rows_in(imputed), record.index.T
-    diff = imputed.data[rows[n], :, t, v, m].astype(np.float64)  # [n, 3], in place from here
-    diff -= record.values
-    finite = np.isfinite(diff).all(axis=1)  # as recovered: the recorded values are finite
-    diff *= diff
-    errors = np.sqrt(diff.sum(axis=1)[finite])
-    hidden = np.bincount(n, minlength=len(rows))
-    evaluated = np.bincount(n[finite], minlength=len(rows))
-    for row, count, kept, end in zip(*(a.tolist() for a in (rows, hidden, evaluated, np.cumsum(evaluated)))):
-        # one sum per sample, over its errors alone, so totals keep their bits
-        yield row, MpjpeStats(float(errors[end - kept:end].sum()), kept, count - kept)
+def _sample_stats(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord,
+                  rows: np.ndarray | None) -> Iterator[MpjpeStats]:
+    """Each recorded sample's stats, in record order, over blocks of whole
+    samples; ``recovered`` is a split whose samples are ``rows``, or, with
+    no ``rows``, the [n, 3] values of each block at the record's rows."""
+    blocks = iter(recovered) if rows is None else None
+    for _, ends, at in _record_blocks(record):
+        if blocks is None:
+            values = _at(recovered.data, rows, record.index[at])
+        else:
+            values = next(blocks, None)
+            if values is None or values.shape != (at.stop - at.start, 3):
+                raise RecordMismatch(f"recovered values do not match the record's rows {at.start}..{at.stop}")
+        diff = values.astype(np.float64)  # [n, 3], in place from here
+        diff -= record.values[at]
+        finite = np.isfinite(diff).all(axis=1)  # as recovered: the recorded values are finite
+        diff *= diff
+        errors = np.sqrt(diff.sum(axis=1)[finite])
+        kept = np.concatenate(([0], np.cumsum(finite)))[ends].tolist()
+        start = kept_start = 0
+        for end, kept_end in zip(ends.tolist(), kept):
+            # one sum per sample, over its errors alone, so totals keep their bits
+            yield MpjpeStats(float(errors[kept_start:kept_end].sum()), kept_end - kept_start,
+                             end - start - (kept_end - kept_start))
+            start, kept_start = end, kept_end
 
 
-def mpjpe(imputed: Dataset, record: OcclusionRecord) -> MpjpeStats:
-    """Summed Euclidean error over recovered joint instances vs the record."""
+def mpjpe(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord) -> MpjpeStats:
+    """Summed Euclidean error over recovered joint instances vs the record.
+    ``recovered`` is a split, in which each recorded sample is found by id,
+    or the values recovered at the record's rows, block by block, as
+    :func:`impute_random_baseline` gives them."""
     stats = MpjpeStats()
-    for _, sample in _sample_stats(imputed, record):
+    rows = record.rows_in(recovered) if isinstance(recovered, Dataset) else None
+    for sample in _sample_stats(recovered, record, rows):
         stats += sample
     return stats
 
@@ -203,7 +315,8 @@ def per_class_error(splits: Iterable[tuple[Dataset, OcclusionRecord]]) -> dict[i
     pairs, pooled split by split; empty when no recorded sample has a label."""
     by_label: dict[int, MpjpeStats] = {}
     for imputed, record in splits:
-        for row, stats in _sample_stats(imputed, record):
+        rows = record.rows_in(imputed)
+        for row, stats in zip(rows.tolist(), _sample_stats(imputed, record, rows)):
             label = imputed.samples[row].label
             if label is not None:
                 by_label[int(label)] = by_label.get(int(label), MpjpeStats()) + stats

@@ -91,7 +91,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .data import NUM_CHANNELS, Dataset, SkeletonSequence, _int, first_invalid_instance
+from .data import NUM_CHANNELS, Dataset, SkeletonSequence, _int, first_invalid_instance, sample_blocks
 from .errors import FormatError
 
 SKL1_MAGIC = b"SKL1"
@@ -269,7 +269,9 @@ def sha256_file(path: str | Path) -> str:
 def _infer_body_present(data: np.ndarray) -> np.ndarray:
     """[N, M]: a slot holds a body iff its slab of ``data`` [N, 3, T, V, M]
     has any nonzero or NaN (!= 0) value; a sample with none owns slot 0."""
-    present = (data != 0).any(axis=(1, 2, 3))
+    present = np.empty((len(data), data.shape[-1]), dtype=bool)
+    for rows in sample_blocks(data.shape):
+        present[rows] = (data[rows] != 0).any(axis=(1, 2, 3))
     present[~present.any(axis=1), 0] = True
     return present
 

@@ -34,10 +34,12 @@ into a pool, so a pool that is a whole split, in order, float32 and free of
 infinity (K = 1) is that split's own rows, not a copy.  A test label no
 train cluster has gets an empty pool.  Up to ``threads`` workers run the
 tasks, never more than there are tasks, and a lone task runs in the calling
-thread.  The train members are the pool's own rows, and ``d(i, j)`` is
-``d(j, i)`` bit for bit (``fl(a - b)**2 == fl(b - a)**2`` over the same
-positions in the same sum), so each of their pairs is computed once and read
-back for the other.
+thread.  A split's holes, missing counts and infinities are found a block
+of samples at a time, so the only masks impute holds of a whole split are
+its pools' present masks.  The train members are the pool's own rows, and
+``d(i, j)`` is ``d(j, i)`` bit for bit (``fl(a - b)**2 == fl(b - a)**2``
+over the same positions in the same sum), so each of their pairs is
+computed once and read back for the other.
 
 Each rule is stated once.  ``_distances_to_members`` gives a target's
 distances and ``_neighbour_order`` puts its candidates in neighbour order:
@@ -48,17 +50,21 @@ from ``-0.0``, forming one slot's float64 terms from the float32 donor
 values at a time: the candidate order of the per-target path (kept in
 ``tests/reference.py``), without the ``-0.0`` terms it added for candidates
 a hole does not take, so every value keeps its bits.  The engine calls both
-once per block of targets (``FILL_HOLES``); ``find_donors`` and
-``impute_value`` call them on one column, so the scalar API computes
+once per block of holes, whose arrays ``FILL_BYTES`` bounds, taking targets
+in order and splitting one between blocks where its holes do not fit; each
+hole's column is its own, so the split changes no value.  ``find_donors``
+and ``impute_value`` call them on one column, so the scalar API computes
 exactly what the engine does.
 
 Candidates come from one of two rules, chosen by the pool size.  A pool of
 at most 4k rows sends every row usable for some hole of the target to the
 exact pass.  A larger pool first runs the bounds pass once per task: matrix
-products over column blocks, each copied into float64 buffers that every
-block refills, give, for every target with a hole against every pool row, a
-proven lower and upper bound on the value whose square root is the distance
-(``_distance_bounds``).  The exact pass then sees a shortlist: the rows
+products over column blocks, each copied into two float64 buffers a side
+(its values and its mask) that every block refills, give, for every target
+with a hole against every pool row, a proven lower and upper bound on the
+value whose square root is the distance (``_distance_bounds``).  A block's
+cross products and overlap counts come first, and its values are then
+squared in place for the sums of squares, so each sum adds in its order.  The exact pass then sees a shortlist: the rows
 usable for some hole whose lower bound does not exceed that hole's k-th
 smallest upper bound, found among the 4k rows of least upper bound or, for
 the holes short of k usable rows there, among all rows (``_shortlist``).
@@ -77,7 +83,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset
+from .data import Dataset, sample_blocks
 from .errors import EmptyDonorSet, LabelMismatch, NoOverlap
 
 
@@ -265,18 +271,26 @@ Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 # which its thread pool makes such small products several times slower.
 # 2048-column blocks slowed the synth-default benchmark workload and raised
 # peak RSS on its 180-member coarse-sparse cluster.  Each side's float64
-# values, squares and mask of one block, three buffers refilled per block,
-# bound the pass's working memory whatever L is: 2.1 MiB for those 180
-# members, beside four [target, member] float64 arrays.
-BLOCK_COLUMNS = 512
+# values and mask of one block, two buffers refilled per block, bound the
+# pass's working memory whatever L is: 0.7 MiB for those 180 members,
+# beside four [target, member] float64 arrays.  Against 512 columns, 256
+# lowered coarse-sparse's `--json` peak from 49.4 to 48.2 MiB (medians of 7
+# runs), and the ROADMAP default's at one cluster from 131 to 127 MiB.  Each
+# block adds passes over the [target, member] arrays: the bounds of that
+# 1 000-member pool took 0.47 s, not 0.41, and of a 360-member 300-frame
+# cluster 0.30 s of CPU, not 0.28.
+BLOCK_COLUMNS = 256
 
-# Holes whose donors are chosen and filled together, in blocks of whole
-# targets: enough to spread the cost of each NumPy call over the holes of
-# some 16 synth-default targets, few enough that the [candidate, hole]
-# arrays of a block stay a few MiB whatever L is.  Blocks of 16 targets
-# raised the traced peak of filling 300-frame samples (1500 holes each, two
-# threads) from 144 to 164 MiB.
-FILL_HOLES = 4096
+# Bytes of one fill block's [candidate, hole] and [slot, hole] arrays: the
+# holes whose donors are chosen and filled together are as many as fit,
+# split between blocks where a target's do not.  Traced, a block holds about
+# 8 bytes a candidate cell (its intp index; the bool masks beside it come
+# and go) and 64 a slot cell (intp indices, float64 weights and terms, the
+# float32 donor values of three channels).  On coarse-sparse (k = 10, some
+# 15 candidates a hole) that is some 1 400 holes a block.  There 3 MiB,
+# about the 4 096 holes of a block before, read a `--json` peak 1.9 MiB
+# higher, and 256 KiB one 0.25 MiB higher (medians of 6 runs).
+FILL_BYTES = 1 << 20
 
 
 def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
@@ -286,8 +300,8 @@ def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
     into a pool's rows."""
     n, *shape = dataset.data.shape
     rows = dataset.data.reshape(n, math.prod(shape))
-    whole = np.array_equal(members, np.arange(n))
-    if whole and rows.dtype == np.float32 and not np.isinf(rows).any():
+    whole = np.array_equal(members, np.arange(n)) and rows.dtype == np.float32
+    if whole and not any(np.isinf(rows[block]).any() for block in sample_blocks(rows.shape)):
         return rows, np.isfinite(rows), members
     rows = rows[members].astype(np.float32, copy=False)
     present = np.isfinite(rows)
@@ -300,20 +314,20 @@ def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
     return {label: np.flatnonzero(labels == label) for label in sorted(set(labels.tolist()))}
 
 
-def _blocks(rows: np.ndarray, present: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+def _blocks(rows: np.ndarray, present: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For each block of ``BLOCK_COLUMNS`` columns of ``rows`` [n, L], its
-    float64 values with 0 where ``present`` is False, their squares and
-    ``present`` as 0 or 1, in three buffers that every block refills."""
+    float64 values with 0 where ``present`` is False and ``present`` as 0
+    or 1, in two buffers that every block refills, so the caller may square
+    the values in place."""
     width = min(BLOCK_COLUMNS, rows.shape[1])
-    buffers = [np.empty((len(rows), width)) for _ in range(3)]
+    buffers = [np.empty((len(rows), width)) for _ in range(2)]
     for start in range(0, rows.shape[1], width):
         cols = slice(start, start + width)
-        v, vv, pv = (buffer[:, :min(width, rows.shape[1] - start)] for buffer in buffers)
+        v, pv = (buffer[:, :min(width, rows.shape[1] - start)] for buffer in buffers)
         np.copyto(pv, present[:, cols])
         v.fill(0.0)
         np.copyto(v, rows[:, cols], where=present[:, cols])
-        np.multiply(v, v, out=vv)
-        yield v, vv, pv
+        yield v, pv
 
 
 def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]:
@@ -333,15 +347,17 @@ def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]
     else:
         pairs = zip(_blocks(a_rows, a_present), members)
     # with no target (rate 0) or no member there is nothing to bound
-    for (a, aa, pa), (b, bb, pb) in pairs if all(shape) else ():
-        if targets is pool:
-            total += np.matmul(bb, pb.T, out=product)
-            total += product.T
-        else:
-            total += np.matmul(aa, pb.T, out=product)
-            total += np.matmul(pa, bb.T, out=product)
+    for (a, pa), (b, pb) in pairs if all(shape) else ():
         x += np.matmul(a, b.T, out=product)
         c += np.matmul(pa, pb.T, out=product)
+        a *= a  # the values' squares from here, in place
+        if targets is pool:
+            total += np.matmul(a, pb.T, out=product)
+            total += product.T
+        else:
+            b *= b
+            total += np.matmul(a, pb.T, out=product)
+            total += np.matmul(pa, b.T, out=product)
     # Proof.  u = 2**-53 and g(n) = n*u / (1 - n*u).  Over the c positions
     # both rows have, with values a of the target and b of the member, let
     # S = sum((b - a)**2) and T = sum(a**2 + b**2), so S <= 2T.  The rows are
@@ -435,30 +451,32 @@ def _targets(dataset: Dataset) -> tuple[np.ndarray, list[_Target]]:
     """A float32 copy of ``dataset.data`` to fill, and a target per row."""
     data = dataset.data.astype(np.float32)
     flat = data.reshape(*data.shape[:2], math.prod(data.shape[2:]))  # [N, 3, L / 3]
-    missing = np.count_nonzero(~np.isfinite(flat), axis=(1, 2)).tolist()
-    holes = [np.flatnonzero(row) for row in np.isnan(flat).all(axis=1)]
+    missing, holes = [], []
+    for rows in sample_blocks(flat.shape):  # masks of one block of samples at a time
+        missing += np.count_nonzero(~np.isfinite(flat[rows]), axis=(1, 2)).tolist()
+        holes += [np.flatnonzero(row) for row in np.isnan(flat[rows]).all(axis=1)]
     return data, [_Target(i, sid, row, hole, SampleCounts(miss, 0, 3 * hole.size))
                   for i, (sid, row, hole, miss)
                   in enumerate(zip(dataset.sample_ids, data, holes, missing))]
 
 
-def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray]], pool: Pool, k: int,
+def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray, np.ndarray]], pool: Pool, k: int,
                 trace: dict | None) -> None:
-    """Fill the holes of each target of ``block`` from its candidate rows of
-    ``pool`` and their distances, in neighbour order, in place, and set its
-    imputed and unimputable counts.  The columns are the block's holes,
-    target by target; the candidate axis is as wide as the longest
-    candidate list, the others padded with candidates that are never
-    usable."""
+    """Fill some holes of each target of ``block`` from its candidate rows
+    of ``pool`` and their distances, in neighbour order, in place, and move
+    the filled ones from its unimputable to its imputed count.  The columns
+    are the block's holes, part by part; the candidate axis is as wide as
+    the longest candidate list, the others padded with candidates that are
+    never usable."""
     rows, present, refs = pool
-    width = max(cand.size for _, cand, _ in block)
+    width = max(cand.size for _, _, cand, _ in block)
     cand = np.zeros((width, len(block)), dtype=np.intp)
     dist = np.full((width, len(block)), np.inf)
-    for i, (_, rows_in, d) in enumerate(block):
+    for i, (_, _, rows_in, d) in enumerate(block):
         cand[: rows_in.size, i] = rows_in
         dist[: d.size, i] = d
-    owner = np.repeat(np.arange(len(block)), [target.holes.size for target, _, _ in block])
-    holes = np.concatenate([target.holes for target, _, _ in block])
+    owner = np.repeat(np.arange(len(block)), [part.size for _, part, _, _ in block])
+    holes = np.concatenate([part for _, part, _, _ in block])
     usable = present[cand[:, owner], holes] & np.isfinite(dist)[:, owner]  # [candidate, hole]
     slot, valid = _donor_slots(usable, k)  # [slot, hole]
     found = valid[0] if width else np.zeros(holes.size, dtype=bool)
@@ -468,11 +486,12 @@ def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray]], pool: Pool,
     values = rows[donors[:, None, :], pos]  # [slot, channel, hole] float32
     fill = _slot_fill(dist[slot, owner], valid, values)
     ends = np.cumsum(np.bincount(owner, minlength=len(block))).tolist()
-    for i, (target, _, _) in enumerate(block):
+    for i, (target, _, _, _) in enumerate(block):
         mine = slice(ends[i - 1] if i else 0, ends[i])
         target.data.reshape(-1)[pos[:, mine]] = fill[:, mine]
         imputed = 3 * (mine.stop - mine.start)
-        target.counts.imputed, target.counts.unimputable = imputed, 3 * target.holes.size - imputed
+        target.counts.imputed += imputed
+        target.counts.unimputable -= imputed
         if trace is not None:
             for hole, chosen, ok in zip(holes[mine], donors[:, mine].T, valid[:, mine].T):
                 t, v, m = (int(j) for j in np.unravel_index(hole, target.data.shape[1:]))
@@ -496,7 +515,7 @@ def _fill_targets(targets: list[_Target], pool: Pool, k: int, trace: dict | None
     bounds = _distance_bounds(rows, pool) if pool[2].size > 4 * k else None
     # the distances computed so far between the pool's own rows
     known = np.full((pool[2].size,) * 2, np.nan) if dataset is None else None
-    block, size = [], 0
+    block, width, size = [], 0, 0  # the block's parts, its candidate axis and its holes
     for target, r in zip((targets[r] for r in holed), at):
         if bounds is None:  # a pool of at most 4k rows: every usable row is a candidate
             rows_in = np.flatnonzero(pool[1][:, target.holes].any(axis=1))
@@ -510,11 +529,17 @@ def _fill_targets(targets: list[_Target], pool: Pool, k: int, trace: dict | None
                 pool[0][new], pool[1][new], rows[0][r], rows[1][r])
             dist = known[r, rows_in]
         order = _neighbour_order(dist, pool[2][rows_in])
-        block.append((target, rows_in[order], dist[order]))
-        size += target.holes.size
-        if size >= FILL_HOLES:
-            _fill_block(block, pool, k, trace)
-            block, size = [], 0
+        cand, start = (rows_in[order], dist[order]), 0
+        while start < target.holes.size:
+            width = max(width, cand[0].size)
+            room = max(1, FILL_BYTES // (8 * width + 64 * k)) - size  # one hole at least
+            if room <= 0:  # full at this width
+                _fill_block(block, pool, k, trace)
+                block, width, size = [], 0, 0
+                continue
+            part = target.holes[start:start + room]
+            block.append((target, part, *cand))
+            start, size = start + part.size, size + part.size
     if block:
         _fill_block(block, pool, k, trace)
 

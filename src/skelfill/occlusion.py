@@ -16,11 +16,16 @@ files are as occlusion left them; otherwise it rebuilds the record the same
 way from the clean and occluded files.  A record holds one split as arrays,
 a row per hidden joint instance.
 
-:func:`draw_per_sample` owns every per-sample draw, of both modes and of
-evaluation's random baseline: each sample draws from its own stream,
-:func:`sample_rng`, keyed by the stage seed, the split and the sample's
+:func:`sample_rng` owns every per-sample stream, of both modes (through
+:func:`draw_per_sample`) and of evaluation's random baseline: each sample
+draws from its own, keyed by the stage seed, the split and the sample's
 index, so results do not depend on iteration order and the train and test
 samples at one index draw apart.
+
+:meth:`OcclusionRecord.between` works through blocks of samples
+(:func:`data.sample_blocks`): one pass counts the hidden instances and the
+next writes them into the record's arrays, so it holds no [n, 4] int64
+index beside them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import formats
-from .data import Dataset, _int
+from .data import Dataset, _int, sample_blocks
 from .errors import (
     AlreadyOccluded,
     FormatError,
@@ -90,9 +95,9 @@ class OcclusionRecord:
         except KeyError as missing:
             raise RecordMismatch(f"record refers to unknown sample {missing.args[0]!r}") from None
         shape = (len(rows), *dataset.data.shape[2:])
-        outside = ((self.index < 0) | (self.index >= shape)).any(axis=1)
-        if outside.any():
-            row = tuple(self.index[outside][0].tolist())
+        # column extremes first, so a record inside the shape builds no [n, 4] mask
+        if len(self.index) and (self.index.min() < 0 or (self.index.max(axis=0) >= shape).any()):
+            row = tuple(self.index[((self.index < 0) | (self.index >= shape)).any(axis=1)][0].tolist())
             raise RecordMismatch(f"record row (sample, t, v, m) = {row} indexes outside {shape}")
         return rows
 
@@ -115,12 +120,30 @@ class OcclusionRecord:
             if sid not in position or clean.data.shape[1:] != occluded.data.shape[1:]:
                 raise RecordMismatch(f"occluded sample {sid!r} has no clean sample of shape "
                                      f"{occluded.data.shape[1:]}")
-        # the clean rows in the occluded split's order; a copy only where that differs
-        source = clean.data if ids == clean.sample_ids else clean.data[[position[sid] for sid in ids]]
-        hidden = np.isnan(occluded.data).all(axis=1) & ~np.isnan(source).any(axis=1)
-        index = np.argwhere(hidden)  # by sample, then in (t, v, m) order
-        n, t, v, m = index.T
-        return cls(ids, index.astype(np.int32), source[n, :, t, v, m])
+        order = None if ids == clean.sample_ids else np.array([position[sid] for sid in ids])
+
+        def hidden(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            # a block's clean rows in the occluded split's order, a copy only where that differs
+            source = clean.data[rows] if order is None else clean.data[order[rows]]
+            return np.isnan(occluded.data[rows]).all(axis=1) & ~np.isnan(source).any(axis=1), source
+
+        # one pass counts the rows, the next fills them in: no block's indices outlive it
+        blocks = list(sample_blocks(occluded.data.shape))
+        counts = [np.count_nonzero(hidden(rows)[0]) for rows in blocks]
+        index = np.empty((sum(counts), 4), dtype=np.int32)
+        values = np.empty((len(index), 3), dtype=clean.data.dtype)
+        end = 0
+        for rows, count in zip(blocks, counts):
+            if count:
+                mask, source = hidden(rows)
+                n, t, v, m = np.nonzero(mask)  # by sample, then in (t, v, m) order
+                at = slice(end, end + count)
+                values[at] = source[n, :, t, v, m]
+                n += rows.start
+                for column, coords in zip(index[at].T, (n, t, v, m)):
+                    column[:] = coords
+                end += count
+        return cls(ids, index, values)
 
     def save_csv(self, path: str | Path) -> None:
         formats.write_table(path, RECORD_COLUMNS, (
@@ -154,21 +177,20 @@ class OcclusionRecord:
                    np.array([rows[key] for key in keys], dtype=np.float32).reshape(-1, 3))
 
 
-def sample_rng(seed: int, split: int, index: int) -> np.random.Generator:
-    """The random stream of the sample at ``index`` of a split, 0 for train
-    and 1 for any other, under a stage's ``seed``."""
-    return np.random.default_rng([seed, split, index])
+def sample_rng(dataset: Dataset, seed: int, index: int) -> np.random.Generator:
+    """The random stream of the sample at row ``index`` of ``dataset`` under a
+    stage's ``seed``, keyed by its split: 0 for train and 1 for any other."""
+    return np.random.default_rng([seed, int(dataset.split_tag != "train"), index])
 
 
 def draw_per_sample(dataset: Dataset, seed: int,
                     draw: Callable[[np.ndarray, np.random.Generator, np.ndarray], None]) -> Dataset:
     """A copy of ``dataset`` in which ``draw(sample, rng, slots)`` has changed
     each sample's [3, T, V, M] array in place, given the sample's own stream
-    (:func:`sample_rng`, keyed by ``dataset.split_tag``) and its present body
-    slots."""
-    data, split = dataset.data.copy(), int(dataset.split_tag != "train")
+    (:func:`sample_rng`) and its present body slots."""
+    data = dataset.data.copy()
     for index, (seq, sample) in enumerate(zip(dataset.samples, data)):
-        draw(sample, sample_rng(seed, split, index), np.flatnonzero(seq.body_present))
+        draw(sample, sample_rng(dataset, seed, index), np.flatnonzero(seq.body_present))
     return dataset.with_data(data)
 
 

@@ -663,13 +663,12 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         imputed = files.read(f"{split}_imputed", last=True)
         occluded = files.read(f"{split}_occluded", last=True)
         record = files.record(split, occluded)
-        # for eval's peak, the occluded split goes once its random fill
-        # exists, and the fill once scored, before the next split's reads
-        random_fill = evaluation.impute_random_baseline(occluded, seed_eval)
-        del occluded
+        # the random fill is drawn at the record's rows as mpjpe scores it;
+        # the occluded split goes before the next split's reads
+        random_fill = evaluation.impute_random_baseline(occluded, record, seed_eval)
         scored[split] = imputed, record
         by_split[split] = (evaluation.mpjpe(imputed, record), evaluation.mpjpe(random_fill, record))
-        del random_fill
+        del occluded, random_fill
     knn, baseline = (sum(parts, evaluation.MpjpeStats()) for parts in zip(*by_split.values()))
     per_class = evaluation.per_class_error(scored.values())
     train = scored["train"][0]

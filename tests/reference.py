@@ -337,3 +337,27 @@ def per_class_error_ref(splits: list[Dataset], entries: Entries) -> dict[int, Mp
             by_label.setdefault(int(label), {})[sid] = entry
     data = {sid: seq.data for sid, seq in by_id.items()}
     return {label: mpjpe_ref(data, sub) for label, sub in sorted(by_label.items())}
+
+
+def random_baseline_ref(dataset: Dataset, seed: int) -> np.ndarray:
+    """The random baseline as a fill of the whole split, one sample at a
+    time: a copy of ``dataset.data`` in which every NaN scalar holds a
+    uniform draw from its channel's [min, max] over the finite values of
+    present bodies, (0, 0) for a channel with none.  The sample at row i
+    draws from ``default_rng([seed, split, i])``, split 0 for train and 1
+    for any other, channel by channel, its NaN scalars in C order."""
+    bounds = []
+    for c in range(3):
+        values = [value for seq in dataset.samples
+                  for value in seq.data[c][..., seq.body_present].ravel().tolist() if math.isfinite(value)]
+        bounds.append((min(values), max(values)) if values else (0.0, 0.0))
+    split = 0 if dataset.split_tag == "train" else 1
+    data = dataset.data.copy()
+    for index, sample in enumerate(data):
+        rng = np.random.default_rng([seed, split, index])
+        for c, (lo, hi) in enumerate(bounds):
+            holes = np.isnan(sample[c])
+            count = int(holes.sum())
+            if count:
+                sample[c][holes] = rng.uniform(lo, hi, size=count).astype(np.float32)
+    return data

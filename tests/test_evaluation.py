@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
-from reference import between_ref, mpjpe_ref, per_class_error_ref
+from reference import between_ref, mpjpe_ref, per_class_error_ref, random_baseline_ref
 from skelfill import OcclusionRecord, clustering_quality, evaluation, impute_random_baseline, mpjpe
 from skelfill.errors import LengthMismatch, RecordMismatch
 from skelfill.evaluation import EvalReport, MpjpeStats, per_class_error
@@ -15,40 +15,45 @@ from skelfill.occlusion import occlude_random
 
 # ---- random baseline ----------------------------------------------------------
 
+def baseline_of(dataset, record, seed):
+    """The random baseline's values at every row of ``record``, [n, 3]."""
+    return np.concatenate([np.empty((0, 3), np.float32), *impute_random_baseline(dataset, record, seed)])
+
+
+def at_record(data, dataset, record):
+    """``data`` [N, 3, T, V, M] of ``dataset``'s samples at the rows of ``record``, [n, 3]."""
+    rows = [dataset.sample_ids.index(sid) for sid in record.sample_ids]
+    return np.array([data[rows[n], :, t, v, m] for n, t, v, m in record.index.tolist()],
+                    dtype=data.dtype).reshape(-1, 3)
+
+
 def test_baseline_fills_every_hole_within_channel_range():
     rng = np.random.default_rng(139)
     dataset = random_dataset(rng, 4, frames=4, joints=6)
-    occluded, _ = occlude_random(dataset, 0.3, seed=3)
-    filled = impute_random_baseline(occluded, seed=17)
+    occluded, record = occlude_random(dataset, 0.3, seed=3)
+    values = baseline_of(occluded, record, seed=17)
     lo = [min(s.data[c][np.isfinite(s.data[c])].min() for s in occluded.samples) for c in range(3)]
     hi = [max(s.data[c][np.isfinite(s.data[c])].max() for s in occluded.samples) for c in range(3)]
-    for seq, original in zip(filled.samples, occluded.samples):
-        assert not np.isnan(seq.data).any()
-        holes = np.isnan(original.data)
-        present = ~holes
-        assert seq.data[present].tobytes() == original.data[present].tobytes()
-        for c in range(3):
-            values = seq.data[c][holes[c]]
-            assert ((values >= lo[c]) & (values <= hi[c])).all()
+    assert values.shape == record.values.shape and values.dtype == np.float32
+    assert np.isfinite(values).all()
+    assert ((values >= lo) & (values <= hi)).all()
 
 
 def test_baseline_is_deterministic():
     rng = np.random.default_rng(149)
-    occluded, _ = occlude_random(random_dataset(rng, 3), 0.4, seed=0)
-    first = impute_random_baseline(occluded, seed=5)
-    second = impute_random_baseline(occluded, seed=5)
-    for a, b in zip(first.samples, second.samples):
-        assert bits_equal(a.data, b.data)
-    other = impute_random_baseline(occluded, seed=6)
-    assert any(not bits_equal(a.data, c.data) for a, c in zip(first.samples, other.samples))
+    occluded, record = occlude_random(random_dataset(rng, 3), 0.4, seed=0)
+    first = baseline_of(occluded, record, seed=5)
+    assert bits_equal(first, baseline_of(occluded, record, seed=5))
+    assert not bits_equal(first, baseline_of(occluded, record, seed=6))
 
 
 def test_baseline_identity_when_nothing_missing():
+    # recorded instances that the split holds keep their values, and draw nothing
     rng = np.random.default_rng(151)
     dataset = random_dataset(rng, 2)
-    filled = impute_random_baseline(dataset, seed=1)
-    for a, b in zip(dataset.samples, filled.samples):
-        assert bits_equal(a.data, b.data)
+    record = record_from({"r0001": ([(0, 1, 0), (2, 3, 0)], np.zeros((2, 3))),
+                          "r0000": ([(1, 2, 0)], np.zeros((1, 3)))})
+    assert bits_equal(baseline_of(dataset, record, seed=1), at_record(dataset.data, dataset, record))
 
 
 def test_baseline_range_ignores_padding_slots():
@@ -57,14 +62,14 @@ def test_baseline_range_ignores_padding_slots():
     data[:, :, :, 1] = 999.0  # junk in an absent body slot
     data[:, 1, 1, 0] = np.nan
     seq = seq_of(data, "s", body_present=[True, False])
-    filled = impute_random_baseline(dataset_of(seq), seed=9)
-    value = filled.samples[0].data[:, 1, 1, 0]
+    value = baseline_of(dataset_of(seq), record_from({"s": ([(1, 1, 0)], np.zeros((1, 3)))}), seed=9)
     assert (value <= 1.0).all()  # range came from the present body only
 
 
 @pytest.mark.parametrize("block", [1, 300, 1 << 20])
 def test_baseline_range_is_the_same_over_any_blocks_of_samples(monkeypatch, block):
-    # blocks of one sample (144 scalars), of two, and of all seven
+    # blocks of one sample (144 scalars), of two, and of all seven; record
+    # blocks of one row up to the whole record
     rng = np.random.default_rng(163)
     seqs = []
     for i in range(7):
@@ -72,17 +77,17 @@ def test_baseline_range_is_the_same_over_any_blocks_of_samples(monkeypatch, bloc
         if i % 3:
             data[:, :, :, 1] = 1000.0 * (-1) ** i  # junk in an absent body slot
         seqs.append(seq_of(data, f"s{i}", body_present=[True, i % 3 == 0]))
-    occluded, _ = occlude_random(dataset_of(*seqs), 0.3, seed=4)
+    occluded, record = occlude_random(dataset_of(*seqs), 0.3, seed=4)
     present = np.array([seq.body_present for seq in occluded.samples])[:, None, None, None, :]
     usable = np.isfinite(occluded.data) & present
     want = [[occluded.data[:, c][usable[:, c]].min() for c in range(3)],
             [occluded.data[:, c][usable[:, c]].max() for c in range(3)]]
     monkeypatch.setattr(evaluation, "RANGE_BLOCK", block)
+    monkeypatch.setattr(evaluation, "RECORD_ROWS", max(1, block // 12))
     assert [bound.tolist() for bound in evaluation._channel_ranges(occluded)] == want
-    filled = impute_random_baseline(occluded, seed=8)
-    monkeypatch.setattr(evaluation, "RANGE_BLOCK", 1 << 20)
-    for a, b in zip(filled.samples, impute_random_baseline(occluded, seed=8).samples):
-        assert bits_equal(a.data, b.data)
+    values = baseline_of(occluded, record, seed=8)
+    monkeypatch.undo()
+    assert bits_equal(values, baseline_of(occluded, record, seed=8))
 
 
 def test_baseline_range_of_a_channel_with_no_value_is_zero():
@@ -90,6 +95,60 @@ def test_baseline_range_of_a_channel_with_no_value_is_zero():
     data[0] = 1.5
     lo, hi = evaluation._channel_ranges(dataset_of(seq_of(data, "s")))
     assert lo.tolist() == [1.5, 0.0, 0.0] and hi.tolist() == [1.5, 0.0, 0.0]
+
+
+def test_baseline_range_skips_infinity():
+    data = np.arange(12, dtype=np.float32).reshape(3, 2, 2, 1)
+    data[0, 0, 0, 0], data[2, 1, 1, 0] = -np.inf, np.inf
+    lo, hi = evaluation._channel_ranges(dataset_of(seq_of(data, "s")))
+    assert lo.tolist() == [1.0, 4.0, 8.0] and hi.tolist() == [3.0, 7.0, 10.0]
+
+
+BASELINE_CASES = ["train", "test", "no-hole", "absent-slot", "empty", "nan-outside", "reordered"]
+
+
+def baseline_case(case: str) -> tuple:
+    """An occluded split and its record, with the feature ``case`` names."""
+    rng = np.random.default_rng(167)
+    seqs = [seq_of(rng.uniform(-3, 3, size=(3, 5, 4, 2)).astype(np.float32), f"c{i}",
+                   body_present=[True, case != "absent-slot" or i % 2 == 0]) for i in range(9)]
+    clean = dataset_of(*seqs, split="test" if case == "test" else "train")
+    if case == "nan-outside":  # a hand-made clean split that misses an instance
+        clean.data[4, :, 2, 1, 0] = np.nan
+    occluded = clean.with_data(np.where(
+        rng.uniform(size=clean.data[:, :1].shape) < (0.0 if case == "empty" else 0.3), np.nan, clean.data))
+    if case == "no-hole":
+        occluded.data[3] = clean.data[3]
+    record = OcclusionRecord.between(clean, occluded)
+    if case == "reordered":  # the record's samples in another order than the split's
+        entries = entries_of(record)
+        record = record_from({sid: entries[sid] for sid in reversed(record.sample_ids)})
+    return occluded, record
+
+
+@pytest.mark.parametrize("rows", [1 << 13, 7])
+@pytest.mark.parametrize("case", BASELINE_CASES)
+def test_baseline_equals_the_whole_split_fill_at_the_records_rows(monkeypatch, case, rows):
+    monkeypatch.setattr(evaluation, "RECORD_ROWS", rows)  # 7: blocks of a few samples
+    occluded, record = baseline_case(case)
+    want = at_record(random_baseline_ref(occluded, 23), occluded, record)
+    assert bits_equal(baseline_of(occluded, record, 23), want)
+    assert stats_bits(mpjpe(impute_random_baseline(occluded, record, 23), record)) == \
+        stats_bits(mpjpe(occluded.with_data(random_baseline_ref(occluded, 23)), record))
+    # each case holds what it names
+    counts = np.bincount(record.index[:, 0], minlength=len(record.sample_ids))
+    assert (0 in counts) == (case in ("no-hole", "empty"))
+    assert (len(record.index) == 0) == (case == "empty")
+    missing = np.isnan(occluded.data).all(axis=1).sum(axis=(1, 2, 3))
+    assert (missing[record.rows_in(occluded)] > counts).any() == (case == "nan-outside")
+    assert (occluded.split_tag == "test") == (case == "test")
+    assert (record.sample_ids != occluded.sample_ids) == (case == "reordered")
+
+
+def test_baseline_refuses_values_that_do_not_match_the_record():
+    occluded, record = baseline_case("train")
+    with pytest.raises(RecordMismatch):
+        mpjpe([np.zeros((1, 3), np.float32)], record)
 
 
 # ---- recovery error --------------------------------------------------------------

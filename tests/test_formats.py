@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import skelfill.data
+
 from conftest import assert_same_dataset, bits_equal, dataset_of, random_dataset, seq_of
 from skelfill import formats
 from skelfill.clustering import ClusterModel, load_model, save_model
@@ -438,6 +440,35 @@ def test_dataset_as_written_raises_the_reads_error(tmp_path, fmt, value):
         dataset_as_written(dataset, path, fmt, "train")
     assert str(error.value) == str(read_error.value)
     assert "'bad'" in str(error.value)
+
+
+@pytest.mark.parametrize("scalars", [1, 80, 1 << 20])
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_read_checks_are_the_same_over_any_blocks_of_samples(tmp_path, monkeypatch, fmt, scalars):
+    # blocks of one sample (36 scalars), of two, and of all six: the first
+    # invalid instance in C order, the body slots, and the read's refusal
+    rng = np.random.default_rng(41)
+    data = rng.uniform(-1, 1, size=(6, 3, 2, 3, 2)).astype(np.float32)
+    data[1, :, :, :, 1] = 0.0  # an absent second slot
+    data[4] = 0.0  # no body at all: slot 0 holds it
+    data[2, :, 1, 2, 0] = np.nan  # a missing instance, which is valid
+    data[3, 1, 0, 1, 1] = np.nan  # partly NaN: the first invalid instance
+    data[5, 0, 1, 0, 0] = np.inf
+    dataset = dataset_of(*(seq_of(row, f"s{i}") for i, row in enumerate(data)))
+    path = tmp_path / f"d.{fmt}"
+    write_dataset(dataset, path, fmt)
+    with pytest.raises(FormatError) as whole:
+        read_dataset(path)
+    monkeypatch.setattr(skelfill.data, "BLOCK_SCALARS", scalars)
+    assert skelfill.data.first_invalid_instance(data) == (3, 0, 1, 1)
+    assert skelfill.data.first_invalid_instance(np.delete(data, [3, 5], axis=0)) is None
+    present = formats._infer_body_present(data)
+    assert present.tolist() == [[True, True], [True, False], [True, True], [True, True],
+                                [True, False], [True, True]]
+    with pytest.raises(FormatError) as blocked:
+        read_dataset(path)
+    assert str(blocked.value) == str(whole.value)
+    assert "sample 's3'" in str(blocked.value) and "(t, v, m) = (0, 1, 1)" in str(blocked.value)
 
 
 # ---- a CSV write that copies the unchanged rows of its base ------------------

@@ -552,9 +552,10 @@ def test_impute_dataset_leaves_its_inputs_bit_identical():
 
 def test_one_cluster_imputes_within_a_bounded_transient():
     # 120 samples in one cluster, so the bounds pass runs on the whole split.
-    # In units of the split's bytes, the peak holds the filled copy (1), the
-    # present mask (1/4), the bounds pass's block buffers (2) and its four
-    # [member, member] arrays (2/3); a copy of the pool would add 5/4 more
+    # In units of the split's bytes, the peak, 3.4, holds the filled copy
+    # (1), the present mask (1/4), the bounds pass's two block buffers (2/3)
+    # and its four [member, member] arrays (2/3); a third block buffer would
+    # add 1/3 more, and a copy of the pool 5/4
     clean = make_corpus(classes=10, per_class=12, frames=20, seed=173)
     dataset, _ = occlude_random(clean, rate=0.05, seed=173)
     labels = labels_for(dataset, [0] * len(dataset.samples))
@@ -565,7 +566,26 @@ def test_one_cluster_imputes_within_a_bounded_transient():
     finally:
         tracemalloc.stop()
     assert report.totals().imputed == report.totals().missing > 0
-    assert peak <= 6 * dataset.data.nbytes
+    assert peak <= 3.5 * dataset.data.nbytes
+
+
+@pytest.mark.parametrize("fill_bytes", [1, 6000])
+@pytest.mark.parametrize("name", ["40-targets", "pools-either-side-of-4k"])
+def test_fill_blocks_of_any_size_fill_alike(monkeypatch, name, fill_bytes):
+    # blocks of one hole, and blocks of about ten holes, which end inside
+    # most targets' holes, give the values, counts and donors of the
+    # default blocks
+    train, train_labels, test, test_labels, k, threads = reference_case(name)
+    args = (train, labels_for(train, train_labels), test,
+            None if test is None else labels_for(test, test_labels))
+    runs = []
+    for size in (imputation.FILL_BYTES, fill_bytes):
+        monkeypatch.setattr(imputation, "FILL_BYTES", size)
+        trace: dict = {}
+        out_train, out_test, report = impute_dataset(*args, k=k, threads=threads, trace=trace)
+        runs.append(([out.data.tobytes() for out in (out_train, out_test) if out is not None],
+                     report.to_json(), trace))
+    assert runs[0] == runs[1]
 
 
 def shortlist_by_partition(usable, lo, hi, k):
@@ -661,7 +681,7 @@ def reference_case(name):
     if name == "pools-either-side-of-4k":  # k = 4: 17 members bounded, 9 not
         train, test = as_dataset(random_arrays(rng, 26), "tr"), as_dataset(random_arrays(rng, 6), "te", "test")
         return train, [0] * 17 + [1] * 9, test, [0, 1, 1, 0, 1, 0], 4, 2
-    if name == "40-targets":  # about 6000 holes: more than one block of FILL_HOLES
+    if name == "40-targets":  # about 6000 holes: more than one fill block of FILL_BYTES
         train = as_dataset(random_arrays(rng, 40, shape=(3, 20, 25, 1), rate=0.3), "tr")
         return train, [0] * 40, None, None, 5, 1
     if name == "float64":

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import skelfill.data
 
 from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
 from reference import between_ref
@@ -245,6 +249,39 @@ def test_between_and_restore_equal_a_per_sample_loop():
             idx, values = got[seq.sample_id]
             want[:, idx[:, 0], idx[:, 1], idx[:, 2]] = values.T
         assert bits_equal(back.data, want), seq.sample_id
+
+
+@pytest.mark.parametrize("scalars", [1, 150, 1 << 20])
+def test_between_is_the_same_over_any_blocks_of_samples(monkeypatch, scalars):
+    # blocks of one sample (60 scalars), of two, and of all seven, with the
+    # clean split in another order and missing an instance of its own
+    rng = np.random.default_rng(21)
+    clean = random_dataset(rng, 7, frames=2, joints=5, bodies=2)
+    occluded, _ = occlude_random(clean, 0.4, seed=5)
+    dirty = [seq.data.copy() for seq in reversed(clean.samples)]
+    dirty[1][:, 1, 2, 0] = np.nan
+    clean = dataset_of(*(seq_of(data, seq.sample_id) for data, seq in zip(dirty, reversed(clean.samples))))
+    monkeypatch.setattr(skelfill.data, "BLOCK_SCALARS", scalars)
+    got, want = entries_of(OcclusionRecord.between(clean, occluded)), between_ref(clean, occluded)
+    assert list(got) == list(want)
+    assert all(bits_equal(got[sid][i], want[sid][i]) for sid in want for i in (0, 1))
+
+
+def test_between_holds_one_block_beside_its_record():
+    # 1 000 samples of 3 x 20 x 25 x 2 scalars, 12 MB: beside the record it
+    # returns, between holds one block's masks and coordinates (some 2 MB),
+    # not masks of the whole split and an int64 [n, 4] index (over 12 MB)
+    rng = np.random.default_rng(22)
+    clean = random_dataset(rng, 1000, frames=20, joints=25, bodies=2)
+    occluded, _ = occlude_random(clean, 0.3, seed=6)
+    tracemalloc.start()
+    try:
+        record = OcclusionRecord.between(clean, occluded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.total_instances() == 1000 * 20 * 25 * 2 * 3 // 10
+    assert peak <= record.index.nbytes + record.values.nbytes + clean.data.nbytes / 4
 
 
 def test_between_records_in_t_v_m_order():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import shutil
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -323,6 +324,33 @@ def test_eval_report_scores_each_split_and_both_together(tmp_path):
     assert splits["test"]["imputed_instances"] > 0
     assert sorted(splits["train"]) == ["coverage", "imputed_instances", "mpjpe_imputed",
                                        "mpjpe_random", "unimputable_instances"]
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_holds_no_copy_of_a_split_beside_what_is_handed_to_it(tmp_path, monkeypatch):
+    # the stages before eval hand their datasets and records on in memory, so
+    # what eval allocates is its transient: each file's hash buffer and a
+    # block of record rows at a time, not a random fill of a whole split
+    config = _small_synth_config(tmp_path / "work", synth_classes=4, synth_per_class=25,
+                                 target_frames=30, synth_joints=25, clusters=2)
+    handoff: dict = {}
+    for stage in (run_synth, run_occlude, run_embed, run_cluster, run_impute):
+        stage(config, handoff=handoff)
+    paths = artifact_paths(config)
+    split = formats.read_dataset(paths["train"]).data.nbytes  # 900 000 bytes
+    monkeypatch.setattr(evaluation, "RECORD_ROWS", 256)
+    hashing = _traced_peak(lambda: formats.sha256_file(paths["train"]))
+    peak = _traced_peak(lambda: run_eval(config, handoff=handoff))
+    assert peak <= hashing + split / 4
+    assert json.loads(paths["eval_json"].read_text())["mpjpe_random"] > 0
 
 
 def test_readme_documents_every_config_key():
@@ -777,7 +805,6 @@ def test_each_dataset_a_stage_returns_is_one_array_and_views_of_its_rows(tmp_pat
         "read": read(path), "as written": formats.dataset_as_written(occluded, path, fmt, "train"),
         "random_rate": occluded, "joint_targeted": targeted, "imputed train": imputed,
         "imputed test": imputed_test,
-        "random baseline": evaluation.impute_random_baseline(occluded, 5),
     }
     for name, dataset in datasets.items():
         assert dataset.data.shape == (len(dataset), 3, 4, 5, 2), name
