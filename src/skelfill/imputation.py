@@ -29,17 +29,23 @@ refuses) therefore fills NaN.
 
 Each cluster is one task: it builds the cluster's pool once, fills the
 cluster's train members, then the test samples predicted into it, and drops
-the pool.  The fills go to a float32 copy of each split, and nothing writes
-into a pool, so a pool that is a whole split, in order, float32 and free of
-infinity (K = 1) is that split's own rows, not a copy.  A test label no
-train cluster has gets an empty pool.  Up to ``threads`` workers run the
-tasks, never more than there are tasks, and a lone task runs in the calling
-thread.  A split's holes, missing counts and infinities are found a block
-of samples at a time, so the only masks impute holds of a whole split are
-its pools' present masks.  The train members are the pool's own rows, and
-``d(i, j)`` is ``d(j, i)`` bit for bit (``fl(a - b)**2 == fl(b - a)**2``
-over the same positions in the same sum), so each of their pairs is
-computed once and read back for the other.
+the pool.  A pool holds its rows, float32 with NaN exactly where a value is
+absent, and one bool a joint instance: channel 0's presence, the only
+presence that the holes, the candidate rule, the shortlist and the fill
+read.  The distance kernels take each scalar's presence from the NaN in the
+rows they already hold: a position two rows share is one whose float64
+difference is not NaN.  The fills go to a float32 copy of each split, and
+nothing writes into a pool, so a pool that is a whole split, in order,
+float32 and free of infinity (K = 1) is that split's own rows, not a copy.
+A test label no train cluster has gets an empty pool.  Up to ``threads``
+workers run the tasks, never more than there are tasks, and a lone task
+runs in the calling thread.  A split's holes, missing counts and infinities
+are found a block of samples at a time, so the only masks impute holds of a
+whole split are its pools' channel-0 masks.  The train members are the
+pool's own rows, and ``d(i, j)`` is ``d(j, i)`` bit for bit (``fl(a - b)**2
+== fl(b - a)**2`` over the same positions in the same sum), so each of
+their pairs is computed once: the first of the two targets to need it keeps
+it, keyed by the pair, until the other reads it.
 
 Each rule is stated once.  ``_distances_to_members`` gives a target's
 distances and ``_neighbour_order`` puts its candidates in neighbour order:
@@ -60,17 +66,20 @@ Candidates come from one of two rules, chosen by the pool size.  A pool of
 at most 4k rows sends every row usable for some hole of the target to the
 exact pass.  A larger pool first runs the bounds pass once per task: matrix
 products over column blocks, each copied into two float64 buffers a side
-(its values and its mask) that every block refills, give, for every target
-with a hole against every pool row, a proven lower and upper bound on the
-value whose square root is the distance (``_distance_bounds``).  A block's
-cross products and overlap counts come first, and its values are then
-squared in place for the sums of squares, so each sum adds in its order.  The exact pass then sees a shortlist: the rows
-usable for some hole whose lower bound does not exceed that hole's k-th
-smallest upper bound, found among the 4k rows of least upper bound or, for
-the holes short of k usable rows there, among all rows (``_shortlist``).
-Every row that can be among a hole's first k donors, ties included, is on
-it, so the slots on the shortlist give the donors, weights and summation
-order of the whole pool.  Nothing derived from the bounds reaches an output.
+(its values and its presence) that every block refills, accumulate, for
+every target with a hole against every pool row, the sum of ``a**2 + b**2 -
+2ab`` over the positions both have, and their count.  With each row's
+own sum of squares, which gives the error term, they give a proven lower
+and upper bound on the value whose square root is the distance
+(``_distance_bounds``).  Every target's shortlist is taken right after the
+pass, whose [target, member] arrays then go, and only then does the exact
+pass run.  It sees on a shortlist the rows usable for some hole whose lower
+bound does not exceed that hole's k-th smallest upper bound, found among
+the 4k rows of least upper bound or, for the holes short of k usable rows
+there, among all rows (``_shortlist``).  Every row that can be among a
+hole's first k donors, ties included, is on it, so the slots on the
+shortlist give the donors, weights and summation order of the whole pool.
+Nothing derived from the bounds reaches an output.
 """
 
 from __future__ import annotations
@@ -92,7 +101,8 @@ class FlatSample:
     """Flattened view of one sample.
 
     vector      [L] float64 with NaN holes, C-order flattening of [C, T, V, M]
-    present     [L] bool
+    present     [L] bool; a position both samples mark present counts only
+                where the difference of their values is a number
     sample_ref  index of the sample in its dataset
     """
 
@@ -150,8 +160,7 @@ def masked_distance(a: FlatSample, b: FlatSample) -> float:
     """Overlap-scaled Euclidean distance between two flat samples."""
     if a.vector.shape != b.vector.shape:
         raise ValueError("samples differ in length")
-    dist = _distances_to_members(_absent_as_nan(b)[None, :], b.present[None, :],
-                                 _absent_as_nan(a), a.present)[0]
+    dist = _distances_to_members(_absent_as_nan(b)[None, :], _absent_as_nan(a))[0]
     if dist == np.inf:
         raise NoOverlap(f"samples {a.sample_ref} and {b.sample_ref} share no present coordinate")
     return float(dist)
@@ -176,7 +185,7 @@ def find_donors(
     present = np.array([member.present for member in others], dtype=bool).reshape(shape)
     refs = np.array([member.sample_ref for member in others], dtype=np.int64)
     rows = np.array([_absent_as_nan(member) for member in others], dtype=np.float64).reshape(shape)
-    dist = _distances_to_members(rows, present, _absent_as_nan(target), target.present)
+    dist = _distances_to_members(rows, _absent_as_nan(target))
     order = _neighbour_order(dist, refs)
     slot, valid = _donor_slots(present[order, position][:, None], k)
     return DonorSet(neighbors=[(int(refs[i]), float(dist[i])) for i in order[slot[valid]]])
@@ -236,18 +245,17 @@ def _check_alignment(dataset: Dataset, labels: PseudoLabels, side: str) -> None:
         raise LabelMismatch(f"{side} labels are not aligned with the {side} dataset")
 
 
-def _distances_to_members(
-    member_rows: np.ndarray, member_present: np.ndarray, vector: np.ndarray, present: np.ndarray
-) -> np.ndarray:
-    """Masked distance from one target to every member row; positions with
-    no overlap come back as +inf.  The rows and the vector hold NaN exactly
-    where their present masks are False.  The arithmetic runs in float64
-    whatever the dtype of the member rows."""
+def _distances_to_members(member_rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Masked distance from one target to every member row; rows with no
+    overlap come back as +inf.  The rows and the vector hold NaN exactly
+    where a value is absent, so a position both have is one whose difference
+    is not NaN.  The arithmetic runs in float64 whatever the dtype of the
+    member rows."""
     sq = member_rows - np.asarray(vector, dtype=np.float64)
+    counts = sq.shape[1] - np.count_nonzero(np.isnan(sq), axis=1)
     sq *= sq
     np.fmax(sq, 0.0, out=sq)  # NaN, where either lacks the position, becomes +0.0
     ignored = sq.sum(axis=1)
-    counts = np.count_nonzero(member_present & present, axis=1)
     out = np.full(len(sq), np.inf)
     valid = counts > 0
     out[valid] = np.sqrt(sq.shape[1] / counts[valid] * ignored[valid])
@@ -261,8 +269,11 @@ def _neighbour_order(dist: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return order[np.isfinite(dist[order])]
 
 
-# A donor pool: member rows [n, L] float32 with NaN wherever a coordinate is
-# not finite, their present mask [n, L] and their sample indices [n].
+# A donor pool: member rows [n, L] float32 with NaN exactly where a value is
+# absent (an infinity included), their channel-0 presence [n, L/3], one bool
+# a joint instance, and their sample indices [n].  Holes and donors are joint
+# instances at channel-0 positions, so the shortlist, the candidate rule and
+# the fill read the mask; the distance kernels read presence from the NaN.
 Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Column width of one block of the bounds pass.  The products of one block of
@@ -271,14 +282,14 @@ Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 # which its thread pool makes such small products several times slower.
 # 2048-column blocks slowed the synth-default benchmark workload and raised
 # peak RSS on its 180-member coarse-sparse cluster.  Each side's float64
-# values and mask of one block, two buffers refilled per block, bound the
-# pass's working memory whatever L is: 0.7 MiB for those 180 members,
-# beside four [target, member] float64 arrays.  Against 512 columns, 256
+# values and presence of one block, two buffers refilled per block, bound
+# the pass's working memory whatever L is: 0.7 MiB for those 180 members,
+# beside three [target, member] float64 arrays.  Against 512 columns, 256
 # lowered coarse-sparse's `--json` peak from 49.4 to 48.2 MiB (medians of 7
-# runs), and the ROADMAP default's at one cluster from 131 to 127 MiB.  Each
-# block adds passes over the [target, member] arrays: the bounds of that
-# 1 000-member pool took 0.47 s, not 0.41, and of a 360-member 300-frame
-# cluster 0.30 s of CPU, not 0.28.
+# runs), and the ROADMAP default's at one cluster from 131 to 127 MiB, when
+# the pass held four such arrays.  Each block adds passes over the
+# [target, member] arrays: the bounds of that 1 000-member pool took 0.47 s,
+# not 0.41, and of a 360-member 300-frame cluster 0.30 s of CPU, not 0.28.
 BLOCK_COLUMNS = 256
 
 # Bytes of one fill block's [candidate, hole] and [slot, hole] arrays: the
@@ -296,17 +307,18 @@ FILL_BYTES = 1 << 20
 def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
     """The pool of ``members`` of ``dataset``: its own rows, as a view, when
     they are every row in order, float32 and hold no infinity; otherwise a
-    copy with NaN wherever a coordinate is not finite.  No caller writes
-    into a pool's rows."""
+    copy with NaN wherever a coordinate is not finite, its infinities found
+    a block of samples at a time.  Beside the rows it holds only their
+    channel-0 mask.  No caller writes into a pool's rows."""
     n, *shape = dataset.data.shape
     rows = dataset.data.reshape(n, math.prod(shape))
     whole = np.array_equal(members, np.arange(n)) and rows.dtype == np.float32
-    if whole and not any(np.isinf(rows[block]).any() for block in sample_blocks(rows.shape)):
-        return rows, np.isfinite(rows), members
-    rows = rows[members].astype(np.float32, copy=False)
-    present = np.isfinite(rows)
-    rows[~present] = np.nan
-    return rows, present, members
+    if not whole or any(np.isinf(rows[block]).any() for block in sample_blocks(rows.shape)):
+        rows = rows[members].astype(np.float32, copy=False)
+        for block in sample_blocks(rows.shape):
+            part = rows[block]
+            part[np.isinf(part)] = np.nan
+    return rows, np.isfinite(rows[:, : rows.shape[1] // 3]), members
 
 
 def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -314,105 +326,121 @@ def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
     return {label: np.flatnonzero(labels == label) for label in sorted(set(labels.tolist()))}
 
 
-def _blocks(rows: np.ndarray, present: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each block of ``BLOCK_COLUMNS`` columns of ``rows`` [n, L], its
-    float64 values with 0 where ``present`` is False and ``present`` as 0
-    or 1, in two buffers that every block refills, so the caller may square
-    the values in place."""
+def _blocks(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each block of ``BLOCK_COLUMNS`` columns of ``rows`` [n, L], which
+    hold NaN exactly where a value is absent, its float64 values with 0
+    where absent and its presence as 0 or 1, in two buffers that every block
+    refills, so the caller may square the values in place.  A narrower last
+    block takes the head of each buffer, so it too is C-contiguous and
+    matmul hands it to BLAS without a copy."""
     width = min(BLOCK_COLUMNS, rows.shape[1])
-    buffers = [np.empty((len(rows), width)) for _ in range(2)]
+    buffers = [np.empty(len(rows) * width) for _ in range(2)]
     for start in range(0, rows.shape[1], width):
         cols = slice(start, start + width)
-        v, pv = (buffer[:, :min(width, rows.shape[1] - start)] for buffer in buffers)
-        np.copyto(pv, present[:, cols])
+        shape = (len(rows), min(width, rows.shape[1] - start))
+        v, pv = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
+        present = np.isfinite(rows[:, cols])
+        np.copyto(pv, present)
         v.fill(0.0)
-        np.copyto(v, rows[:, cols], where=present[:, cols])
+        np.copyto(v, rows[:, cols], where=present)
         yield v, pv
 
 
-def _distance_bounds(targets: Pool, pool: Pool) -> tuple[np.ndarray, np.ndarray]:
+def _distance_bounds(targets: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``lo``, ``hi`` [target, member] on the value whose square root
     ``_distances_to_members`` returns, ``length / counts * ignored``, for
-    every target row against every member row; +inf for both where the two
-    rows share no present coordinate.  ``lo`` is low enough that a row whose
-    distance rounds to the same float as another's is not cut off by it.
-    When ``targets`` is ``pool`` itself, each product of the pool with
-    itself is computed once."""
-    (a_rows, a_present, _), (b_rows, b_present, _) = targets, pool
-    shape, length = (a_rows.shape[0], b_rows.shape[0]), a_rows.shape[1]
-    total, x, c, product = (np.zeros(shape) for _ in range(4))
-    members = _blocks(b_rows, b_present)
-    if targets is pool:
-        pairs = ((block, block) for block in members)
-    else:
-        pairs = zip(_blocks(a_rows, a_present), members)
+    every row of ``targets`` against every row of ``members``, both [n, L]
+    rows with NaN exactly where a value is absent; +inf for both where the
+    two rows share no present coordinate.  ``lo`` is low enough that a row
+    whose distance rounds to the same float as another's is not cut off by
+    it.  When ``targets`` is ``members`` itself, each product of the rows
+    with themselves is computed once.  Three [target, member] float64 arrays
+    are live at once: the sum ``s``, the overlap counts ``c`` and the
+    product buffer."""
+    shape, length, same = (len(targets), len(members)), targets.shape[1], targets is members
+    s, c, product = (np.zeros(shape) for _ in range(3))
+    # each row's sum of squares over its present positions
+    a_squares = np.zeros(shape[0])
+    b_squares = a_squares if same else np.zeros(shape[1])
+    blocks = _blocks(members)
+    pairs = ((block, block) for block in blocks) if same else zip(_blocks(targets), blocks)
     # with no target (rate 0) or no member there is nothing to bound
     for (a, pa), (b, pb) in pairs if all(shape) else ():
-        x += np.matmul(a, b.T, out=product)
         c += np.matmul(pa, pb.T, out=product)
+        np.matmul(a, b.T, out=product)
+        product *= -2.0
+        s += product
         a *= a  # the values' squares from here, in place
-        if targets is pool:
-            total += np.matmul(a, pb.T, out=product)
-            total += product.T
+        a_squares += a.sum(axis=1)
+        s += np.matmul(a, pb.T, out=product)
+        if same:
+            s += product.T
         else:
             b *= b
-            total += np.matmul(a, pb.T, out=product)
-            total += np.matmul(pa, b.T, out=product)
+            b_squares += b.sum(axis=1)
+            s += np.matmul(pa, b.T, out=product)
     # Proof.  u = 2**-53 and g(n) = n*u / (1 - n*u).  Over the c positions
     # both rows have, with values a of the target and b of the member, let
-    # S = sum((b - a)**2) and T = sum(a**2 + b**2), so S <= 2T.  The rows are
-    # float32, so every a*a, b*b and a*b is exact in float64, c is an exact
-    # count, and nothing comes near float64's underflow or overflow.
+    # S = sum((b - a)**2) and T = sum(a**2 + b**2), so S <= 2T.  Let Ra be
+    # the sum of a**2 over every position the target has, and Rb that of
+    # b**2 over the member's, so T <= Ra + Rb.  The rows are float32, so
+    # every a*a, b*b and a*b is exact in float64, c is an exact count, and
+    # nothing comes near float64's underflow or overflow.  L is below 2**40.
     # 1. The exact pass rounds b - a, its square, and then L additions in
     #    some order, so its sum I obeys |I - S| <= g(L+2) S <= 2 g(L+2) T.
-    # 2. total is a float64 sum of the 2c exact terms a*a and b*b and of
-    #    exact zeros: per block, the products (A*A) P_m^T and P_t (B*B)^T,
-    #    or q and q^T with q = (B*B) P_m^T when the targets are the pool,
-    #    since then the second is the first transposed.  2x is the sum of
-    #    the terms 2ab exactly, as scaling by 2 is exact.  So s = total - 2x
-    #    adds the 3c exact terms a*a, b*b, -2ab and exact zeros in some order
-    #    of float64 additions, whatever the BLAS kernel, the block order and
-    #    the order of the products (an FMA rounds once), and |s - S| <= g(3L)
-    #    2T, as |2ab| <= a*a + b*b.  total adds nonnegative terms, so T <=
-    #    total / (1 - g(2L)).
-    # 3. The exact pass's value is v = fl(r I), with r = fl(L / c) the same
+    # 2. s is a float64 sum of the 3c exact terms a*a, b*b and -2ab (scaling
+    #    a sum by -2 is exact) and of exact zeros: per block, the products
+    #    (A*A) P_m^T and P_t (B*B)^T, or q and q^T with q = (B*B) P_m^T when
+    #    the targets are the members, since then the second is the first
+    #    transposed.  It adds them in some order of float64 additions,
+    #    whatever the BLAS kernel, the block order and the order of the
+    #    products (an FMA rounds once), so |s - S| <= g(3L) 2T, as |2ab| <=
+    #    a*a + b*b, and |s| <= 3T.
+    # 3. The row sums ra and rb add the exact terms a*a and b*b, all >= 0,
+    #    so ra >= (1 - g(L)) Ra and so for rb.  With K = 32 (L+2) u, exact,
+    #    ea = fl(K ra) and eb = fl(K rb) add up to e >= K (1 - u) (1 - g(L))
+    #    (Ra + Rb) >= K (1 - g(L+1)) T.
+    # 4. hi = fl(r h) with h = fl(fl(s + ea) + eb), and lo = fl(r max(l, 0))
+    #    with l = fl(fl(s - ea) - eb).  Two roundings leave h and l within
+    #    3u (|s| + e) of s + e and s - e, so h >= s + m and l <= s - m, with
+    #    m = (1 - 3u) e - 3u |s|.
+    # 5. The exact pass's value is v = fl(r I), with r = fl(L / c) the same
     #    float as here, and the distance is fl(sqrt(v)).  Rounding is
-    #    monotone and I is a float, so hi = fl(r fl(s + err)) >= v once err
-    #    >= |I - s|.  Sorting compares fl(sqrt(v)), and fl(sqrt(v')) <=
-    #    fl(sqrt(v)) implies v' <= v / (1 - 4u); so each lo must be at most
-    #    (1 - 4u) v.  lo <= r (s - err) (1 + u)**2, v >= r I (1 - u), and
-    #    (1 - 7u) (1 + u)**2 <= (1 - 4u) (1 - u), so err >= |I - s| + 7u I
-    #    is enough.
-    # 4. By 1 and 2, with I <= 2 (1 + g(L+2)) T: |I - s| + 7u I <= (g(8L+4)
-    #    + g(14)) (1 + g(L+2)) T <= g(9L+20) T <= g(11L+21) (1 - u) total,
-    #    by 2's bound on T, so err = fl(32 (L+2) u total) >= g(16L+32) (1 - u)
-    #    total is enough.
-    # In place: x becomes s and then hi, total err, c the ratio r, and
-    # the product buffer lo.
+    #    monotone and I is a float, so hi >= v once m >= |I - s|.  Sorting
+    #    compares fl(sqrt(v)), and fl(sqrt(v')) <= fl(sqrt(v)) implies v' <=
+    #    v / (1 - 4u); so each lo must be at most (1 - 4u) v.  lo is 0 when
+    #    l <= 0, else lo <= r (s - m) (1 + u); v >= r I (1 - u), and (1 - 7u)
+    #    (1 + u) <= (1 - 4u) (1 - u), so m >= |I - s| + 7u I is enough.
+    # 6. By 1 and 2, with I <= 2 (1 + g(L+2)) T: |I - s| + 7u I + 3u |s| <=
+    #    (g(8L+4) + g(23)) (1 + g(L+2)) T <= g(9L+29) T, which by 3 is at
+    #    most (1 - 3u) e, as 32 (L+2) (1 - g(L+4)) >= 2 (9L+29) >= (9L+29) /
+    #    (1 - (9L+29) u) for L below 2**40.  So m >= |I - s| + 7u I.
+    # In place: c becomes the ratio r, the product buffer hi, and s lo.
     apart = c == 0
-    x *= -2.0
-    x += total
-    total *= 32 * (length + 2) * 2.0**-53
     np.maximum(c, 1.0, out=c)
     np.divide(length, c, out=c)
-    lo = np.subtract(x, total, out=product)
-    np.maximum(lo, 0.0, out=lo)
+    margin = 32 * (length + 2) * 2.0**-53
+    ea, eb = margin * a_squares, margin * b_squares
+    hi = np.add(s, ea[:, None], out=product)
+    hi += eb
+    s -= ea[:, None]
+    s -= eb
+    lo = np.maximum(s, 0.0, out=s)
     lo *= c
-    x += total
-    x *= c
-    lo[apart] = x[apart] = np.inf
-    return lo, x
+    hi *= c
+    lo[apart] = hi[apart] = np.inf
+    return lo, hi
 
 
 def _shortlist(present: np.ndarray, holes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                k: int) -> np.ndarray:
-    """The rows, of more than 4k ``present`` rows [member, L], that can be
-    among the first k rows with a hole's position present in neighbour
-    order, for some of the target's ``holes``, given each row's ``lo`` and
-    ``hi`` from ``_distance_bounds``.  At least k usable rows of a hole lie
-    within its k-th smallest ``hi``, its limit, so a row whose ``lo``
-    exceeds that comes after the hole's k-th donor; with fewer than k
-    usable rows every one is kept."""
+    """The rows, of more than 4k rows of the channel-0 mask ``present``
+    [member, L/3], that can be among the first k rows with a hole's position
+    present in neighbour order, for some of the target's ``holes``, given
+    each row's ``lo`` and ``hi`` from ``_distance_bounds``.  At least k
+    usable rows of a hole lie within its k-th smallest ``hi``, its limit, so
+    a row whose ``lo`` exceeds that comes after the hole's k-th donor; with
+    fewer than k usable rows every one is kept."""
     finite = np.isfinite(lo)  # a row with no overlap has no distance
     # a hole's limit is the hi of its k-th usable row in ascending hi; look
     # for it among the 4k rows of least hi, and partition only for the
@@ -503,31 +531,35 @@ def _fill_targets(targets: list[_Target], pool: Pool, k: int, trace: dict | None
     """Fill ``targets`` from ``pool``, in place.  ``dataset`` is the test
     split they come from; without it they are the pool's own members, in
     its order, so each target's row is a pool row, and the distance of each
-    pair of them is computed once."""
+    pair of them is computed once.  Every target's candidates are found
+    first, so that no [target, member] array of the bounds outlives them."""
     holed = [r for r, target in enumerate(targets) if target.holes.size]
     if not holed:
         return
     if dataset is None:
-        rows, at = pool, holed
+        rows, at = pool[0], holed
     else:
-        rows = _pool(dataset, np.array([targets[r].index for r in holed], dtype=np.intp))
+        rows = _pool(dataset, np.array([targets[r].index for r in holed], dtype=np.intp))[0]
         at = range(len(holed))
-    bounds = _distance_bounds(rows, pool) if pool[2].size > 4 * k else None
-    # the distances computed so far between the pool's own rows
-    known = np.full((pool[2].size,) * 2, np.nan) if dataset is None else None
+    chosen = [targets[r] for r in holed]
+    if pool[2].size > 4 * k:
+        lo, hi = _distance_bounds(rows, pool[0])
+        shortlists = [_shortlist(pool[1], target.holes, lo[r], hi[r], k) for target, r in zip(chosen, at)]
+        del lo, hi
+    else:  # a pool of at most 4k rows: every usable row is a candidate
+        shortlists = [np.flatnonzero(pool[1][:, target.holes].any(axis=1)) for target in chosen]
+    # (j, r) -> the distance between pool rows r and j that target r computed
+    # for target j, which comes later: d(r, j) and d(j, r) are the same float
+    known: dict[tuple[int, int], float] = {}
     block, width, size = [], 0, 0  # the block's parts, its candidate axis and its holes
-    for target, r in zip((targets[r] for r in holed), at):
-        if bounds is None:  # a pool of at most 4k rows: every usable row is a candidate
-            rows_in = np.flatnonzero(pool[1][:, target.holes].any(axis=1))
-        else:
-            rows_in = _shortlist(pool[1], target.holes, bounds[0][r], bounds[1][r], k)
-        if known is None:
-            dist = _distances_to_members(pool[0][rows_in], pool[1][rows_in], rows[0][r], rows[1][r])
-        else:  # d(r, j) and d(j, r) are the same float: each pair is computed once
-            new = rows_in[np.isnan(known[r, rows_in])]
-            known[r, new] = known[new, r] = _distances_to_members(
-                pool[0][new], pool[1][new], rows[0][r], rows[1][r])
-            dist = known[r, rows_in]
+    for target, r, rows_in in zip(chosen, at, shortlists):
+        dist = np.full(rows_in.size, np.nan)
+        if dataset is None:
+            dist[:] = [known.pop((r, j), np.nan) for j in rows_in.tolist()]
+        new = np.isnan(dist)
+        dist[new] = _distances_to_members(pool[0][rows_in[new]], rows[r])
+        if dataset is None:
+            known.update(((j, r), d) for j, d in zip(rows_in[new].tolist(), dist[new].tolist()) if j > r)
         order = _neighbour_order(dist, pool[2][rows_in])
         cand, start = (rows_in[order], dist[order]), 0
         while start < target.holes.size:

@@ -276,6 +276,19 @@ def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
     }
 
 
+# The artifacts each stage may write, besides its manifest: a directory at
+# any of them is refused before the stage writes anything
+OUTPUTS = {
+    "ingest": ("train", "test"),
+    "synth": ("train", "test"),
+    "occlude": ("train_occluded", "test_occluded"),
+    "embed": ("emb_train", "emb_test"),
+    "cluster": ("model", "labels_train", "labels_test"),
+    "impute": ("train_imputed", "test_imputed", "imputation_report"),
+    "eval": ("eval_json", "eval_csv"),
+}
+
+
 # What one ``run_pipeline`` hands from stage to stage.  Dataset path ->
 # (SHA-256 of the file as written, the dataset a read of it returns); after
 # occlude, clean split path -> ((SHA-256 of the clean file, of the occluded
@@ -288,14 +301,18 @@ class _StageFiles:
     outputs its manifest lists, the SHA-256 of each file taken so far, and
     the hand-off table (None for a stage run on its own).  Keys name
     artifacts in :func:`artifact_paths`; a dataset's key starts with its
-    split."""
+    split.  A workdir that is a file, and a directory where the stage may
+    write a file, are refused here, before the stage writes anything."""
 
     def __init__(self, config: PipelineConfig, stage: str, handoff: Handoff | None):
         work = config.workpath()
-        if work.exists() and not work.is_dir():  # refused before the stage writes into it
+        if work.exists() and not work.is_dir():
             raise ConfigError(f"workdir {work} is not a directory")
         self.config, self.stage, self.handoff = config, stage, handoff
         self.paths = artifact_paths(config)
+        for path in [*(self.paths[key] for key in OUTPUTS[stage]), work / f"manifest_{stage}.json"]:
+            if path.is_dir():
+                raise ConfigError(f"{stage}: output {path} is a directory, not a file")
         self.inputs: set[Path] = set()
         self.outputs: list[Path] = []
         self.digests: dict[Path, str] = {}
@@ -372,15 +389,10 @@ class _StageFiles:
         return occlusion.OcclusionRecord.between(clean, occluded)
 
     def output(self, key: str) -> Path:
-        """List the output ``key`` and return its path, refused while a
-        directory stands there, as the manifest's is."""
-        self.outputs.append(self._writable(self.paths[key]))
+        """List the output ``key``, one of the stage's :data:`OUTPUTS`, and
+        return its path."""
+        self.outputs.append(self.paths[key])
         return self.paths[key]
-
-    def _writable(self, path: Path) -> Path:
-        if path.is_dir():  # refused before the stage opens it
-            raise ConfigError(f"{self.stage}: output {path} is a directory, not a file")
-        return path
 
     def finish(self, params: dict, **summary) -> dict:
         """Write the stage's manifest, hashing each listed file not hashed
@@ -394,7 +406,7 @@ class _StageFiles:
         config_hash = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
         manifest = {"stage": self.stage, "config_hash": config_hash, "params": params,
                     "inputs": listing(self.inputs), "outputs": listing(self.outputs)}
-        self._writable(work / f"manifest_{self.stage}.json").write_text(
+        (work / f"manifest_{self.stage}.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         return {"stage": self.stage, "outputs": [str(p) for p in self.outputs], **summary}
 

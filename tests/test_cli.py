@@ -13,7 +13,7 @@ import pytest
 from conftest import capture_text, write_two_body_captures
 from skelfill import Dataset, formats
 from skelfill.cli import build_parser, main
-from skelfill.pipeline import PipelineConfig, artifact_paths
+from skelfill.pipeline import OUTPUTS, PipelineConfig, artifact_paths
 
 SMALL = [
     "--classes", "3", "--per-class", "4", "--test-per-class", "2",
@@ -509,8 +509,32 @@ def test_a_directory_in_place_of_a_file_exits_with_its_code(tmp_path, capsys, st
             else f"{stage}: output {bad} is a directory, not a file") in err
     assert bad.is_dir() and not list(bad.iterdir())
     assert not manifest.is_file()
-    # eval writes its JSON report before its CSV one, and nothing before its inputs are read
-    assert (work / "eval_report.json").exists() == (name == "eval_report.csv")
+    # eval writes its JSON report before its CSV one, but only once neither is a directory
+    assert not (work / "eval_report.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["ingest", "synth", "occlude", "embed", "cluster", "impute", "eval"])
+def test_a_directory_at_a_later_output_is_refused_before_any_write(tmp_path, capsys, stage):
+    # the stage's last output is a directory, and its earlier outputs and its
+    # manifest are gone: it exits 2 and writes none of them back
+    write_two_body_captures(tmp_path / "captures")
+    work = tmp_path / "work"
+    flags = ["--workdir", str(work), "--seed", "1"]
+    assert main(["pipeline", "--clusters", "3"] + flags + SMALL) == 0
+    paths = artifact_paths(PipelineConfig(workdir=str(work)))
+    *earlier, last = (paths[key] for key in OUTPUTS[stage])
+    last.unlink()
+    last.mkdir()
+    gone = earlier + [work / f"manifest_{stage}.json"]
+    for path in gone:
+        path.unlink(missing_ok=True)  # ingest's manifest: the pipeline ran synth
+    argv = {"ingest": ["--input", str(tmp_path / "captures"), "--target-frames", "6", "--test-frac", "0.4"],
+            "synth": SMALL, "cluster": ["--clusters", "3"]}.get(stage, [])
+    capsys.readouterr()
+    assert main([stage] + flags + argv) == 2
+    assert f"{stage}: output {last} is a directory, not a file" in capsys.readouterr().err
+    assert last.is_dir() and not list(last.iterdir())
+    assert not any(path.exists() for path in gone)
 
 
 def test_an_external_embedding_file_needs_the_external_source(tmp_path, capsys):

@@ -447,11 +447,11 @@ def shortlist_corpus(offset: float, seed: int) -> Dataset:
 def full_pool_fill(seq, pool, k):
     """A target's filled data and donors from ``fill_one_target_ref`` on
     every row of the pool, and its candidates' distances in neighbour order."""
-    rows, member_present, refs = pool
+    rows, _, refs = pool
     donors: dict = {}
     data, _ = fill_one_target_ref(seq, rows, refs, k, donors)
     flat = np.where(np.isfinite(seq.data), seq.data, np.nan).astype(np.float32).reshape(-1)
-    dist = imputation._distances_to_members(rows, member_present, flat, np.isfinite(flat))
+    dist = imputation._distances_to_members(rows, flat)
     return data, donors, np.sort(dist[np.isfinite(dist)])
 
 
@@ -477,26 +477,87 @@ def test_shortlist_gives_the_full_pool_donors(offset, k):
     assert ties and (short or k == 1) and (near or offset)  # the corpus has what it claims
 
 
+def bounds_rows(kind: str, rng) -> np.ndarray:
+    """Float32 rows [n, L] with NaN where a value is absent, of one kind the
+    bounds' error term must cover: rows that overlap in few positions, where
+    each row's own sum of squares far exceeds the overlap's, and rows of
+    magnitudes near 1e30 or 1e-30, which hold values of both signs."""
+    n, length = 40, 3 * 6 * 5 * 2
+    if kind == "few-overlap":
+        rows = np.full((n, length), np.nan, dtype=np.float32)
+        rows[:, :6] = rng.uniform(-1, 1, size=(n, 6))  # the positions rows share, small
+        for row in rows:  # and large values at 30 positions of 15..L-1, few shared
+            own = 15 + rng.choice(length - 15, size=30, replace=False)
+            row[own] = rng.uniform(-1e3, 1e3, size=own.size)
+        # rows 1 to 3 share nothing with the others; rows 2 and 3 share 6..11
+        rows[1:4] = np.nan
+        rows[1, 12:15] = rng.uniform(-1e3, 1e3, size=3)
+        rows[2:4, 6:12] = rng.uniform(-1e3, 1e3, size=(2, 6))
+        return rows
+    scale = float(kind.split("-", 1)[1])
+    rows = (scale * rng.uniform(-1, 1, size=(n, length))).astype(np.float32)
+    rows[5] = rows[4] * np.float32(1 + 2.0**-20)  # nearly equal rows
+    rows[rng.random((n, length)) < 0.3] = np.nan
+    return rows
+
+
+def assert_bounds_hold(targets, members):
+    lo, hi = imputation._distance_bounds(targets, members)
+    assert lo.shape == hi.shape == (len(targets), len(members))
+    for target, (row_lo, row_hi) in enumerate(zip(lo, hi)):
+        # the value the loop takes the square root of, as it computes it
+        vector = targets[target].astype(np.float64)
+        both = ~np.isnan(members) & ~np.isnan(vector)
+        counts = both.sum(axis=1)
+        diff = np.where(both, members - vector, 0.0)
+        ignored = (diff * diff).sum(axis=1)
+        valid = counts > 0
+        value = members.shape[1] / counts[valid] * ignored[valid]
+        dist = imputation._distances_to_members(members, vector)
+        assert bits_equal(np.sqrt(value), dist[valid])
+        assert (row_lo[valid] <= value).all() and (value <= row_hi[valid]).all()
+        assert np.isinf(row_lo[~valid]).all() and np.isinf(row_hi[~valid]).all()
+    return lo, hi
+
+
 def test_distance_bounds_hold_for_every_pair():
-    for offset in (0.0, 1e4):
-        dataset = shortlist_corpus(offset, seed=151)
-        pool = imputation._pool(dataset, np.arange(len(dataset.samples)))
-        rows, member_present, _ = pool
-        lo, hi = imputation._distance_bounds(pool, pool)
-        for target, (row_lo, row_hi) in enumerate(zip(lo, hi)):
-            # the value the loop takes the square root of, as it computes it
-            vector = rows[target].astype(np.float64)
-            both = member_present & member_present[target]
-            counts = both.sum(axis=1)
-            diff = np.where(both, rows - vector, 0.0)
-            ignored = (diff * diff).sum(axis=1)
-            valid = counts > 0
-            value = rows.shape[1] / counts[valid] * ignored[valid]
-            dist = imputation._distances_to_members(rows, member_present, vector, member_present[target])
-            assert bits_equal(np.sqrt(value), dist[valid])
-            assert (row_lo[valid] <= value).all() and (value <= row_hi[valid]).all()
-            assert np.isinf(row_lo[~valid]).all() and np.isinf(row_hi[~valid]).all()
-        assert np.isinf(lo[0, -1])  # the row apart from row 0
+    # each kind of rows against itself, and a third of its rows, a copy,
+    # against all of them, so the bounds run both ways
+    rng = np.random.default_rng(197)
+    for kind in ("offset-0", "offset-1e4", "few-overlap", "scale-1e30", "scale-1e-30"):
+        if kind.startswith("offset"):
+            dataset = shortlist_corpus(float(kind.split("-")[1]), seed=151)
+            rows = imputation._pool(dataset, np.arange(len(dataset.samples)))[0]
+        else:
+            rows = bounds_rows(kind, rng)
+        lo, _ = assert_bounds_hold(rows, rows)
+        assert_bounds_hold(rows[::3].copy(), rows)
+        if kind.startswith("offset"):
+            assert np.isinf(lo[0, -1])  # the row apart from row 0
+        elif kind == "few-overlap":
+            assert np.isinf(lo[1:4, 4:]).all() and np.isfinite(lo[2, 3])
+
+
+def test_distance_bounds_hold_three_target_member_arrays():
+    # besides its two block buffers a side, the pass holds the sum, the
+    # overlap counts and the product buffer, [target, member] float64 each,
+    # and the bool of which pairs share nothing
+    rng = np.random.default_rng(199)
+    members = rng.uniform(-1, 1, size=(600, 300)).astype(np.float32)
+    members[rng.random(members.shape) < 0.2] = np.nan
+    width = min(imputation.BLOCK_COLUMNS, members.shape[1])
+    for targets in (members, members[:400].copy()):
+        sides = len(members) + len(targets) * (targets is not members)
+        cells = len(targets) * len(members)
+        tracemalloc.start()
+        try:
+            lo, hi = imputation._distance_bounds(targets, members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the buffers' values and presence, and one block's bool presence
+        buffers = sides * width * (8 + 8 + 1)
+        assert peak <= 3 * 8 * cells + cells + buffers + (1 << 17), peak
 
 
 def test_the_exact_pass_sees_a_shortlist(monkeypatch):
@@ -520,7 +581,8 @@ def test_a_whole_float32_split_without_infinity_is_its_own_pool():
     split = as_dataset(arrays, "s")
     rows, present, _ = imputation._pool(split, np.arange(6))
     assert np.shares_memory(rows, split.data)
-    assert bits_equal(present, np.isfinite(rows))
+    # one bool a joint instance: channel 0's presence
+    assert bits_equal(present, np.isfinite(rows[:, : rows.shape[1] // 3]))
     # a part of the split, its rows out of order, an infinity and float64
     # data each get a float32 copy with NaN wherever a value is not finite
     with_inf = [data.copy() for data in arrays]
@@ -531,8 +593,9 @@ def test_a_whole_float32_split_without_infinity_is_its_own_pool():
         rows, present, refs = imputation._pool(dataset, members)
         want = dataset.data.reshape(len(dataset.samples), -1)[members].astype(np.float32)
         assert not np.shares_memory(rows, dataset.data)
-        assert bits_equal(present, np.isfinite(want)) and bits_equal(refs, members)
-        assert bits_equal(rows, np.where(present, want, np.float32(np.nan)))
+        assert bits_equal(present, np.isfinite(want[:, : want.shape[1] // 3]))
+        assert bits_equal(refs, members)
+        assert bits_equal(rows, np.where(np.isfinite(want), want, np.float32(np.nan)))
 
 
 def test_impute_dataset_leaves_its_inputs_bit_identical():
@@ -552,10 +615,13 @@ def test_impute_dataset_leaves_its_inputs_bit_identical():
 
 def test_one_cluster_imputes_within_a_bounded_transient():
     # 120 samples in one cluster, so the bounds pass runs on the whole split.
-    # In units of the split's bytes, the peak, 3.4, holds the filled copy
-    # (1), the present mask (1/4), the bounds pass's two block buffers (2/3)
-    # and its four [member, member] arrays (2/3); a third block buffer would
-    # add 1/3 more, and a copy of the pool 5/4
+    # In units of the split's bytes, the peak, 2.83, is a fill block's: the
+    # filled copy and the targets' holes (1.14), the channel-0 mask (1/12)
+    # and FILL_BYTES of block arrays (1.46).  The bounds pass before it
+    # peaks at 2.54, with its two block buffers (2/3) and its three
+    # [member, member] arrays (1/2).  A per-scalar mask would add 1/6 more,
+    # a [member, member] table kept through the fill 1/6, and a copy of the
+    # pool 13/12
     clean = make_corpus(classes=10, per_class=12, frames=20, seed=173)
     dataset, _ = occlude_random(clean, rate=0.05, seed=173)
     labels = labels_for(dataset, [0] * len(dataset.samples))
@@ -566,7 +632,40 @@ def test_one_cluster_imputes_within_a_bounded_transient():
     finally:
         tracemalloc.stop()
     assert report.totals().imputed == report.totals().missing > 0
-    assert peak <= 3.5 * dataset.data.nbytes
+    assert peak <= 2.9 * dataset.data.nbytes
+
+
+def test_pools_built_at_once_in_two_threads_add_their_rows_and_a_mask(monkeypatch):
+    # two clusters, each a part of the split, so each pool is a copy,
+    # filled by two threads.  Both tasks build their pools at once, while
+    # the calling thread waits on them: the pools add their float32 rows and
+    # one bool a joint instance
+    rng = np.random.default_rng(193)
+    train = as_dataset(random_arrays(rng, 40, shape=(3, 20, 25, 2)), "tr")
+    length = train.data[0].size
+    marks = []
+
+    def mark():
+        marks.append(tracemalloc.get_traced_memory()[0])
+
+    both, build = threading.Barrier(2, action=mark, timeout=60), imputation._pool
+
+    def pool(dataset, members):
+        both.wait()
+        out = build(dataset, members)
+        both.wait()
+        return out
+
+    monkeypatch.setattr(imputation, "_pool", pool)
+    tracemalloc.start()
+    try:
+        _, _, report = impute_dataset(train, labels_for(train, [i % 2 for i in range(40)]), k=3, threads=2)
+    finally:
+        tracemalloc.stop()
+    assert report.totals().imputed > 0
+    before, after = marks
+    pools = 40 * (4 * length + length // 3)  # two pools of 20 rows: float32, and a bool an instance
+    assert pools <= after - before <= pools + 4096
 
 
 @pytest.mark.parametrize("fill_bytes", [1, 6000])
