@@ -18,9 +18,10 @@ split, each with its record.  The report scores each split on its own and
 the splits together.
 
 Scoring and the baseline go over blocks of whole recorded samples
-(``RECORD_ROWS``), and the channel ranges and hole counts over blocks of
-samples (``RANGE_BLOCK``).  So beside the splits and records it reads, eval
-holds one block's arrays at a time, and no filled copy of a split.
+(``RECORD_ROWS``), and the channel ranges over blocks of samples
+(``RANGE_BLOCK``).  So beside the splits and records it reads, eval holds
+one block's arrays at a time, and of a split no filled copy but one
+sample's.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class EvalReport(SplitScores):
         return ["" if value is None else repr(value) for value in values]
 
 
-# Scalars of the samples that one step of the range and of the hole counts
-# covers: a block's masks stay a few hundred KiB whatever the split's size.
+# Scalars of the samples that one step of the channel ranges covers: a
+# block's masks stay a few hundred KiB whatever the split's size.
 # Reducing the blocks in place, the range of the 300-frame train split took
 # 6 ms, against 80 ms with a float32 copy of each block.
 RANGE_BLOCK = 1 << 18
@@ -145,15 +146,6 @@ def _channel_ranges(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.where(seen, lo, 0.0), np.where(seen, hi, 0.0)
 
 
-def _hole_counts(data: np.ndarray) -> np.ndarray:
-    """[N, 3]: the NaN scalars of each channel of each sample of ``data``."""
-    counts = np.empty(data.shape[:2], dtype=np.intp)
-    for rows in sample_blocks(data.shape, RANGE_BLOCK):
-        block = data[rows]
-        counts[rows] = np.count_nonzero(np.isnan(block).reshape(*block.shape[:2], -1), axis=2)
-    return counts
-
-
 def _record_blocks(record: OcclusionRecord) -> Iterator[tuple[slice, np.ndarray, slice]]:
     """Blocks of whole recorded samples, in record order: each block's slice
     of ``record.sample_ids``, its samples' ends from the start of its record
@@ -171,60 +163,36 @@ def _record_blocks(record: OcclusionRecord) -> Iterator[tuple[slice, np.ndarray,
             first = last
 
 
-def _at(data: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """[n, 3]: the values of ``data`` at record rows ``index`` [n, 4], whose
-    samples are ``data``'s ``rows``."""
-    n, t, v, m = index.T
-    return data[rows[n], :, t, v, m]
-
-
 def impute_random_baseline(dataset: Dataset, record: OcclusionRecord, seed: int) -> Iterator[np.ndarray]:
     """The seeded random fill of ``dataset`` at the rows of ``record``, whose
     instances it hides: the [n, 3] float32 values of each block of whole
     recorded samples, in record order, as :func:`mpjpe` scores them.  Every
     missing scalar draws uniformly from the dataset-wide [min, max] of its
     coordinate channel (present bodies only), and every scalar that is not
-    missing keeps its value.  The ranges and hole counts are taken by the
-    call, and each block is drawn as it is read, so one block's values are
-    held at a time.
+    missing keeps its value.  The ranges are taken by the call, and each
+    block is drawn as it is read, so one block's values are held at a time.
 
     Each recorded sample draws from its own stream
-    (:func:`occlusion.sample_rng`, keyed by its row of ``dataset``), channel
-    by channel, one value per missing scalar in C order: the draws of a fill
-    of the whole split, read off at the record's rows.  A sample whose
-    missing scalars are its recorded instances takes them in record order;
-    any other finds each instance's rank among its holes.
+    (:func:`occlusion.sample_rng`, keyed by its row of ``dataset``): a copy
+    of the sample is filled channel by channel, one value per missing scalar
+    in C order, as a fill of the whole split fills it, and is read at the
+    record's rows.
     """
     rows, (lo, hi) = record.rows_in(dataset), _channel_ranges(dataset)
-    holes = _hole_counts(dataset.data)[rows]  # [sample, channel]
 
     def draw(samples: slice, ends: np.ndarray, at: slice) -> np.ndarray:
         index = record.index[at]
-        values = _at(dataset.data, rows, index)  # the split's own, NaN where missing
-        missing = np.zeros((len(values) + 1, 3), dtype=np.intp)
-        np.cumsum(np.isnan(values), axis=0, out=missing[1:])
-        starts = np.concatenate(([0], ends[:-1]))
-        sizes = (ends - starts)[:, None]
-        # every hole of each channel is a recorded instance: the draws go in record order
-        ordered = ((missing[ends] - missing[starts] == sizes) & (holes[samples] == sizes)).all(axis=1)
-        for row, start, end, count, fast in zip(rows[samples].tolist(), starts.tolist(), ends.tolist(),
-                                                holes[samples].tolist(), ordered.tolist()):
+        values = np.empty((len(index), 3), dtype=dataset.data.dtype)
+        for row, start, end in zip(rows[samples].tolist(), [0, *ends[:-1].tolist()], ends.tolist()):
             if start == end:
                 continue
+            sample = dataset.data[row].copy()
             rng = sample_rng(dataset, seed, row)
-            for c in range(3):
-                if not count[c]:
-                    continue
-                draws = rng.uniform(lo[c], hi[c], size=count[c]).astype(np.float32)
-                if fast:
-                    values[start:end, c] = draws
-                    continue
-                # each recorded instance's rank among the channel's holes, in C order
-                place = np.flatnonzero(np.isnan(dataset.data[row, c]))
-                flat = np.ravel_multi_index(tuple(index[start:end, 1:].T), dataset.data.shape[2:])
-                rank = np.minimum(np.searchsorted(place, flat), place.size - 1)
-                hit = place[rank] == flat
-                values[start:end, c][hit] = draws[rank[hit]]
+            for c, channel in enumerate(sample):
+                holes = np.isnan(channel)
+                channel[holes] = rng.uniform(lo[c], hi[c], size=np.count_nonzero(holes)).astype(np.float32)
+            _, t, v, m = index[start:end].T
+            values[start:end] = sample[:, t, v, m].T
         return values
 
     return itertools.starmap(draw, _record_blocks(record))
@@ -238,7 +206,8 @@ def _sample_stats(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRe
     blocks = iter(recovered) if rows is None else None
     for _, ends, at in _record_blocks(record):
         if blocks is None:
-            values = _at(recovered.data, rows, record.index[at])
+            n, t, v, m = record.index[at].T
+            values = recovered.data[rows[n], :, t, v, m]
         else:
             values = next(blocks, None)
             if values is None or values.shape != (at.stop - at.start, 3):

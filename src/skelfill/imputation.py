@@ -27,25 +27,26 @@ NaN wherever one is, ``inf`` included, so the distance kernel adds
 position.  A donor's channel that is not finite (an instance every reader
 refuses) therefore fills NaN.
 
+Each split's rows are made once, in the calling thread: float32 with NaN
+exactly where a value is absent, which is the split's own memory unless it
+is not float32 or holds an infinity, and then one copy (``_rows``).  The
+fills go to a float32 copy of each split, and nothing writes into the rows.
 Each cluster is one task: it builds the cluster's pool once, fills the
 cluster's train members, then the test samples predicted into it, and drops
-the pool.  A pool holds its rows, float32 with NaN exactly where a value is
-absent, and one bool a joint instance: channel 0's presence, the only
-presence that the holes, the candidate rule, the shortlist and the fill
-read.  The distance kernels take each scalar's presence from the NaN in the
-rows they already hold: a position two rows share is one whose float64
-difference is not NaN.  The fills go to a float32 copy of each split, and
-nothing writes into a pool, so a pool that is a whole split, in order,
-float32 and free of infinity (K = 1) is that split's own rows, not a copy.
-A test label no train cluster has gets an empty pool.  Up to ``threads``
-workers run the tasks, never more than there are tasks, and a lone task
-runs in the calling thread.  A split's holes, missing counts and infinities
-are found a block of samples at a time, so the only masks impute holds of a
-whole split are its pools' channel-0 masks.  The train members are the
-pool's own rows, and ``d(i, j)`` is ``d(j, i)`` bit for bit (``fl(a - b)**2
-== fl(b - a)**2`` over the same positions in the same sum), so each of
-their pairs is computed once: the first of the two targets to need it keeps
-it, keyed by the pair, until the other reads it.
+the pool.  A pool is its members' indices into the train rows and one bool
+a joint instance: channel 0's presence, the only presence that the holes,
+the candidate rule, the shortlist and the fill read.  The distance kernels
+gather the rows they need through the indices, and take each scalar's
+presence from their NaN: a position two rows share is one whose float64
+difference is not NaN.  A test label no train cluster has gets an empty
+pool.  Up to ``threads`` workers run the tasks, never more than there are
+tasks, and a lone task runs in the calling thread.  A split's holes,
+missing counts and infinities are found a block of samples at a time, so
+the only masks impute holds of a whole split are its pools' channel-0
+masks.  ``d(i, j)`` is ``d(j, i)`` bit for bit (``fl(a - b)**2 == fl(b -
+a)**2`` over the same positions in the same sum), so each pair of a pool's
+own members is computed once: the first of the two targets to need it
+keeps it, keyed by the pair, until the other reads it.
 
 Each rule is stated once.  ``_distances_to_members`` gives a target's
 distances and ``_neighbour_order`` puts its candidates in neighbour order:
@@ -65,7 +66,7 @@ exactly what the engine does.
 Candidates come from one of two rules, chosen by the pool size.  A pool of
 at most 4k rows sends every row usable for some hole of the target to the
 exact pass.  A larger pool first runs the bounds pass once per task: matrix
-products over column blocks, each copied into two float64 buffers a side
+products over column blocks, each gathered into two float64 buffers a side
 (its values and its presence) that every block refills, accumulate, for
 every target with a hole against every pool row, the sum of ``a**2 + b**2 -
 2ab`` over the positions both have, and their count.  With each row's
@@ -269,11 +270,12 @@ def _neighbour_order(dist: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return order[np.isfinite(dist[order])]
 
 
-# A donor pool: member rows [n, L] float32 with NaN exactly where a value is
-# absent (an infinity included), their channel-0 presence [n, L/3], one bool
-# a joint instance, and their sample indices [n].  Holes and donors are joint
-# instances at channel-0 positions, so the shortlist, the candidate rule and
-# the fill read the mask; the distance kernels read presence from the NaN.
+# A donor pool: the rows [N, L] of the train split (``_rows``), its members'
+# channel-0 presence [n, L/3], one bool a joint instance, and their sample
+# indices [n] into those rows.  Holes and donors are joint instances at
+# channel-0 positions, so the shortlist, the candidate rule and the fill read
+# the mask; the distance kernels read presence from the NaN of the rows they
+# gather through the indices.
 Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Column width of one block of the bounds pass.  The products of one block of
@@ -303,22 +305,35 @@ BLOCK_COLUMNS = 256
 # higher, and 256 KiB one 0.25 MiB higher (medians of 6 runs).
 FILL_BYTES = 1 << 20
 
+# Scalars of one gather of a split's rows through a pool's indices, which
+# fills the pool's mask or the bounds pass's buffers: gathering a whole
+# [member, 256] block at once raised coarse-sparse's `--json` peak 0.35 MiB.
+GATHER_SCALARS = 1 << 14
 
-def _pool(dataset: Dataset, members: np.ndarray) -> Pool:
-    """The pool of ``members`` of ``dataset``: its own rows, as a view, when
-    they are every row in order, float32 and hold no infinity; otherwise a
-    copy with NaN wherever a coordinate is not finite, its infinities found
-    a block of samples at a time.  Beside the rows it holds only their
-    channel-0 mask.  No caller writes into a pool's rows."""
+
+def _rows(dataset: Dataset) -> np.ndarray:
+    """The rows [N, L] of ``dataset``, float32 with NaN exactly where a value
+    is absent: the split's own, as a view, when they are float32 and hold no
+    infinity, found a block of samples at a time; otherwise one copy with NaN
+    in place of each infinity.  Nothing writes into them."""
     n, *shape = dataset.data.shape
     rows = dataset.data.reshape(n, math.prod(shape))
-    whole = np.array_equal(members, np.arange(n)) and rows.dtype == np.float32
-    if not whole or any(np.isinf(rows[block]).any() for block in sample_blocks(rows.shape)):
-        rows = rows[members].astype(np.float32, copy=False)
+    if rows.dtype != np.float32 or any(np.isinf(rows[block]).any() for block in sample_blocks(rows.shape)):
+        rows = rows.astype(np.float32)
         for block in sample_blocks(rows.shape):
             part = rows[block]
             part[np.isinf(part)] = np.nan
-    return rows, np.isfinite(rows[:, : rows.shape[1] // 3]), members
+    return rows
+
+
+def _pool(rows: np.ndarray, members: np.ndarray) -> Pool:
+    """The pool of the rows ``members`` of a split's ``rows`` (``_rows``):
+    those rows themselves, not a copy, and beside them only the members'
+    channel-0 mask, gathered a few rows at a time."""
+    present = np.empty((members.size, rows.shape[1] // 3), dtype=bool)
+    for block in sample_blocks(present.shape, GATHER_SCALARS):
+        np.isfinite(rows[members[block], : present.shape[1]], out=present[block])
+    return rows, present, members
 
 
 def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -326,44 +341,49 @@ def _groups(labels: np.ndarray) -> dict[int, np.ndarray]:
     return {label: np.flatnonzero(labels == label) for label in sorted(set(labels.tolist()))}
 
 
-def _blocks(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each block of ``BLOCK_COLUMNS`` columns of ``rows`` [n, L], which
-    hold NaN exactly where a value is absent, its float64 values with 0
-    where absent and its presence as 0 or 1, in two buffers that every block
-    refills, so the caller may square the values in place.  A narrower last
-    block takes the head of each buffer, so it too is C-contiguous and
-    matmul hands it to BLAS without a copy."""
+def _blocks(rows: np.ndarray, index: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each block of ``BLOCK_COLUMNS`` columns of the rows ``index`` of
+    ``rows`` [N, L], which hold NaN exactly where a value is absent, their
+    float64 values with 0 where absent and their presence as 0 or 1, in two
+    buffers that every block refills, so the caller may square the values in
+    place.  Each block is gathered into the buffers a few rows at a time
+    (``GATHER_SCALARS``).  A narrower last block takes the head of each
+    buffer, so it too is C-contiguous and matmul hands it to BLAS without a
+    copy."""
     width = min(BLOCK_COLUMNS, rows.shape[1])
-    buffers = [np.empty(len(rows) * width) for _ in range(2)]
+    buffers = [np.empty(len(index) * width) for _ in range(2)]
     for start in range(0, rows.shape[1], width):
-        cols = slice(start, start + width)
-        shape = (len(rows), min(width, rows.shape[1] - start))
+        shape = (len(index), min(width, rows.shape[1] - start))
         v, pv = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
-        present = np.isfinite(rows[:, cols])
-        np.copyto(pv, present)
-        v.fill(0.0)
-        np.copyto(v, rows[:, cols], where=present)
+        for part in sample_blocks(shape, GATHER_SCALARS):
+            gathered = rows[index[part], start:start + shape[1]]
+            present = np.isfinite(gathered)
+            np.copyto(pv[part], present)
+            v[part] = 0.0
+            np.copyto(v[part], gathered, where=present)
         yield v, pv
 
 
-def _distance_bounds(targets: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distance_bounds(targets: tuple[np.ndarray, np.ndarray],
+                     members: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``lo``, ``hi`` [target, member] on the value whose square root
     ``_distances_to_members`` returns, ``length / counts * ignored``, for
-    every row of ``targets`` against every row of ``members``, both [n, L]
-    rows with NaN exactly where a value is absent; +inf for both where the
-    two rows share no present coordinate.  ``lo`` is low enough that a row
-    whose distance rounds to the same float as another's is not cut off by
-    it.  When ``targets`` is ``members`` itself, each product of the rows
-    with themselves is computed once.  Three [target, member] float64 arrays
-    are live at once: the sum ``s``, the overlap counts ``c`` and the
-    product buffer."""
-    shape, length, same = (len(targets), len(members)), targets.shape[1], targets is members
+    every row of ``targets`` against every row of ``members``, each a pair
+    ``(rows, index)``: the rows ``index`` of an [N, L] array with NaN exactly
+    where a value is absent.  Both are +inf where the two rows share no
+    present coordinate.  ``lo`` is low enough that a row whose distance
+    rounds to the same float as another's is not cut off by it.  When
+    ``targets`` is ``members`` itself, each product of the rows with
+    themselves is computed once.  Three [target, member] float64 arrays are
+    live at once: the sum ``s``, the overlap counts ``c`` and the product
+    buffer."""
+    shape, length, same = (len(targets[1]), len(members[1])), members[0].shape[1], targets is members
     s, c, product = (np.zeros(shape) for _ in range(3))
     # each row's sum of squares over its present positions
     a_squares = np.zeros(shape[0])
     b_squares = a_squares if same else np.zeros(shape[1])
-    blocks = _blocks(members)
-    pairs = ((block, block) for block in blocks) if same else zip(_blocks(targets), blocks)
+    blocks = _blocks(*members)
+    pairs = ((block, block) for block in blocks) if same else zip(_blocks(*targets), blocks)
     # with no target (rate 0) or no member there is nothing to bound
     for (a, pa), (b, pb) in pairs if all(shape) else ():
         c += np.matmul(pa, pb.T, out=product)
@@ -496,7 +516,7 @@ def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray, np.ndarray]],
     are the block's holes, part by part; the candidate axis is as wide as
     the longest candidate list, the others padded with candidates that are
     never usable."""
-    rows, present, refs = pool
+    rows, present, members = pool
     width = max(cand.size for _, _, cand, _ in block)
     cand = np.zeros((width, len(block)), dtype=np.intp)
     dist = np.full((width, len(block)), np.inf)
@@ -509,7 +529,7 @@ def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray, np.ndarray]],
     slot, valid = _donor_slots(usable, k)  # [slot, hole]
     found = valid[0] if width else np.zeros(holes.size, dtype=bool)
     slot, valid, owner, holes = slot[:, found], valid[:, found], owner[found], holes[found]
-    donors = cand[slot, owner]
+    donors = members[cand[slot, owner]]  # [slot, hole] sample indices
     pos = np.arange(3)[:, None] * (rows.shape[1] // 3) + holes  # [channel, hole]
     values = rows[donors[:, None, :], pos]  # [slot, channel, hole] float32
     fill = _slot_fill(dist[slot, owner], valid, values)
@@ -523,44 +543,43 @@ def _fill_block(block: list[tuple[_Target, np.ndarray, np.ndarray, np.ndarray]],
         if trace is not None:
             for hole, chosen, ok in zip(holes[mine], donors[:, mine].T, valid[:, mine].T):
                 t, v, m = (int(j) for j in np.unravel_index(hole, target.data.shape[1:]))
-                trace[(target.sample_id, t, v, m)] = tuple(refs[chosen[ok]].tolist())
+                trace[(target.sample_id, t, v, m)] = tuple(chosen[ok].tolist())
 
 
-def _fill_targets(targets: list[_Target], pool: Pool, k: int, trace: dict | None,
-                  dataset: Dataset | None = None) -> None:
-    """Fill ``targets`` from ``pool``, in place.  ``dataset`` is the test
-    split they come from; without it they are the pool's own members, in
-    its order, so each target's row is a pool row, and the distance of each
+def _fill_targets(targets: list[_Target], rows: np.ndarray, pool: Pool, k: int, trace: dict | None,
+                  own: bool = False) -> None:
+    """Fill ``targets``, whose rows are those of their split's ``rows``
+    (``_rows``) at their indices, from ``pool``, in place.  ``own`` says
+    they are the pool's own members, in its order, so the distance of each
     pair of them is computed once.  Every target's candidates are found
     first, so that no [target, member] array of the bounds outlives them."""
     holed = [r for r, target in enumerate(targets) if target.holes.size]
     if not holed:
         return
-    if dataset is None:
-        rows, at = pool[0], holed
-    else:
-        rows = _pool(dataset, np.array([targets[r].index for r in holed], dtype=np.intp))[0]
-        at = range(len(holed))
     chosen = [targets[r] for r in holed]
-    if pool[2].size > 4 * k:
-        lo, hi = _distance_bounds(rows, pool[0])
-        shortlists = [_shortlist(pool[1], target.holes, lo[r], hi[r], k) for target, r in zip(chosen, at)]
+    split, present, members = pool
+    at = holed if own else range(len(holed))  # each target's row of the bounds
+    if members.size > 4 * k:
+        side = (split, members)
+        index = np.array([target.index for target in chosen], dtype=np.intp)
+        lo, hi = _distance_bounds(side if own else (rows, index), side)
+        shortlists = [_shortlist(present, target.holes, lo[r], hi[r], k) for target, r in zip(chosen, at)]
         del lo, hi
     else:  # a pool of at most 4k rows: every usable row is a candidate
-        shortlists = [np.flatnonzero(pool[1][:, target.holes].any(axis=1)) for target in chosen]
+        shortlists = [np.flatnonzero(present[:, target.holes].any(axis=1)) for target in chosen]
     # (j, r) -> the distance between pool rows r and j that target r computed
     # for target j, which comes later: d(r, j) and d(j, r) are the same float
     known: dict[tuple[int, int], float] = {}
     block, width, size = [], 0, 0  # the block's parts, its candidate axis and its holes
     for target, r, rows_in in zip(chosen, at, shortlists):
         dist = np.full(rows_in.size, np.nan)
-        if dataset is None:
+        if own:
             dist[:] = [known.pop((r, j), np.nan) for j in rows_in.tolist()]
         new = np.isnan(dist)
-        dist[new] = _distances_to_members(pool[0][rows_in[new]], rows[r])
-        if dataset is None:
+        dist[new] = _distances_to_members(split[members[rows_in[new]]], rows[target.index])
+        if own:
             known.update(((j, r), d) for j, d in zip(rows_in[new].tolist(), dist[new].tolist()) if j > r)
-        order = _neighbour_order(dist, pool[2][rows_in])
+        order = _neighbour_order(dist, members[rows_in])
         cand, start = (rows_in[order], dist[order]), 0
         while start < target.holes.size:
             width = max(width, cand[0].size)
@@ -598,18 +617,20 @@ def impute_dataset(
 
     clusters = _groups(train_labels.labels)
     groups = _groups(test_labels.labels) if test is not None else {}
-    # every copy a task fills is made here, in the calling thread: made in a
-    # worker, these long-lived arrays would pin the memory that the task's
-    # temporaries freed around them in the worker's malloc arena
+    # every copy a task fills or reads is made here, in the calling thread:
+    # made in a worker, these long-lived arrays would pin the memory that the
+    # task's temporaries freed around them in the worker's malloc arena
     train_out, train_targets = _targets(train)
     test_out, test_targets = _targets(test) if test is not None else (None, [])
+    train_rows = _rows(train)
+    test_rows = _rows(test) if test is not None else None
     none = np.zeros(0, dtype=np.intp)
 
     def fill_cluster(label: int) -> None:
-        # a label no train cluster has gets an empty pool, [0, L]
-        pool = _pool(train, clusters.get(label, none))
-        _fill_targets([train_targets[i] for i in pool[2]], pool, k, trace)
-        _fill_targets([test_targets[i] for i in groups.get(label, none)], pool, k, trace, test)
+        # a label no train cluster has gets an empty pool
+        pool = _pool(train_rows, clusters.get(label, none))
+        _fill_targets([train_targets[i] for i in pool[2]], train_rows, pool, k, trace, own=True)
+        _fill_targets([test_targets[i] for i in groups.get(label, none)], test_rows, pool, k, trace)
 
     labels = sorted(clusters.keys() | groups.keys())
     # no more workers than tasks, and none for a lone task: a worker thread

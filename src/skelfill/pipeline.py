@@ -625,6 +625,9 @@ def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         if config.normalize_embeddings:
             matrix = _l2_rows(matrix)
         if split == "train":
+            if config.clusters > len(matrix.values):  # before anything is written
+                raise ConfigError(f"clusters {config.clusters} is above the {len(matrix.values)} rows "
+                                  f"of {files.paths['emb_train']}")
             model, labels = clustering.kmeans_fit(
                 matrix, config.clusters, config.stage_seed("cluster"),
                 max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,

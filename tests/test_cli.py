@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import struct
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 
 from conftest import capture_text, write_two_body_captures
 from skelfill import Dataset, formats
+from skelfill import cli
 from skelfill.cli import build_parser, main
-from skelfill.pipeline import OUTPUTS, PipelineConfig, artifact_paths
+from skelfill.errors import ConfigError
+from skelfill.pipeline import OUTPUTS, SETTINGS, PipelineConfig, artifact_paths, load_config
 
 SMALL = [
     "--classes", "3", "--per-class", "4", "--test-per-class", "2",
@@ -280,6 +283,71 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
     assert not (tmp_path / "work").exists()
 
 
+# Forms of a number that every integer, float, tuple and choice setting is
+# given: non-ASCII digits (Arabic-Indic, fullwidth), a digit separator, a
+# sign, blanks, non-finite and overflowing floats, a negative zero, a hex
+# literal and no text at all.
+SETTING_FORMS = ("\u0661", "\uff11", "1_0", "+1", " 1 ", "nan", "inf", "1e400", "-0", "0x10", "")
+
+
+def python_reads(name, text):
+    """What ``int`` or ``float`` reads from the ASCII form of ``text`` for
+    the setting ``name`` (a tuple of what ``int`` reads from each comma-
+    separated part, none of no text); None where it reads nothing, and for
+    a choice."""
+    ascii_text = "".join(ch if ch.isascii() else str(unicodedata.digit(ch)) for ch in text)
+    kind = SETTINGS[name].type
+    try:
+        if kind == "tuple[int, ...]":
+            return tuple(int(part) for part in ascii_text.split(",")) if ascii_text.strip() else ()
+        return {"int": int, "float": float}[kind](ascii_text)
+    except (KeyError, ValueError):
+        return None
+
+
+def setting_outcomes(name, text, parser, cfg):
+    """What the setting ``name`` becomes from ``text`` as a flag and as a
+    config-file value, each "exit 2" where the CLI refuses it."""
+    outcomes = []
+    command = SETTINGS[name].metadata["on"][0]
+    for route in ("flag", "config"):
+        try:
+            if route == "flag":
+                config = cli._config_from_args(parser.parse_args([command, cli._FLAGS[name], text]))
+            else:
+                cfg.write_text(f"{name} = {text}\n", encoding="utf-8")
+                config = load_config(cfg)
+            outcomes.append(getattr(config, name))
+        except ConfigError:
+            outcomes.append("exit 2")
+        except SystemExit as exc:  # argparse refuses a value outside a flag's choices
+            assert exc.code == 2
+            outcomes.append("exit 2")
+    return outcomes
+
+
+def test_every_number_and_choice_setting_exits_2_or_reads_what_python_reads(tmp_path, capsys):
+    parser, cfg = build_parser(), tmp_path / "run.cfg"
+    names = [name for name, f in SETTINGS.items()
+             if f.type in ("int", "float", "tuple[int, ...]") or f.metadata["choices"] is not None]
+    assert len(names) == 20
+    accepted = 0
+    for name in names:
+        for text in SETTING_FORMS:
+            want = python_reads(name, text)
+            for got in setting_outcomes(name, text, parser, cfg):
+                # repr tells -0.0 from 0.0
+                assert got == "exit 2" or (want is not None and repr(got) == repr(want)), (name, text, got)
+                accepted += got != "exit 2"
+    assert accepted
+    # pinned: a tolerance of inf (1e400 reads as inf) stops k-means after its
+    # first assignment, and -0 is float's -0.0, which every range reads as 0
+    for text in ("inf", "1e400"):
+        assert setting_outcomes("kmeans_tol", text, parser, cfg) == [float("inf")] * 2
+    assert [repr(value) for value in setting_outcomes("test_frac", "-0", parser, cfg)] == ["-0.0"] * 2
+    capsys.readouterr()
+
+
 def test_targeted_joint_beyond_the_skeleton_exits_2(tmp_path, capsys):
     work = str(tmp_path / "work")
     assert main(["synth", "--workdir", work] + SMALL) == 0  # 25 joints
@@ -423,14 +491,18 @@ def test_cli_surface_is_pinned(capsys):
         assert "--workdir" in capsys.readouterr().out
 
 
-def test_too_many_clusters_exits_4(tmp_path, capsys):
-    work = str(tmp_path / "work")
-    assert main(["synth", "--workdir", work, "--seed", "1"] + SMALL) == 0
-    assert main(["occlude", "--workdir", work, "--seed", "1", "--rate", "0.2"]) == 0
-    assert main(["embed", "--workdir", work]) == 0
-    rc = main(["cluster", "--workdir", work, "--seed", "1", "--clusters", "50"])
-    assert rc == 4
-    assert "error:" in capsys.readouterr().err
+def test_too_many_clusters_exits_2_before_cluster_writes(tmp_path, capsys):
+    # a setting the data cannot meet, as a targeted joint beyond the skeleton
+    work = tmp_path / "work"
+    assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0  # 12 train samples
+    assert main(["occlude", "--workdir", str(work), "--seed", "1", "--rate", "0.2"]) == 0
+    assert main(["embed", "--workdir", str(work)]) == 0
+    rc = main(["cluster", "--workdir", str(work), "--seed", "1", "--clusters", "13"])
+    assert rc == 2
+    assert f"clusters 13 is above the 12 rows of {work / 'train.skemb'}" in capsys.readouterr().err
+    paths = artifact_paths(PipelineConfig(workdir=str(work)))
+    assert not any(paths[key].exists() for key in OUTPUTS["cluster"])
+    assert not (work / "manifest_cluster.json").exists()
 
 
 @pytest.mark.parametrize("case, code", [

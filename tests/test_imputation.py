@@ -444,12 +444,11 @@ def shortlist_corpus(offset: float, seed: int) -> Dataset:
     return dataset_of(*[seq_of(data, f"s{i:02d}") for i, data in enumerate(rows)])
 
 
-def full_pool_fill(seq, pool, k):
+def full_pool_fill(seq, rows, k):
     """A target's filled data and donors from ``fill_one_target_ref`` on
-    every row of the pool, and its candidates' distances in neighbour order."""
-    rows, _, refs = pool
+    every row of the split, and its candidates' distances in neighbour order."""
     donors: dict = {}
-    data, _ = fill_one_target_ref(seq, rows, refs, k, donors)
+    data, _ = fill_one_target_ref(seq, rows, np.arange(len(rows)), k, donors)
     flat = np.where(np.isfinite(seq.data), seq.data, np.nan).astype(np.float32).reshape(-1)
     dist = imputation._distances_to_members(rows, flat)
     return data, donors, np.sort(dist[np.isfinite(dist)])
@@ -462,11 +461,11 @@ def test_shortlist_gives_the_full_pool_donors(offset, k):
     n = len(dataset.samples)
     trace: dict = {}
     imputed, _, _ = impute_dataset(dataset, labels_for(dataset, [0] * n), k=k, trace=trace)
-    pool = imputation._pool(dataset, np.arange(n))
+    rows = imputation._rows(dataset)
     donors: dict = {}
     ties = near = short = 0
     for seq, out in zip(dataset.samples, imputed.samples):
-        data, chosen, dist = full_pool_fill(seq, pool, k)
+        data, chosen, dist = full_pool_fill(seq, rows, k)
         assert bits_equal(out.data, data)
         donors |= chosen
         gaps = np.diff(dist)
@@ -502,7 +501,10 @@ def bounds_rows(kind: str, rng) -> np.ndarray:
 
 
 def assert_bounds_hold(targets, members):
+    """The bounds of the ``(rows, index)`` pairs ``targets`` and ``members``
+    hold for every pair of the rows they gather."""
     lo, hi = imputation._distance_bounds(targets, members)
+    targets, members = (rows[index] for rows, index in (targets, members))
     assert lo.shape == hi.shape == (len(targets), len(members))
     for target, (row_lo, row_hi) in enumerate(zip(lo, hi)):
         # the value the loop takes the square root of, as it computes it
@@ -521,21 +523,38 @@ def assert_bounds_hold(targets, members):
 
 
 def test_distance_bounds_hold_for_every_pair():
-    # each kind of rows against itself, and a third of its rows, a copy,
-    # against all of them, so the bounds run both ways
+    # each kind of rows against itself, and every third row against all of
+    # them, so the bounds run both ways
     rng = np.random.default_rng(197)
     for kind in ("offset-0", "offset-1e4", "few-overlap", "scale-1e30", "scale-1e-30"):
         if kind.startswith("offset"):
-            dataset = shortlist_corpus(float(kind.split("-")[1]), seed=151)
-            rows = imputation._pool(dataset, np.arange(len(dataset.samples)))[0]
+            rows = imputation._rows(shortlist_corpus(float(kind.split("-")[1]), seed=151))
         else:
             rows = bounds_rows(kind, rng)
-        lo, _ = assert_bounds_hold(rows, rows)
-        assert_bounds_hold(rows[::3].copy(), rows)
+        every = (rows, np.arange(len(rows)))
+        lo, _ = assert_bounds_hold(every, every)
+        assert_bounds_hold((rows, np.arange(0, len(rows), 3)), every)
         if kind.startswith("offset"):
             assert np.isinf(lo[0, -1])  # the row apart from row 0
         elif kind == "few-overlap":
             assert np.isinf(lo[1:4, 4:]).all() and np.isfinite(lo[2, 3])
+
+
+def test_distance_bounds_of_gathered_rows_equal_those_of_their_copy():
+    # members in no order, with gaps and across gathers of several rows,
+    # give the bits of the same rows copied out in that order
+    rng = np.random.default_rng(211)
+    rows = bounds_rows("scale-1", rng)
+    rows = np.concatenate([rows] * 3)  # 120 rows: 90 members take two gathers a block
+    members = rng.permutation(len(rows))[:90]
+    targets = members[::4]
+    copied = (rows[members], np.arange(members.size))
+    want = imputation._distance_bounds((rows[targets], np.arange(targets.size)), copied)
+    got = imputation._distance_bounds((rows, targets), (rows, members))
+    assert all(bits_equal(a, b) for a, b in zip(got, want))
+    same = (rows, members)
+    assert all(bits_equal(a, b) for a, b in zip(imputation._distance_bounds(same, same),
+                                                  imputation._distance_bounds(copied, copied)))
 
 
 def test_distance_bounds_hold_three_target_member_arrays():
@@ -543,20 +562,22 @@ def test_distance_bounds_hold_three_target_member_arrays():
     # overlap counts and the product buffer, [target, member] float64 each,
     # and the bool of which pairs share nothing
     rng = np.random.default_rng(199)
-    members = rng.uniform(-1, 1, size=(600, 300)).astype(np.float32)
-    members[rng.random(members.shape) < 0.2] = np.nan
-    width = min(imputation.BLOCK_COLUMNS, members.shape[1])
-    for targets in (members, members[:400].copy()):
-        sides = len(members) + len(targets) * (targets is not members)
-        cells = len(targets) * len(members)
+    rows = rng.uniform(-1, 1, size=(600, 300)).astype(np.float32)
+    rows[rng.random(rows.shape) < 0.2] = np.nan
+    members = (rows, np.arange(len(rows)))
+    width = min(imputation.BLOCK_COLUMNS, rows.shape[1])
+    for targets in (members, (rows, np.arange(400))):
+        sides = len(members[1]) + len(targets[1]) * (targets is not members)
+        cells = len(targets[1]) * len(members[1])
         tracemalloc.start()
         try:
             lo, hi = imputation._distance_bounds(targets, members)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the buffers' values and presence, and one block's bool presence
-        buffers = sides * width * (8 + 8 + 1)
+        # the buffers' values and presence, and the float32 values and bool
+        # presence of one gather of a few rows, which fills them
+        buffers = sides * width * (8 + 8) + imputation.GATHER_SCALARS * (4 + 1)
         assert peak <= 3 * 8 * cells + cells + buffers + (1 << 17), peak
 
 
@@ -575,26 +596,26 @@ def test_the_exact_pass_sees_a_shortlist(monkeypatch):
     assert report.totals().imputed == report.totals().missing > 0
 
 
-def test_a_whole_float32_split_without_infinity_is_its_own_pool():
+def test_a_float32_split_without_infinity_gives_its_own_rows_to_every_pool():
     rng = np.random.default_rng(179)
     arrays = random_arrays(rng, 6)
     split = as_dataset(arrays, "s")
-    rows, present, _ = imputation._pool(split, np.arange(6))
+    rows = imputation._rows(split)
     assert np.shares_memory(rows, split.data)
-    # one bool a joint instance: channel 0's presence
-    assert bits_equal(present, np.isfinite(rows[:, : rows.shape[1] // 3]))
-    # a part of the split, its rows out of order, an infinity and float64
-    # data each get a float32 copy with NaN wherever a value is not finite
+    # a pool of part of the split, its members out of order, reads those
+    # rows and holds one bool a joint instance: its members' channel-0 presence
+    members = np.array([4, 1, 3])
+    pool_rows, present, refs = imputation._pool(rows, members)
+    assert pool_rows is rows and bits_equal(refs, members)
+    assert bits_equal(present, np.isfinite(rows[members, : rows.shape[1] // 3]))
+    # an infinity and float64 data each get one float32 copy with NaN
+    # wherever a value is not finite
     with_inf = [data.copy() for data in arrays]
     with_inf[4][1, 2, 3, 0] = -np.inf
-    for dataset, members in ((split, np.arange(5)), (split, np.arange(6)[::-1]),
-                             (as_dataset(with_inf, "s"), np.arange(6)),
-                             (as_dataset(random_arrays(rng, 6, dtype=np.float64), "s"), np.arange(6))):
-        rows, present, refs = imputation._pool(dataset, members)
-        want = dataset.data.reshape(len(dataset.samples), -1)[members].astype(np.float32)
+    for dataset in (as_dataset(with_inf, "s"), as_dataset(random_arrays(rng, 6, dtype=np.float64), "s")):
+        rows = imputation._rows(dataset)
+        want = dataset.data.reshape(len(dataset.samples), -1).astype(np.float32)
         assert not np.shares_memory(rows, dataset.data)
-        assert bits_equal(present, np.isfinite(want[:, : want.shape[1] // 3]))
-        assert bits_equal(refs, members)
         assert bits_equal(rows, np.where(np.isfinite(want), want, np.float32(np.nan)))
 
 
@@ -635,11 +656,11 @@ def test_one_cluster_imputes_within_a_bounded_transient():
     assert peak <= 2.9 * dataset.data.nbytes
 
 
-def test_pools_built_at_once_in_two_threads_add_their_rows_and_a_mask(monkeypatch):
-    # two clusters, each a part of the split, so each pool is a copy,
-    # filled by two threads.  Both tasks build their pools at once, while
-    # the calling thread waits on them: the pools add their float32 rows and
-    # one bool a joint instance
+def test_pools_built_at_once_in_two_threads_add_only_their_masks(monkeypatch):
+    # two clusters, each a part of the split, filled by two threads.  Both
+    # tasks build their pools at once, while the calling thread waits on
+    # them: the pools index the split's own rows and add one bool a joint
+    # instance
     rng = np.random.default_rng(193)
     train = as_dataset(random_arrays(rng, 40, shape=(3, 20, 25, 2)), "tr")
     length = train.data[0].size
@@ -650,9 +671,9 @@ def test_pools_built_at_once_in_two_threads_add_their_rows_and_a_mask(monkeypatc
 
     both, build = threading.Barrier(2, action=mark, timeout=60), imputation._pool
 
-    def pool(dataset, members):
+    def pool(rows, members):
         both.wait()
-        out = build(dataset, members)
+        out = build(rows, members)
         both.wait()
         return out
 
@@ -664,8 +685,8 @@ def test_pools_built_at_once_in_two_threads_add_their_rows_and_a_mask(monkeypatc
         tracemalloc.stop()
     assert report.totals().imputed > 0
     before, after = marks
-    pools = 40 * (4 * length + length // 3)  # two pools of 20 rows: float32, and a bool an instance
-    assert pools <= after - before <= pools + 4096
+    masks = 40 * (length // 3)  # two pools of 20 members: a bool an instance
+    assert masks <= after - before <= masks + 4096
 
 
 @pytest.mark.parametrize("fill_bytes", [1, 6000])
