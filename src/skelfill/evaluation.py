@@ -37,7 +37,7 @@ import numpy as np
 from .clustering import PseudoLabels
 from .data import Dataset, sample_blocks
 from .errors import LengthMismatch, RecordMismatch
-from .occlusion import OcclusionRecord, sample_rng
+from .occlusion import RECORD_ROWS, OcclusionRecord, block_index, sample_rng
 
 
 @dataclass
@@ -107,14 +107,6 @@ class EvalReport(SplitScores):
 # 6 ms, against 80 ms with a float32 copy of each block.
 RANGE_BLOCK = 1 << 18
 
-# Record rows that one step of the scoring and of the random baseline
-# takes: gathering a row's values widens its index to intp, and scoring
-# makes them float64, so a block holds some 80 bytes a row, 0.6 MiB here.
-# At the ROADMAP default the baseline and the scoring of the train split
-# took 0.160 s, 0.150 s at 16 384 rows and 0.190 s with a filled copy.
-RECORD_ROWS = 1 << 13
-
-
 def _extremes(values: np.ndarray, where) -> tuple[np.ndarray, np.ndarray]:
     """Each channel's least and greatest value of ``values`` [n, 3, ...]
     ``where`` it holds, NaN skipped; +inf and -inf for a channel with none."""
@@ -146,23 +138,6 @@ def _channel_ranges(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.where(seen, lo, 0.0), np.where(seen, hi, 0.0)
 
 
-def _record_blocks(record: OcclusionRecord) -> Iterator[tuple[slice, np.ndarray, slice]]:
-    """Blocks of whole recorded samples, in record order: each block's slice
-    of ``record.sample_ids``, its samples' ends from the start of its record
-    rows, and the slice of those rows.  A block ends with the sample that
-    brings it to ``RECORD_ROWS`` rows, or with the last.  The record's rows
-    go by sample."""
-    ends = np.zeros(len(record.sample_ids) + 1, dtype=np.intp)
-    for start in range(0, len(record.index), RECORD_ROWS):
-        ends[1:] += np.bincount(record.index[start:start + RECORD_ROWS, 0], minlength=len(ends) - 1)
-    np.cumsum(ends, out=ends)
-    rows, first = ends.tolist(), 0  # rows[j]: the first record row of sample j
-    for last in range(1, len(rows)):
-        if rows[last] - rows[first] >= RECORD_ROWS or last == len(rows) - 1:
-            yield slice(first, last), ends[first + 1:last + 1] - rows[first], slice(rows[first], rows[last])
-            first = last
-
-
 def impute_random_baseline(dataset: Dataset, record: OcclusionRecord, seed: int) -> Iterator[np.ndarray]:
     """The seeded random fill of ``dataset`` at the rows of ``record``, whose
     instances it hides: the [n, 3] float32 values of each block of whole
@@ -178,11 +153,10 @@ def impute_random_baseline(dataset: Dataset, record: OcclusionRecord, seed: int)
     in C order, as a fill of the whole split fills it, and is read at the
     record's rows.
     """
-    rows, (lo, hi) = record.rows_in(dataset), _channel_ranges(dataset)
+    (rows, position), (lo, hi) = record.rows_in(dataset), _channel_ranges(dataset)
 
     def draw(samples: slice, ends: np.ndarray, at: slice) -> np.ndarray:
-        index = record.index[at]
-        values = np.empty((len(index), 3), dtype=dataset.data.dtype)
+        values, block = np.empty((at.stop - at.start, 3), dtype=dataset.data.dtype), position[at]
         for row, start, end in zip(rows[samples].tolist(), [0, *ends[:-1].tolist()], ends.tolist()):
             if start == end:
                 continue
@@ -191,23 +165,23 @@ def impute_random_baseline(dataset: Dataset, record: OcclusionRecord, seed: int)
             for c, channel in enumerate(sample):
                 holes = np.isnan(channel)
                 channel[holes] = rng.uniform(lo[c], hi[c], size=np.count_nonzero(holes)).astype(np.float32)
-            _, t, v, m = index[start:end].T
-            values[start:end] = sample[:, t, v, m].T
+            values[start:end] = sample.reshape(3, -1)[:, block[start:end]].T
         return values
 
-    return itertools.starmap(draw, _record_blocks(record))
+    return itertools.starmap(draw, record.blocks(RECORD_ROWS))
 
 
 def _sample_stats(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord,
-                  rows: np.ndarray | None) -> Iterator[MpjpeStats]:
+                  located: tuple[np.ndarray, np.ndarray] | None) -> Iterator[MpjpeStats]:
     """Each recorded sample's stats, in record order, over blocks of whole
-    samples; ``recovered`` is a split whose samples are ``rows``, or, with
-    no ``rows``, the [n, 3] values of each block at the record's rows."""
-    blocks = iter(recovered) if rows is None else None
-    for _, ends, at in _record_blocks(record):
+    samples; ``recovered`` is a split in which ``located`` (from
+    :meth:`OcclusionRecord.rows_in`) finds the record's rows, or, with no
+    ``located``, the [n, 3] values of each block at the record's rows."""
+    blocks = iter(recovered) if located is None else None
+    for samples, ends, at in record.blocks(RECORD_ROWS):
         if blocks is None:
-            n, t, v, m = record.index[at].T
-            values = recovered.data[rows[n], :, t, v, m]
+            rows, position = located
+            values = recovered.data[block_index(recovered.data.shape, rows[samples], ends, position[at])]
         else:
             values = next(blocks, None)
             if values is None or values.shape != (at.stop - at.start, 3):
@@ -232,8 +206,8 @@ def mpjpe(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord) ->
     or the values recovered at the record's rows, block by block, as
     :func:`impute_random_baseline` gives them."""
     stats = MpjpeStats()
-    rows = record.rows_in(recovered) if isinstance(recovered, Dataset) else None
-    for sample in _sample_stats(recovered, record, rows):
+    located = record.rows_in(recovered) if isinstance(recovered, Dataset) else None
+    for sample in _sample_stats(recovered, record, located):
         stats += sample
     return stats
 
@@ -284,8 +258,8 @@ def per_class_error(splits: Iterable[tuple[Dataset, OcclusionRecord]]) -> dict[i
     pairs, pooled split by split; empty when no recorded sample has a label."""
     by_label: dict[int, MpjpeStats] = {}
     for imputed, record in splits:
-        rows = record.rows_in(imputed)
-        for row, stats in zip(rows.tolist(), _sample_stats(imputed, record, rows)):
+        located = record.rows_in(imputed)
+        for row, stats in zip(located[0].tolist(), _sample_stats(imputed, record, located)):
             label = imputed.samples[row].label
             if label is not None:
                 by_label[int(label)] = by_label.get(int(label), MpjpeStats()) + stats

@@ -13,8 +13,9 @@ hidden when it is missing in the occluded copy and present in the clean
 one.  Both modes return the occluded dataset with that record.  Evaluation
 takes the record occlusion returned when a pipeline hands it on and both
 files are as occlusion left them; otherwise it rebuilds the record the same
-way from the clean and occluded files.  A record holds one split as arrays,
-a row per hidden joint instance.
+way from the clean and occluded files.  A record holds one split as arrays:
+each sample's row ends, and per row, a hidden joint instance, its position
+in the samples' (T, V, M) grid and its clean values.
 
 :func:`sample_rng` owns every per-sample stream, of both modes (through
 :func:`draw_per_sample`) and of evaluation's random baseline: each sample
@@ -23,9 +24,12 @@ index, so results do not depend on iteration order and the train and test
 samples at one index draw apart.
 
 :meth:`OcclusionRecord.between` works through blocks of samples
-(:func:`data.sample_blocks`): one pass counts the hidden instances and the
-next writes them into the record's arrays, so it holds no [n, 4] int64
-index beside them.
+(:func:`data.sample_blocks`): one pass counts each sample's hidden
+instances and the next writes them into the record's arrays, so beside
+them it holds one block's indices at a time.  Every read of a record at a split's samples
+(:meth:`OcclusionRecord.restore`, and evaluation's scoring and baseline)
+goes over blocks of whole recorded samples (:meth:`OcclusionRecord.blocks`),
+so it holds at most ``RECORD_ROWS`` rows' sample indices at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -51,6 +55,13 @@ from .errors import (
 MODES = ("random_rate", "joint_targeted")
 # the columns of the record CSV, read and written by :mod:`skelfill.formats`
 RECORD_COLUMNS = ("sample_id", "t", "v", "m", "x", "y", "z")
+
+# Record rows that one step of a read at a split's samples takes: gathering
+# a row's values widens its sample and grid indices to intp, and scoring
+# makes them float64, so a block holds some 110 bytes a row, 0.9 MiB here.
+# At the ROADMAP default the baseline and the scoring of the train split
+# took 0.160 s, 0.150 s at 16 384 rows and 0.190 s with a filled copy.
+RECORD_ROWS = 1 << 13
 
 
 @dataclass
@@ -74,38 +85,83 @@ class OcclusionSpec:
 
 @dataclass
 class OcclusionRecord:
-    """One split's hidden ground truth.  ``index`` [n, 4] int32: a row
-    (position in ``sample_ids``, t, v, m) per hidden joint instance, by
-    sample, then (t, v, m); ``values`` [n, 3] float32: its clean values."""
+    """One split's hidden ground truth, a row per hidden joint instance, by
+    sample, then in (t, v, m) order.  ``ends`` [S] int64: the end of each
+    sample's rows; ``grid``: the (T, V, M) of the samples; ``position`` [n]
+    int32: each row's instance in that grid, in C order; ``values`` [n, 3]
+    float32: its clean values."""
 
     sample_ids: list[str] = field(default_factory=list)
-    index: np.ndarray = field(default_factory=lambda: np.empty((0, 4), dtype=np.int32))
+    ends: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    grid: tuple[int, int, int] = (0, 0, 0)
+    position: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     values: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.float32))
 
-    def total_instances(self) -> int:
-        return len(self.index)
+    @classmethod
+    def of_rows(cls, sample_ids: list[str], counts: list[int] | np.ndarray, t: np.ndarray,
+                v: np.ndarray, m: np.ndarray, values: list | np.ndarray) -> "OcclusionRecord":
+        """The record of ``counts[i]`` rows of each sample ``sample_ids[i]``,
+        in order, at (``t``, ``v``, ``m``), in the smallest grid that holds
+        them.  Refused (``ValueError``) when that grid holds 2**31 or more
+        instances, since a position would not fit in int32."""
+        grid = tuple(int(c.max()) + 1 if len(c) else 0 for c in (t, v, m))
+        if math.prod(grid) >= 1 << 31:
+            raise ValueError(f"(T, V, M) = {grid} holds {math.prod(grid)} joint instances, "
+                             f"over {(1 << 31) - 1}")
+        position = (np.asarray(t, dtype=np.int64) * grid[1] + v) * grid[2] + m
+        return cls(list(sample_ids), np.cumsum(counts, dtype=np.int64), grid, position.astype(np.int32),
+                   np.asarray(values, dtype=np.float32).reshape(-1, 3))
 
-    def rows_in(self, dataset: Dataset) -> np.ndarray:
-        """The row of ``dataset`` holding each recorded sample.  Refused when
-        the record names a sample ``dataset`` lacks, or indexes outside
-        [0, shape) of the record's samples and of ``dataset``'s (t, v, m)."""
-        position = {sid: i for i, sid in enumerate(dataset.sample_ids)}
+    def total_instances(self) -> int:
+        return len(self.position)
+
+    def blocks(self, size: int) -> Iterator[tuple[slice, np.ndarray, slice]]:
+        """Blocks of whole recorded samples, in order: each block's slice of
+        ``sample_ids``, its samples' ends from the start of its rows, and the
+        slice of those rows.  A block ends with the sample that brings it to
+        ``size`` rows, or with the last."""
+        first = start = 0
+        for last, end in enumerate(self.ends.tolist(), 1):
+            if end - start >= size or last == len(self.ends):
+                yield slice(first, last), self.ends[first:last] - start, slice(start, end)
+                first, start = last, end
+
+    def rows_in(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """The row of ``dataset`` holding each recorded sample, and each
+        recorded instance's position in ``dataset``'s (T, V, M) grid: the
+        stored ``position`` itself when the grids match.  Refused when the
+        record names a sample ``dataset`` lacks, or holds an instance outside
+        its own grid or ``dataset``'s."""
+        index = {sid: i for i, sid in enumerate(dataset.sample_ids)}
         try:
-            rows = np.array([position[sid] for sid in self.sample_ids], dtype=np.intp)
+            rows = np.array([index[sid] for sid in self.sample_ids], dtype=np.intp)
         except KeyError as missing:
             raise RecordMismatch(f"record refers to unknown sample {missing.args[0]!r}") from None
-        shape = (len(rows), *dataset.data.shape[2:])
-        # column extremes first, so a record inside the shape builds no [n, 4] mask
-        if len(self.index) and (self.index.min() < 0 or (self.index.max(axis=0) >= shape).any()):
-            row = tuple(self.index[((self.index < 0) | (self.index >= shape)).any(axis=1)][0].tolist())
-            raise RecordMismatch(f"record row (sample, t, v, m) = {row} indexes outside {shape}")
-        return rows
+        grid, position, size = dataset.data.shape[2:], self.position, math.prod(self.grid)
+
+        def refuse(outside: np.ndarray):
+            i = int(np.argmax(outside))  # the first row outside, as (sample, t, v, m)
+            t, rest = divmod(int(position[i]), max(1, self.grid[1] * self.grid[2]))
+            row = (int(np.searchsorted(self.ends, i, side="right")), t, *divmod(rest, max(1, self.grid[2])))
+            raise RecordMismatch(f"record row (sample, t, v, m) = {row} indexes outside {(len(rows), *grid)}")
+
+        # extremes first, so a record inside its grid builds no mask
+        if len(position) and (position.min() < 0 or position.max() >= size):
+            refuse((position < 0) | (position >= size))
+        if len(position) and self.grid != grid:
+            coords = np.unravel_index(position, self.grid)
+            outside = np.any([c >= n for c, n in zip(coords, grid)], axis=0)
+            if outside.any():
+                refuse(outside)
+            position = np.ravel_multi_index(coords, grid)
+        return rows, position
 
     def restore(self, dataset: Dataset) -> Dataset:
         """Write the recorded originals back; inverse of the occlusion."""
-        rows, (n, t, v, m) = self.rows_in(dataset), self.index.T
+        rows, position = self.rows_in(dataset)
         data = dataset.data.copy()
-        data[rows[n], :, t, v, m] = self.values
+        for samples, ends, at in self.blocks(RECORD_ROWS):
+            data[block_index(data.shape, rows[samples], ends, position[at])] = self.values[at]
         return dataset.with_data(data)
 
     @classmethod
@@ -114,48 +170,55 @@ class OcclusionRecord:
         :meth:`restore`.  Per occluded sample: every joint instance missing
         there (all channels NaN) and present in ``clean`` (no channel NaN),
         with its clean values."""
-        position = {sid: i for i, sid in enumerate(clean.sample_ids)}
+        row_of = {sid: i for i, sid in enumerate(clean.sample_ids)}
         ids = occluded.sample_ids
         for sid in ids:
-            if sid not in position or clean.data.shape[1:] != occluded.data.shape[1:]:
+            if sid not in row_of or clean.data.shape[1:] != occluded.data.shape[1:]:
                 raise RecordMismatch(f"occluded sample {sid!r} has no clean sample of shape "
                                      f"{occluded.data.shape[1:]}")
-        order = None if ids == clean.sample_ids else np.array([position[sid] for sid in ids])
+        order = None if ids == clean.sample_ids else np.array([row_of[sid] for sid in ids])
 
         def hidden(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-            # a block's clean rows in the occluded split's order, a copy only where that differs
+            # a block's [B, T·V·M] mask and its clean rows [B, 3, T·V·M] in
+            # the occluded split's order, a copy only where that differs
             source = clean.data[rows] if order is None else clean.data[order[rows]]
-            return np.isnan(occluded.data[rows]).all(axis=1) & ~np.isnan(source).any(axis=1), source
+            mask = np.isnan(occluded.data[rows]).all(axis=1) & ~np.isnan(source).any(axis=1)
+            return mask.reshape(len(mask), -1), source.reshape(len(source), 3, -1)
 
-        # one pass counts the rows, the next fills them in: no block's indices outlive it
+        # one pass counts each sample's rows, the next fills them in: no
+        # block's indices outlive it
         blocks = list(sample_blocks(occluded.data.shape))
-        counts = [np.count_nonzero(hidden(rows)[0]) for rows in blocks]
-        index = np.empty((sum(counts), 4), dtype=np.int32)
-        values = np.empty((len(index), 3), dtype=clean.data.dtype)
-        end = 0
-        for rows, count in zip(blocks, counts):
-            if count:
+        ends = np.empty(len(ids), dtype=np.int64)
+        for rows in blocks:
+            ends[rows] = np.count_nonzero(hidden(rows)[0], axis=1)
+        np.cumsum(ends, out=ends)
+        position = np.empty(ends[-1] if len(ends) else 0, dtype=np.int32)
+        values = np.empty((len(position), 3), dtype=clean.data.dtype)
+        for rows in blocks:
+            at = slice(ends[rows.start - 1] if rows.start else 0, ends[rows.stop - 1])
+            if at.stop > at.start:
                 mask, source = hidden(rows)
-                n, t, v, m = np.nonzero(mask)  # by sample, then in (t, v, m) order
-                at = slice(end, end + count)
-                values[at] = source[n, :, t, v, m]
-                n += rows.start
-                for column, coords in zip(index[at].T, (n, t, v, m)):
-                    column[:] = coords
-                end += count
-        return cls(ids, index, values)
+                n, where = np.nonzero(mask)  # by sample, then in C order of the grid
+                position[at], values[at] = where, source[n, :, where]
+        return cls(ids, ends, tuple(occluded.data.shape[2:]), position, values)
 
     def save_csv(self, path: str | Path) -> None:
-        formats.write_table(path, RECORD_COLUMNS, (
-            [self.sample_ids[n], t, v, m] + [repr(value) for value in values]
-            for (n, t, v, m), values in zip(self.index.tolist(), self.values.tolist())),
-            self.sample_ids)
+        def rows():
+            starts = [0, *self.ends.tolist()]
+            for sid, start, end in zip(self.sample_ids, starts, starts[1:]):
+                coords = (c.tolist() for c in np.unravel_index(self.position[start:end], self.grid))
+                for *tvm, values in zip(*coords, self.values[start:end].tolist()):
+                    yield [sid, *tvm] + [repr(value) for value in values]
+
+        formats.write_table(path, RECORD_COLUMNS, rows(), self.sample_ids)
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "OcclusionRecord":
         """The record in the CSV at ``path``, its samples in order of first
-        appearance.  Refuses a malformed or non-finite field, an index outside
-        [0, 2**31) and a repeated instance, naming the file and the line."""
+        appearance, in the smallest grid that holds its rows.  Refuses a
+        malformed or non-finite field, an index outside [0, 2**31) and a
+        repeated instance, naming the file and the line, and a grid of 2**31
+        or more instances, naming the file."""
         position: dict[str, int] = {}
         rows: dict[tuple[int, int, int, int], tuple[float, float, float]] = {}
         for lineno, row in formats.read_table(path, RECORD_COLUMNS):
@@ -173,8 +236,22 @@ class OcclusionRecord:
                 raise FormatError(f"{path}:{lineno}: repeats (t, v, m) = {t, v, m} of sample {row[0]!r}")
             rows[key] = (x, y, z)
         keys = sorted(rows)  # by sample, then (t, v, m)
-        return cls(list(position), np.array(keys, dtype=np.int32).reshape(-1, 4),
-                   np.array([rows[key] for key in keys], dtype=np.float32).reshape(-1, 3))
+        n, t, v, m = (np.fromiter((key[i] for key in keys), np.int64, len(keys)) for i in range(4))
+        try:
+            return cls.of_rows(list(position), np.bincount(n, minlength=len(position)), t, v, m,
+                               [rows[key] for key in keys])
+        except ValueError as err:
+            raise FormatError(f"{path}: {err}") from None
+
+
+def block_index(shape: tuple[int, ...], rows: np.ndarray, ends: np.ndarray,
+                position: np.ndarray) -> tuple:
+    """The index of an array of ``shape`` [N, 3, T, V, M] at one block of a
+    record's rows (:meth:`OcclusionRecord.blocks`), [n, 3] when read: the
+    block's samples are at ``rows``, their rows end at ``ends`` and lie at
+    ``position`` in the array's (T, V, M) grid."""
+    return (np.repeat(rows, np.diff(ends, prepend=0)), slice(None),
+            *np.unravel_index(position, shape[2:]))
 
 
 def sample_rng(dataset: Dataset, seed: int, index: int) -> np.random.Generator:

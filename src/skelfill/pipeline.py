@@ -110,11 +110,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     """A number as :func:`float` reads one, blanks around it allowed, but
-    refused when its text is not ASCII or holds ``_``."""
+    refused when its text is not ASCII or holds ``_``; ``-0`` reads as 0.0,
+    so it gives the manifest and the config hash of ``0``."""
     text = raw.strip()
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a number: {raw!r}")
-    return float(text)
+    return float(text) + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:

@@ -60,19 +60,21 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
 
 def record_from(entries: dict) -> OcclusionRecord:
     """The record of ``entries``: sample id -> ((t, v, m) rows, their
-    values), each sample's rows in (t, v, m) order."""
-    index = [[n, *row] for n, (idx, _) in enumerate(entries.values())
-             for row in np.reshape(idx, (-1, 3)).tolist()]
+    values), each sample's rows in (t, v, m) order, in the smallest grid
+    that holds them."""
+    rows = [np.reshape(np.asarray(idx, dtype=np.int64), (-1, 3)) for idx, _ in entries.values()]
+    t, v, m = np.concatenate([np.empty((0, 3), np.int64), *rows]).T
     values = [row for _, vals in entries.values() for row in np.reshape(vals, (-1, 3)).tolist()]
-    return OcclusionRecord(list(entries), np.array(index, dtype=np.int32).reshape(-1, 4),
-                           np.array(values, dtype=np.float32).reshape(-1, 3))
+    return OcclusionRecord.of_rows(list(entries), [len(idx) for idx in rows], t, v, m, values)
 
 
 def entries_of(record: OcclusionRecord) -> dict:
     """``record`` as sample id -> ((t, v, m) rows [n, 3] int32, their values
     [n, 3] float32), every recorded sample included."""
-    rows = [record.index[:, 0] == n for n in range(len(record.sample_ids))]
-    return {sid: (record.index[at, 1:], record.values[at]) for sid, at in zip(record.sample_ids, rows)}
+    starts = [0, *record.ends.tolist()]
+    return {sid: (np.stack(np.unravel_index(record.position[start:end], record.grid), axis=1).astype(np.int32),
+                  record.values[start:end])
+            for sid, start, end in zip(record.sample_ids, starts, starts[1:])}
 
 
 def capture_text(frames) -> str:

@@ -293,14 +293,14 @@ SETTING_FORMS = ("\u0661", "\uff11", "1_0", "+1", " 1 ", "nan", "inf", "1e400", 
 def python_reads(name, text):
     """What ``int`` or ``float`` reads from the ASCII form of ``text`` for
     the setting ``name`` (a tuple of what ``int`` reads from each comma-
-    separated part, none of no text); None where it reads nothing, and for
-    a choice."""
+    separated part, none of no text), a float's -0.0 as 0.0; None where it
+    reads nothing, and for a choice."""
     ascii_text = "".join(ch if ch.isascii() else str(unicodedata.digit(ch)) for ch in text)
     kind = SETTINGS[name].type
     try:
         if kind == "tuple[int, ...]":
             return tuple(int(part) for part in ascii_text.split(",")) if ascii_text.strip() else ()
-        return {"int": int, "float": float}[kind](ascii_text)
+        return {"int": int, "float": lambda text: float(text) + 0.0}[kind](ascii_text)
     except (KeyError, ValueError):
         return None
 
@@ -341,11 +341,27 @@ def test_every_number_and_choice_setting_exits_2_or_reads_what_python_reads(tmp_
                 accepted += got != "exit 2"
     assert accepted
     # pinned: a tolerance of inf (1e400 reads as inf) stops k-means after its
-    # first assignment, and -0 is float's -0.0, which every range reads as 0
+    # first assignment, and -0 is 0.0, not float's -0.0, so it is recorded
+    # as 0 is
     for text in ("inf", "1e400"):
         assert setting_outcomes("kmeans_tol", text, parser, cfg) == [float("inf")] * 2
-    assert [repr(value) for value in setting_outcomes("test_frac", "-0", parser, cfg)] == ["-0.0"] * 2
+    assert [repr(value) for value in setting_outcomes("test_frac", "-0", parser, cfg)] == ["0.0"] * 2
     capsys.readouterr()
+
+
+def test_a_rate_of_minus_zero_writes_the_workdir_of_zero(tmp_path):
+    # read as float's -0.0, the rate went into manifest_occlude.json as -0.0
+    # and gave another config hash than 0, though every data file agreed
+    work, workdirs = tmp_path / "work", []
+    for rate in ("0", "-0"):
+        assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
+        assert main(["occlude", "--workdir", str(work), "--seed", "1", f"--rate={rate}"]) == 0
+        workdirs.append(work.rename(tmp_path / f"rate{rate}"))  # each run at the same path
+    names = sorted(path.name for path in workdirs[0].iterdir())
+    assert names == sorted(path.name for path in workdirs[1].iterdir())
+    assert "manifest_occlude.json" in names
+    for name in names:
+        assert (workdirs[0] / name).read_bytes() == (workdirs[1] / name).read_bytes(), name
 
 
 def test_targeted_joint_beyond_the_skeleton_exits_2(tmp_path, capsys):

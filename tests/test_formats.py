@@ -644,21 +644,21 @@ def test_csv_tables_are_utf8_under_an_ascii_locale(tmp_path):
         "from skelfill.formats import read_labels_csv, write_labels_csv\n"
         "from skelfill.occlusion import OcclusionRecord\n"
         "record, labels = sys.argv[1] + '/record.csv', sys.argv[1] + '/labels.csv'\n"
-        "OcclusionRecord(['\\u00e91'], np.array([[0, 1, 2, 0]], np.int32),\n"
+        "OcclusionRecord(['\\u00e91'], np.array([1]), (2, 3, 1), np.array([5], np.int32),\n"
         "                np.ones((1, 3), np.float32)).save_csv(record)\n"
         "write_labels_csv(['\\u00e91'], [4], labels)\n"
         "loaded = OcclusionRecord.load_csv(record)\n"
-        "print(ascii([locale.getpreferredencoding(False), loaded.sample_ids, loaded.index.tolist(),\n"
+        "print(ascii([locale.getpreferredencoding(False), loaded.sample_ids, loaded.position.tolist(),\n"
         "             read_labels_csv(labels)[0]]))\n"
     )
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
     env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(Path(skelfill.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-X", "utf8=0", "-c", program, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    encoding, record_ids, index, label_ids = ast.literal_eval(out)
+    encoding, record_ids, position, label_ids = ast.literal_eval(out)
     assert encoding.lower().replace("-", "") != "utf8"
     assert record_ids == label_ids == ["\u00e91"]
-    assert index == [[0, 1, 2, 0]]
+    assert position == [5]  # (t, v, m) = (1, 2, 0) in the grid (2, 3, 1)
     assert (tmp_path / "record.csv").read_bytes() == "sample_id,t,v,m,x,y,z\r\n\u00e91,1,2,0,1.0,1.0,1.0\r\n".encode()
     assert (tmp_path / "labels.csv").read_bytes() == "sample_id,label\r\n\u00e91,4\r\n".encode()
 
@@ -759,7 +759,7 @@ def test_an_id_with_no_utf8_form_is_refused_before_the_file_is_opened(tmp_path, 
         elif kind == "labels":
             write_labels_csv(["a", sid], [0, 1], path)
         elif kind == "record":
-            OcclusionRecord(["a", sid], np.array([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.int32),
+            OcclusionRecord(["a", sid], np.array([1, 2]), (1, 1, 1), np.zeros(2, dtype=np.int32),
                             np.ones((2, 3), dtype=np.float32)).save_csv(path)
         else:
             write_dataset(dataset_of(seq_of(np.ones((3, 2, 3, 1)), "a"),

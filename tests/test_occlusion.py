@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import skelfill.data
 
 from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
 from reference import between_ref
-from skelfill import Dataset, OcclusionRecord, OcclusionSpec, occlude_joints, occlude_random
+from skelfill import Dataset, OcclusionRecord, OcclusionSpec, mpjpe, occlude_joints, occlude_random
 from skelfill.errors import (
     AlreadyOccluded,
     FormatError,
@@ -19,6 +21,7 @@ from skelfill.errors import (
     RateOutOfRange,
     RecordMismatch,
 )
+from skelfill.evaluation import RECORD_ROWS
 from skelfill.occlusion import apply_spec
 
 
@@ -64,7 +67,7 @@ def test_random_rate_is_deterministic():
     for a, b in zip(first.samples, second.samples):
         assert bits_equal(a.data, b.data)
     assert rec_a.sample_ids == rec_b.sample_ids
-    assert bits_equal(rec_a.index, rec_b.index)
+    assert bits_equal(rec_a.ends, rec_b.ends) and bits_equal(rec_a.position, rec_b.position)
     assert bits_equal(rec_a.values, rec_b.values)
     # a different seed must produce a different pattern
     third, _ = occlude_random(dataset, 0.25, seed=43)
@@ -215,7 +218,7 @@ def test_between_restores_the_clean_split_bit_exactly():
     occluded, record = occlude_joints(clean, joints=[3, 1], frame_fraction=0.5, seed=6)
     rebuilt = OcclusionRecord.between(clean, occluded)
     assert rebuilt.total_instances() == record.total_instances() == 3 * 2 * 3 * 2
-    assert not (rebuilt.index[:, 3] == 2).any()
+    assert not any((idx[:, 2] == 2).any() for idx, _ in entries_of(rebuilt).values())
     restored = rebuilt.restore(occluded)
     for original, back in zip(clean.samples, restored.samples):
         assert bits_equal(original.data, back.data)
@@ -267,13 +270,20 @@ def test_between_is_the_same_over_any_blocks_of_samples(monkeypatch, scalars):
     assert all(bits_equal(got[sid][i], want[sid][i]) for sid in want for i in (0, 1))
 
 
-def test_between_holds_one_block_beside_its_record():
-    # 1 000 samples of 3 x 20 x 25 x 2 scalars, 12 MB: beside the record it
-    # returns, between holds one block's masks and coordinates (some 2 MB),
-    # not masks of the whole split and an int64 [n, 4] index (over 12 MB)
-    rng = np.random.default_rng(22)
-    clean = random_dataset(rng, 1000, frames=20, joints=25, bodies=2)
+@pytest.fixture(scope="module")
+def thousand_two_body() -> tuple[Dataset, Dataset]:
+    """1 000 samples of 3 x 20 x 25 x 2 scalars (12 MB), and their copy
+    with 30% of each sample's joint instances hidden."""
+    clean = random_dataset(np.random.default_rng(22), 1000, frames=20, joints=25, bodies=2)
     occluded, _ = occlude_random(clean, 0.3, seed=6)
+    return clean, occluded
+
+
+def test_between_holds_one_block_beside_its_record(thousand_two_body):
+    # beside the record it returns, between holds one block's masks and
+    # coordinates (some 2 MB), not masks of the whole split and an int64
+    # index of the hidden instances (over 12 MB)
+    clean, occluded = thousand_two_body
     tracemalloc.start()
     try:
         record = OcclusionRecord.between(clean, occluded)
@@ -281,14 +291,37 @@ def test_between_holds_one_block_beside_its_record():
     finally:
         tracemalloc.stop()
     assert record.total_instances() == 1000 * 20 * 25 * 2 * 3 // 10
-    assert peak <= record.index.nbytes + record.values.nbytes + clean.data.nbytes / 4
+    assert peak <= record.ends.nbytes + record.position.nbytes + record.values.nbytes + clean.data.nbytes / 4
+
+
+def test_a_record_holds_one_position_a_hidden_instance(thousand_two_body):
+    # 16 bytes a hidden instance (an int32 position, three float32 values)
+    # and 8 a sample (its row end); a (sample, t, v, m) int32 row beside the
+    # values took 28 bytes a hidden instance
+    clean, occluded = thousand_two_body
+    record = OcclusionRecord.between(clean, occluded)
+    hidden, samples = record.total_instances(), len(record.sample_ids)
+    assert record.ends.nbytes + record.position.nbytes + record.values.nbytes <= 16 * hidden + 8 * samples
+    # the split's grid is the record's, so its positions come back as stored
+    assert record.rows_in(clean)[1] is record.position
+    # scoring gathers one block of rows at a time: beside the split and the
+    # record, a block's sample and grid indices, values and errors (up to
+    # 128 bytes a row, the 935 KB seen here), and the lookup of the ids
+    tracemalloc.start()
+    try:
+        stats = mpjpe(clean, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (stats.total, stats.evaluated, stats.excluded) == (0.0, hidden, 0)
+    assert peak <= RECORD_ROWS * 128 + 64 * len(clean)
 
 
 def test_between_records_in_t_v_m_order():
     rng = np.random.default_rng(17)
     clean = random_dataset(rng, 2, frames=6, joints=5, bodies=2)
     _, record = occlude_joints(clean, joints=[4, 0], frame_fraction=0.5, seed=3)
-    keys = [tuple(row) for row in record.index.tolist()]  # (sample, t, v, m)
+    keys = [(n, *row) for n, (idx, _) in enumerate(entries_of(record).values()) for row in idx.tolist()]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
@@ -356,8 +389,10 @@ def test_record_csv_groups_rows_by_sample_in_order_of_first_appearance(tmp_path)
     path.write_text(HEADER + "b,2,0,0,1,1,1\na,0,1,0,2,2,2\nb,0,3,0,3,3,3\na,0,0,0,4,4,4\n")
     record = OcclusionRecord.load_csv(path)
     assert record.sample_ids == ["b", "a"]
-    assert record.index.dtype == np.int32 and record.values.dtype == np.float32
-    assert record.index.tolist() == [[0, 0, 3, 0], [0, 2, 0, 0], [1, 0, 0, 0], [1, 0, 1, 0]]
+    assert record.position.dtype == np.int32 and record.values.dtype == np.float32
+    # the smallest grid that holds the rows: t < 3, v < 4, m < 1
+    assert record.grid == (3, 4, 1) and record.ends.tolist() == [2, 4]
+    assert record.position.tolist() == [3, 8, 0, 1]  # (0, 3, 0), (2, 0, 0); (0, 0, 0), (0, 1, 0)
     assert record.values[:, 0].tolist() == [3, 1, 4, 2]
     saved = tmp_path / "saved.csv"
     record.save_csv(saved)
@@ -365,15 +400,105 @@ def test_record_csv_groups_rows_by_sample_in_order_of_first_appearance(tmp_path)
         "b,0,3,0,3.0,3.0,3.0", "b,2,0,0,1.0,1.0,1.0", "a,0,0,0,4.0,4.0,4.0", "a,0,1,0,2.0,2.0,2.0"]
 
 
-@pytest.mark.parametrize("row", [(-1, 0, 0, 0), (2, 0, 0, 0), (0, -1, 0, 0), (0, 4, 0, 0),
-                                 (0, 0, -1, 0), (0, 0, 5, 0), (0, 0, 0, -1), (0, 0, 0, 1)])
+def test_record_csv_refuses_a_grid_of_2_to_the_31_instances(tmp_path):
+    # t and v each fit in int32, but a position in (46341, 46341, 1) does not
+    path = tmp_path / "rec.csv"
+    path.write_text(HEADER + "s0,0,0,0,1,2,3\ns0,46340,46340,0,1,2,3\n")
+    with pytest.raises(FormatError, match=r"rec\.csv: \(T, V, M\) = \(46341, 46341, 1\) holds "
+                                          r"2147488281 joint instances, over 2147483647"):
+        OcclusionRecord.load_csv(path)
+    # the largest square grid under 2**31 instances is read
+    path.write_text(HEADER + "s0,0,0,0,1,2,3\ns0,46339,46339,0,1,2,3\n")
+    record = OcclusionRecord.load_csv(path)
+    assert record.grid == (46340, 46340, 1) and record.position.tolist() == [0, 46340 * 46340 - 1]
+
+
+# The corruption sweep of a saved record CSV: its seed and its number of
+# mutations are fixed here, before it runs.
+SWEEP_SEED, SWEEP_MUTATIONS = 3001, 600
+# inserted numbers: signs, int32 and grid limits, non-finite and overflowing
+# floats, a digit separator, an Arabic-Indic one
+SWEEP_NUMBERS = [b"-1", b"-0", b"0", b"7", b"46341", b"2147483647", b"2147483648", b"99999999999999999999",
+                 b"1e400", b"nan", b"-inf", b"1_0", "\u0661".encode()]
+SWEEP_BYTES = b'0123456789-+.,e_" \r\n\x00\xff'
+
+
+def corrupt_copies(text: bytes, rng: np.random.Generator):
+    """``SWEEP_MUTATIONS`` copies of ``text``, each changed once: a bit
+    flipped, cut short, a byte replaced, a span repeated in place or a
+    number inserted."""
+    for _ in range(SWEEP_MUTATIONS):
+        kind, at = int(rng.integers(5)), int(rng.integers(len(text)))
+        if kind == 0:
+            yield text[:at] + bytes([text[at] ^ 1 << int(rng.integers(8))]) + text[at + 1:]
+        elif kind == 1:
+            yield text[:at]
+        elif kind == 2:
+            yield text[:at] + bytes([SWEEP_BYTES[rng.integers(len(SWEEP_BYTES))]]) + text[at + 1:]
+        elif kind == 3:
+            end = at + int(rng.integers(1, 64))
+            yield text[:end] + text[at:end] + text[end:]
+        else:
+            yield text[:at] + SWEEP_NUMBERS[rng.integers(len(SWEEP_NUMBERS))] + text[at:]
+
+
+def test_a_corrupt_record_csv_is_refused_or_read_as_a_record(tmp_path):
+    # with warnings as errors, each read raises FormatError or returns a
+    # record that the split it came from refuses with RecordMismatch, or
+    # takes, restores and scores
+    dataset = random_dataset(np.random.default_rng(24), 4, frames=3, joints=4, bodies=2)
+    _, record = occlude_random(dataset, 0.3, seed=7)
+    path = tmp_path / "rec.csv"
+    record.save_csv(path)
+    outcomes = {"refused": 0, "mismatch": 0, "read": 0}
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, text in enumerate(corrupt_copies(path.read_bytes(), np.random.default_rng(SWEEP_SEED))):
+            path.write_bytes(text)
+            try:
+                loaded = OcclusionRecord.load_csv(path)
+                loaded.restore(dataset)
+                mpjpe(dataset, loaded)
+                outcomes["read"] += 1
+            except FormatError:
+                outcomes["refused"] += 1
+            except RecordMismatch:
+                outcomes["mismatch"] += 1
+            except Exception as exc:
+                pytest.fail(f"mutation {i} raised {exc!r} on {text!r}")
+    assert sum(outcomes.values()) == SWEEP_MUTATIONS and all(outcomes.values()), outcomes
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("row", [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 5, 0),
+                                 (0, 0, -1), (0, 0, 1), (3, 4, 1), (9, 9, 9)])
 def test_restore_refuses_an_index_outside_the_shape(row):
+    # the record's grid is the smallest that holds its rows, and a row at a
+    # negative index lies at a negative position; neither fits (4, 5, 1)
     dataset = random_dataset(np.random.default_rng(20), 2, frames=4, joints=5)
     _, record = occlude_random(dataset, 0.3, seed=1)
-    record.index = np.vstack([record.index, np.array([row], dtype=np.int32)])
-    record.values = np.vstack([record.values, np.zeros((1, 3), dtype=np.float32)])
-    with pytest.raises(RecordMismatch, match="outside"):
-        record.restore(dataset)
+    entries = entries_of(record)
+    idx, values = entries["r0001"]
+    entries["r0001"] = (np.vstack([idx, [row]]), np.vstack([values, np.zeros((1, 3))]))
+    with pytest.raises(RecordMismatch, match=r"record row \(sample, t, v, m\) = \(1, .*outside \(2, 4, 5, 1\)"):
+        record_from(entries).restore(dataset)
+
+
+def test_a_record_in_a_grid_of_its_own_restores_at_the_same_joints():
+    # a record read from a CSV holds the smallest grid of its rows; a split
+    # of a wider grid finds each row at its (t, v, m) all the same
+    dataset = random_dataset(np.random.default_rng(23), 2, frames=4, joints=5, bodies=2)
+    entries = {"r0001": ([(0, 1, 0), (2, 3, 1)], [(1, 2, 3), (4, 5, 6)]), "r0000": ([(1, 0, 0)], [(7, 8, 9)])}
+    record = record_from(entries)
+    assert record.grid == (3, 4, 2)
+    rows, position = record.rows_in(dataset)
+    assert rows.tolist() == [1, 0] and position.tolist() == [2, 27, 10]  # in the (4, 5, 2) grid
+    want = dataset.data.copy()
+    for sid, (idx, values) in entries.items():
+        for (t, v, m), value in zip(idx, values):
+            want[dataset.sample_ids.index(sid), :, t, v, m] = value
+    assert bits_equal(record.restore(dataset).data, want)
 
 
 def test_spec_validation_and_dispatch():

@@ -567,7 +567,9 @@ class CheckingHandoff(dict):
                 want = OcclusionRecord.between(self.read(path, split_tag=split),
                                                self.read(occluded, split_tag=split))
                 assert entry[1].sample_ids == want.sample_ids
-                assert bits_equal(entry[1].index, want.index)
+                assert entry[1].grid == want.grid
+                assert bits_equal(entry[1].ends, want.ends)
+                assert bits_equal(entry[1].position, want.position)
                 assert bits_equal(entry[1].values, want.values)
                 self.hits.append(f"record of {path.name}")
         elif entry is not None and entry[0] == _sha256(path):
