@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import sample_blocks
 from .embedding import EmbeddingMatrix
 from .errors import DimensionMismatch, FormatError, KTooLarge
 from .formats import read_container, read_records, write_container
@@ -23,7 +24,6 @@ from .formats import read_container, read_records, write_container
 SKKM_MAGIC = b"SKKM1"
 
 _INERTIA_SLACK = 1e-8  # relative tolerance for the monotonicity assertion
-_BLOCK_VALUES = 1 << 17  # values per difference block: 1 MiB of float64
 
 
 @dataclass
@@ -48,8 +48,8 @@ class PseudoLabels:
 
 def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Exact [N, K] squared Euclidean distances, in blocks of rows whose
-    [rows, K, D] difference array holds at most ``_BLOCK_VALUES`` values
-    (or one row).
+    [rows, K, D] float64 difference array fits in a block
+    (:func:`data.sample_blocks`), or of one row.
 
     Computed as explicit differences (not the expanded dot-product form) so
     symmetric inputs give bitwise-identical distances and argmin tie-breaks
@@ -57,10 +57,9 @@ def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     the same order whatever the block size, so its bits do not depend on it.
     """
     out = np.empty((rows.shape[0], centroids.shape[0]), dtype=np.float64)
-    chunk = max(1, _BLOCK_VALUES // max(1, centroids.size))
-    for start in range(0, rows.shape[0], chunk):
-        diff = rows[start : start + chunk, None, :] - centroids[None, :, :]
-        out[start : start + chunk] = np.multiply(diff, diff, out=diff).sum(axis=2)
+    for block in sample_blocks(rows.shape, 8 * len(centroids)):  # K float64 differences a scalar
+        diff = rows[block, None, :] - centroids[None, :, :]
+        out[block] = np.multiply(diff, diff, out=diff).sum(axis=2)
     return out
 
 

@@ -44,9 +44,16 @@ DEFAULT_CENTER_JOINT = 1
 # the least magnitude that a cast to float32 rounds to infinity
 _F32_INF = 2.0**128 - 2.0**103
 
-# Scalars of the samples that one step of a pass over a split covers: the
-# step's bool and index arrays stay near a MiB whatever the split's size.
-BLOCK_SCALARS = 1 << 18
+# Bytes of working memory one block of a pass over a split holds, whatever its size.  Each pass
+# reads it when called and divides it by the bytes of its unit, stated there; each unit and its history:
+# - a float32 scalar of samples, 4 (2**18): 300-frame ranges took 6 ms in place, 80 with a block copy
+# - a float64 difference of k-means, 8 (2**17): default cluster stage 0.34-0.47 s, 0.85-1.09 at 256 rows
+# - a record row, 128 (2**13): default baseline and scoring 0.160 s, 0.150 at 2**14 rows, 0.190 copied
+# - a fill block's cell, 8 a candidate, 64 a slot: coarse-sparse peak +1.9 MiB at 3 MiB, +0.25 at 256 KiB
+# - a gathered scalar, 64 (2**14), beside the bounds' arrays: a whole [member, 256] gather +0.35 MiB
+# - a slot-0 scalar of the embedding, 17 (16 samples at 50 frames; 10-13 raised benchmark peaks 0.1-0.3 MiB)
+# ``imputation.BLOCK_COLUMNS`` is a BLAS shape, not a memory bound, so it stays apart.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -379,11 +386,16 @@ def preprocess_relative(seq: SkeletonSequence, center_joint: int = DEFAULT_CENTE
     return seq.with_data(out)
 
 
-def sample_blocks(shape: tuple[int, ...], scalars: int | None = None) -> Iterator[slice]:
+def block_units(unit_bytes: int) -> int:
+    """How many units of ``unit_bytes`` bytes one block holds, one at least."""
+    return max(1, BLOCK_BYTES // unit_bytes)
+
+
+def sample_blocks(shape: tuple[int, ...], scalar_bytes: int) -> Iterator[slice]:
     """Consecutive slices, in order, of the rows of an ``[N, ...]`` array of
-    ``shape``: as many whole rows as hold at most ``scalars`` scalars
-    (``BLOCK_SCALARS`` by default), and one at least."""
-    step = max(1, (scalars or BLOCK_SCALARS) // max(1, math.prod(shape[1:])))
+    ``shape``: as many whole rows as one block holds at ``scalar_bytes``
+    bytes a scalar (:func:`block_units`), and one at least."""
+    step = block_units(scalar_bytes * max(1, math.prod(shape[1:])))
     return (slice(start, min(start + step, shape[0])) for start in range(0, shape[0], step))
 
 
@@ -392,7 +404,7 @@ def first_invalid_instance(data: np.ndarray) -> tuple[int, int, int, int] | None
     whose joint instance is only partly NaN or has an infinite coordinate;
     None when every instance is either finite or NaN in all three channels.
     Checked over blocks of samples, in order."""
-    for rows in sample_blocks(data.shape):
+    for rows in sample_blocks(data.shape, 4):  # 4 bytes a float32 scalar
         block = data[rows]
         bad = ~(np.isfinite(block).all(axis=1) | np.isnan(block).all(axis=1))
         if bad.any():

@@ -7,17 +7,23 @@ followed by one mean bone length per skeleton edge.  Width is therefore
 ``9 * V + len(edges)``.  Statistics over empty support (a joint or bone
 never observed) are 0, so rows never contain NaN.
 
-Samples are embedded in blocks of up to ``BLOCK_SAMPLES`` consecutive
-samples, as one [B, 3, T, V] float64 array.  A block bounds the working
-memory whatever the size of the dataset, and is large enough to share each
-array operation's overhead among its samples.  Each row equals, bit for
-bit, the row of its sample embedded on its own, because every sum keeps
-the order of the one-sample sum:
+Samples are embedded in blocks of consecutive samples, as one [B, 3, T, V]
+float64 array, as many as the working-memory budget ``data.BLOCK_BYTES``
+holds at 17 bytes a scalar, one at least: 16 samples at 50 frames, 2 at
+300.  Beside that copy (8 bytes a scalar) and its masks, a block holds one
+channel's float64 transient at a time; traced, it holds 16.6 bytes a
+scalar at 50 frames and 14.5 at 300.  A block bounds the working memory
+whatever the size of the dataset, and shares each array operation's
+overhead among its samples.  Each row equals, bit for bit, the row of its
+sample embedded on its own, because every sum keeps the order of the
+one-sample sum:
 
-- means, deviations and speeds reduce the T axis of the block, and bone
-  lengths its channel axis.  numpy adds the terms of each sample in the
-  order it uses on that sample alone: one frame after another, or pairwise
-  over T when V = 1;
+- means, deviations and speeds reduce the T axis of the block or of one
+  of its channels, with +0.0 for each term a mask leaves out.  numpy adds
+  the terms of each sample in the order it uses on that sample alone: one
+  frame after another, or pairwise over T when V = 1;
+- bone lengths reduce the channel axis of one bone's [B, 3, T] extents,
+  in the order of the one-sample reduction;
 - a bone's mean length is the mean of the 1-D array of its lengths in the
   frames where both joints are present, which numpy sums pairwise.  So the
   (sample, edge) rows of a block are grouped by their count c of usable
@@ -36,15 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, sample_blocks
 from .errors import FormatError, IdMismatch
 from .formats import read_container, read_records, write_container
 from .graph import SkeletonGraph, chain_graph, default_skeleton_graph
 
 SKEMB_MAGIC = b"SKEMB1"
-
-# samples embedded by one set of array operations (see the module docstring)
-BLOCK_SAMPLES = 16
 
 
 @dataclass
@@ -78,33 +81,39 @@ def _mean_over_frames(zeroed: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _embed_block(body: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The rows of a block: ``body`` is [B, 3, T, V] float64 with NaN for
     missing joint instances, and is overwritten; ``edges`` is [E, 2] joint
-    indices."""
+    indices.  One channel's float64 transient is held at a time, its
+    deviations and then its steps, and then one bone's extents at a time.
+    A mask's False times a finite term gives the +0.0 or -0.0 that stands
+    for a term left out (squared or taken absolute, +0.0)."""
     present = np.isfinite(body)  # per channel; channels of one joint agree
-    missing = ~present
-    body[missing] = 0.0
+    body[~present] = 0.0
     count = present.sum(axis=2)  # [B, 3, V]
-    mean = _mean_over_frames(body, count)
-    dev = body - mean[:, :, None, :]
-    dev[missing] = 0.0
-    dev *= dev
-    std = np.sqrt(_mean_over_frames(dev, count))
-    del dev
     step_present = present[:, :, 1:, :] & present[:, :, :-1, :]  # none when T = 1
-    step = body[:, :, 1:, :] - body[:, :, :-1, :]
-    np.abs(step, out=step)
-    step[~step_present] = 0.0
-    speed = _mean_over_frames(step, step_present.sum(axis=2))
-    del step
+    joint_present = present.all(axis=1)  # [B, T, V]
+    mean = _mean_over_frames(body, count)
+    std, speed = np.empty_like(mean), np.empty_like(mean)
+    buffer = np.empty_like(body[:, :1])  # [B, 1, T, V]
+    for c in range(3):
+        ch = slice(c, c + 1)
+        dev = np.subtract(body[:, ch], mean[:, ch, None, :], out=buffer)
+        dev *= present[:, ch]
+        dev *= dev
+        std[:, ch] = np.sqrt(_mean_over_frames(dev, count[:, ch]))
+        step = np.subtract(body[:, ch, 1:], body[:, ch, :-1], out=buffer[:, :, 1:])
+        np.abs(step, out=step)
+        step *= step_present[:, ch]
+        speed[:, ch] = _mean_over_frames(step, step_present[:, ch].sum(axis=2))
+    del buffer, dev, step, present
 
     # one row per (sample, edge): the bone's length in each frame, and
     # whether both of its joints are present there
-    joint_present = present.all(axis=1)  # [B, T, V]
+    length = np.empty((body.shape[0], len(edges), body.shape[2]))  # [B, E, T]
+    for e, (i, j) in enumerate(edges.tolist()):  # one bone at a time
+        extent = body[..., i] - body[..., j]  # [B, 3, T]
+        extent *= extent
+        length[:, e] = extent.sum(axis=1)
+    length = np.sqrt(length, out=length).reshape(-1, body.shape[2])
     a, b = edges.T
-    seg = body[:, :, :, a]
-    seg -= body[:, :, :, b]  # [B, 3, T, E]
-    seg *= seg
-    length = np.sqrt(seg.sum(axis=1)).transpose(0, 2, 1).reshape(-1, body.shape[2])
-    del seg
     usable = (joint_present[:, :, a] & joint_present[:, :, b]).transpose(0, 2, 1).reshape(length.shape)
     used = usable.sum(axis=1)
     bones = np.zeros(used.size)
@@ -132,8 +141,7 @@ def embed_baseline(dataset: Dataset, graph: SkeletonGraph | None = None) -> Embe
         )
     edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
     rows = np.empty((len(dataset), 9 * num_joints + len(edges)))
-    for start in range(0, len(dataset), BLOCK_SAMPLES):
-        block = slice(start, start + BLOCK_SAMPLES)
+    for block in sample_blocks(dataset.data.shape[:4], 17):  # 17 bytes a scalar of slot 0
         rows[block] = _embed_block(dataset.data[block, ..., 0].astype(np.float64), edges)
     return EmbeddingMatrix(values=rows, sample_ids=dataset.sample_ids, source="builtin")
 

@@ -18,10 +18,11 @@ split, each with its record.  The report scores each split on its own and
 the splits together.
 
 Scoring and the baseline go over blocks of whole recorded samples
-(``RECORD_ROWS``), and the channel ranges over blocks of samples
-(``RANGE_BLOCK``).  So beside the splits and records it reads, eval holds
-one block's arrays at a time, and of a split no filled copy but one
-sample's.
+(:meth:`OcclusionRecord.blocks`; a split's values through
+:func:`occlusion.values_at`), and the channel ranges over blocks of samples
+(:func:`data.sample_blocks`), each as the budget ``data.BLOCK_BYTES``
+allows.  So beside the splits and records it reads, eval holds one block's
+arrays at a time, and of a split no filled copy but one sample's.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .clustering import PseudoLabels
 from .data import Dataset, sample_blocks
 from .errors import LengthMismatch, RecordMismatch
-from .occlusion import RECORD_ROWS, OcclusionRecord, block_index, sample_rng
+from .occlusion import OcclusionRecord, sample_rng, values_at
 
 
 @dataclass
@@ -101,12 +102,6 @@ class EvalReport(SplitScores):
         return ["" if value is None else repr(value) for value in values]
 
 
-# Scalars of the samples that one step of the channel ranges covers: a
-# block's masks stay a few hundred KiB whatever the split's size.
-# Reducing the blocks in place, the range of the 300-frame train split took
-# 6 ms, against 80 ms with a float32 copy of each block.
-RANGE_BLOCK = 1 << 18
-
 def _extremes(values: np.ndarray, where) -> tuple[np.ndarray, np.ndarray]:
     """Each channel's least and greatest value of ``values`` [n, 3, ...]
     ``where`` it holds, NaN skipped; +inf and -inf for a channel with none."""
@@ -125,7 +120,7 @@ def _channel_ranges(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
     data = dataset.data
     present = np.array([seq.body_present for seq in dataset.samples], dtype=bool)
-    for rows in sample_blocks(data.shape, RANGE_BLOCK):
+    for rows in sample_blocks(data.shape, 4):  # 4 bytes a float32 scalar
         block, slots = data[rows], present[rows, None, None, None, :]
         if slots.all():
             low, high = _extremes(block.reshape(len(block), 3, -1), True)
@@ -168,24 +163,18 @@ def impute_random_baseline(dataset: Dataset, record: OcclusionRecord, seed: int)
             values[start:end] = sample.reshape(3, -1)[:, block[start:end]].T
         return values
 
-    return itertools.starmap(draw, record.blocks(RECORD_ROWS))
+    return itertools.starmap(draw, record.blocks())
 
 
-def _sample_stats(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord,
-                  located: tuple[np.ndarray, np.ndarray] | None) -> Iterator[MpjpeStats]:
-    """Each recorded sample's stats, in record order, over blocks of whole
-    samples; ``recovered`` is a split in which ``located`` (from
-    :meth:`OcclusionRecord.rows_in`) finds the record's rows, or, with no
-    ``located``, the [n, 3] values of each block at the record's rows."""
-    blocks = iter(recovered) if located is None else None
-    for samples, ends, at in record.blocks(RECORD_ROWS):
-        if blocks is None:
-            rows, position = located
-            values = recovered.data[block_index(recovered.data.shape, rows[samples], ends, position[at])]
-        else:
-            values = next(blocks, None)
-            if values is None or values.shape != (at.stop - at.start, 3):
-                raise RecordMismatch(f"recovered values do not match the record's rows {at.start}..{at.stop}")
+def _sample_stats(recovered: Iterable[np.ndarray], record: OcclusionRecord) -> Iterator[MpjpeStats]:
+    """Each recorded sample's stats, in record order, from the [n, 3] values
+    ``recovered`` at each block of the record's rows
+    (:meth:`OcclusionRecord.blocks`)."""
+    blocks = iter(recovered)
+    for _, ends, at in record.blocks():
+        values = next(blocks, None)
+        if values is None or values.shape != (at.stop - at.start, 3):
+            raise RecordMismatch(f"recovered values do not match the record's rows {at.start}..{at.stop}")
         diff = values.astype(np.float64)  # [n, 3], in place from here
         diff -= record.values[at]
         finite = np.isfinite(diff).all(axis=1)  # as recovered: the recorded values are finite
@@ -205,11 +194,9 @@ def mpjpe(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord) ->
     ``recovered`` is a split, in which each recorded sample is found by id,
     or the values recovered at the record's rows, block by block, as
     :func:`impute_random_baseline` gives them."""
-    stats = MpjpeStats()
-    located = record.rows_in(recovered) if isinstance(recovered, Dataset) else None
-    for sample in _sample_stats(recovered, record, located):
-        stats += sample
-    return stats
+    if isinstance(recovered, Dataset):
+        recovered = values_at(recovered, record, *record.rows_in(recovered))
+    return sum(_sample_stats(recovered, record), MpjpeStats())
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -258,8 +245,8 @@ def per_class_error(splits: Iterable[tuple[Dataset, OcclusionRecord]]) -> dict[i
     pairs, pooled split by split; empty when no recorded sample has a label."""
     by_label: dict[int, MpjpeStats] = {}
     for imputed, record in splits:
-        located = record.rows_in(imputed)
-        for row, stats in zip(located[0].tolist(), _sample_stats(imputed, record, located)):
+        rows, position = record.rows_in(imputed)
+        for row, stats in zip(rows.tolist(), _sample_stats(values_at(imputed, record, rows, position), record)):
             label = imputed.samples[row].label
             if label is not None:
                 by_label[int(label)] = by_label.get(int(label), MpjpeStats()) + stats

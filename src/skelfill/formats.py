@@ -270,7 +270,7 @@ def _infer_body_present(data: np.ndarray) -> np.ndarray:
     """[N, M]: a slot holds a body iff its slab of ``data`` [N, 3, T, V, M]
     has any nonzero or NaN (!= 0) value; a sample with none owns slot 0."""
     present = np.empty((len(data), data.shape[-1]), dtype=bool)
-    for rows in sample_blocks(data.shape):
+    for rows in sample_blocks(data.shape, 4):  # 4 bytes a float32 scalar
         present[rows] = (data[rows] != 0).any(axis=(1, 2, 3))
     present[~present.any(axis=1), 0] = True
     return present

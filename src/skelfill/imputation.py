@@ -57,11 +57,12 @@ from ``-0.0``, forming one slot's float64 terms from the float32 donor
 values at a time: the candidate order of the per-target path (kept in
 ``tests/reference.py``), without the ``-0.0`` terms it added for candidates
 a hole does not take, so every value keeps its bits.  The engine calls both
-once per block of holes, whose arrays ``FILL_BYTES`` bounds, taking targets
-in order and splitting one between blocks where its holes do not fit; each
-hole's column is its own, so the split changes no value.  ``find_donors``
-and ``impute_value`` call them on one column, so the scalar API computes
-exactly what the engine does.
+once per block of holes, whose arrays the working-memory budget
+``data.BLOCK_BYTES`` bounds, taking targets in order and splitting one
+between blocks where its holes do not fit; each hole's column is its own,
+so the split changes no value.  ``find_donors`` and ``impute_value`` call
+them on one column, so the scalar API computes exactly what the engine
+does.
 
 Candidates come from one of two rules, chosen by the pool size.  A pool of
 at most 4k rows sends every row usable for some hole of the target to the
@@ -93,7 +94,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .clustering import PseudoLabels
-from .data import Dataset, sample_blocks
+from .data import Dataset, block_units, sample_blocks
 from .errors import EmptyDonorSet, LabelMismatch, NoOverlap
 
 
@@ -294,22 +295,6 @@ Pool = tuple[np.ndarray, np.ndarray, np.ndarray]
 # not 0.41, and of a 360-member 300-frame cluster 0.30 s of CPU, not 0.28.
 BLOCK_COLUMNS = 256
 
-# Bytes of one fill block's [candidate, hole] and [slot, hole] arrays: the
-# holes whose donors are chosen and filled together are as many as fit,
-# split between blocks where a target's do not.  Traced, a block holds about
-# 8 bytes a candidate cell (its intp index; the bool masks beside it come
-# and go) and 64 a slot cell (intp indices, float64 weights and terms, the
-# float32 donor values of three channels).  On coarse-sparse (k = 10, some
-# 15 candidates a hole) that is some 1 400 holes a block.  There 3 MiB,
-# about the 4 096 holes of a block before, read a `--json` peak 1.9 MiB
-# higher, and 256 KiB one 0.25 MiB higher (medians of 6 runs).
-FILL_BYTES = 1 << 20
-
-# Scalars of one gather of a split's rows through a pool's indices, which
-# fills the pool's mask or the bounds pass's buffers: gathering a whole
-# [member, 256] block at once raised coarse-sparse's `--json` peak 0.35 MiB.
-GATHER_SCALARS = 1 << 14
-
 
 def _rows(dataset: Dataset) -> np.ndarray:
     """The rows [N, L] of ``dataset``, float32 with NaN exactly where a value
@@ -318,9 +303,9 @@ def _rows(dataset: Dataset) -> np.ndarray:
     in place of each infinity.  Nothing writes into them."""
     n, *shape = dataset.data.shape
     rows = dataset.data.reshape(n, math.prod(shape))
-    if rows.dtype != np.float32 or any(np.isinf(rows[block]).any() for block in sample_blocks(rows.shape)):
+    if rows.dtype != np.float32 or any(np.isinf(rows[block]).any() for block in sample_blocks(rows.shape, 4)):
         rows = rows.astype(np.float32)
-        for block in sample_blocks(rows.shape):
+        for block in sample_blocks(rows.shape, 4):  # 4 bytes a float32 scalar
             part = rows[block]
             part[np.isinf(part)] = np.nan
     return rows
@@ -329,9 +314,9 @@ def _rows(dataset: Dataset) -> np.ndarray:
 def _pool(rows: np.ndarray, members: np.ndarray) -> Pool:
     """The pool of the rows ``members`` of a split's ``rows`` (``_rows``):
     those rows themselves, not a copy, and beside them only the members'
-    channel-0 mask, gathered a few rows at a time."""
+    channel-0 mask, gathered a few rows at a time (see :func:`_blocks`)."""
     present = np.empty((members.size, rows.shape[1] // 3), dtype=bool)
-    for block in sample_blocks(present.shape, GATHER_SCALARS):
+    for block in sample_blocks(present.shape, 64):
         np.isfinite(rows[members[block], : present.shape[1]], out=present[block])
     return rows, present, members
 
@@ -346,16 +331,17 @@ def _blocks(rows: np.ndarray, index: np.ndarray) -> Iterator[tuple[np.ndarray, n
     ``rows`` [N, L], which hold NaN exactly where a value is absent, their
     float64 values with 0 where absent and their presence as 0 or 1, in two
     buffers that every block refills, so the caller may square the values in
-    place.  Each block is gathered into the buffers a few rows at a time
-    (``GATHER_SCALARS``).  A narrower last block takes the head of each
-    buffer, so it too is C-contiguous and matmul hands it to BLAS without a
-    copy."""
+    place.  Each block is gathered into the buffers a few rows at a time, at
+    64 bytes a scalar: a float32 value and a bool presence take 5, but a
+    gather runs beside the bounds pass's [target, member] arrays.  A
+    narrower last block takes the head of each buffer, so it too is
+    C-contiguous and matmul hands it to BLAS without a copy."""
     width = min(BLOCK_COLUMNS, rows.shape[1])
     buffers = [np.empty(len(index) * width) for _ in range(2)]
     for start in range(0, rows.shape[1], width):
         shape = (len(index), min(width, rows.shape[1] - start))
         v, pv = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
-        for part in sample_blocks(shape, GATHER_SCALARS):
+        for part in sample_blocks(shape, 64):
             gathered = rows[index[part], start:start + shape[1]]
             present = np.isfinite(gathered)
             np.copyto(pv[part], present)
@@ -500,7 +486,7 @@ def _targets(dataset: Dataset) -> tuple[np.ndarray, list[_Target]]:
     data = dataset.data.astype(np.float32)
     flat = data.reshape(*data.shape[:2], math.prod(data.shape[2:]))  # [N, 3, L / 3]
     missing, holes = [], []
-    for rows in sample_blocks(flat.shape):  # masks of one block of samples at a time
+    for rows in sample_blocks(flat.shape, 4):  # masks of a block of samples, 4 bytes a scalar
         missing += np.count_nonzero(~np.isfinite(flat[rows]), axis=(1, 2)).tolist()
         holes += [np.flatnonzero(row) for row in np.isnan(flat[rows]).all(axis=1)]
     return data, [_Target(i, sid, row, hole, SampleCounts(miss, 0, 3 * hole.size))
@@ -583,7 +569,9 @@ def _fill_targets(targets: list[_Target], rows: np.ndarray, pool: Pool, k: int, 
         cand, start = (rows_in[order], dist[order]), 0
         while start < target.holes.size:
             width = max(width, cand[0].size)
-            room = max(1, FILL_BYTES // (8 * width + 64 * k)) - size  # one hole at least
+            # a hole's cells: 8 bytes a candidate (an intp index) and 64 a slot
+            # (intp indices, float64 weights and terms, 3 float32 donor values)
+            room = block_units(8 * width + 64 * k) - size  # one hole at least
             if room <= 0:  # full at this width
                 _fill_block(block, pool, k, trace)
                 block, width, size = [], 0, 0

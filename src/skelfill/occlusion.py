@@ -26,10 +26,11 @@ samples at one index draw apart.
 :meth:`OcclusionRecord.between` works through blocks of samples
 (:func:`data.sample_blocks`): one pass counts each sample's hidden
 instances and the next writes them into the record's arrays, so beside
-them it holds one block's indices at a time.  Every read of a record at a split's samples
-(:meth:`OcclusionRecord.restore`, and evaluation's scoring and baseline)
-goes over blocks of whole recorded samples (:meth:`OcclusionRecord.blocks`),
-so it holds at most ``RECORD_ROWS`` rows' sample indices at a time.
+them it holds one block's indices at a time.  Every read of a record at a
+split's samples (:meth:`OcclusionRecord.restore`, :func:`values_at`, and
+evaluation's baseline) goes over blocks of whole recorded samples
+(:meth:`OcclusionRecord.blocks`), as many rows as the working-memory budget
+``data.BLOCK_BYTES`` holds at 128 bytes a row.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import formats
-from .data import Dataset, _int, sample_blocks
+from .data import Dataset, _int, block_units, sample_blocks
 from .errors import (
     AlreadyOccluded,
     FormatError,
@@ -55,13 +56,6 @@ from .errors import (
 MODES = ("random_rate", "joint_targeted")
 # the columns of the record CSV, read and written by :mod:`skelfill.formats`
 RECORD_COLUMNS = ("sample_id", "t", "v", "m", "x", "y", "z")
-
-# Record rows that one step of a read at a split's samples takes: gathering
-# a row's values widens its sample and grid indices to intp, and scoring
-# makes them float64, so a block holds some 110 bytes a row, 0.9 MiB here.
-# At the ROADMAP default the baseline and the scoring of the train split
-# took 0.160 s, 0.150 s at 16 384 rows and 0.190 s with a filled copy.
-RECORD_ROWS = 1 << 13
 
 
 @dataclass
@@ -115,12 +109,14 @@ class OcclusionRecord:
     def total_instances(self) -> int:
         return len(self.position)
 
-    def blocks(self, size: int) -> Iterator[tuple[slice, np.ndarray, slice]]:
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray, slice]]:
         """Blocks of whole recorded samples, in order: each block's slice of
         ``sample_ids``, its samples' ends from the start of its rows, and the
         slice of those rows.  A block ends with the sample that brings it to
-        ``size`` rows, or with the last."""
-        first = start = 0
+        the rows one block holds at 128 bytes a row (gathered, its indices
+        widen to intp and scoring makes its values float64: some 110), or
+        with the last."""
+        size, first, start = block_units(128), 0, 0
         for last, end in enumerate(self.ends.tolist(), 1):
             if end - start >= size or last == len(self.ends):
                 yield slice(first, last), self.ends[first:last] - start, slice(start, end)
@@ -160,7 +156,7 @@ class OcclusionRecord:
         """Write the recorded originals back; inverse of the occlusion."""
         rows, position = self.rows_in(dataset)
         data = dataset.data.copy()
-        for samples, ends, at in self.blocks(RECORD_ROWS):
+        for samples, ends, at in self.blocks():
             data[block_index(data.shape, rows[samples], ends, position[at])] = self.values[at]
         return dataset.with_data(data)
 
@@ -187,7 +183,7 @@ class OcclusionRecord:
 
         # one pass counts each sample's rows, the next fills them in: no
         # block's indices outlive it
-        blocks = list(sample_blocks(occluded.data.shape))
+        blocks = list(sample_blocks(occluded.data.shape, 4))  # 4 bytes a float32 scalar
         ends = np.empty(len(ids), dtype=np.int64)
         for rows in blocks:
             ends[rows] = np.count_nonzero(hidden(rows)[0], axis=1)
@@ -252,6 +248,14 @@ def block_index(shape: tuple[int, ...], rows: np.ndarray, ends: np.ndarray,
     ``position`` in the array's (T, V, M) grid."""
     return (np.repeat(rows, np.diff(ends, prepend=0)), slice(None),
             *np.unravel_index(position, shape[2:]))
+
+
+def values_at(dataset: Dataset, record: OcclusionRecord, rows: np.ndarray,
+              position: np.ndarray) -> Iterator[np.ndarray]:
+    """The [n, 3] values of ``dataset`` at each block of ``record``'s rows, in
+    order; ``rows`` and ``position`` are :meth:`OcclusionRecord.rows_in`'s."""
+    for samples, ends, at in record.blocks():
+        yield dataset.data[block_index(dataset.data.shape, rows[samples], ends, position[at])]
 
 
 def sample_rng(dataset: Dataset, seed: int, index: int) -> np.random.Generator:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from skelfill import ClusterModel, EmbeddingMatrix, kmeans_fit, kmeans_predict
-from skelfill.clustering import _BLOCK_VALUES, SKKM_MAGIC, _sq_distances, load_model, save_model
+from skelfill.clustering import SKKM_MAGIC, _sq_distances, load_model, save_model
+from skelfill.data import BLOCK_BYTES
 from skelfill.errors import DimensionMismatch, FormatError, KTooLarge
 
 
@@ -118,8 +119,8 @@ def test_duplicate_heavy_input_triggers_empty_cluster_repair():
 @pytest.mark.parametrize("scale", [1.0, 1e4])
 def test_sq_distances_equal_a_row_at_a_time_bit_for_bit_across_block_edges(k, d, scale):
     # the rows span two whole blocks and one row of a third (one row a block
-    # when K * D alone exceeds the bound)
-    n = 2 * max(1, _BLOCK_VALUES // (k * d)) + 1
+    # when the K * D float64 differences of a row alone exceed the budget)
+    n = 2 * max(1, BLOCK_BYTES // (8 * k * d)) + 1
     rng = np.random.default_rng(k)
     rows = rng.standard_normal((n, d)) * scale
     centroids = rng.standard_normal((k, d)) * scale

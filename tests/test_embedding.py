@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import skelfill.data
+
 from conftest import dataset_of, random_dataset, seq_of
 from reference import embed_one_ref
 from skelfill import EmbeddingMatrix, SkeletonSequence, embed_baseline, load_embeddings, save_embeddings
@@ -157,8 +159,8 @@ def test_embed_baseline_working_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(59)
     graph = default_skeleton_graph()
 
-    def peak_without_output(n):
-        dataset = _holey_dataset(rng, 50, n=n)
+    def peak_without_output(n, frames=50):
+        dataset = _holey_dataset(rng, frames, n=n)
         tracemalloc.start()
         try:
             matrix = embed_baseline(dataset, graph=graph)
@@ -169,6 +171,10 @@ def test_embed_baseline_working_memory_is_bounded_by_the_block():
 
     small, large = peak_without_output(32), peak_without_output(160)
     assert large <= 1.5 * small, (small, large)
+    # the block is counted in bytes, not samples: at 300 frames a block of
+    # two samples holds some 0.66 MB, where one of 16 held 9.6 MB
+    long = peak_without_output(16, frames=300)
+    assert long <= 2 * skelfill.data.BLOCK_BYTES, long
 
 
 def test_matrix_validation():

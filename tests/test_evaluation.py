@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import skelfill.data
+
 from conftest import bits_equal, dataset_of, entries_of, random_dataset, record_from, seq_of
 from reference import between_ref, mpjpe_ref, per_class_error_ref, random_baseline_ref
 from skelfill import OcclusionRecord, clustering_quality, evaluation, impute_random_baseline, mpjpe
@@ -69,7 +71,7 @@ def test_baseline_range_ignores_padding_slots():
 @pytest.mark.parametrize("block", [1, 300, 1 << 20])
 def test_baseline_range_is_the_same_over_any_blocks_of_samples(monkeypatch, block):
     # blocks of one sample (144 scalars), of two, and of all seven; record
-    # blocks of one row up to the whole record
+    # blocks of one row, of 9 and of the whole record, from the one budget
     rng = np.random.default_rng(163)
     seqs = []
     for i in range(7):
@@ -82,8 +84,7 @@ def test_baseline_range_is_the_same_over_any_blocks_of_samples(monkeypatch, bloc
     usable = np.isfinite(occluded.data) & present
     want = [[occluded.data[:, c][usable[:, c]].min() for c in range(3)],
             [occluded.data[:, c][usable[:, c]].max() for c in range(3)]]
-    monkeypatch.setattr(evaluation, "RANGE_BLOCK", block)
-    monkeypatch.setattr(evaluation, "RECORD_ROWS", max(1, block // 12))
+    monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", 4 * block)  # 4 bytes a float32 scalar
     assert [bound.tolist() for bound in evaluation._channel_ranges(occluded)] == want
     values = baseline_of(occluded, record, seed=8)
     monkeypatch.undo()
@@ -129,7 +130,7 @@ def baseline_case(case: str) -> tuple:
 @pytest.mark.parametrize("rows", [1 << 13, 7])
 @pytest.mark.parametrize("case", BASELINE_CASES)
 def test_baseline_equals_the_whole_split_fill_at_the_records_rows(monkeypatch, case, rows):
-    monkeypatch.setattr(evaluation, "RECORD_ROWS", rows)  # 7: blocks of a few samples
+    monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", 128 * rows)  # 128 bytes a row; 7: a few samples
     occluded, record = baseline_case(case)
     want = at_record(random_baseline_ref(occluded, 23), occluded, record)
     assert bits_equal(baseline_of(occluded, record, 23), want)

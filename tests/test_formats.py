@@ -459,7 +459,7 @@ def test_read_checks_are_the_same_over_any_blocks_of_samples(tmp_path, monkeypat
     write_dataset(dataset, path, fmt)
     with pytest.raises(FormatError) as whole:
         read_dataset(path)
-    monkeypatch.setattr(skelfill.data, "BLOCK_SCALARS", scalars)
+    monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", 4 * scalars)  # 4 bytes a float32 scalar
     assert skelfill.data.first_invalid_instance(data) == (3, 0, 1, 1)
     assert skelfill.data.first_invalid_instance(np.delete(data, [3, 5], axis=0)) is None
     present = formats._infer_body_present(data)

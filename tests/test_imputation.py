@@ -11,6 +11,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import skelfill.data
+
 from conftest import bits_equal, dataset_of, seq_of
 from reference import fill_one_target_ref
 from skelfill import (
@@ -576,8 +578,9 @@ def test_distance_bounds_hold_three_target_member_arrays():
         finally:
             tracemalloc.stop()
         # the buffers' values and presence, and the float32 values and bool
-        # presence of one gather of a few rows, which fills them
-        buffers = sides * width * (8 + 8) + imputation.GATHER_SCALARS * (4 + 1)
+        # presence of one gather of a few rows, which fills them: a 64th of
+        # the budget in scalars
+        buffers = sides * width * (8 + 8) + skelfill.data.BLOCK_BYTES // 64 * (4 + 1)
         assert peak <= 3 * 8 * cells + cells + buffers + (1 << 17), peak
 
 
@@ -638,7 +641,7 @@ def test_one_cluster_imputes_within_a_bounded_transient():
     # 120 samples in one cluster, so the bounds pass runs on the whole split.
     # In units of the split's bytes, the peak, 2.83, is a fill block's: the
     # filled copy and the targets' holes (1.14), the channel-0 mask (1/12)
-    # and FILL_BYTES of block arrays (1.46).  The bounds pass before it
+    # and a budget of fill block arrays (1.46).  The bounds pass before it
     # peaks at 2.54, with its two block buffers (2/3) and its three
     # [member, member] arrays (1/2).  A per-scalar mask would add 1/6 more,
     # a [member, member] table kept through the fill 1/6, and a copy of the
@@ -699,8 +702,8 @@ def test_fill_blocks_of_any_size_fill_alike(monkeypatch, name, fill_bytes):
     args = (train, labels_for(train, train_labels), test,
             None if test is None else labels_for(test, test_labels))
     runs = []
-    for size in (imputation.FILL_BYTES, fill_bytes):
-        monkeypatch.setattr(imputation, "FILL_BYTES", size)
+    for size in (skelfill.data.BLOCK_BYTES, fill_bytes):
+        monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", size)
         trace: dict = {}
         out_train, out_test, report = impute_dataset(*args, k=k, threads=threads, trace=trace)
         runs.append(([out.data.tobytes() for out in (out_train, out_test) if out is not None],
@@ -801,7 +804,7 @@ def reference_case(name):
     if name == "pools-either-side-of-4k":  # k = 4: 17 members bounded, 9 not
         train, test = as_dataset(random_arrays(rng, 26), "tr"), as_dataset(random_arrays(rng, 6), "te", "test")
         return train, [0] * 17 + [1] * 9, test, [0, 1, 1, 0, 1, 0], 4, 2
-    if name == "40-targets":  # about 6000 holes: more than one fill block of FILL_BYTES
+    if name == "40-targets":  # about 6000 holes: more than one fill block of the budget
         train = as_dataset(random_arrays(rng, 40, shape=(3, 20, 25, 1), rate=0.3), "tr")
         return train, [0] * 40, None, None, 5, 1
     if name == "float64":

@@ -21,7 +21,6 @@ from skelfill.errors import (
     RateOutOfRange,
     RecordMismatch,
 )
-from skelfill.evaluation import RECORD_ROWS
 from skelfill.occlusion import apply_spec
 
 
@@ -224,10 +223,12 @@ def test_between_restores_the_clean_split_bit_exactly():
         assert bits_equal(original.data, back.data)
 
 
-def test_between_and_restore_equal_a_per_sample_loop():
+@pytest.mark.parametrize("record_rows", [1 << 13, 1])
+def test_between_and_restore_equal_a_per_sample_loop(monkeypatch, record_rows):
     # the whole-split forms against the one-sample-at-a-time rule, with the
     # clean split in another order, holding one more sample and missing
-    # instances of its own, and a record of only some of the samples
+    # instances of its own, and a record of only some of the samples;
+    # restore takes blocks of the whole record, or of one sample (one row)
     rng = np.random.default_rng(19)
     clean = random_dataset(rng, 5, frames=6, joints=5, bodies=2)
     occluded, _ = occlude_random(clean, 0.3, seed=2)
@@ -245,7 +246,10 @@ def test_between_and_restore_equal_a_per_sample_loop():
         assert bits_equal(got[sid][1], values), sid
 
     partial = record_from({sid: got[sid] for sid in occluded.sample_ids[3:0:-2]})
+    monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", 128 * record_rows)  # 128 bytes a record row
     restored = partial.restore(occluded)
+    monkeypatch.undo()
+    assert bits_equal(restored.data, partial.restore(occluded).data)
     for seq, back in zip(occluded.samples, restored.samples):
         want = seq.data.copy()
         if seq.sample_id in partial.sample_ids:
@@ -264,7 +268,7 @@ def test_between_is_the_same_over_any_blocks_of_samples(monkeypatch, scalars):
     dirty = [seq.data.copy() for seq in reversed(clean.samples)]
     dirty[1][:, 1, 2, 0] = np.nan
     clean = dataset_of(*(seq_of(data, seq.sample_id) for data, seq in zip(dirty, reversed(clean.samples))))
-    monkeypatch.setattr(skelfill.data, "BLOCK_SCALARS", scalars)
+    monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", 4 * scalars)  # 4 bytes a float32 scalar
     got, want = entries_of(OcclusionRecord.between(clean, occluded)), between_ref(clean, occluded)
     assert list(got) == list(want)
     assert all(bits_equal(got[sid][i], want[sid][i]) for sid in want for i in (0, 1))
@@ -306,7 +310,8 @@ def test_a_record_holds_one_position_a_hidden_instance(thousand_two_body):
     assert record.rows_in(clean)[1] is record.position
     # scoring gathers one block of rows at a time: beside the split and the
     # record, a block's sample and grid indices, values and errors (up to
-    # 128 bytes a row, the 935 KB seen here), and the lookup of the ids
+    # 128 bytes a row, so the budget: the 935 KB seen here), and the lookup
+    # of the ids
     tracemalloc.start()
     try:
         stats = mpjpe(clean, record)
@@ -314,7 +319,7 @@ def test_a_record_holds_one_position_a_hidden_instance(thousand_two_body):
     finally:
         tracemalloc.stop()
     assert (stats.total, stats.evaluated, stats.excluded) == (0.0, hidden, 0)
-    assert peak <= RECORD_ROWS * 128 + 64 * len(clean)
+    assert peak <= skelfill.data.BLOCK_BYTES + 64 * len(clean)
 
 
 def test_between_records_in_t_v_m_order():

@@ -346,11 +346,43 @@ def test_eval_holds_no_copy_of_a_split_beside_what_is_handed_to_it(tmp_path, mon
         stage(config, handoff=handoff)
     paths = artifact_paths(config)
     split = formats.read_dataset(paths["train"]).data.nbytes  # 900 000 bytes
-    monkeypatch.setattr(evaluation, "RECORD_ROWS", 256)
+    monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", 256 * 128)  # 256 record rows at 128 bytes
     hashing = _traced_peak(lambda: formats.sha256_file(paths["train"]))
     peak = _traced_peak(lambda: run_eval(config, handoff=handoff))
     assert peak <= hashing + split / 4
     assert json.loads(paths["eval_json"].read_text())["mpjpe_random"] > 0
+
+
+# runs of every stage at which each blocked pass has work for several blocks
+BUDGET_RUNS = {
+    # K > 1, the clusters filled by two threads at once, in skl1
+    "synth-threads-2": dict(synth_classes=3, synth_per_class=8, target_frames=12, synth_joints=8,
+                            clusters=3, threads=2),
+    # one cluster of 30 train samples, over 4k, so the bounds pass runs
+    "one-cluster": dict(synth_classes=3, synth_per_class=10, target_frames=12, synth_joints=8,
+                        clusters=1, threads=2),
+    # two-body captures through ingest, joint-targeted occlusion, in csv
+    "ingest-csv": dict(input="captures", dataset_format="csv", clusters=2, neighbors=3,
+                       occlusion_mode="joint_targeted", occlusion_joints=(1, 3),
+                       occlusion_frame_fraction=0.5),
+}
+
+
+@pytest.mark.parametrize("run", BUDGET_RUNS)
+def test_every_output_is_the_same_at_any_working_memory_budget(tmp_path, monkeypatch, run):
+    # a budget of one byte gives every blocked pass blocks of one unit: one
+    # sample, row, hole or record row of a sample at a time
+    settings = dict(BUDGET_RUNS[run])
+    if "input" in settings:
+        write_two_body_captures(tmp_path / "captures", count=12)
+        settings["input"] = str(tmp_path / "captures")
+    workdirs = []
+    for budget in (skelfill.data.BLOCK_BYTES, 1):
+        monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", budget)
+        workdirs.append(tmp_path / f"work-{budget}")
+        run_pipeline(_small_synth_config(workdirs[-1], **settings))
+    files = [{path.name: path.read_bytes() for path in workdir.iterdir()} for workdir in workdirs]
+    assert len(files[0]) >= 20 and files[0] == files[1]
 
 
 def test_readme_documents_every_config_key():
