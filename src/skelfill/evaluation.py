@@ -189,14 +189,25 @@ def _sample_stats(recovered: Iterable[np.ndarray], record: OcclusionRecord) -> I
             start, kept_start = end, kept_end
 
 
-def mpjpe(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord) -> MpjpeStats:
+def mpjpe(recovered: Dataset | Iterable[np.ndarray], record: OcclusionRecord,
+          by_label: dict[int, MpjpeStats] | None = None) -> MpjpeStats:
     """Summed Euclidean error over recovered joint instances vs the record.
     ``recovered`` is a split, in which each recorded sample is found by id,
     or the values recovered at the record's rows, block by block, as
-    :func:`impute_random_baseline` gives them."""
+    :func:`impute_random_baseline` gives them.  Given ``by_label``, each
+    labelled sample of the split ``recovered`` also adds its stats to its
+    label's entry, in record order, in the same pass."""
+    labels = itertools.repeat(None)
     if isinstance(recovered, Dataset):
-        recovered = values_at(recovered, record, *record.rows_in(recovered))
-    return sum(_sample_stats(recovered, record), MpjpeStats())
+        rows, position = record.rows_in(recovered)
+        labels = [recovered.samples[row].label for row in rows.tolist()]
+        recovered = values_at(recovered, record, rows, position)
+    total = MpjpeStats()
+    for label, stats in zip(labels, _sample_stats(recovered, record)):
+        total += stats
+        if by_label is not None and label is not None:
+            by_label[int(label)] = by_label.get(int(label), MpjpeStats()) + stats
+    return total
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -242,12 +253,9 @@ def clustering_quality(pseudo, truth) -> tuple[float, float]:
 
 def per_class_error(splits: Iterable[tuple[Dataset, OcclusionRecord]]) -> dict[int, MpjpeStats]:
     """Recovery error per true class label over (imputed split, its record)
-    pairs, pooled split by split; empty when no recorded sample has a label."""
+    pairs, pooled split by split (:func:`mpjpe`); empty when no recorded
+    sample has a label."""
     by_label: dict[int, MpjpeStats] = {}
     for imputed, record in splits:
-        rows, position = record.rows_in(imputed)
-        for row, stats in zip(rows.tolist(), _sample_stats(values_at(imputed, record, rows, position), record)):
-            label = imputed.samples[row].label
-            if label is not None:
-                by_label[int(label)] = by_label.get(int(label), MpjpeStats()) + stats
+        mpjpe(imputed, record, by_label)
     return dict(sorted(by_label.items()))

@@ -49,7 +49,14 @@ data, the usual case), the shortest text that reads back to the same
 float64, and ``nan`` when it is missing.  That is not the shortest text for
 the float32: float32 0.1 is written ``0.10000000149011612``, though ``0.1``
 reads back to the same float32.  An unlabelled sample has an empty
-label.  The reader refuses a sample that lacks the row of some
+label.  The reader holds each row in typed columns, 56 bytes a row: its
+sample's place and ``t``, ``v``, ``m`` as int64, ``x``, ``y``, ``z`` as
+float64, cast to float32 once grouped.  The columns are one table, sized
+by the file's line ends before the rows are read.  It groups the rows by sample with
+one stable index, so a sample's rows may interleave with others' and the
+samples keep their order of first appearance.  It refuses a row's faults in
+file order as it reads, then each sample's in that order, then the joint
+instances'.  The reader refuses a sample that lacks the row of some
 (t, v, m) or repeats one, and an index below 0 or not below the sample's
 row count (no complete sample has one), naming it as written before
 anything sized by it is allocated.  Each of ``t``, ``v``, ``m`` and the label
@@ -80,6 +87,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -101,6 +109,10 @@ DATASET_COLUMNS = ("sample_id", "label", "t", "v", "m", "x", "y", "z")
 LABEL_COLUMNS = ("sample_id", "label")
 _CSV_HEADER = ",".join(DATASET_COLUMNS) + "\r\n"
 _I32, _I64 = range(-1 << 31, 1 << 31), range(-1 << 63, 1 << 63)
+_CSV_ROW = struct.Struct("=4q3d")  # a dataset CSV row as read: place, t, v, m; x, y, z
+# t, v and m take a few dozen texts in a file; their values are looked up,
+# which saves more time than the reader's pass over the line ends takes
+_cached_int = functools.lru_cache(maxsize=1 << 10)(_int)
 
 # a CSV file this module wrote and the dataset a read of it returns: the
 # base whose unchanged rows a CSV write copies (see the module docstring)
@@ -258,11 +270,20 @@ def write_table(path: str | Path, columns: tuple[str, ...], rows: Iterable[Itera
         writer.writerows(rows)
 
 
-def sha256_file(path: str | Path) -> str:
-    digest, buf = hashlib.sha256(), bytearray(1 << 20)  # one buffer, refilled in place
+def _file_blocks(path: str | Path) -> Iterator[memoryview]:
+    """The bytes of ``path``, a block at a time, through one fixed 64 KiB
+    buffer refilled in place: a read size, not a block of the data, so not
+    taken from ``data.BLOCK_BYTES``; 1 MiB hashed no faster."""
+    buf = bytearray(1 << 16)
     with open(path, "rb", buffering=0) as handle:
         while size := handle.readinto(buf):
-            digest.update(memoryview(buf)[:size])
+            yield memoryview(buf)[:size]
+
+
+def sha256_file(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    for block in _file_blocks(path):
+        digest.update(block)
     return digest.hexdigest()
 
 
@@ -376,34 +397,61 @@ def write_dataset_csv(dataset: Dataset, path: str | Path, base: Base | None = No
             handle.write("".join(lines))
 
 
+def _csv_row_bound(path: str | Path) -> int:
+    """At most how many data rows the CSV file ``path`` holds: one a line
+    end (CR, LF or CR LF) and one more, and one each 13 bytes, the least a
+    row of eight fields, six of them numbers, takes."""
+    ends = 0
+    for block in map(memoryview.tobytes, _file_blocks(path)):
+        # a CR LF astride two blocks counts twice, which only raises the bound
+        ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    return min(ends + 1, os.path.getsize(path) // 13)
+
+
 def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
-    order: list[str] = []
-    rows: dict[str, list[tuple[int, int, int, float, float, float]]] = {}
-    labels: dict[str, int | None] = {}
+    places: dict[str, int] = {}  # sample id -> its place, in order of first appearance
+    labels: list[int | None] = []
+    # typed columns, 56 bytes a row: place, t, v, m as int64, then the bits of
+    # x, y, z as float64; one allocation, sized by the file and touched only
+    # as rows fill it, so a read leaves no grown and freed buffers behind
+    table, count = np.empty((_csv_row_bound(path), 7), dtype=np.int64), 0
     for lineno, row in read_table(path, DATASET_COLUMNS):
         sid = row[0]
         try:
-            if sid not in rows:
-                labels[sid] = _int_in(_I32, row[1], f"{path}:{lineno}: label") if row[1] else None
-                rows[sid] = []
-                order.append(sid)
-            t, v, m = _int(row[2]), _int(row[3]), _int(row[4])
-            x, y, z = float(row[5]), float(row[6]), float(row[7])
+            place = places.get(sid)
+            if place is None:
+                labels.append(_int_in(_I32, row[1], f"{path}:{lineno}: label") if row[1] else None)
+                place = places[sid] = len(places)
+            t, v, m = _cached_int(row[2]), _cached_int(row[3]), _cached_int(row[4])
+            xyz = float(row[5]), float(row[6]), float(row[7])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: malformed numeric field") from None
         if not 0 <= t | v | m < 1 << 62:  # each is in [0, 2**62) just when their OR is
             raise FormatError(_index_fault(path, sid, (t, v, m)) + f", line {lineno}")
-        rows[sid].append((t, v, m, x, y, z))
-    if not order:
+        _CSV_ROW.pack_into(table, _CSV_ROW.size * count, place, t, v, m, *xyz)
+        count += 1
+    if not places:
         raise FormatError(f"{path}: no data rows")
+    data = _grouped(path, list(places), table[:count, :4], table[:count, 4:].view(np.float64))
+    del table  # before the checks of the data
+    return _as_read(data, list(places), labels, path, "csv", split_tag)
 
+
+def _grouped(path: str | Path, order: list[str], ints: np.ndarray, xyz: np.ndarray) -> np.ndarray:
+    """The [N, 3, T, V, M] float32 data of the rows of ``ints`` [row, (place,
+    t, v, m)] and ``xyz`` [row, 3], each sample's rows found through one
+    stable index, in file order; a sample's faults are refused in ``order``."""
+    place = np.ascontiguousarray(ints[:, 0])  # one copy of the column for the sort and the count
+    by_place = np.argsort(place, kind="stable")
+    ends = np.cumsum(np.bincount(place, minlength=len(order))).tolist()
+    del place
     data = None
-    for i, sid in enumerate(order):
-        table = np.array(rows[sid], dtype=np.float64)  # [row, (t, v, m, x, y, z)]
-        tvm = table[:, :3].astype(np.int64)
+    for i, (sid, start, end) in enumerate(zip(order, [0, *ends[:-1]], ends)):
+        rows = by_place[start:end]
+        tvm = ints[rows, 1:]
         beyond = np.flatnonzero((tvm >= len(tvm)).any(axis=1))  # no complete sample has it
         if beyond.size:
-            raise FormatError(_index_fault(path, sid, rows[sid][beyond[0]][:3]))
+            raise FormatError(_index_fault(path, sid, tuple(tvm[beyond[0]].tolist())))
         shape = tuple((tvm.max(axis=0) + 1).tolist())
         flat = np.ravel_multi_index(tvm.T, shape)
         # a complete sample holds each position of its shape once, so its
@@ -421,8 +469,8 @@ def read_dataset_csv(path: str | Path, split_tag: str = "train") -> Dataset:
         elif shape != data.shape[2:]:
             raise FormatError(f"{path}: samples disagree in shape: {sid} has "
                               f"{(NUM_CHANNELS, *shape)}, expected {data.shape[1:]}")
-        data[i].reshape(NUM_CHANNELS, -1)[:, flat] = table[:, 3:].T
-    return _as_read(data, order, [labels[sid] for sid in order], path, "csv", split_tag)
+        data[i].reshape(NUM_CHANNELS, -1)[:, flat] = xyz[rows].T
+    return data
 
 
 def _index_fault(path: str | Path, sid: str, tvm: tuple[int, int, int]) -> str:

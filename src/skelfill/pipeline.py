@@ -474,8 +474,9 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
         try:
-            text = formats.decode_utf8(files.need(file, "provide the capture").read_bytes(),
-                                       lambda line, what: MalformedCapture(what, line=line))
+            raw = files.need(file, "provide the capture").read_bytes()
+            files.digests[file] = hashlib.sha256(raw).hexdigest()  # of the bytes parsed
+            text = formats.decode_utf8(raw, lambda line, what: MalformedCapture(what, line=line))
             seq = to_canonical(parse_ntu_skeleton(text), config.target_frames,
                                config.max_bodies, sample_id=file.stem, label=label)
             if data and seq.num_joints != data["train"].shape[3]:
@@ -670,24 +671,24 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
     files = _StageFiles(config, "eval", handoff)
     seed_eval = config.stage_seed("eval")
-    scored = {}  # split -> (imputed split, its record)
+    imputed_splits = {}
     by_split = {}  # split -> (MpjpeStats of its recovery, of the random baseline)
+    by_label: dict[int, evaluation.MpjpeStats] = {}  # recovery per class, pooled split by split
     for split in files.splits("{split}_imputed", "impute"):
         files.need(split, "ingest")
         files.need(f"{split}_occluded", "occlude")
         # the last stage to read each dataset, so it drops the hand-off entries
-        imputed = files.read(f"{split}_imputed", last=True)
+        imputed = imputed_splits[split] = files.read(f"{split}_imputed", last=True)
         occluded = files.read(f"{split}_occluded", last=True)
         record = files.record(split, occluded)
         # the random fill is drawn at the record's rows as mpjpe scores it;
         # the occluded split goes before the next split's reads
         random_fill = evaluation.impute_random_baseline(occluded, record, seed_eval)
-        scored[split] = imputed, record
-        by_split[split] = (evaluation.mpjpe(imputed, record), evaluation.mpjpe(random_fill, record))
+        by_split[split] = (evaluation.mpjpe(imputed, record, by_label),
+                           evaluation.mpjpe(random_fill, record))
         del occluded, random_fill
     knn, baseline = (sum(parts, evaluation.MpjpeStats()) for parts in zip(*by_split.values()))
-    per_class = evaluation.per_class_error(scored.values())
-    train = scored["train"][0]
+    train = imputed_splits["train"]
 
     purity = nmi = None
     truth = [seq.label for seq in train.samples]
@@ -699,7 +700,7 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     report = evaluation.EvalReport.of(
         knn, baseline,
         per_class={str(label): stats.mean_error
-                   for label, stats in per_class.items() if stats.evaluated} or None,
+                   for label, stats in sorted(by_label.items()) if stats.evaluated} or None,
         purity=purity, nmi=nmi,
         splits={split: evaluation.SplitScores.of(*pair) for split, pair in by_split.items()},
     )

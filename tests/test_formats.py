@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -369,6 +370,49 @@ def test_csv_rejects_partly_nan_and_infinite_instances(tmp_path):
     assert np.isnan(read_dataset_csv(path).samples[0].data[:, 0, 0, 0]).all()
 
 
+def test_a_csv_whose_samples_interleave_reads_back_as_the_grouped_file(tmp_path):
+    rng = np.random.default_rng(17)
+    dataset = random_dataset(rng, 3, frames=2, joints=3, bodies=2)
+    dataset.samples[0].data[:, 1, 2, 1] = np.nan
+    dataset.samples[2].label = 7
+    write_dataset_csv(dataset, tmp_path / "grouped.csv")
+    header, *lines = (tmp_path / "grouped.csv").read_text().splitlines(keepends=True)
+    per_sample = [lines[i * 12:(i + 1) * 12] for i in range(3)]  # 2 frames, 3 joints, 2 bodies
+    # round robin, sample 2 first, each sample's rows backwards
+    mixed = [per_sample[s][-1 - i] for i in range(12) for s in (2, 0, 1)]
+    (tmp_path / "mixed.csv").write_text(header + "".join(mixed))
+    reordered = dataset_of(*(dataset.samples[s] for s in (2, 0, 1)))
+    write_dataset_csv(reordered, tmp_path / "reordered.csv")
+    assert_same_dataset(read_dataset_csv(tmp_path / "mixed.csv"),
+                        read_dataset_csv(tmp_path / "reordered.csv"))
+
+
+@pytest.mark.parametrize("end", ["\r", "\n", "\r\n\r\n"])
+def test_a_csv_reads_alike_whatever_its_line_ends(tmp_path, end):
+    # the reader sizes its table by the line ends before it reads the rows
+    dataset = random_dataset(np.random.default_rng(19), 2, frames=2, joints=2)
+    dataset.samples[0].sample_id = "a\r\nb"  # quoted, over two lines
+    write_dataset_csv(dataset, tmp_path / "d.csv")
+    text = (tmp_path / "d.csv").read_bytes().replace(b"\r\n", end.encode())
+    (tmp_path / "e.csv").write_bytes(text.replace(b"\"a" + end.encode() + b"b", b"\"a\r\nb"))
+    assert_same_dataset(read_dataset_csv(tmp_path / "e.csv"), read_dataset_csv(tmp_path / "d.csv"))
+
+
+def test_a_csv_read_holds_a_few_times_the_data_it_returns(tmp_path):
+    # typed columns hold 56 bytes a row, and the grouping index 8, beside the
+    # 12 of the float32 x, y, z returned
+    path = tmp_path / "d.csv"
+    write_dataset_csv(random_dataset(np.random.default_rng(3), 100, frames=50, joints=5, bodies=2), path)
+    tracemalloc.start()
+    try:
+        dataset = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / dataset.data.nbytes
+    assert ratio <= 8, ratio
+
+
 def test_csv_rejects_empty_body(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("sample_id,label,t,v,m,x,y,z\n")
@@ -666,7 +710,7 @@ def test_csv_tables_are_utf8_under_an_ascii_locale(tmp_path):
 def test_sha256_file_equals_hashlib_over_chunk_boundaries(tmp_path):
     import hashlib
 
-    for size in (0, 1, (1 << 20) - 1, 1 << 20, (2 << 20) + 7):
+    for size in (0, 1, (1 << 16) - 1, 1 << 16, (2 << 16) + 7, (1 << 20) - 1, 1 << 20, (2 << 20) + 7):
         path = tmp_path / f"{size}.bin"
         path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
         assert formats.sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()

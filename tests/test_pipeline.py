@@ -733,7 +733,27 @@ def test_a_pipeline_reads_no_dataset_and_hashes_each_listed_file_once(
     assert reads == []
     manifests = [json.loads(p.read_text()) for p in config.workpath().glob("manifest_*.json")]
     assert len(manifests) == 6
-    assert len(hashed) == sum(len(m["inputs"]) + len(m["outputs"]) for m in manifests)
+    # ingest takes each capture's digest from the bytes it parsed
+    listed = [name for m in manifests for name in [*m["inputs"], *m["outputs"]]]
+    assert len(hashed) == len([name for name in listed if not name.endswith(".skeleton")])
+
+
+def test_eval_scores_each_split_once_for_its_totals_and_its_classes(tmp_path, monkeypatch):
+    # the fill and the random baseline of each split, each scored once
+    config = _handoff_config(tmp_path, "skl1", "synth")
+    passes = _counting(monkeypatch, evaluation, "_sample_stats")
+    run_pipeline(config)
+    assert len(passes) == 2 * len(SPLITS)
+
+
+def test_ingest_lists_each_capture_with_the_digest_of_the_bytes_it_parsed(tmp_path, monkeypatch):
+    config = _handoff_config(tmp_path, "csv", "ingest")
+    hashed = _counting(monkeypatch, formats, "sha256_file")
+    run_ingest(config)
+    assert [p for p in hashed if Path(p).suffix == ".skeleton"] == []
+    captures = sorted(Path(config.input).glob("*.skeleton"))
+    manifest = json.loads((config.workpath() / "manifest_ingest.json").read_text())
+    assert manifest["inputs"] == {p.name: _sha256(p) for p in captures}
 
 
 def _formatted_rows(monkeypatch) -> dict[str, int]:
