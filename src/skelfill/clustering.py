@@ -6,7 +6,8 @@ index, empty clusters repaired by re-seeding them on the point currently
 farthest from its own centroid, and a per-iteration check that inertia
 never increases.  Identical inputs and seed give identical models and
 labels on every platform.  Every assignment of rows to centroids, in the
-fit and in :func:`kmeans_predict`, is made by :func:`_assign`.
+fit and in :func:`kmeans_predict`, is made by :func:`_assign`, and every
+squared distance, the k-means++ draws' too, by :func:`_sq_distances`.
 """
 
 from __future__ import annotations
@@ -72,9 +73,12 @@ def _assign(rows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _init_plusplus(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` rows drawn by k-means++: the first uniformly, each next one in
+    proportion to the squared distance of each row to its nearest row drawn
+    so far (:func:`_sq_distances`)."""
     n = rows.shape[0]
     chosen = [int(rng.integers(n))]
-    best = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
+    best = _sq_distances(rows, rows[chosen])[:, 0]
     for _ in range(1, k):
         total = best.sum()
         if total > 0:
@@ -85,8 +89,8 @@ def _init_plusplus(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             remaining[chosen] = False
             idx = int(rng.choice(np.flatnonzero(remaining)))
         chosen.append(idx)
-        best = np.minimum(best, ((rows - rows[idx]) ** 2).sum(axis=1))
-    return rows[chosen].copy()
+        np.minimum(best, _sq_distances(rows, rows[[idx]])[:, 0], out=best)
+    return rows[chosen]
 
 
 def kmeans_fit(

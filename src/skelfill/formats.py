@@ -201,10 +201,12 @@ def write_container(path: str | Path, magic: bytes, header: str, fields: tuple, 
                     ids: list[str] | None = None, labels: list[int] | None = None) -> None:
     """Write ``magic``, the ``header`` struct of ``fields`` and a record of
     each row of ``rows``, after its id and label when given, to ``path``,
-    which is not opened when an id is refused."""
+    which is not opened when an id is refused or a field does not fit the
+    header (:class:`struct.error`)."""
+    head = magic + struct.pack(header, *fields)
     raw_ids = None if ids is None else [encode_id(sid, path) for sid in ids]
     with open(path, "wb") as handle:
-        handle.write(magic + struct.pack(header, *fields))
+        handle.write(head)
         for i, row in enumerate(rows):
             if raw_ids is not None:
                 handle.write(struct.pack("<I", len(raw_ids[i])) + raw_ids[i])

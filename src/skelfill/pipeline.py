@@ -88,6 +88,8 @@ _ACTION_ID = re.compile(r"A([0-9]{3})")  # ASCII digits: \d would take others, a
 
 # fixed offsets for stage seeds derived from the base seed
 _SEED_OFFSETS = {"ingest": 11, "occlude": 23, "cluster": 37, "eval": 53}
+# the largest base seed whose every stage seed fits the u64 seed of a model file
+_MAX_SEED = 2**64 - 1 - max(_SEED_OFFSETS.values())
 
 # every subcommand, each running the stage ``run_<name>``, in ``--help``
 # order; a setting offered on all of them names this as its ``on``
@@ -165,10 +167,8 @@ class PipelineConfig:
         1.0, _parse_float, flag="--frame-fraction", on="occlude",
         check=(lambda v: 0 < v <= 1, "in (0, 1]"))
     # embedding
-    embedding_source: str = _setting(
-        "builtin", flag="--source", on="embed", choices=("builtin", "external"))
-    embeddings_train: str | None = _setting(None, on="embed")
-    embeddings_test: str | None = _setting(None, on="embed")
+    embeddings_train: str | None = _setting(None, on="embed", help="import embeddings: train split file")
+    embeddings_test: str | None = _setting(None, on="embed", help="import embeddings: test split file")
     edge_list: str | None = _setting(None, on="embed", help="bone list file, one 'i j' per line")
     # clustering
     clusters: int = _setting(60, _parse_int, on="cluster pipeline", check=_POSITIVE)
@@ -190,7 +190,8 @@ class PipelineConfig:
         25, _parse_int, flag="--joints", on="synth", check=(lambda v: v >= 2, ">= 2"))
     # run control
     seed: int = _setting(
-        0, _parse_int, on=COMMANDS, check=_NON_NEGATIVE, help="base seed for all stage seeds")
+        0, _parse_int, on=COMMANDS, check=(lambda v: 0 <= v <= _MAX_SEED, f"in [0, {_MAX_SEED}]"),
+        help="base seed for all stage seeds")
     threads: int = _setting(
         1, _parse_int, on=COMMANDS, check=_POSITIVE, help="worker threads (default: 1)")
     dataset_format: str = _setting("skl1", flag="--format", on=COMMANDS, choices=("skl1", "csv"),
@@ -237,8 +238,9 @@ def load_config(path: str | Path, base: PipelineConfig | None = None) -> Pipelin
 
 def _validate(config: PipelineConfig) -> None:
     """Raise :class:`ConfigError` for the first value outside its field's
-    choices or range, or for an external embedding file set while the
-    embedding source is builtin, which would ignore it."""
+    choices or range, or for an ``embeddings_test`` file set without
+    ``embeddings_train``: only a train file makes embed import files, so the
+    builtin embedding would ignore it."""
     for name, f in SETTINGS.items():
         value = getattr(config, name)
         choices, check = f.metadata["choices"], f.metadata["check"]
@@ -246,8 +248,9 @@ def _validate(config: PipelineConfig) -> None:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         if check is not None and value is not None and not check[0](value):
             raise ConfigError(f"{name} must be {check[1]}, got {value!r}")
-        if name.startswith("embeddings_") and value is not None and config.embedding_source == "builtin":
-            raise ConfigError(f"{name} is set, but embedding_source is builtin; set it to external")
+    if config.embeddings_test is not None and config.embeddings_train is None:
+        raise ConfigError("embeddings_test is set without embeddings_train, "
+                          "which imports external embeddings")
 
 
 # ---- artifact naming ---------------------------------------------------
@@ -575,23 +578,30 @@ def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
 @_timed
 def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
-    """Compute or import per-sample embeddings."""
+    """Compute per-sample embeddings, or import them when embeddings_train is set.
+
+    An import takes a file for each split, each required before anything
+    is written; the edge list serves the builtin embedding only."""
     files = _StageFiles(config, "embed", handoff)
-    for split in files.splits("{split}_occluded", "occlude"):
-        dataset = files.read(f"{split}_occluded")
-        if config.embedding_source == "external":
+    splits = files.splits("{split}_occluded", "occlude")
+    imported = {}  # split -> its external embedding file; empty for the builtin embedding
+    if config.embeddings_train is not None:
+        for split in splits:
             external = getattr(config, f"embeddings_{split}")
             if external is None:
-                raise ConfigError(f"embedding_source=external but no embeddings_{split} path")
-            ext_path = files.need(Path(external), "provide external embeddings")
-            matrix = embedding.align_to_dataset(embedding.load_embeddings(ext_path), dataset)
+                raise ConfigError(f"embeddings_train is set, so the {split} split needs embeddings_{split}")
+            imported[split] = files.need(Path(external), "provide external embeddings")
+    for split in splits:
+        dataset = files.read(f"{split}_occluded")
+        if imported:
+            matrix = embedding.align_to_dataset(embedding.load_embeddings(imported[split]), dataset)
         else:  # embed_baseline picks its default bones without an edge list
             graph = None if config.edge_list is None else load_edge_list(
                 files.need(Path(config.edge_list), "provide the edge list"), dataset.data.shape[3])
             matrix = embedding.embed_baseline(dataset, graph=graph)
         embedding.save_embeddings(matrix, files.output(f"emb_{split}"))
     params = {
-        "source": config.embedding_source, "edge_list": config.edge_list,
+        "source": "external" if imported else "builtin", "edge_list": config.edge_list,
         "external_train": config.embeddings_train, "external_test": config.embeddings_test,
     }
     return files.finish(params)
@@ -671,30 +681,29 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
     files = _StageFiles(config, "eval", handoff)
     seed_eval = config.stage_seed("eval")
-    imputed_splits = {}
     by_split = {}  # split -> (MpjpeStats of its recovery, of the random baseline)
     by_label: dict[int, evaluation.MpjpeStats] = {}  # recovery per class, pooled split by split
     for split in files.splits("{split}_imputed", "impute"):
         files.need(split, "ingest")
         files.need(f"{split}_occluded", "occlude")
-        # the last stage to read each dataset, so it drops the hand-off entries
-        imputed = imputed_splits[split] = files.read(f"{split}_imputed", last=True)
+        # the last stage to read each dataset, so it drops the hand-off entries;
+        # the occluded split goes once the random baseline is scored, before the imputed read
         occluded = files.read(f"{split}_occluded", last=True)
         record = files.record(split, occluded)
-        # the random fill is drawn at the record's rows as mpjpe scores it;
-        # the occluded split goes before the next split's reads
         random_fill = evaluation.impute_random_baseline(occluded, record, seed_eval)
-        by_split[split] = (evaluation.mpjpe(imputed, record, by_label),
-                           evaluation.mpjpe(random_fill, record))
+        random_stats = evaluation.mpjpe(random_fill, record)
         del occluded, random_fill
+        imputed = files.read(f"{split}_imputed", last=True)
+        by_split[split] = (evaluation.mpjpe(imputed, record, by_label), random_stats)
+        if split == "train":
+            train_ids, truth = imputed.sample_ids, [seq.label for seq in imputed.samples]
+        del imputed
     knn, baseline = (sum(parts, evaluation.MpjpeStats()) for parts in zip(*by_split.values()))
-    train = imputed_splits["train"]
 
     purity = nmi = None
-    truth = [seq.label for seq in train.samples]
     if all(lab is not None for lab in truth) and files.paths["labels_train"].exists():
         ids, pseudo = formats.read_labels_csv(files.need("labels_train", "cluster"))
-        if ids == train.sample_ids:
+        if ids == train_ids:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
 
     report = evaluation.EvalReport.of(

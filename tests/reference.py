@@ -361,3 +361,25 @@ def random_baseline_ref(dataset: Dataset, seed: int) -> np.ndarray:
             if count:
                 sample[c][holes] = rng.uniform(lo, hi, size=count).astype(np.float32)
     return data
+
+
+def init_plusplus_ref(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding over float64 ``rows``: the first row drawn
+    uniformly by ``rng.integers``, each next one by ``rng.choice`` in
+    proportion to each row's squared distance to its nearest drawn row, as
+    ``((rows - row) ** 2).sum(axis=1)``; when every row sits on a drawn one,
+    uniformly among the rows not drawn.  The drawn rows, in order."""
+    n = rows.shape[0]
+    chosen = [int(rng.integers(n))]
+    best = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = best.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=best / total))
+        else:
+            remaining = np.ones(n, dtype=bool)
+            remaining[chosen] = False
+            idx = int(rng.choice(np.flatnonzero(remaining)))
+        chosen.append(idx)
+        best = np.minimum(best, ((rows - rows[idx]) ** 2).sum(axis=1))
+    return rows[chosen].copy()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import capture_text, write_two_body_captures
-from skelfill import Dataset, formats
+from skelfill import Dataset, clustering, formats
 from skelfill import cli
 from skelfill.cli import build_parser, main
 from skelfill.errors import ConfigError
@@ -270,8 +270,10 @@ def test_a_stage_seed_key_is_unknown(tmp_path, capsys, stage):
         ["--rate", "\u0660.\u0665"], ["--rate", "1_0e-1"], ["cluster", "--tol", "1_0"],
         ["occlude", "--frame-fraction", "\uff11"],
         ["ingest", "--input", "no-such-captures", "--test-frac", "0_0"],
-        # an external embedding file needs the external source
-        ["embed", "--embeddings-train", "train.skemb"], ["embed", "--embeddings-test", "test.skemb"],
+        # every stage seed, at most the base seed + 53, fits the u64 seed of a model file
+        ["--seed", "18446744073709551563"],
+        # an external test file needs an external train file
+        ["embed", "--embeddings-test", "test.skemb"],
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
@@ -330,7 +332,7 @@ def test_every_number_and_choice_setting_exits_2_or_reads_what_python_reads(tmp_
     parser, cfg = build_parser(), tmp_path / "run.cfg"
     names = [name for name, f in SETTINGS.items()
              if f.type in ("int", "float", "tuple[int, ...]") or f.metadata["choices"] is not None]
-    assert len(names) == 20
+    assert len(names) == 19
     accepted = 0
     for name in names:
         for text in SETTING_FORMS:
@@ -429,7 +431,6 @@ CLI_SURFACE = {
         ("--format", "dataset_format", ("skl1", "csv")),
         ("--json", "json", None),
         ("--seed", "seed", None),
-        ("--source", "embedding_source", ("builtin", "external")),
         ("--threads", "threads", None),
         ("--workdir", "workdir", None),
     ],
@@ -499,7 +500,7 @@ def _surface(parser: argparse.ArgumentParser) -> dict[str, list[tuple]]:
 
 def test_cli_surface_is_pinned(capsys):
     assert _surface(build_parser()) == CLI_SURFACE
-    assert sum(len(flags) for flags in CLI_SURFACE.values()) == 83
+    assert sum(len(flags) for flags in CLI_SURFACE.values()) == 82
     for command in CLI_SURFACE:
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--help"])
@@ -533,7 +534,8 @@ def test_bad_embed_input_names_its_file(tmp_path, capsys, case, code):
         assert main(["embed", "--workdir", work]) == 0
         good = (tmp_path / "work" / "train.skemb").read_bytes()
         bad.write_bytes(good[:-4] + struct.pack("<f", float("nan")))
-        flags = ["--source", "external", "--embeddings-train", str(bad)]
+        test = (tmp_path / "work" / "test.skemb").rename(tmp_path / "test.skemb")
+        flags = ["--embeddings-train", str(bad), "--embeddings-test", str(test)]
     else:
         if case != "missing":
             bad.write_text({"non-integer": "0 1\n1 x\n", "joint-99": "0 1\n1 99\n"}[case])
@@ -556,7 +558,8 @@ def test_a_path_of_the_wrong_kind_exits_with_its_code(tmp_path, capsys, case, co
     if case == "edge-list":
         argv += ["--edge-list", str(bad)]
     elif case == "external-embeddings":
-        argv += ["--source", "external", "--embeddings-train", str(bad)]
+        (tmp_path / "test.skemb").write_bytes(b"")
+        argv += ["--embeddings-train", str(bad), "--embeddings-test", str(tmp_path / "test.skemb")]
     elif case.endswith("_occluded"):
         bad = work / f"{case}.skl1"
         bad.unlink()
@@ -625,21 +628,63 @@ def test_a_directory_at_a_later_output_is_refused_before_any_write(tmp_path, cap
     assert not any(path.exists() for path in gone)
 
 
-def test_an_external_embedding_file_needs_the_external_source(tmp_path, capsys):
+def _embedded_elsewhere(tmp_path, capsys) -> Path:
+    """A workdir of the small corpus, occluded; its builtin embeddings are
+    moved out to ``train.skemb`` and ``test.skemb`` beside it."""
     work = tmp_path / "work"
     assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
     assert main(["occlude", "--workdir", str(work), "--seed", "1", "--rate", "0.2"]) == 0
-    external = tmp_path / "external.skemb"
-    external.write_bytes(b"")
+    assert main(["embed", "--workdir", str(work)]) == 0
+    for split in ("train", "test"):
+        (work / f"{split}.skemb").rename(tmp_path / f"{split}.skemb")
+    (work / "manifest_embed.json").unlink()
     capsys.readouterr()
-    assert main(["embed", "--workdir", str(work), "--embeddings-train", str(external)]) == 2
-    assert "embeddings_train is set, but embedding_source is builtin" in capsys.readouterr().err
+    return work
+
+
+def test_an_import_without_a_file_for_each_split_is_refused_before_embed_writes(tmp_path, capsys):
+    work, external = _embedded_elsewhere(tmp_path, capsys), tmp_path / "train.skemb"
+    argv = ["embed", "--workdir", str(work), "--embeddings-train", str(external)]
+    assert main(argv) == 2  # the workdir holds a test split
+    assert "embeddings_train is set, so the test split needs embeddings_test" in capsys.readouterr().err
     assert not list(work.glob("*.skemb")) and not (work / "manifest_embed.json").exists()
+    missing = tmp_path / "missing.skemb"
+    assert main(argv + ["--embeddings-test", str(missing)]) == 3
+    assert f"required input {missing} is missing" in capsys.readouterr().err
+    assert not list(work.glob("*.skemb")) and not (work / "manifest_embed.json").exists()
+    # a test file alone would not be imported, so it is refused before any stage writes
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"embeddings_test = {external}\n")
+    cfg.write_text(f"embeddings_test = {tmp_path / 'test.skemb'}\n")
     assert main(["pipeline", "--config", str(cfg), "--workdir", str(tmp_path / "pipe")] + SMALL) == 2
-    assert "embeddings_test is set, but embedding_source is builtin" in capsys.readouterr().err
+    assert "embeddings_test is set without embeddings_train" in capsys.readouterr().err
     assert not (tmp_path / "pipe").exists()
+
+
+def test_embed_imports_its_files_when_embeddings_train_is_set(tmp_path, capsys):
+    work = _embedded_elsewhere(tmp_path, capsys)
+    external = [tmp_path / f"{split}.skemb" for split in ("train", "test")]
+    argv = ["embed", "--workdir", str(work), "--edge-list", str(tmp_path / "no-such-bones")]
+    assert main(argv + ["--embeddings-train", str(external[0]), "--embeddings-test", str(external[1])]) == 0
+    for path in external:
+        assert (work / path.name).read_bytes() == path.read_bytes()
+    manifest = json.loads((work / "manifest_embed.json").read_text())
+    assert manifest["params"]["source"] == "external"
+    assert manifest["inputs"] == {
+        **{path.name: formats.sha256_file(path) for path in external},
+        **{f"{split}_occluded.skl1": formats.sha256_file(work / f"{split}_occluded.skl1")
+           for split in ("train", "test")},
+    }
+
+
+def test_a_seed_beyond_the_model_file_exits_2_before_anything_is_written(tmp_path, capsys):
+    # the cluster stage seed, base + 37, is stored as a u64 in kmeans.skkm
+    work = tmp_path / "work"
+    assert main(["pipeline", "--workdir", str(work), "--seed", str(2**64 - 1)] + SMALL) == 2
+    assert "seed must be in [0, 18446744073709551562]" in capsys.readouterr().err
+    assert not work.exists()
+    largest = 2**64 - 1 - 53  # the eval seed is the largest stage seed
+    assert main(["pipeline", "--workdir", str(work), "--seed", str(largest), "--clusters", "3"] + SMALL) == 0
+    assert clustering.load_model(work / "kmeans.skkm").seed == largest + 37
 
 
 def test_embed_manifest_hashes_the_edge_list(tmp_path):

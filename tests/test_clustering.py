@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
+import skelfill.data
+from reference import init_plusplus_ref
 from skelfill import ClusterModel, EmbeddingMatrix, kmeans_fit, kmeans_predict
-from skelfill.clustering import SKKM_MAGIC, _sq_distances, load_model, save_model
+from skelfill.clustering import SKKM_MAGIC, _init_plusplus, _sq_distances, load_model, save_model
 from skelfill.data import BLOCK_BYTES
 from skelfill.errors import DimensionMismatch, FormatError, KTooLarge
 
@@ -128,6 +132,22 @@ def test_sq_distances_equal_a_row_at_a_time_bit_for_bit_across_block_edges(k, d,
     assert _sq_distances(rows, centroids).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n, d, k", [(40, 7, 6), (301, 249, 60), (1, 3, 1), (9, 4, 9), (25, 1, 25)])
+@pytest.mark.parametrize("budget", [BLOCK_BYTES, 1])
+def test_plusplus_seeding_equals_the_reference_bit_for_bit(monkeypatch, n, d, k, budget):
+    # at any budget (one row a block at 1 byte); K = 1, K = N, and rows
+    # repeated so that all mass sits on drawn rows before K are drawn
+    monkeypatch.setattr(skelfill.data, "BLOCK_BYTES", budget)
+    rng = np.random.default_rng(n * d + k)
+    cases = [rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=d),
+             np.repeat(rng.standard_normal((-(-n // 4), d)), 4, axis=0)[:n]]
+    for rows in cases:
+        for seed in range(3):
+            got = _init_plusplus(rows, k, np.random.default_rng(seed))
+            want = init_plusplus_ref(rows, k, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+
 def test_k_bounds():
     rows = np.zeros((4, 2))
     with pytest.raises(KTooLarge):
@@ -165,8 +185,6 @@ def test_model_load_errors(tmp_path):
     with pytest.raises(FormatError, match="magic"):
         load_model(bad)
 
-    import struct
-
     degenerate = tmp_path / "deg.skkm"
     degenerate.write_bytes(SKKM_MAGIC + struct.pack("<IIdQ", 0, 3, 0.0, 0))
     with pytest.raises(FormatError, match="degenerate"):
@@ -184,6 +202,14 @@ def test_model_load_errors(tmp_path):
     trailing.write_bytes(good.read_bytes() + b"x")
     with pytest.raises(FormatError, match="trailing"):
         load_model(trailing)
+
+
+def test_a_model_whose_seed_the_header_cannot_hold_writes_no_file(tmp_path):
+    path = tmp_path / "m.skkm"
+    model = ClusterModel(centroids=np.ones((2, 2)), k=2, inertia=0.0, iterations_run=0, seed=2**64)
+    with pytest.raises(struct.error):
+        save_model(model, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -119,7 +119,7 @@ def test_load_config_missing_file():
     [
         "dataset_format = parquet",
         "occlusion_mode = everywhere",
-        "embedding_source = magic",
+        "embedding_source = magic",  # no setting: embeddings_train selects the import
         "threads = 0",
         "seed = -1",
         "test_frac = -0.5",
@@ -135,6 +135,7 @@ def test_load_config_missing_file():
         "occlusion.joints = 7, \u0661\u0661",
         "clusters = \u0662",
         "seed = 1_0",
+        "seed = 18446744073709551563",  # a stage seed would not fit the model file's u64
         "neighbors = +1",
         "seed_eval = -3",
         # a number is ASCII text without _ that float() reads
@@ -142,8 +143,7 @@ def test_load_config_missing_file():
         "test_frac = 0_0",
         "kmeans.tol = 1_0e-1",
         "occlusion.frame_fraction = \uff11",
-        # an external embedding file needs the external source
-        "embeddings_train = train.skemb",
+        # an external test file needs an external train file
         "embeddings_test = test.skemb",
     ],
 )
@@ -744,6 +744,19 @@ def test_eval_scores_each_split_once_for_its_totals_and_its_classes(tmp_path, mo
     passes = _counting(monkeypatch, evaluation, "_sample_stats")
     run_pipeline(config)
     assert len(passes) == 2 * len(SPLITS)
+
+
+def test_eval_on_its_own_reads_each_imputed_split_after_its_clean_one(tmp_path, monkeypatch):
+    # the occluded split is scored for the random baseline and dropped before
+    # the imputed one is read, so eval holds no more than two splits at once
+    config = _small_synth_config(tmp_path / "work", clusters=2)
+    for stage in (run_synth, run_occlude, run_embed, run_cluster, run_impute):
+        stage(config)
+    reads = _counting(monkeypatch, formats, "read_dataset")
+    run_eval(config)
+    paths = artifact_paths(config)
+    assert reads == [paths[key.format(split=split)] for split in SPLITS
+                     for key in ("{split}_occluded", "{split}", "{split}_imputed")]
 
 
 def test_ingest_lists_each_capture_with_the_digest_of_the_bytes_it_parsed(tmp_path, monkeypatch):
