@@ -60,6 +60,7 @@ the way.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -322,25 +323,25 @@ class _StageFiles:
         self.digests: dict[Path, str] = {}
         self._bases: dict[str, formats.Base] = {}  # split -> base of its next write
 
-    def splits(self, key: str, hint: str) -> list[str]:
+    def splits(self, key: str) -> list[str]:
         """The splits the stage works on: train, whose input ``key`` (with
         ``{split}`` for the split) it needs, and test when its input exists,
         each input listed."""
         found = [split for split in SPLITS
                  if split == "train" or self.paths[key.format(split=split)].exists()]
         for split in found:
-            self.need(key.format(split=split), hint)
+            self.need(key.format(split=split))
         return found
 
-    def need(self, what: str | Path, hint: str) -> Path:
-        """List the input ``what``, a key or a path; a missing file raises
-        :class:`MissingArtifact` naming ``hint``, what to run first, and so
-        does a directory in its place."""
-        path = self.paths[what] if isinstance(what, str) else what
-        if not path.exists():
-            raise MissingArtifact(f"{self.stage}: required input {path} is missing; run '{hint}' first")
-        if path.is_dir():
-            raise MissingArtifact(f"{self.stage}: required input {path} is a directory, not a file")
+    def need(self, what: str | Path) -> Path:
+        """List and return the input ``what``, refused by :func:`_required`:
+        a key, whose missing file names the first stage of :data:`OUTPUTS`
+        that writes it as the one to run first, or a path outside the workdir."""
+        if isinstance(what, Path):
+            path = _required(self.stage, what)
+        else:
+            producer = next(stage for stage, keys in OUTPUTS.items() if what in keys)
+            path = _required(self.stage, self.paths[what], producer)
         self.inputs.add(path)
         return path
 
@@ -350,8 +351,7 @@ class _StageFiles:
         that reads the file last; else a dataset from the table is also the
         base of the split's next :meth:`write`, since this process wrote the
         file."""
-        path, split = self.paths[key], key.split("_")[0]
-        self.inputs.add(path)
+        path, split = self.need(key), key.split("_")[0]
         digest = self.digests[path] = formats.sha256_file(path)
         entry = None if self.handoff is None else (
             self.handoff.pop(path, None) if last else self.handoff.get(path))
@@ -384,7 +384,7 @@ class _StageFiles:
         file, hides of the clean ``split``: the table's when both files have
         the digests it was handed on with, else rebuilt from the clean file.
         Drops the table's entry."""
-        path = self.paths[split]
+        path = self.need(split)
         digest = self.digests[path] = formats.sha256_file(path)
         entry = None if self.handoff is None else self.handoff.pop(path, None)
         if entry is not None and entry[0] == (digest, self.digests[self.paths[f"{split}_occluded"]]):
@@ -403,8 +403,13 @@ class _StageFiles:
         yet, and return the stage's summary."""
         work = self.config.workpath()
 
-        def listing(files) -> dict[str, str]:  # names independent of where the workdir lives
-            return {str(p.relative_to(work)) if p.is_relative_to(work) else p.name:
+        def listing(files) -> dict[str, str]:
+            # a workdir file by its path in the workdir, so that the names do
+            # not depend on where the workdir lives; any other file by its
+            # name, or by its absolute path when another listed file has that name
+            named = collections.Counter(p.name for p in files)
+            return {str(p.relative_to(work)) if p.is_relative_to(work)
+                    else p.name if named[p.name] == 1 else str(p.absolute()):
                     self.digests.get(p) or formats.sha256_file(p) for p in sorted(files)}
 
         config_hash = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
@@ -413,6 +418,18 @@ class _StageFiles:
         (work / f"manifest_{self.stage}.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         return {"stage": self.stage, "outputs": [str(p) for p in self.outputs], **summary}
+
+
+def _required(stage: str, path: Path, producer: str | None = None) -> Path:
+    """``path``, an input of ``stage``; a missing file raises
+    :class:`MissingArtifact`, naming ``producer``, the stage that writes it,
+    as the one to run first, and so does a directory in its place."""
+    if not path.exists():
+        then = f"; run '{producer}' first" if producer else ""
+        raise MissingArtifact(f"{stage}: required input {path} is missing{then}")
+    if path.is_dir():
+        raise MissingArtifact(f"{stage}: required input {path} is a directory, not a file")
+    return path
 
 
 def _peak_rss_mb() -> float | None:
@@ -454,9 +471,10 @@ def _check_center_joint(config: PipelineConfig, num_joints: int) -> None:
         raise ConfigError(f"center_joint {config.center_joint} is not below {num_joints} joints")
 
 
-@_timed
-def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
-    """Parse captures, canonicalise, make them relative, split train and test."""
+def _captures(config: PipelineConfig) -> tuple[list[Path], int]:
+    """The capture files ingest reads, in order (the input file, or each
+    ``.skeleton`` file of the input directory), and how many go to the test
+    split."""
     if config.input is None:
         raise ConfigError("ingest needs an input file or directory")
     source = Path(config.input)
@@ -465,10 +483,16 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     captures = sorted(source.glob("*.skeleton")) if source.is_dir() else [source]
     if not captures:
         raise MissingArtifact(f"ingest: no .skeleton files under {source}")
+    return captures, int(config.test_frac * len(captures))
 
+
+@_timed
+def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+    """Parse captures, canonicalise, make them relative, split train and test."""
+    captures, tests = _captures(config)
     files = _StageFiles(config, "ingest", handoff)
     rng = np.random.default_rng(config.stage_seed("ingest"))
-    test_idx = set(rng.permutation(len(captures))[:int(config.test_frac * len(captures))].tolist())
+    test_idx = set(rng.permutation(len(captures))[:tests].tolist())
     split_of = ["test" if i in test_idx else "train" for i in range(len(captures))]
     chosen: dict[str, list] = {split: [] for split in SPLITS}
     data: dict[str, np.ndarray] = {}  # each split's [N, 3, T, V, M], once the first capture is read
@@ -477,7 +501,7 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         match = _ACTION_ID.search(file.stem)
         label = int(match.group(1)) - 1 if match else None
         try:
-            raw = files.need(file, "provide the capture").read_bytes()
+            raw = files.need(file).read_bytes()
             files.digests[file] = hashlib.sha256(raw).hexdigest()  # of the bytes parsed
             text = formats.decode_utf8(raw, lambda line, what: MalformedCapture(what, line=line))
             seq = to_canonical(parse_ntu_skeleton(text), config.target_frames,
@@ -505,7 +529,7 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     for split, dataset in datasets.items():
         files.write(split, dataset)
     params = {
-        "input": str(source), "target_frames": config.target_frames,
+        "input": str(Path(config.input)), "target_frames": config.target_frames,
         "max_bodies": config.max_bodies, "center_joint": config.center_joint,
         "test_frac": config.test_frac, "seed": config.stage_seed("ingest"),
         "dataset_format": config.dataset_format,
@@ -557,7 +581,7 @@ def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Hide joints; the clean split stays their ground truth."""
     spec = _occlusion_spec(config)
     files, hidden = _StageFiles(config, "occlude", handoff), 0
-    for split in files.splits("{split}", "ingest"):
+    for split in files.splits("{split}"):
         dataset = files.read(split)
         num_joints = dataset.data.shape[3]
         bad = [j for j in spec.joints if not 0 <= j < num_joints]
@@ -576,6 +600,21 @@ def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     return files.finish(params, hidden_instances=hidden)
 
 
+def _imported(config: PipelineConfig, splits: list[str]) -> dict[str, Path]:
+    """Each of ``splits``' external embedding file when ``embeddings_train``
+    is set, else none.  A split without its file raises :class:`ConfigError`,
+    and a file that is missing or a directory :class:`MissingArtifact`."""
+    if config.embeddings_train is None:
+        return {}
+    imported = {}
+    for split in splits:
+        external = getattr(config, f"embeddings_{split}")
+        if external is None:
+            raise ConfigError(f"embeddings_train is set, so the {split} split needs embeddings_{split}")
+        imported[split] = _required("embed", Path(external))
+    return imported
+
+
 @_timed
 def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Compute per-sample embeddings, or import them when embeddings_train is set.
@@ -583,21 +622,16 @@ def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     An import takes a file for each split, each required before anything
     is written; the edge list serves the builtin embedding only."""
     files = _StageFiles(config, "embed", handoff)
-    splits = files.splits("{split}_occluded", "occlude")
-    imported = {}  # split -> its external embedding file; empty for the builtin embedding
-    if config.embeddings_train is not None:
-        for split in splits:
-            external = getattr(config, f"embeddings_{split}")
-            if external is None:
-                raise ConfigError(f"embeddings_train is set, so the {split} split needs embeddings_{split}")
-            imported[split] = files.need(Path(external), "provide external embeddings")
+    splits = files.splits("{split}_occluded")
+    imported = _imported(config, splits)  # empty for the builtin embedding
+    files.inputs.update(imported.values())
     for split in splits:
         dataset = files.read(f"{split}_occluded")
         if imported:
             matrix = embedding.align_to_dataset(embedding.load_embeddings(imported[split]), dataset)
         else:  # embed_baseline picks its default bones without an edge list
             graph = None if config.edge_list is None else load_edge_list(
-                files.need(Path(config.edge_list), "provide the edge list"), dataset.data.shape[3])
+                files.need(Path(config.edge_list)), dataset.data.shape[3])
             matrix = embedding.embed_baseline(dataset, graph=graph)
         embedding.save_embeddings(matrix, files.output(f"emb_{split}"))
     params = {
@@ -632,8 +666,8 @@ def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
     It reads and writes no dataset, so ``handoff`` is left as it is."""
     files = _StageFiles(config, "cluster", handoff)
-    for split in files.splits("emb_{split}", "embed"):
-        matrix = embedding.load_embeddings(files.need(f"emb_{split}", "embed"))
+    for split in files.splits("emb_{split}"):
+        matrix = embedding.load_embeddings(files.paths[f"emb_{split}"])
         if config.normalize_embeddings:
             matrix = _l2_rows(matrix)
         if split == "train":
@@ -660,10 +694,10 @@ def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 def run_impute(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Fill missing joints from neighbours within each cluster."""
     files = _StageFiles(config, "impute", handoff)
-    splits = files.splits("{split}_occluded", "occlude")
+    splits = files.splits("{split}_occluded")
     args = {}  # train, train_labels, test, test_labels
     for split in splits:
-        labels_path = files.need(f"labels_{split}", "cluster")
+        labels_path = files.need(f"labels_{split}")
         args[split] = files.read(f"{split}_occluded")
         ids, values = formats.read_labels_csv(labels_path)
         args[f"{split}_labels"] = clustering.PseudoLabels(labels=values, sample_ids=ids)
@@ -683,9 +717,7 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     seed_eval = config.stage_seed("eval")
     by_split = {}  # split -> (MpjpeStats of its recovery, of the random baseline)
     by_label: dict[int, evaluation.MpjpeStats] = {}  # recovery per class, pooled split by split
-    for split in files.splits("{split}_imputed", "impute"):
-        files.need(split, "ingest")
-        files.need(f"{split}_occluded", "occlude")
+    for split in files.splits("{split}_imputed"):
         # the last stage to read each dataset, so it drops the hand-off entries;
         # the occluded split goes once the random baseline is scored, before the imputed read
         occluded = files.read(f"{split}_occluded", last=True)
@@ -702,7 +734,7 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
     purity = nmi = None
     if all(lab is not None for lab in truth) and files.paths["labels_train"].exists():
-        ids, pseudo = formats.read_labels_csv(files.need("labels_train", "cluster"))
+        ids, pseudo = formats.read_labels_csv(files.need("labels_train"))
         if ids == train_ids:
             purity, nmi = evaluation.clustering_quality(pseudo, np.asarray(truth))
 
@@ -731,6 +763,9 @@ def run_pipeline(config: PipelineConfig, handoff: Handoff | None = None) -> dict
     The stages hand datasets on through ``handoff``, a new table unless the
     caller passes one."""
     _occlusion_spec(config)  # a bad occlusion setting fails before any stage writes
+    if config.embeddings_train is not None:  # and so does an import embed would refuse
+        tests = config.synth_test_per_class if config.input is None else _captures(config)[1]
+        _imported(config, list(SPLITS) if tests else ["train"])
     handoff = {} if handoff is None else handoff
     first = run_ingest if config.input is not None else run_synth
     stages = [stage(config, handoff=handoff) for stage in

@@ -128,6 +128,29 @@ def test_a_skl1_dataset_of_no_records_exits_4(tmp_path, capsys):
     assert not (work / "train_occluded.skl1").exists()
 
 
+@pytest.mark.parametrize("stage, name", [("occlude", "train.skl1"), ("cluster", "train.skemb")])
+def test_a_binary_artifact_that_disagrees_with_its_header_exits_4(tmp_path, capsys, stage, name):
+    # train.skl1 claims one record more than it holds; train.skemb has a byte appended
+    work = tmp_path / "work"
+    flags = ["--workdir", str(work), "--seed", "1"]
+    assert main(["synth"] + flags + SMALL) == 0
+    if stage == "cluster":
+        assert main(["occlude"] + flags) == 0
+        assert main(["embed"] + flags) == 0
+    path = work / name
+    raw = bytearray(path.read_bytes())
+    if stage == "occlude":
+        struct.pack_into("<I", raw, 4, struct.unpack_from("<I", raw, 4)[0] + 1)  # N of the header
+    else:
+        raw += b"\0"
+    path.write_bytes(raw)
+    capsys.readouterr()
+    assert main([stage] + flags + ["--clusters", "3"] * (stage == "cluster")) == 4
+    assert f"error: {path}: " in capsys.readouterr().err
+    paths = artifact_paths(PipelineConfig(workdir=str(work)))
+    assert not any(paths[key].exists() for key in OUTPUTS[stage])
+
+
 def test_a_skl1_dataset_with_a_repeated_sample_id_exits_4(tmp_path, capsys):
     work = tmp_path / "work"
     assert main(["synth", "--workdir", str(work), "--seed", "1"] + SMALL) == 0
@@ -281,8 +304,12 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, flags):
         flags = ["pipeline"] + SMALL + flags
     rc = main(flags[:1] + ["--workdir", str(tmp_path / "work")] + flags[1:])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
     assert not (tmp_path / "work").exists()
+    flag, text = flags[-2:]
+    if not text.isascii():  # no parser reads it: the message names the flag and its setting
+        assert any(f"{flag}: bad value for {name!r}" in err for name in SETTINGS if cli._FLAGS[name] == flag)
 
 
 # Forms of a number that every integer, float, tuple and choice setting is
@@ -542,7 +569,9 @@ def test_bad_embed_input_names_its_file(tmp_path, capsys, case, code):
         flags = ["--edge-list", str(bad)]
     capsys.readouterr()
     assert main(["embed", "--workdir", work] + flags) == code
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "; run '" not in err  # no stage writes a file from outside the workdir
 
 
 @pytest.mark.parametrize("case, code", [
@@ -676,6 +705,57 @@ def test_embed_imports_its_files_when_embeddings_train_is_set(tmp_path, capsys):
     }
 
 
+def test_a_manifest_lists_outside_files_of_one_name_apart(tmp_path, capsys):
+    # each is listed by its absolute path, since their names would be one key
+    work = _embedded_elsewhere(tmp_path, capsys)
+    external = []
+    for split in ("train", "test"):
+        (tmp_path / split).mkdir()
+        external.append((tmp_path / f"{split}.skemb").rename(tmp_path / split / "emb.skemb"))
+    assert main(["embed", "--workdir", str(work), "--embeddings-train", str(external[0]),
+                 "--embeddings-test", str(external[1])]) == 0
+    assert json.loads((work / "manifest_embed.json").read_text())["inputs"] == {
+        **{str(path): formats.sha256_file(path) for path in external},
+        **{f"{split}_occluded.skl1": formats.sha256_file(work / f"{split}_occluded.skl1")
+           for split in ("train", "test")},
+    }
+
+
+@pytest.mark.parametrize("first", ["synth", "ingest"])
+def test_a_pipeline_refuses_an_import_before_any_stage_writes(tmp_path, capsys, first):
+    # whether there will be a test split to import for comes from synth's
+    # test count, or from ingest's split of its six captures
+    write_two_body_captures(tmp_path / "captures")
+    argv, with_test, without_test = {
+        "synth": (SMALL, ["--test-per-class", "2"], ["--test-per-class", "0"]),
+        "ingest": (["--input", str(tmp_path / "captures"), "--target-frames", "6"],
+                   ["--test-frac", "0.4"], ["--test-frac", "0.1"]),
+    }[first]
+    cfg, work = tmp_path / "run.cfg", tmp_path / "work"
+
+    def pipeline(workdir, config_text, flags):
+        cfg.write_text(config_text)
+        return main(["pipeline", "--config", str(cfg), "--workdir", str(workdir), "--clusters", "2"]
+                    + argv + flags)
+
+    assert pipeline(tmp_path / "plain", "", without_test) == 0
+    external, missing = tmp_path / "plain" / "train.skemb", tmp_path / "missing.skemb"
+    for config_text, flags, code, message in (
+        (f"embeddings_train = {missing}\n", without_test, 3,
+         f"missing artifact: embed: required input {missing} is missing\n"),
+        (f"embeddings_train = {external}\n", with_test, 2,
+         "embeddings_train is set, so the test split needs embeddings_test"),
+    ):
+        capsys.readouterr()
+        assert pipeline(work, config_text, flags) == code
+        assert not work.exists()
+        assert message in capsys.readouterr().err
+    # with no test split, the train file alone is imported
+    assert pipeline(work, f"embeddings_train = {external}\n", without_test) == 0
+    assert (work / "train.skemb").read_bytes() == external.read_bytes()
+    assert not (work / "test.skemb").exists()
+
+
 def test_a_seed_beyond_the_model_file_exits_2_before_anything_is_written(tmp_path, capsys):
     # the cluster stage seed, base + 37, is stored as a u64 in kmeans.skkm
     work = tmp_path / "work"
@@ -779,20 +859,26 @@ def test_ingest_command_splits_and_labels(tmp_path, capsys):
     assert labels == {stem: int(stem[-3:]) - 1 for stem in stems}
 
 
-@pytest.mark.parametrize("frames, message", [
-    ([[(8, [(0.1, 0.2, 0.3), (0.5, float("nan"), 0.1)])]],
+_ONE_JOINT = capture_text([[(8, [(0.1, 0.2, 0.3)])]])  # one frame of one body of one joint
+
+
+@pytest.mark.parametrize("text, message", [
+    (capture_text([[(8, [(0.1, 0.2, 0.3), (0.5, float("nan"), 0.1)])]]),
      "line 6: non-finite coordinate in joint line"),
-    ([[]], "capture contains no bodies"),
-    ([[(8, [])]], "line 4: body declares zero joints"),
-], ids=["nan", "no-body", "zero-joints"])
-def test_ingest_error_names_the_capture_file(tmp_path, capsys, frames, message):
+    (capture_text([[]]), "capture contains no bodies"),
+    (capture_text([[(8, [])]]), "line 4: body declares zero joints"),
+    (_ONE_JOINT.replace("0.1 0.2 0.3", "0.1 0.2"), "line 5: joint line has fewer than 3 fields"),
+    ("\u0661" + _ONE_JOINT[1:], "line 1: expected integer frame count, got '\u0661'"),
+], ids=["nan", "no-body", "zero-joints", "two-fields", "non-ascii-frame-count"])
+def test_ingest_error_names_the_capture_file(tmp_path, capsys, text, message):
     source = tmp_path / "captures"
     _write_captures(source, [f"S001C001P00{i}R001A002" for i in (1, 3)])
     bad = source / "S001C001P002R001A002.skeleton"
-    bad.write_text(capture_text(frames))
+    bad.write_text(text, encoding="utf-8")
     rc = main(["ingest", "--input", str(source), "--workdir", str(tmp_path / "work")])
     assert rc == 4
     assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
 
 
 @pytest.mark.parametrize("fmt", ["skl1", "csv"])
