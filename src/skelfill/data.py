@@ -23,7 +23,6 @@ Text capture layout (one capture per file, parsed into a :class:`RawCapture`)::
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,8 +31,6 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import EmptyCapture, FormatError, MalformedCapture
-
-log = logging.getLogger(__name__)
 
 NUM_CHANNELS = 3
 
@@ -379,7 +376,9 @@ def preprocess_relative(seq: SkeletonSequence, center_joint: int = DEFAULT_CENTE
 
     skipped = int((~center_present).sum())
     if skipped:
-        log.warning(
+        import logging  # loaded, with traceback and string, only by a run that warns
+
+        logging.getLogger(__name__).warning(
             "sample %s: center joint missing in %d (frame, body) slots; left untranslated",
             seq.sample_id, skipped,
         )

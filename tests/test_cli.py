@@ -1082,10 +1082,10 @@ def test_a_pipeline_leaves_numpy_ma_unimported(tmp_path):
     assert out.splitlines()[-1] == "False"
 
 
-def _fresh(program: str, **env: str) -> list[str]:
-    """The lines ``program`` prints in a new interpreter that imports this
-    checkout, with ``OPENBLAS_NUM_THREADS`` unset unless ``env`` sets it."""
-    import os
+def _python(*args: str, stdout=None, **env: str):
+    """A new interpreter run with ``args`` that imports this checkout, with
+    ``OPENBLAS_NUM_THREADS`` unset unless ``env`` sets it; its stderr, and
+    its stdout unless ``stdout`` is given, are captured as text."""
     import subprocess
     import sys
 
@@ -1093,17 +1093,65 @@ def _fresh(program: str, **env: str) -> list[str]:
 
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = str(Path(skelfill.__file__).parents[1])
-    return subprocess.run([sys.executable, "-c", program], env={**base, **env},
-                          capture_output=True, text=True, check=True).stdout.splitlines()
+    return subprocess.run([sys.executable, *args], env={**base, **env}, text=True,
+                          stdout=subprocess.PIPE if stdout is None else stdout, stderr=subprocess.PIPE)
+
+
+def _fresh(program: str, **env: str) -> list[str]:
+    """The lines ``program`` prints in a new interpreter (:func:`_python`)."""
+    done = _python("-c", program, **env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 def test_importing_the_package_loads_no_numpy_and_changes_no_environment():
+    # nor does a library import of a stage module freeze the collector's objects
     assert _fresh(
-        "import os, sys\n"
+        "import gc, os, sys\n"
         "before = dict(os.environ)\n"
         "import skelfill\n"
         "print('numpy' in sys.modules, dict(os.environ) == before)\n"
-    ) == ["False True"]
+        "import skelfill.pipeline\n"
+        "print(gc.get_freeze_count())\n"
+    ) == ["False True", "0"]
+
+
+def test_importing_the_cli_freezes_what_it_built_and_loads_no_logging():
+    assert _fresh(
+        "import gc, sys\n"
+        "before = set(sys.modules)\n"
+        "import skelfill.cli\n"
+        "print(gc.get_freeze_count() > 0, gc.isenabled(), 'logging' in set(sys.modules) - before)\n"
+    ) == ["True True False"]
+
+
+def test_a_cycle_made_after_the_cli_import_is_still_collected_at_exit():
+    # development mode reports the file when the collection at exit frees
+    # its cycle; a freeze at exit in place of the one at import would keep it
+    done = _python("-X", "dev", "-c",
+                   "import sys\n"
+                   "import skelfill.cli\n"
+                   "cycle = [open(sys.executable, 'rb')]\n"
+                   "cycle.append(cycle)\n"
+                   "del cycle\n")
+    assert done.returncode == 0
+    assert "ResourceWarning: unclosed file" in done.stderr
+
+
+def test_a_stage_whose_reader_left_exits_1_with_one_line(tmp_path):
+    # the read end is closed before the stage starts, so the summary's flush
+    # fails; the stage's files are written all the same
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _python("-m", "skelfill.cli", "synth", "--workdir", str(tmp_path / "work"), *SMALL,
+                       stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: standard output was closed before the summary was written"]
+    assert sorted(path.name for path in (tmp_path / "work").iterdir()) == [
+        "manifest_synth.json", "test.skl1", "train.skl1"]
 
 
 def test_the_cli_starts_blas_with_one_thread():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import logging
 import math
 
 import numpy as np
@@ -382,7 +383,7 @@ def test_preprocess_relative_shifts_by_center():
     assert bits_equal(data, before)  # input untouched
 
 
-def test_preprocess_relative_skips_frames_with_missing_center():
+def test_preprocess_relative_skips_frames_with_missing_center(caplog):
     data = np.ones((3, 2, 2, 1), dtype=np.float32)
     data[:, 1, 0, 0] = np.nan  # center gone in frame 1
     data[:, 1, 1, 0] = (7, 7, 7)
@@ -390,6 +391,10 @@ def test_preprocess_relative_skips_frames_with_missing_center():
     assert (out.data[:, 0, 1, 0] == 0).all()  # frame 0 translated
     assert out.data[:, 1, 1, 0].tolist() == [7, 7, 7]  # frame 1 untouched
     assert np.isnan(out.data[:, 1, 0, 0]).all()  # hole preserved
+    assert caplog.record_tuples == [(
+        "skelfill.data", logging.WARNING,
+        "sample s0: center joint missing in 1 (frame, body) slots; left untranslated",
+    )]
 
 
 def test_preprocess_relative_keeps_other_holes():
