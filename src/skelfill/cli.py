@@ -48,7 +48,7 @@ EXIT_MISSING_ARTIFACT = 3
 EXIT_DATA = 4
 
 # subcommand -> stage, in the order ``--help`` lists them with their docstrings
-_STAGES = {name: getattr(pipeline, f"run_{name}") for name in pipeline.COMMANDS.split()}
+_STAGES = {name: getattr(pipeline, f"run_{name}") for name in [*pipeline.STAGES, "pipeline"]}
 _FLAGS = {name: f.metadata["flag"] or "--" + name.replace("_", "-") for name, f in SETTINGS.items()}
 
 

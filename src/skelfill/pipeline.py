@@ -41,21 +41,24 @@ Config files are plain ``key = value`` text: blank lines and ``#`` comments
 are skipped, keys may be written dotted (``occlusion.rate``) or with
 underscores (``occlusion_rate``), lists are comma-separated.
 
-:data:`COMMANDS` is the single source for the subcommands: the command
-line offers one for each name, running the ``run_<name>`` stage of this
-module, in that order.  The field metadata of :class:`PipelineConfig` is the
-single source for the config keys, the command-line flags and the range
-checks: each field holds its text parser, its range or choices, its flag
-and the subcommands that offer the flag.  Config files and flags share one
-parse path.
+:data:`STAGES` is the single source for the stages: the workdir files
+each reads and writes, the settings that name files outside it, and the
+check of its settings against a :class:`Plan` of its splits, which the
+stage runs first and :func:`run_pipeline` runs for every stage before the
+first writes.  The command line offers a subcommand for each, running the
+``run_<name>`` stage of this module, in that order, then ``pipeline``.  The
+field metadata of :class:`PipelineConfig` is the single source for the config
+keys, the command-line flags and the range checks: each field holds its
+text parser, its range or choices, its flag and the subcommands that offer
+the flag.  Config files and flags share one parse path.
 
 Each stage keeps this bookkeeping in one :class:`_StageFiles`, so its body
-shows only what it reads, computes and writes.  The object lists the splits
-the stage works on (train, and test when the stage before wrote it),
-requires and lists each input, reads and writes datasets and hands on and
-takes records through the hand-off table, lends a read's file as the base
-of its split's CSV write, and writes the manifest from the digests taken on
-the way.
+shows only what it reads, computes and writes.  The object runs the stage's
+check, lists the splits the stage works on (in a pipeline, the plan's; on
+its own, train, and test when the stage before wrote it), requires and
+lists each input, reads and writes datasets and hands on and takes records
+through the hand-off table, lends a read's file as the base of its split's
+CSV write, and writes the manifest from the digests taken on the way.
 """
 
 from __future__ import annotations
@@ -68,8 +71,10 @@ import hashlib
 import json
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,9 +97,104 @@ _SEED_OFFSETS = {"ingest": 11, "occlude": 23, "cluster": 37, "eval": 53}
 # the largest base seed whose every stage seed fits the u64 seed of a model file
 _MAX_SEED = 2**64 - 1 - max(_SEED_OFFSETS.values())
 
-# every subcommand, each running the stage ``run_<name>``, in ``--help``
-# order; a setting offered on all of them names this as its ``on``
-COMMANDS = "ingest synth occlude embed cluster impute eval pipeline"
+
+# ---- the stages ----------------------------------------------------------
+
+# every stage works on train and, when its first stage wrote it, on test
+SPLITS = ("train", "test")
+
+
+class Plan(NamedTuple):
+    """What a stage's splits hold, as far as is known before it reads them:
+    the samples of each split it works on, train first, and the joints of a
+    sample, None where only the data tells; and for ingest, the captures it
+    splits, in order."""
+
+    rows: dict[str, int | None]
+    joints: int | None = None
+    captures: tuple[Path, ...] = ()
+
+
+class Stage(NamedTuple):
+    """A stage's workdir inputs and outputs, keys of :func:`artifact_paths`
+    with ``{split}`` for each split it works on (run on its own, train, and
+    test when its first input exists), the settings that name files outside
+    the workdir, and ``check(config, plan)``, which raises what the stage
+    raises from its settings and ``plan``."""
+
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    outside: tuple[str, ...] = ()
+    check: Callable[[PipelineConfig, Plan], None] = lambda config, plan: None
+
+
+def expand(keys, splits=SPLITS) -> list[str]:
+    """The artifact keys of ``keys``, a ``{split}`` key once for each of
+    ``splits``, in order."""
+    return list(dict.fromkeys(key.format(split=split) for key in keys for split in splits))
+
+
+def _check_synth(config: PipelineConfig, plan: Plan) -> None:
+    _check_center_joint(config, config.synth_joints)
+    if config.target_frames < 2:
+        raise ConfigError(f"synth needs target_frames >= 2, got {config.target_frames}")
+
+
+def _check_occlude(config: PipelineConfig, plan: Plan) -> None:
+    """Joint-targeted occlusion needs joints, each among the plan's joints;
+    one outside them is named with the file of the plan's first split."""
+    if config.occlusion_mode != "joint_targeted":
+        return
+    if not config.occlusion_joints:
+        raise ConfigError("occlusion_mode joint_targeted needs occlusion_joints")
+    bad = [j for j in config.occlusion_joints if plan.joints is not None and not 0 <= j < plan.joints]
+    if bad:
+        raise ConfigError(f"occlusion_joints {bad} outside the {plan.joints} joints "
+                          f"of {artifact_paths(config)[next(iter(plan.rows))]}")
+
+
+def _check_embed(config: PipelineConfig, plan: Plan) -> None:
+    """An import (``embeddings_train`` set) needs a file for each of the
+    plan's splits; else an edge list, when set, must be a file, which, when
+    the plan knows the joints, :func:`~skelfill.graph.load_edge_list` reads
+    as it would for the data."""
+    if config.embeddings_train is not None:
+        for split in plan.rows:
+            external = getattr(config, f"embeddings_{split}")
+            if external is None:
+                raise ConfigError(f"embeddings_train is set, so the {split} split needs embeddings_{split}")
+            _required("embed", Path(external))
+    elif config.edge_list is not None:
+        path = _required("embed", Path(config.edge_list))
+        if plan.joints is not None:
+            load_edge_list(path, plan.joints)
+
+
+def _check_cluster(config: PipelineConfig, plan: Plan) -> None:
+    rows = plan.rows["train"]
+    if rows is not None and config.clusters > rows:
+        raise ConfigError(f"clusters {config.clusters} is above the {rows} rows "
+                          f"of {artifact_paths(config)['emb_train']}")
+
+
+# Every stage, in ``--help`` order.  A pipeline runs one of the first two,
+# ingest when an input is set and synth when not, then the others in order.
+STAGES = {
+    "ingest": Stage((), ("{split}",), ("input",)),
+    "synth": Stage((), ("{split}",), check=_check_synth),
+    "occlude": Stage(("{split}",), ("{split}_occluded",), check=_check_occlude),
+    "embed": Stage(("{split}_occluded",), ("emb_{split}",),
+                   ("embeddings_train", "embeddings_test", "edge_list"), _check_embed),
+    "cluster": Stage(("emb_{split}",), ("model", "labels_{split}"), check=_check_cluster),
+    "impute": Stage(("{split}_occluded", "labels_{split}"), ("{split}_imputed", "imputation_report")),
+    # labels_train is read only when every train sample has a true label
+    "eval": Stage(("{split}_imputed", "{split}_occluded", "{split}", "labels_train"),
+                  ("eval_json", "eval_csv")),
+}
+# artifact key -> the first stage that writes it (ingest, not synth, for a split)
+_PRODUCERS = {key: name for name, stage in reversed(STAGES.items()) for key in expand(stage.outputs)}
+# every subcommand; a setting offered on all of them names this as its ``on``
+_EVERY_COMMAND = " ".join([*STAGES, "pipeline"])
 
 
 def _parse_bool(raw: str) -> bool:
@@ -149,7 +249,7 @@ class PipelineConfig:
     # data shaping
     input: str | None = _setting(None, on="ingest pipeline",
                                  help="capture file or directory (pipeline: synthetic if omitted)")
-    workdir: str = _setting("work", on=COMMANDS, help="artifact directory (default: work)")
+    workdir: str = _setting("work", on=_EVERY_COMMAND, help="artifact directory (default: work)")
     target_frames: int = _setting(50, _parse_int, on="ingest synth pipeline", check=_POSITIVE)
     max_bodies: int = _setting(2, _parse_int, on="ingest pipeline", check=_POSITIVE)
     center_joint: int = _setting(
@@ -191,11 +291,11 @@ class PipelineConfig:
         25, _parse_int, flag="--joints", on="synth", check=(lambda v: v >= 2, ">= 2"))
     # run control
     seed: int = _setting(
-        0, _parse_int, on=COMMANDS, check=(lambda v: 0 <= v <= _MAX_SEED, f"in [0, {_MAX_SEED}]"),
+        0, _parse_int, on=_EVERY_COMMAND, check=(lambda v: 0 <= v <= _MAX_SEED, f"in [0, {_MAX_SEED}]"),
         help="base seed for all stage seeds")
     threads: int = _setting(
-        1, _parse_int, on=COMMANDS, check=_POSITIVE, help="worker threads (default: 1)")
-    dataset_format: str = _setting("skl1", flag="--format", on=COMMANDS, choices=("skl1", "csv"),
+        1, _parse_int, on=_EVERY_COMMAND, check=_POSITIVE, help="worker threads (default: 1)")
+    dataset_format: str = _setting("skl1", flag="--format", on=_EVERY_COMMAND, choices=("skl1", "csv"),
                                    help="dataset artifact format (default: skl1)")
 
     def stage_seed(self, stage: str) -> int:
@@ -256,10 +356,6 @@ def _validate(config: PipelineConfig) -> None:
 
 # ---- artifact naming ---------------------------------------------------
 
-# every stage works on train and, when the stage before wrote it, on test
-SPLITS = ("train", "test")
-
-
 def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
     work = config.workpath()
     ext = config.dataset_format  # validated: skl1 or csv
@@ -281,19 +377,6 @@ def artifact_paths(config: PipelineConfig) -> dict[str, Path]:
     }
 
 
-# The artifacts each stage may write, besides its manifest: a directory at
-# any of them is refused before the stage writes anything
-OUTPUTS = {
-    "ingest": ("train", "test"),
-    "synth": ("train", "test"),
-    "occlude": ("train_occluded", "test_occluded"),
-    "embed": ("emb_train", "emb_test"),
-    "cluster": ("model", "labels_train", "labels_test"),
-    "impute": ("train_imputed", "test_imputed", "imputation_report"),
-    "eval": ("eval_json", "eval_csv"),
-}
-
-
 # What one ``run_pipeline`` hands from stage to stage.  Dataset path ->
 # (SHA-256 of the file as written, the dataset a read of it returns); after
 # occlude, clean split path -> ((SHA-256 of the clean file, of the occluded
@@ -302,46 +385,48 @@ Handoff = dict[Path, tuple[str, Dataset] | tuple[tuple[str, str], occlusion.Occl
 
 
 class _StageFiles:
-    """The files of one run of ``stage``: its artifact paths, the inputs and
-    outputs its manifest lists, the SHA-256 of each file taken so far, and
-    the hand-off table (None for a stage run on its own).  Keys name
-    artifacts in :func:`artifact_paths`; a dataset's key starts with its
-    split.  A workdir that is a file, and a directory where the stage may
-    write a file, are refused here, before the stage writes anything."""
+    """The files of one run of ``stage``: its artifact paths, its splits (the
+    ``plan``'s; else a first stage's own :func:`_plan`, or train, and test
+    when its first input exists), the inputs and outputs its manifest lists,
+    the SHA-256 of each file taken so far, and the hand-off table (None for a
+    stage run on its own).  Keys name artifacts in :func:`artifact_paths`; a
+    dataset's key starts with its split.  A workdir that is a file, what the
+    stage's check refuses, and a directory where the stage may write a file
+    are refused here, before the stage writes anything."""
 
-    def __init__(self, config: PipelineConfig, stage: str, handoff: Handoff | None):
+    def __init__(self, config: PipelineConfig, stage: str, handoff: Handoff | None,
+                 plan: Plan | None = None):
         work = config.workpath()
         if work.exists() and not work.is_dir():
             raise ConfigError(f"workdir {work} is not a directory")
         self.config, self.stage, self.handoff = config, stage, handoff
-        self.paths = artifact_paths(config)
-        for path in [*(self.paths[key] for key in OUTPUTS[stage]), work / f"manifest_{stage}.json"]:
+        self.paths, table = artifact_paths(config), STAGES[stage]
+        if plan is None and not table.inputs:
+            plan = _plan(config, stage)
+        elif plan is None:
+            first = table.inputs[0]
+            plan = Plan({split: None for split in SPLITS
+                         if split == "train" or self.paths[first.format(split=split)].exists()})
+        table.check(config, plan)
+        self.plan, self.splits = plan, list(plan.rows)
+        for path in [*(self.paths[key] for key in expand(table.outputs)), work / f"manifest_{stage}.json"]:
             if path.is_dir():
                 raise ConfigError(f"{stage}: output {path} is a directory, not a file")
         self.inputs: set[Path] = set()
         self.outputs: list[Path] = []
         self.digests: dict[Path, str] = {}
         self._bases: dict[str, formats.Base] = {}  # split -> base of its next write
-
-    def splits(self, key: str) -> list[str]:
-        """The splits the stage works on: train, whose input ``key`` (with
-        ``{split}`` for the split) it needs, and test when its input exists,
-        each input listed."""
-        found = [split for split in SPLITS
-                 if split == "train" or self.paths[key.format(split=split)].exists()]
-        for split in found:
-            self.need(key.format(split=split))
-        return found
+        for key in expand(table.inputs[:1], self.splits):  # each other input as the stage reads it
+            self.need(key)
 
     def need(self, what: str | Path) -> Path:
         """List and return the input ``what``, refused by :func:`_required`:
-        a key, whose missing file names the first stage of :data:`OUTPUTS`
-        that writes it as the one to run first, or a path outside the workdir."""
+        a key, whose missing file names the first stage that writes it as
+        the one to run first, or a path outside the workdir."""
         if isinstance(what, Path):
             path = _required(self.stage, what)
         else:
-            producer = next(stage for stage, keys in OUTPUTS.items() if what in keys)
-            path = _required(self.stage, self.paths[what], producer)
+            path = _required(self.stage, self.paths[what], _PRODUCERS[what])
         self.inputs.add(path)
         return path
 
@@ -393,8 +478,8 @@ class _StageFiles:
         return occlusion.OcclusionRecord.between(clean, occluded)
 
     def output(self, key: str) -> Path:
-        """List the output ``key``, one of the stage's :data:`OUTPUTS`, and
-        return its path."""
+        """List the output ``key``, one of the stage's outputs in
+        :data:`STAGES`, and return its path."""
         self.outputs.append(self.paths[key])
         return self.paths[key]
 
@@ -451,9 +536,9 @@ def _timed(stage):
     ``peak_rss_mb`` so far.  They are added after the stage has written its
     manifest, so they never reach a manifest or a report."""
     @functools.wraps(stage)
-    def run(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+    def run(config: PipelineConfig, **kwargs) -> dict:
         start = time.perf_counter()
-        summary = stage(config, handoff=handoff)
+        summary = stage(config, **kwargs)
         summary["seconds"] = time.perf_counter() - start
         summary["peak_rss_mb"] = _peak_rss_mb()
         return summary
@@ -471,26 +556,35 @@ def _check_center_joint(config: PipelineConfig, num_joints: int) -> None:
         raise ConfigError(f"center_joint {config.center_joint} is not below {num_joints} joints")
 
 
-def _captures(config: PipelineConfig) -> tuple[list[Path], int]:
-    """The capture files ingest reads, in order (the input file, or each
-    ``.skeleton`` file of the input directory), and how many go to the test
-    split."""
-    if config.input is None:
-        raise ConfigError("ingest needs an input file or directory")
-    source = Path(config.input)
-    if not source.exists():
-        raise MissingArtifact(f"ingest: input {source} does not exist")
-    captures = sorted(source.glob("*.skeleton")) if source.is_dir() else [source]
-    if not captures:
-        raise MissingArtifact(f"ingest: no .skeleton files under {source}")
-    return captures, int(config.test_frac * len(captures))
+def _plan(config: PipelineConfig, first: str) -> Plan:
+    """What the ``first`` stage writes, known before it runs: the samples of
+    synth's settings, or the captures ingest reads (the input file, or each
+    ``.skeleton`` file of the input directory, listed once here), less the
+    ``test_frac`` share that goes to test, whose joints only their data
+    tells.  A split of no samples is not written."""
+    captures, joints = (), config.synth_joints
+    if first == "synth":
+        rows = (config.synth_classes * config.synth_per_class,
+                config.synth_classes * config.synth_test_per_class)
+    else:
+        if config.input is None:
+            raise ConfigError("ingest needs an input file or directory")
+        source = Path(config.input)
+        if not source.exists():
+            raise MissingArtifact(f"ingest: input {source} does not exist")
+        captures = tuple(sorted(source.glob("*.skeleton"))) if source.is_dir() else (source,)
+        if not captures:
+            raise MissingArtifact(f"ingest: no .skeleton files under {source}")
+        tests = int(config.test_frac * len(captures))
+        rows, joints = (len(captures) - tests, tests), None
+    return Plan({split: count for split, count in zip(SPLITS, rows) if count}, joints, captures)
 
 
 @_timed
-def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+def run_ingest(config: PipelineConfig, handoff: Handoff | None = None, plan: Plan | None = None) -> dict:
     """Parse captures, canonicalise, make them relative, split train and test."""
-    captures, tests = _captures(config)
-    files = _StageFiles(config, "ingest", handoff)
+    files = _StageFiles(config, "ingest", handoff, plan)
+    captures, tests = files.plan.captures, files.plan.rows.get("test", 0)
     rng = np.random.default_rng(config.stage_seed("ingest"))
     test_idx = set(rng.permutation(len(captures))[:tests].tolist())
     split_of = ["test" if i in test_idx else "train" for i in range(len(captures))]
@@ -523,8 +617,6 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
         row = data[split][len(chosen[split])]
         row[...] = seq.data
         chosen[split].append(seq.with_data(row))
-    if not chosen["train"]:
-        raise ConfigError("ingest: split left no training samples")
     datasets = {split: Dataset(data[split], seqs, split) for split, seqs in chosen.items() if seqs}
     for split, dataset in datasets.items():
         files.write(split, dataset)
@@ -538,23 +630,19 @@ def run_ingest(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
 
 @_timed
-def run_synth(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+def run_synth(config: PipelineConfig, handoff: Handoff | None = None, plan: Plan | None = None) -> dict:
     """Generate the bundled synthetic corpus in place of ingest."""
-    _check_center_joint(config, config.synth_joints)
-    if config.target_frames < 2:
-        raise ConfigError(f"synth needs target_frames >= 2, got {config.target_frames}")
+    files = _StageFiles(config, "synth", handoff, plan)
     per_class = {"train": config.synth_per_class, "test": config.synth_test_per_class}
     datasets = {}
-    for split in SPLITS:
-        if per_class[split]:
-            corpus = synth.make_corpus(
-                config.synth_classes, per_class[split], frames=config.target_frames,
-                joints=config.synth_joints, seed=config.seed, id_prefix=split, split_tag=split,
-            )
-            for seq in corpus.samples:  # in place: the corpus is this stage's own
-                seq.data[...] = preprocess_relative(seq, config.center_joint).data
-            datasets[split] = corpus
-    files = _StageFiles(config, "synth", handoff)
+    for split in files.splits:
+        corpus = synth.make_corpus(
+            config.synth_classes, per_class[split], frames=config.target_frames,
+            joints=config.synth_joints, seed=config.seed, id_prefix=split, split_tag=split,
+        )
+        for seq in corpus.samples:  # in place: the corpus is this stage's own
+            seq.data[...] = preprocess_relative(seq, config.center_joint).data
+        datasets[split] = corpus
     for split, dataset in datasets.items():
         files.write(split, dataset)
     params = {
@@ -566,28 +654,18 @@ def run_synth(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     return files.finish(params, **_sample_counts(datasets))
 
 
-def _occlusion_spec(config: PipelineConfig) -> occlusion.OcclusionSpec:
-    if config.occlusion_mode == "joint_targeted" and not config.occlusion_joints:
-        raise ConfigError("occlusion_mode joint_targeted needs occlusion_joints")
-    return occlusion.OcclusionSpec(
+@_timed
+def run_occlude(config: PipelineConfig, handoff: Handoff | None = None, plan: Plan | None = None) -> dict:
+    """Hide joints; the clean split stays their ground truth."""
+    files, hidden = _StageFiles(config, "occlude", handoff, plan), 0
+    spec = occlusion.OcclusionSpec(
         mode=config.occlusion_mode, rate=config.occlusion_rate,
         joints=config.occlusion_joints, frame_fraction=config.occlusion_frame_fraction,
         seed=config.stage_seed("occlude"),
     )
-
-
-@_timed
-def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
-    """Hide joints; the clean split stays their ground truth."""
-    spec = _occlusion_spec(config)
-    files, hidden = _StageFiles(config, "occlude", handoff), 0
-    for split in files.splits("{split}"):
+    for split in files.splits:
         dataset = files.read(split)
-        num_joints = dataset.data.shape[3]
-        bad = [j for j in spec.joints if not 0 <= j < num_joints]
-        if spec.mode == "joint_targeted" and bad:
-            raise ConfigError(f"occlusion_joints {bad} outside the {num_joints} joints "
-                              f"of {files.paths[split]}")
+        _check_occlude(config, Plan({split: len(dataset)}, dataset.data.shape[3]))
         occluded, record = occlusion.apply_spec(dataset, spec)
         files.write(f"{split}_occluded", occluded)
         files.hand_on_record(split, record)
@@ -600,35 +678,18 @@ def run_occlude(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     return files.finish(params, hidden_instances=hidden)
 
 
-def _imported(config: PipelineConfig, splits: list[str]) -> dict[str, Path]:
-    """Each of ``splits``' external embedding file when ``embeddings_train``
-    is set, else none.  A split without its file raises :class:`ConfigError`,
-    and a file that is missing or a directory :class:`MissingArtifact`."""
-    if config.embeddings_train is None:
-        return {}
-    imported = {}
-    for split in splits:
-        external = getattr(config, f"embeddings_{split}")
-        if external is None:
-            raise ConfigError(f"embeddings_train is set, so the {split} split needs embeddings_{split}")
-        imported[split] = _required("embed", Path(external))
-    return imported
-
-
 @_timed
-def run_embed(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+def run_embed(config: PipelineConfig, handoff: Handoff | None = None, plan: Plan | None = None) -> dict:
     """Compute per-sample embeddings, or import them when embeddings_train is set.
 
     An import takes a file for each split, each required before anything
     is written; the edge list serves the builtin embedding only."""
-    files = _StageFiles(config, "embed", handoff)
-    splits = files.splits("{split}_occluded")
-    imported = _imported(config, splits)  # empty for the builtin embedding
-    files.inputs.update(imported.values())
-    for split in splits:
+    files, imported = _StageFiles(config, "embed", handoff, plan), config.embeddings_train is not None
+    for split in files.splits:
         dataset = files.read(f"{split}_occluded")
         if imported:
-            matrix = embedding.align_to_dataset(embedding.load_embeddings(imported[split]), dataset)
+            external = files.need(Path(getattr(config, f"embeddings_{split}")))
+            matrix = embedding.align_to_dataset(embedding.load_embeddings(external), dataset)
         else:  # embed_baseline picks its default bones without an edge list
             graph = None if config.edge_list is None else load_edge_list(
                 files.need(Path(config.edge_list)), dataset.data.shape[3])
@@ -661,19 +722,17 @@ def _l2_rows(matrix: embedding.EmbeddingMatrix) -> embedding.EmbeddingMatrix:
 
 
 @_timed
-def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+def run_cluster(config: PipelineConfig, handoff: Handoff | None = None, plan: Plan | None = None) -> dict:
     """Fit k-means on the train embeddings and label both splits.
 
     It reads and writes no dataset, so ``handoff`` is left as it is."""
-    files = _StageFiles(config, "cluster", handoff)
-    for split in files.splits("emb_{split}"):
+    files = _StageFiles(config, "cluster", handoff, plan)
+    for split in files.splits:
         matrix = embedding.load_embeddings(files.paths[f"emb_{split}"])
         if config.normalize_embeddings:
             matrix = _l2_rows(matrix)
         if split == "train":
-            if config.clusters > len(matrix.values):  # before anything is written
-                raise ConfigError(f"clusters {config.clusters} is above the {len(matrix.values)} rows "
-                                  f"of {files.paths['emb_train']}")
+            _check_cluster(config, Plan({split: len(matrix.values)}))  # before anything is written
             model, labels = clustering.kmeans_fit(
                 matrix, config.clusters, config.stage_seed("cluster"),
                 max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
@@ -691,19 +750,18 @@ def run_cluster(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
 
 @_timed
-def run_impute(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+def run_impute(config: PipelineConfig, handoff: Handoff | None = None, plan: Plan | None = None) -> dict:
     """Fill missing joints from neighbours within each cluster."""
-    files = _StageFiles(config, "impute", handoff)
-    splits = files.splits("{split}_occluded")
+    files = _StageFiles(config, "impute", handoff, plan)
     args = {}  # train, train_labels, test, test_labels
-    for split in splits:
+    for split in files.splits:
         labels_path = files.need(f"labels_{split}")
         args[split] = files.read(f"{split}_occluded")
         ids, values = formats.read_labels_csv(labels_path)
         args[f"{split}_labels"] = clustering.PseudoLabels(labels=values, sample_ids=ids)
 
     *imputed, report = imputation.impute_dataset(**args, k=config.neighbors, threads=config.threads)
-    for split, dataset in zip(splits, imputed):
+    for split, dataset in zip(files.splits, imputed):
         files.write(f"{split}_imputed", dataset)
     files.output("imputation_report").write_text(report.to_json() + "\n")
     params = {"neighbors": config.neighbors, "dataset_format": config.dataset_format}
@@ -711,13 +769,13 @@ def run_impute(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 
 
 @_timed
-def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
+def run_eval(config: PipelineConfig, handoff: Handoff | None = None, plan: Plan | None = None) -> dict:
     """Score recovery against the clean split where the occluded one is missing."""
-    files = _StageFiles(config, "eval", handoff)
+    files = _StageFiles(config, "eval", handoff, plan)
     seed_eval = config.stage_seed("eval")
     by_split = {}  # split -> (MpjpeStats of its recovery, of the random baseline)
     by_label: dict[int, evaluation.MpjpeStats] = {}  # recovery per class, pooled split by split
-    for split in files.splits("{split}_imputed"):
+    for split in files.splits:
         # the last stage to read each dataset, so it drops the hand-off entries;
         # the occluded split goes once the random baseline is scored, before the imputed read
         occluded = files.read(f"{split}_occluded", last=True)
@@ -760,16 +818,17 @@ def run_eval(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
 def run_pipeline(config: PipelineConfig, handoff: Handoff | None = None) -> dict:
     """Run every stage in order, on the synthetic corpus when no input is set.
 
-    The stages hand datasets on through ``handoff``, a new table unless the
-    caller passes one."""
-    _occlusion_spec(config)  # a bad occlusion setting fails before any stage writes
-    if config.embeddings_train is not None:  # and so does an import embed would refuse
-        tests = config.synth_test_per_class if config.input is None else _captures(config)[1]
-        _imported(config, list(SPLITS) if tests else ["train"])
+    Every stage's check runs first, on the plan of what the first stage
+    writes, so that no stage writes when a later one would refuse its
+    settings.  Each stage then runs through its ``run_<name>`` of this
+    module on the plan's splits, handing datasets on through ``handoff``, a
+    new table unless the caller passes one."""
+    first = "ingest" if config.input is not None else "synth"
+    plan, names = _plan(config, first), [first, *list(STAGES)[2:]]
+    for name in names:
+        STAGES[name].check(config, plan)
     handoff = {} if handoff is None else handoff
-    first = run_ingest if config.input is not None else run_synth
-    stages = [stage(config, handoff=handoff) for stage in
-              (first, run_occlude, run_embed, run_cluster, run_impute, run_eval)]
+    stages = [globals()[f"run_{name}"](config, handoff=handoff, plan=plan) for name in names]
     return {
         "stage": "pipeline",
         "stages": stages,

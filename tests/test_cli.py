@@ -16,7 +16,7 @@ from skelfill import Dataset, clustering, formats
 from skelfill import cli
 from skelfill.cli import build_parser, main
 from skelfill.errors import ConfigError
-from skelfill.pipeline import OUTPUTS, SETTINGS, PipelineConfig, artifact_paths, load_config
+from skelfill.pipeline import SETTINGS, STAGES, PipelineConfig, artifact_paths, expand, load_config
 
 SMALL = [
     "--classes", "3", "--per-class", "4", "--test-per-class", "2",
@@ -148,7 +148,7 @@ def test_a_binary_artifact_that_disagrees_with_its_header_exits_4(tmp_path, caps
     assert main([stage] + flags + ["--clusters", "3"] * (stage == "cluster")) == 4
     assert f"error: {path}: " in capsys.readouterr().err
     paths = artifact_paths(PipelineConfig(workdir=str(work)))
-    assert not any(paths[key].exists() for key in OUTPUTS[stage])
+    assert not any(paths[key].exists() for key in expand(STAGES[stage].outputs))
 
 
 def test_a_skl1_dataset_with_a_repeated_sample_id_exits_4(tmp_path, capsys):
@@ -545,7 +545,7 @@ def test_too_many_clusters_exits_2_before_cluster_writes(tmp_path, capsys):
     assert rc == 2
     assert f"clusters 13 is above the 12 rows of {work / 'train.skemb'}" in capsys.readouterr().err
     paths = artifact_paths(PipelineConfig(workdir=str(work)))
-    assert not any(paths[key].exists() for key in OUTPUTS["cluster"])
+    assert not any(paths[key].exists() for key in expand(STAGES["cluster"].outputs))
     assert not (work / "manifest_cluster.json").exists()
 
 
@@ -642,7 +642,7 @@ def test_a_directory_at_a_later_output_is_refused_before_any_write(tmp_path, cap
     flags = ["--workdir", str(work), "--seed", "1"]
     assert main(["pipeline", "--clusters", "3"] + flags + SMALL) == 0
     paths = artifact_paths(PipelineConfig(workdir=str(work)))
-    *earlier, last = (paths[key] for key in OUTPUTS[stage])
+    *earlier, last = (paths[key] for key in expand(STAGES[stage].outputs))
     last.unlink()
     last.mkdir()
     gone = earlier + [work / f"manifest_{stage}.json"]
@@ -754,6 +754,64 @@ def test_a_pipeline_refuses_an_import_before_any_stage_writes(tmp_path, capsys, 
     assert pipeline(work, f"embeddings_train = {external}\n", without_test) == 0
     assert (work / "train.skemb").read_bytes() == external.read_bytes()
     assert not (work / "test.skemb").exists()
+
+
+# a pipeline setting a later stage refuses: (the first stage, the config
+# file's text and flags, given the directory ``tmp``; exit code; message)
+_LATE_REFUSALS = {
+    "clusters-synth": ("synth", lambda tmp: ("", ["--clusters", "13"]), 2,
+                       "config error: clusters 13 is above the 12 rows of {work}/train.skemb"),
+    # six captures, one of them in the test split
+    "clusters-ingest": ("ingest", lambda tmp: ("", ["--clusters", "6"]), 2,
+                        "config error: clusters 6 is above the 5 rows of {work}/train.skemb"),
+    "targeted-joint": ("synth", lambda tmp: ("occlusion.mode = joint_targeted\nocclusion.joints = 3,30\n", []),
+                       2, "config error: occlusion_joints [30] outside the 25 joints of {work}/train.skl1"),
+    "edge-list-missing": ("synth", lambda tmp: (f"edge_list = {tmp / 'nope.txt'}\n", []), 3,
+                          "missing artifact: embed: required input {tmp}/nope.txt is missing\n"),
+    "edge-list-missing-ingest": ("ingest", lambda tmp: (f"edge_list = {tmp / 'nope.txt'}\n", []), 3,
+                                 "missing artifact: embed: required input {tmp}/nope.txt is missing\n"),
+    "edge-list-directory": ("synth", lambda tmp: (f"edge_list = {tmp}\n", []), 3,
+                            "embed: required input {tmp} is a directory, not a file"),
+    "edge-list-joint-99": ("synth", lambda tmp: (f"edge_list = {tmp / 'bones.txt'}\n", []), 4,
+                           "error: {tmp}/bones.txt: edge (1, 99) outside 0..24"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LATE_REFUSALS))
+def test_a_pipeline_refuses_a_later_stage_s_setting_before_any_stage_writes(tmp_path, capsys, case):
+    first, settings, code, message = _LATE_REFUSALS[case]
+    config_text, flags = settings(tmp_path)
+    (tmp_path / "bones.txt").write_text("0 1\n1 99\n")
+    if first == "ingest":
+        write_two_body_captures(tmp_path / "captures")
+        flags += ["--input", str(tmp_path / "captures"), "--target-frames", "6"]
+    cfg, work = tmp_path / "run.cfg", tmp_path / "work"
+    cfg.write_text(config_text)
+    assert main(["pipeline", "--config", str(cfg), "--workdir", str(work), "--clusters", "2"]
+                + SMALL + flags) == code
+    assert message.format(work=work, tmp=tmp_path) in capsys.readouterr().err
+    assert not work.exists()
+
+
+@pytest.mark.parametrize("first", ["synth", "ingest"])
+def test_a_pipeline_works_on_the_splits_its_first_stage_writes(tmp_path, first):
+    # a test split an earlier run left in the workdir is neither read nor listed
+    write_two_body_captures(tmp_path / "captures")
+    argv, with_test, without_test = {
+        "synth": (SMALL, ["--test-per-class", "2"], ["--test-per-class", "0"]),
+        "ingest": (["--input", str(tmp_path / "captures"), "--target-frames", "6"],
+                   ["--test-frac", "0.4"], ["--test-frac", "0.1"]),
+    }[first]
+    work, fresh = tmp_path / "work", tmp_path / "fresh"
+    for workdir, split in ((work, with_test), (work, without_test), (fresh, without_test)):
+        assert main(["pipeline", "--workdir", str(workdir), "--clusters", "2"] + argv + split) == 0
+    written = sorted(path.name for path in fresh.iterdir())
+    assert "test.skl1" in {path.name for path in work.iterdir()} - set(written)
+    for name in written:
+        assert (work / name).read_bytes() == (fresh / name).read_bytes(), name
+        if name.startswith("manifest_"):
+            manifest = json.loads((work / name).read_text())
+            assert not [key for key in [*manifest["inputs"], *manifest["outputs"]] if key.startswith("test")]
 
 
 def test_a_seed_beyond_the_model_file_exits_2_before_anything_is_written(tmp_path, capsys):
@@ -897,7 +955,7 @@ def test_ingest_refuses_a_capture_that_is_not_utf8(tmp_path, capsys, fmt, corrup
         line, reason = 6, "invalid continuation byte"
     bad.write_bytes(data)
     work = tmp_path / "work"
-    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt])
+    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt, "--clusters", "2"])
     assert rc == 4
     err = capsys.readouterr().err
     assert f"error: {bad}: line {line}: not UTF-8 text: {reason} at byte {offset}" in err
@@ -964,7 +1022,7 @@ def test_ingest_refuses_captures_that_differ_in_joints(tmp_path, capsys, fmt):
     first.write_text(capture_text([[(8, [(0, 0, 0), (1, 1, 1)])]]))
     second.write_text(capture_text([[(8, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])]]))
     work = tmp_path / "work"
-    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt])
+    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt, "--clusters", "2"])
     assert rc == 4
     assert f"error: {second}: 3 joints, but {first.name} has 2" in capsys.readouterr().err
     assert not work.exists() or not any(work.iterdir())
@@ -985,7 +1043,7 @@ def test_ingest_refuses_a_capture_that_overflows_float32(tmp_path, capsys, fmt, 
     bad = source / "S001C001P002R001A002.skeleton"
     bad.write_text(capture_text([[(8, coords)]]))
     work = tmp_path / "work"
-    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt])
+    rc = main(["pipeline", "--input", str(source), "--workdir", str(work), "--format", fmt, "--clusters", "2"])
     assert rc == 4
     assert f"error: {bad}: {message}" in capsys.readouterr().err
     assert not work.exists() or not any(work.iterdir())

@@ -30,9 +30,11 @@ from skelfill.errors import ConfigError, FormatError, MissingArtifact
 from skelfill.occlusion import OcclusionRecord
 from skelfill.pipeline import (
     SPLITS,
+    STAGES,
     PipelineConfig,
     _StageFiles,
     artifact_paths,
+    expand,
     load_config,
     parse_setting,
     run_cluster,
@@ -517,6 +519,34 @@ def test_stage_manifests_name_the_files_of_each_split(tmp_path, test_per_class):
     assert {p.name for p in config.workpath().iterdir()} == written
 
 
+@pytest.mark.parametrize("with_test", [True, False])
+@pytest.mark.parametrize("source", ["synth", "ingest"])
+@pytest.mark.parametrize("fmt", ["skl1", "csv"])
+def test_each_manifest_lists_the_files_the_stage_table_names(tmp_path, fmt, source, with_test):
+    # the run's splits of each stage's workdir keys, and the outside files
+    # its settings name: the captures, and a bone list of the run's joints
+    config = _handoff_config(tmp_path, fmt, source)
+    joints = config.synth_joints if source == "synth" else 4
+    bones = tmp_path / "bones.txt"
+    bones.write_text("".join(f"{j} {j + 1}\n" for j in range(joints - 1)))
+    tests = {"synth_test_per_class": int(with_test)} if source == "synth" else {
+        "test_frac": 0.4 if with_test else 0.1}
+    config = dataclasses.replace(config, edge_list=str(bones), **tests)
+    run_pipeline(config)
+    splits, paths = SPLITS[:1 + with_test], artifact_paths(config)
+    for name in [source, "occlude", "embed", "cluster", "impute", "eval"]:
+        stage, outside = STAGES[name], []
+        for setting in stage.outside:
+            value = getattr(config, setting)
+            if value is not None:
+                path = Path(value)
+                outside += path.glob("*.skeleton") if path.is_dir() else [path]
+        manifest = json.loads((config.workpath() / f"manifest_{name}.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(
+            [paths[key].name for key in expand(stage.inputs, splits)] + [path.name for path in outside]), name
+        assert sorted(manifest["outputs"]) == sorted(paths[key].name for key in expand(stage.outputs, splits))
+
+
 def test_per_class_error_pools_every_split(tmp_path):
     config = _small_synth_config(tmp_path / "work", clusters=2, neighbors=2)
     run_pipeline(config)
@@ -651,7 +681,7 @@ def test_a_dataset_changed_on_disk_is_read_again(tmp_path, monkeypatch):
     before = tmp_path / "before"
     embed = pipeline.run_embed
 
-    def rewrite_then_embed(config, handoff=None):
+    def rewrite_then_embed(config, **kwargs):
         paths = artifact_paths(config)
         before.mkdir()
         for split in SPLITS:
@@ -659,7 +689,7 @@ def test_a_dataset_changed_on_disk_is_read_again(tmp_path, monkeypatch):
         occluded = formats.read_dataset(paths["train_occluded"])
         changed = [seq.with_data(seq.data * 2) for seq in occluded.samples]
         formats.write_dataset(dataset_of(*changed), paths["train_occluded"])
-        return embed(config, handoff=handoff)
+        return embed(config, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_embed", rewrite_then_embed)
     run_pipeline(config)
@@ -684,12 +714,12 @@ def test_a_clean_split_changed_on_disk_is_scored_from_the_file(tmp_path, monkeyp
     kept = tmp_path / "kept" / "train.skl1"
     evaluate = pipeline.run_eval
 
-    def rewrite_then_eval(config, handoff=None):
+    def rewrite_then_eval(config, **kwargs):
         kept.parent.mkdir()
         shutil.copy(paths["train"], kept)
         clean = formats.read_dataset(paths["train"])
         formats.write_dataset(clean.with_data(clean.data * 2), paths["train"])
-        return evaluate(config, handoff=handoff)
+        return evaluate(config, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_eval", rewrite_then_eval)
     run_pipeline(config)
